@@ -1,5 +1,5 @@
-//! Static plan lint gate: runs the `nc-verify` hazard checks, three-way
-//! cycle reconciliation, the shard-graph concurrency proof, and the
+//! Static plan lint gate: runs the `nc-verify` hazard checks, cycle
+//! reconciliation, the shard-graph concurrency proof, and the
 //! value-range overflow certification over every shipped workload under
 //! all four sparsity modes, writes the diagnostics (and per-workload
 //! shard-graph / value-range stats) as a JSON artifact, and exits non-zero
@@ -9,8 +9,8 @@
 //!
 //! Shape-only workloads (the full Inception v3 graph) get the static
 //! passes: operand-layout lints, per-mode MAC-tap schedule hazards,
-//! cost-model anchors, per-layer lane geometry / row budget / static ↔
-//! analytical MAC cycles, the reserved-way dump-overlap window, the
+//! cost-model anchors, per-layer lane geometry / row budget, one reduce
+//! schedule per distinct group span, the reserved-way dump-overlap window, the
 //! shard-graph happens-before analysis (V013–V019), and the value-range
 //! abstract interpretation with its overflow/width certificates
 //! (V021–V027) checked against both the default and the advised bit

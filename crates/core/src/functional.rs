@@ -884,19 +884,21 @@ fn mac_reduce_run(
     arrays_per_filter: usize,
     mode: SparsityMode,
 ) -> Result<(Vec<u64>, Vec<u64>)> {
-    // Row layout of the pass-1 array (all regions disjoint, 202 rows) —
-    // shared with the static checker via `crate::layout`.
+    // Row layout and op sequence of the pass-1 array (all regions
+    // disjoint, 202 rows) — shared with the static checker via
+    // `crate::layout`.
+    let l = layout::MacReduceLayout::new();
     let layout::MacReduceLayout {
         filter_byte,
         input_byte,
-        scratch16,
         partial,
         s2sum,
         seg_a,
         seg_b,
         s2_a,
         s2_b,
-    } = layout::MacReduceLayout::new();
+        ..
+    } = l;
 
     let groups = filters.len();
     let mut partial_arrays = Vec::with_capacity(arrays_per_filter);
@@ -924,34 +926,13 @@ fn mac_reduce_run(
                     arr.poke_lane(g * group_span + l, input_byte, u64::from(byte));
                 }
             }
-            // S1 += w * x ; S2 += x — all lanes in parallel. Under
-            // SkipZeroRows the stationary filter byte is the multiplier,
-            // so its bit-slice rows are what the FSM elides for free; the
-            // dynamic modes flip the roles — the streamed input byte
-            // becomes the multiplier so the per-round wired-NOR detect can
-            // elide all-lanes-zero input-bit rounds (8x8 multiply cost is
-            // symmetric in the operand order, and the product is
-            // identical either way).
-            *cycles += match mode {
-                SparsityMode::Dense => arr.mul(input_byte, filter_byte, scratch16)?,
-                SparsityMode::SkipZeroRows => {
-                    arr.mul_skip_zero_rows(input_byte, filter_byte, scratch16)?
-                }
-                SparsityMode::SkipZeroInputs => {
-                    arr.mul_skip_zero_input_bits(filter_byte, input_byte, scratch16)?
-                }
-                SparsityMode::SkipBoth => arr.mul_skip_both(filter_byte, input_byte, scratch16)?,
-            };
-            *cycles += arr.add_assign(partial, scratch16)?;
-            *cycles += arr.add_assign(s2sum, input_byte)?;
+            // S1 += w * x ; S2 += x — all lanes in parallel.
+            *cycles += l.mac_tap(&mut arr, mode)?;
         }
 
-        // Widen into the 4-byte reduction segments (Figure 10b).
-        *cycles += arr.copy_zext(partial, seg_a)?;
-        *cycles += arr.copy_zext(s2sum, s2_a)?;
-        // Grouped in-array channel reduction.
-        *cycles += arr.reduce_sum_grouped(seg_a, seg_b, group_span, groups)?;
-        *cycles += arr.reduce_sum_grouped(s2_a, s2_b, group_span, groups)?;
+        // Widen into the reduction segments, then grouped in-array channel
+        // reduction.
+        *cycles += l.reduce(&mut arr, group_span, groups)?;
         partial_arrays.push(arr);
     }
 

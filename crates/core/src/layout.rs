@@ -1,19 +1,24 @@
 //! Operand layouts of the functional executor's shard jobs — the single
-//! source of truth for which word-line ranges each in-cache pass occupies.
+//! source of truth for which word-line ranges each in-cache pass occupies,
+//! and for the pass-1 op sequence that runs over them.
 //!
 //! The bit-accurate executor ([`crate::functional`]) stages every pass into
-//! fixed row regions of a 256-row array. Those regions used to live as
-//! inline `Operand::new` calls deep inside each shard job, where an overlap
-//! or out-of-bounds slip would only surface as a wrong answer at simulation
-//! time. This module names every region once, so:
+//! fixed row regions of a 256-row array. This module names every region
+//! once, so:
 //!
 //! - the executor builds its operands from here (no drift possible),
 //! - [`validate_plan`] proves the whole plan hazard-free before the first
-//!   row is touched (debug-mode pre-pass in the executor), and
-//! - the `nc-verify` static checker consumes the same descriptors to emit
-//!   structured diagnostics without executing anything.
+//!   row is touched (debug-mode pre-pass in the executor),
+//! - the `nc-verify` static checker lints the same descriptors, and
+//! - the pass-1 MAC tap and reduce tail are methods here
+//!   ([`MacReduceLayout::mac_tap`], [`MacReduceLayout::reduce`]): the
+//!   executor runs them, and `nc-verify` records the very same calls on a
+//!   scratch array (`ComputeArray::start_recording`) to get the schedules
+//!   it checks.
 
-use nc_sram::{Operand, ROWS};
+use nc_sram::{ComputeArray, CycleStats, Operand, Result, ROWS};
+
+use crate::sparsity::SparsityMode;
 
 /// The dedicated all-zero row every executor array reserves (mapping-layer
 /// convention; see `ComputeArray::set_zero_row`).
@@ -67,6 +72,53 @@ impl MacReduceLayout {
             s2_a: op(136, 32),
             s2_b: op(168, 32),
         }
+    }
+
+    /// One MAC tap on every lane: `S1 += w * x; S2 += x`, with the
+    /// bit-serial multiply variant `mode` selects.
+    ///
+    /// Under [`SparsityMode::SkipZeroRows`] the stationary filter byte is
+    /// the multiplier, so its bit-slice rows are what the FSM elides for
+    /// free; the dynamic modes flip the roles — the streamed input byte
+    /// becomes the multiplier so the per-round wired-NOR detect can elide
+    /// all-lanes-zero input-bit rounds (the 8x8 multiply cost is symmetric
+    /// in the operand order, and the product is identical either way).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's operand and zero-row checks.
+    pub fn mac_tap(&self, arr: &mut ComputeArray, mode: SparsityMode) -> Result<CycleStats> {
+        let (w, x, p) = (self.filter_byte, self.input_byte, self.scratch16);
+        let mut cycles = match mode {
+            SparsityMode::Dense => arr.mul(x, w, p)?,
+            SparsityMode::SkipZeroRows => arr.mul_skip_zero_rows(x, w, p)?,
+            SparsityMode::SkipZeroInputs => arr.mul_skip_zero_input_bits(w, x, p)?,
+            SparsityMode::SkipBoth => arr.mul_skip_both(w, x, p)?,
+        };
+        cycles += arr.add_assign(self.partial, p)?;
+        cycles += arr.add_assign(self.s2sum, x)?;
+        Ok(cycles)
+    }
+
+    /// The per-array reduce tail: widen `S1`/`S2` into the 4-byte reduction
+    /// segments (Figure 10b), then tree-reduce `groups` lane groups of
+    /// `group_span` lanes each.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks, e.g. a non-power-of-two `group_span`
+    /// or groups that overflow the bit lines.
+    pub fn reduce(
+        &self,
+        arr: &mut ComputeArray,
+        group_span: usize,
+        groups: usize,
+    ) -> Result<CycleStats> {
+        let mut cycles = arr.copy_zext(self.partial, self.seg_a)?;
+        cycles += arr.copy_zext(self.s2sum, self.s2_a)?;
+        cycles += arr.reduce_sum_grouped(self.seg_a, self.seg_b, group_span, groups)?;
+        cycles += arr.reduce_sum_grouped(self.s2_a, self.s2_b, group_span, groups)?;
+        Ok(cycles)
     }
 
     /// Every region with its name, for generic layout checking.

@@ -283,17 +283,22 @@ impl MetricsCollector {
 /// - the sample must be NaN-free: NaNs are rejected upstream by
 ///   [`MetricsCollector::on_completion`] before `sort_by(total_cmp)` ever
 ///   sees them (`total_cmp` would sort NaNs to the top and corrupt the
-///   high percentiles), and this function debug-asserts the invariant.
+///   high percentiles), and this function asserts the invariant in every
+///   build profile.
+///
+/// # Panics
+///
+/// Panics if `sorted` contains a NaN or `q` is NaN.
 #[must_use]
 pub fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
-    debug_assert!(
+    assert!(
         sorted.iter().all(|l| !l.is_nan()),
         "percentile input contains NaN"
     );
-    debug_assert!(!q.is_nan(), "percentile quantile is NaN");
+    assert!(!q.is_nan(), "percentile quantile is NaN");
     let rank = (q.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

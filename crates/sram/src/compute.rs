@@ -4,9 +4,11 @@
 //! column peripheral of Figure 7 can execute. Everything more complex
 //! (multi-bit add, multiply, reduction, ...) is composed from these micro-ops
 //! in [`crate::ops`], so the cycle count of every high-level operation is the
-//! length of its micro-op sequence — derived, not asserted.
+//! length of its micro-op sequence — derived, not asserted. Every micro-op
+//! charges its cycle through one place, which also appends the cycle's
+//! word-line [`Step`](crate::Step) while recording is on.
 
-use crate::{BitRow, CycleStats, Operand, Result, SramArray, SramError, COLS};
+use crate::{BitRow, CycleStats, Operand, Result, Schedule, SramArray, SramError, StepKind, COLS};
 
 /// Write-back predication mode for a compute cycle.
 ///
@@ -26,8 +28,9 @@ pub enum Predicate {
 ///
 /// Holds the 256x256 cell array, the per-column **carry** and **tag**
 /// latches, an optional dedicated all-zero row (needed by operations that
-/// must sense a complement or zero-extend an operand), and the cycle
-/// counters.
+/// must sense a complement or zero-extend an operand), the cycle
+/// counters, and an optional [`Schedule`] recorder (off by default; see
+/// [`ComputeArray::start_recording`]).
 ///
 /// # Example
 ///
@@ -48,6 +51,10 @@ pub struct ComputeArray {
     tag: BitRow,
     zero_row: Option<usize>,
     stats: CycleStats,
+    /// Counters at `start_recording` plus the steps issued since. Boxed so
+    /// the recording-off check in every micro-op is a single pointer test
+    /// that leaves the hot latch and counter fields alone.
+    recording: Option<Box<(CycleStats, Schedule)>>,
 }
 
 impl ComputeArray {
@@ -60,6 +67,7 @@ impl ComputeArray {
             tag: BitRow::zero(),
             zero_row: None,
             stats: CycleStats::new(),
+            recording: None,
         }
     }
 
@@ -108,8 +116,9 @@ impl ComputeArray {
     }
 
     /// Restores the array to its just-constructed state: all cells cleared,
-    /// carry and tag latches dropped, cycle counters zeroed. The zero-row
-    /// configuration is kept (the cleared cells already satisfy it).
+    /// carry and tag latches dropped, cycle counters zeroed, recording off.
+    /// The zero-row configuration is kept (the cleared cells already
+    /// satisfy it).
     ///
     /// This is how [`crate::ArrayPool`] recycles arrays between shard jobs
     /// instead of reallocating the 256x256 cell storage.
@@ -118,6 +127,26 @@ impl ComputeArray {
         self.carry = BitRow::zero();
         self.tag = BitRow::zero();
         self.stats = CycleStats::new();
+        self.recording = None;
+    }
+
+    /// Starts recording the micro-op stream: from now on every cycle the
+    /// array charges also appends one [`Step`](crate::Step) with the word
+    /// lines it reads and writes. Discards any recording in progress.
+    ///
+    /// While recording is off (the default) no step is built and nothing is
+    /// allocated.
+    pub fn start_recording(&mut self) {
+        self.recording = Some(Box::new((self.stats, Schedule::default())));
+    }
+
+    /// Stops recording and returns every step issued since
+    /// [`ComputeArray::start_recording`], with the counters charged
+    /// meanwhile in [`Schedule::stats`]. `None` when recording was off.
+    pub fn take_recording(&mut self) -> Option<Schedule> {
+        let (start, mut schedule) = *self.recording.take()?;
+        schedule.stats = self.stats - start;
+        Some(schedule)
     }
 
     /// Current contents of the per-column carry latches.
@@ -177,7 +206,7 @@ impl ComputeArray {
     pub fn op_copy(&mut self, src: usize, dst: usize, pred: Predicate) -> Result<()> {
         let value = self.array.read_row(src)?;
         self.write_back(dst, value, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[src], &[dst], "op_copy");
         Ok(())
     }
 
@@ -193,7 +222,7 @@ impl ComputeArray {
         let zero = self.require_zero_row()?;
         let out = self.array.sense(src, zero)?.nor;
         self.write_back(dst, out, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[src, zero], &[dst], "op_not");
         Ok(())
     }
 
@@ -205,7 +234,7 @@ impl ComputeArray {
     pub fn op_and(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
         let out = self.array.sense(a, b)?.and;
         self.write_back(dst, out, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[a, b], &[dst], "op_and");
         Ok(())
     }
 
@@ -217,7 +246,7 @@ impl ComputeArray {
     pub fn op_nor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
         let out = self.array.sense(a, b)?.nor;
         self.write_back(dst, out, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[a, b], &[dst], "op_nor");
         Ok(())
     }
 
@@ -229,7 +258,7 @@ impl ComputeArray {
     pub fn op_or(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
         let out = self.array.sense(a, b)?.nor.not();
         self.write_back(dst, out, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[a, b], &[dst], "op_or");
         Ok(())
     }
 
@@ -242,7 +271,7 @@ impl ComputeArray {
     pub fn op_xor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
         let out = self.array.sense(a, b)?.xor;
         self.write_back(dst, out, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[a, b], &[dst], "op_xor");
         Ok(())
     }
 
@@ -266,7 +295,7 @@ impl ComputeArray {
             Predicate::Always => carry_out,
             Predicate::Tag => carry_out.select(&self.carry, &self.tag),
         };
-        self.tick_compute();
+        self.tick_compute(&[a, b], &[dst], "op_full_add");
         Ok(())
     }
 
@@ -297,7 +326,7 @@ impl ComputeArray {
             Predicate::Always => carry_out,
             Predicate::Tag => carry_out.select(&self.carry, &self.tag),
         };
-        self.tick_compute();
+        self.tick_compute(&[a], &[dst], "op_full_add_const");
         Ok(())
     }
 
@@ -308,7 +337,7 @@ impl ComputeArray {
     /// Propagates row-range errors.
     pub fn op_load_tag(&mut self, src: usize) -> Result<()> {
         self.tag = self.array.read_row(src)?;
-        self.tick_compute();
+        self.tick_compute(&[src], &[], "op_load_tag");
         Ok(())
     }
 
@@ -327,7 +356,7 @@ impl ComputeArray {
     /// Propagates row-range errors.
     pub fn op_detect_zero(&mut self, src: usize) -> Result<bool> {
         self.tag = self.array.read_row(src)?;
-        self.tick_compute();
+        self.tick_compute(&[src], &[], "op_detect_zero");
         self.stats.detect_cycles += 1;
         Ok(self.tag.is_zero())
     }
@@ -341,7 +370,7 @@ impl ComputeArray {
     pub fn op_load_tag_not(&mut self, src: usize) -> Result<()> {
         let zero = self.require_zero_row()?;
         self.tag = self.array.sense(src, zero)?.nor;
-        self.tick_compute();
+        self.tick_compute(&[src, zero], &[], "op_load_tag_not");
         Ok(())
     }
 
@@ -352,14 +381,14 @@ impl ComputeArray {
     ///
     /// Complement form requires the zero row.
     pub fn op_and_tag(&mut self, src: usize, complement: bool) -> Result<()> {
-        let bits = if complement {
+        if complement {
             let zero = self.require_zero_row()?;
-            self.array.sense(src, zero)?.nor
+            self.tag = self.tag.and(&self.array.sense(src, zero)?.nor);
+            self.tick_compute(&[src, zero], &[], "op_and_tag");
         } else {
-            self.array.read_row(src)?
-        };
-        self.tag = self.tag.and(&bits);
-        self.tick_compute();
+            self.tag = self.tag.and(&self.array.read_row(src)?);
+            self.tick_compute(&[src], &[], "op_and_tag");
+        }
         Ok(())
     }
 
@@ -371,7 +400,7 @@ impl ComputeArray {
     pub fn op_write_carry(&mut self, dst: usize, pred: Predicate) -> Result<()> {
         let carry = self.carry;
         self.write_back(dst, carry, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[], &[dst], "op_write_carry");
         Ok(())
     }
 
@@ -383,7 +412,7 @@ impl ComputeArray {
     pub fn op_write_tag(&mut self, dst: usize, pred: Predicate) -> Result<()> {
         let tag = self.tag;
         self.write_back(dst, tag, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[], &[dst], "op_write_tag");
         Ok(())
     }
 
@@ -396,7 +425,7 @@ impl ComputeArray {
     pub fn op_write_const(&mut self, dst: usize, bit: bool, pred: Predicate) -> Result<()> {
         let value = if bit { BitRow::ones() } else { BitRow::zero() };
         self.write_back(dst, value, pred)?;
-        self.tick_compute();
+        self.tick_compute(&[], &[dst], "op_write_const");
         Ok(())
     }
 
@@ -412,7 +441,7 @@ impl ComputeArray {
     /// Propagates row-range errors.
     pub fn access_read_row(&mut self, row: usize) -> Result<BitRow> {
         let out = self.array.read_row(row)?;
-        self.tick_access();
+        self.tick_access(&[row], &[], "access_read_row");
         Ok(out)
     }
 
@@ -427,7 +456,7 @@ impl ComputeArray {
             return Err(SramError::ZeroRowClobbered { row });
         }
         self.array.write_row(row, value)?;
-        self.tick_access();
+        self.tick_access(&[], &[row], "access_write_row");
         Ok(())
     }
 
@@ -539,14 +568,11 @@ impl ComputeArray {
     }
 
     /// Crate-internal raw access for operations that move data across bit
-    /// lines (lane moves, inter-array transfers); cycle charging is the
-    /// caller's responsibility via [`ComputeArray::charge_compute`].
+    /// lines (lane moves, inter-array transfers); the caller charges each
+    /// cycle through [`ComputeArray::tick_compute`] or
+    /// [`ComputeArray::tick_access`].
     pub(crate) fn raw_cells_mut(&mut self) -> &mut SramArray {
         &mut self.array
-    }
-
-    pub(crate) fn charge_compute(&mut self, cycles: u64) {
-        self.stats.compute_cycles += cycles;
     }
 
     /// Records one scheduled multiplier-bit round (dense or skipped).
@@ -574,10 +600,6 @@ impl ComputeArray {
         self.stats.skipped_cycles += saved_cycles;
     }
 
-    pub(crate) fn charge_access(&mut self, cycles: u64) {
-        self.stats.access_cycles += cycles;
-    }
-
     pub(crate) fn guard_zero_row(&self, op: &Operand) -> Result<()> {
         if let Some(z) = self.zero_row {
             if op.contains_row(z) {
@@ -599,12 +621,25 @@ impl ComputeArray {
         self.array.write_row(dst, merged)
     }
 
-    fn tick_compute(&mut self) {
+    /// Charges one compute cycle that senses `reads` and drives `writes`.
+    #[inline]
+    pub(crate) fn tick_compute(&mut self, reads: &[usize], writes: &[usize], label: &'static str) {
         self.stats.compute_cycles += 1;
+        self.record(StepKind::Compute, reads, writes, label);
     }
 
-    fn tick_access(&mut self) {
+    /// Charges one access cycle that reads `reads` and writes `writes`.
+    #[inline]
+    pub(crate) fn tick_access(&mut self, reads: &[usize], writes: &[usize], label: &'static str) {
         self.stats.access_cycles += 1;
+        self.record(StepKind::Access, reads, writes, label);
+    }
+
+    #[inline]
+    fn record(&mut self, kind: StepKind, reads: &[usize], writes: &[usize], label: &'static str) {
+        if let Some(recording) = &mut self.recording {
+            recording.1.push(kind, reads, writes, label);
+        }
     }
 }
 

@@ -23,6 +23,9 @@
 //!   predicated copies, scalar broadcasts, equality search) are built from
 //!   micro-ops, so their cycle counts are *derived*, not asserted.
 //! - [`Operand`]: a transposed operand descriptor (base row + bit width).
+//! - [`Schedule`]: the per-cycle word-line read/write sets a
+//!   [`ComputeArray`] records from its own micro-ops while recording is on
+//!   — the schedule static checkers verify is the one that ran.
 //! - [`TransposeUnit`]: the 8T-SRAM transpose memory unit (TMU) that converts
 //!   between bit-parallel and transposed layouts.
 //! - [`stats`]: cycle statistics and the paper's per-cycle timing/energy
@@ -76,6 +79,7 @@ mod error;
 mod operand;
 pub mod ops;
 mod pool;
+mod schedule;
 mod sram;
 pub mod stats;
 mod transpose;
@@ -85,6 +89,7 @@ pub use compute::{ComputeArray, Predicate};
 pub use error::SramError;
 pub use operand::Operand;
 pub use pool::{ArrayPool, PoolStats, PooledArray};
+pub use schedule::{Schedule, Step, StepKind};
 pub use sram::SramArray;
 pub use stats::{ArrayEnergy, ArrayTimings, CycleStats, ValueStats};
 pub use transpose::{TransposeUnit, TMU_TILE_DIM};

@@ -6,7 +6,7 @@
 //! lower half, and a region-wide addition halves the live lane count. After
 //! `log2(lanes)` steps lane 0 holds the sum.
 
-use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
+use crate::{BitRow, ComputeArray, CycleStats, Operand, Result, SramError, COLS};
 
 /// Compute cycles charged per row for a lane move.
 ///
@@ -50,20 +50,11 @@ impl ComputeArray {
                 what: "lane-move source and destination share rows",
             });
         }
-        self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..src.bits() {
-            let (src_row, dst_row) = (src.row(i), dst.row(i));
-            let cells = self.raw_cells_mut();
-            let source = cells.read_row(src_row)?;
-            let mut target = cells.read_row(dst_row)?;
+        self.move_rows(src, dst, |source, target| {
             for lane in 0..lanes {
                 target.set(lane, source.get(lane + lane_shift));
             }
-            cells.write_row(dst_row, target)?;
-            self.charge_compute(LANE_MOVE_CYCLES_PER_ROW);
-        }
-        Ok(self.stats() - before)
+        })
     }
 
     /// Tree-sum reduction of `lanes` values held in `value` (one per lane)
@@ -171,6 +162,26 @@ impl ComputeArray {
                 what: "lane-move source and destination share rows",
             });
         }
+        self.move_rows(src, dst, |source, target| {
+            for g in 0..groups {
+                let base = g * group_stride;
+                for lane in 0..lanes_per_group {
+                    target.set(base + lane, source.get(base + lane + lane_shift));
+                }
+            }
+        })
+    }
+
+    /// The row loop shared by both lane moves: per row of `src`, one read
+    /// cycle on the source row, then one read-modify-write cycle that
+    /// merges the moved lanes (`merge`) into the destination row
+    /// ([`LANE_MOVE_CYCLES_PER_ROW`] = 2).
+    fn move_rows(
+        &mut self,
+        src: Operand,
+        dst: Operand,
+        merge: impl Fn(&BitRow, &mut BitRow),
+    ) -> Result<CycleStats> {
         self.guard_zero_row(&dst)?;
         let before = self.stats();
         for i in 0..src.bits() {
@@ -178,14 +189,10 @@ impl ComputeArray {
             let cells = self.raw_cells_mut();
             let source = cells.read_row(src_row)?;
             let mut target = cells.read_row(dst_row)?;
-            for g in 0..groups {
-                let base = g * group_stride;
-                for lane in 0..lanes_per_group {
-                    target.set(base + lane, source.get(base + lane + lane_shift));
-                }
-            }
+            merge(&source, &mut target);
             cells.write_row(dst_row, target)?;
-            self.charge_compute(LANE_MOVE_CYCLES_PER_ROW);
+            self.tick_compute(&[src_row], &[], "move_lanes/read");
+            self.tick_compute(&[dst_row], &[dst_row], "move_lanes/write");
         }
         Ok(self.stats() - before)
     }

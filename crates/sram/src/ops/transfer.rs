@@ -61,7 +61,7 @@ pub fn copy_lanes_between(
             target.set(dst_lane_offset + lane, row.get(lane));
         }
         dst.raw_cells_mut().write_row(dst_row_idx, target)?;
-        dst.charge_access(1);
+        dst.tick_access(&[], &[dst_row_idx], "transfer/write");
     }
     Ok((src.stats() + dst.stats()) - before)
 }

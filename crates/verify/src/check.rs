@@ -1,18 +1,17 @@
-//! Hazard checks over schedules, operand layouts, and planned mappings,
-//! plus the static ↔ analytical legs of the cycle reconciliation.
+//! Hazard checks over recorded schedules, operand layouts, and planned
+//! mappings, plus the proof that the recorded MAC-tap cycles equal the
+//! analytical cost model's.
 //!
 //! Every check returns structured [`Diagnostic`]s; an empty vector means
 //! the artifact is provably hazard-free under the modeled port semantics.
 
-use nc_sram::{COLS, ROWS};
+use nc_sram::{ComputeArray, CycleStats, Schedule, StepKind, COLS, ROWS};
 use neural_cache::cost::{CostModel, DerivedCostModel, DATA_BITS};
-use neural_cache::layout::{self, NamedOperand, DUMP_ROW, ZERO_ROW};
+use neural_cache::layout::{self, MacReduceLayout, NamedOperand, DUMP_ROW, ZERO_ROW};
 use neural_cache::mapping::ConvMapping;
 use neural_cache::{LaneGeometry, SparsityMode};
 
 use crate::diag::{Diagnostic, ErrorCode};
-use crate::extract;
-use crate::ir::{Schedule, StepKind};
 
 /// Word-line port budgets of one compute cycle (Section III: two-row
 /// activation with a single write-back driver).
@@ -20,7 +19,7 @@ pub const READ_PORTS: usize = 2;
 /// Write word lines one compute cycle may drive.
 pub const WRITE_PORTS: usize = 1;
 
-/// Checks one extracted schedule for per-cycle port hazards: out-of-bounds
+/// Checks one recorded schedule for per-cycle port hazards: out-of-bounds
 /// word lines (V002), read-port overflow or duplicate sensing (V003),
 /// write-port overflow (V004), and zero-row clobbering (V005).
 #[must_use]
@@ -230,51 +229,62 @@ pub fn check_row_budget(label: &str, mapping: &ConvMapping) -> Vec<Diagnostic> {
 }
 
 // ---------------------------------------------------------------------
-// Static MAC-tap schedules and the static <-> analytical reconciliation.
+// Recorded MAC-tap and reduce schedules.
 // ---------------------------------------------------------------------
 
-/// The executor's per-tap MAC schedule (one filter/input byte pair:
-/// multiply into the 16-bit scratch, accumulate into the 24-bit partial,
-/// track the input sum) under `mode`, parameterized by the control-FSM
-/// facts: per-round elision flags and the live weight-bit count.
-#[must_use]
-pub fn mac_tap_schedule(mode: SparsityMode, zero_rounds: &[bool], live_bits: usize) -> Schedule {
-    let l = layout::MacReduceLayout::new();
-    let mut s = match mode {
-        SparsityMode::Dense => extract::mul(l.input_byte, l.filter_byte, l.scratch16),
-        SparsityMode::SkipZeroRows => {
-            extract::mul_skip_zero_rows(l.input_byte, l.filter_byte, l.scratch16, zero_rounds)
-        }
-        SparsityMode::SkipZeroInputs => {
-            extract::mul_skip_zero_input_bits(l.filter_byte, l.input_byte, l.scratch16, zero_rounds)
-        }
-        SparsityMode::SkipBoth => extract::mul_skip_both(
-            l.filter_byte,
-            l.input_byte,
-            l.scratch16,
-            zero_rounds,
-            live_bits,
-        ),
-    };
-    s.extend(extract::add_assign(l.partial, l.scratch16));
-    s.extend(extract::add_assign(l.s2sum, l.input_byte));
-    s
+/// Runs `op` on `arr` with recording on and returns the recorded schedule.
+fn record(
+    arr: &mut ComputeArray,
+    op: impl FnOnce(&mut ComputeArray) -> nc_sram::Result<CycleStats>,
+) -> nc_sram::Result<Schedule> {
+    arr.start_recording();
+    let ran = op(arr);
+    let schedule = arr.take_recording().expect("recording was started");
+    ran.map(|_| schedule)
 }
 
-/// The post-MAC reduction schedule of one array (segment widening plus the
-/// grouped channel-reduction trees).
+/// The executor's per-tap MAC schedule ([`MacReduceLayout::mac_tap`])
+/// under `mode`, recorded on a scratch array. The control-FSM facts become
+/// operand data on lane 0: bit `j` of the multiplier is 0 exactly when
+/// `zero_rounds[j]` is set, and under [`SparsityMode::SkipBoth`] the filter
+/// byte's highest set bit is `live_bits - 1` (no bit when `live_bits` is 0).
+///
+/// # Panics
+///
+/// Panics if `live_bits` exceeds the 8-bit filter byte.
 #[must_use]
-pub fn reduce_schedule(group_span: usize) -> Schedule {
-    let l = layout::MacReduceLayout::new();
-    let mut s = extract::copy_zext(l.partial, l.seg_a);
-    s.extend(extract::copy_zext(l.s2sum, l.s2_a));
-    s.extend(extract::reduce_sum_grouped(l.seg_a, l.seg_b, group_span));
-    s.extend(extract::reduce_sum_grouped(l.s2_a, l.s2_b, group_span));
-    s
+pub fn mac_tap_schedule(mode: SparsityMode, zero_rounds: &[bool], live_bits: usize) -> Schedule {
+    let l = MacReduceLayout::new();
+    let multiplier = (0..DATA_BITS)
+        .filter(|&j| !zero_rounds.get(j).copied().unwrap_or(false))
+        .fold(0u64, |m, j| m | 1 << j);
+    let filter = match (mode, live_bits) {
+        (SparsityMode::SkipBoth, 0) => 0,
+        (SparsityMode::SkipBoth, live) => 1 << (live - 1),
+        _ => multiplier,
+    };
+    let mut arr = ComputeArray::with_zero_row(ZERO_ROW).expect("zero row is in bounds");
+    arr.poke_lane(0, l.filter_byte, filter);
+    arr.poke_lane(0, l.input_byte, multiplier);
+    record(&mut arr, |arr| l.mac_tap(arr, mode)).expect("the pass-1 layout is valid")
+}
+
+/// The post-MAC reduce schedule of one array
+/// ([`MacReduceLayout::reduce`]) for one lane group of `group_span` lanes,
+/// recorded on a scratch array (every group runs the same rows).
+///
+/// # Errors
+///
+/// The array's own rejection of the span, e.g. a non-power-of-two
+/// `group_span` (which [`check_lane_geometry`] reports as V008).
+pub fn reduce_schedule(group_span: usize) -> nc_sram::Result<Schedule> {
+    let l = MacReduceLayout::new();
+    let mut arr = ComputeArray::with_zero_row(ZERO_ROW)?;
+    record(&mut arr, |arr| l.reduce(arr, group_span, 1))
 }
 
 /// Schedule-derived tap constants: the dense per-tap MAC cycles and the
-/// per-round cycle cost, measured from the extracted schedules themselves
+/// per-round cycle cost, measured from the recorded schedules themselves
 /// (never restated as literals).
 #[must_use]
 pub fn schedule_tap_constants() -> (u64, u64) {
@@ -287,67 +297,7 @@ pub fn schedule_tap_constants() -> (u64, u64) {
     (dense, dense - skipped)
 }
 
-/// Static per-tap MAC cycles at fractional skip/live parameters, evaluated
-/// with the **identical** floating-point expression order the analytical
-/// [`CostModel`] uses, so agreement is exact rather than approximate. The
-/// integer anchor points (`k/8` skips, integer live bits) coincide with
-/// the extracted schedules by construction — `schedule_constants_match_*`
-/// tests prove it.
-#[must_use]
-pub fn static_mac_tap(dense_tap: u64, round: u64, c: &ConvMapping) -> f64 {
-    let rounds = DATA_BITS as f64;
-    let dense = dense_tap as f64;
-    let round = round as f64;
-    if c.dynamic_detect {
-        let live = c.live_mult_bits.clamp(0.0, rounds);
-        let exec_round = round - (rounds - live);
-        let base = dense - rounds * round;
-        let detect = rounds;
-        (base + detect + (1.0 - c.input_skip_fraction.clamp(0.0, 1.0)) * rounds * exec_round)
-            .clamp(0.0, dense + detect)
-    } else {
-        let saved = c.simd_skip_fraction.clamp(0.0, 1.0) * rounds * round;
-        (dense - saved).clamp(0.0, dense)
-    }
-}
-
-/// The analytical per-tap MAC cycles of the cost model under the mapping's
-/// sparsity parameters — the exact expression `timing::conv_cycles`
-/// charges per serial MAC.
-#[must_use]
-pub fn analytical_mac_tap(cost: &dyn CostModel, c: &ConvMapping) -> f64 {
-    if c.dynamic_detect {
-        cost.mac_cycles_dynamic(c.input_skip_fraction, c.live_mult_bits)
-    } else {
-        cost.mac_cycles_sparse(c.simd_skip_fraction)
-    }
-}
-
-/// Reconciles one planned convolution's static MAC schedule against the
-/// derived analytical cost model (V009), at the layer's full serial-MAC
-/// scale with the same rounding `timing::conv_cycles` applies.
-#[must_use]
-pub fn check_conv_reconciliation(label: &str, c: &ConvMapping) -> Vec<Diagnostic> {
-    let cost = &DerivedCostModel;
-    let (dense_tap, round) = schedule_tap_constants();
-    let serial_macs = (c.rounds * c.eff_window) as u64;
-    let static_mac = (serial_macs as f64 * static_mac_tap(dense_tap, round, c)).round() as u64;
-    let analytical_mac = (serial_macs as f64 * analytical_mac_tap(cost, c)).round() as u64;
-    if static_mac == analytical_mac {
-        return Vec::new();
-    }
-    vec![Diagnostic::new(
-        ErrorCode::CycleMismatchAnalytical,
-        label,
-        format!(
-            "static schedule prices {serial_macs} serial MACs at {static_mac} cycles; \
-             the {} cost model prices them at {analytical_mac}",
-            cost.name()
-        ),
-    )]
-}
-
-/// Proves the derived cost model's constants equal the extracted schedules
+/// Proves the derived cost model's constants equal the recorded schedules
 /// at every integer skip/live anchor point (V009 on any disagreement).
 #[must_use]
 pub fn check_cost_model() -> Vec<Diagnostic> {
@@ -435,23 +385,39 @@ mod tests {
         Operand::new(base, bits).unwrap()
     }
 
+    fn recorded(op: impl FnOnce(&mut ComputeArray) -> nc_sram::Result<CycleStats>) -> Schedule {
+        let mut arr = ComputeArray::with_zero_row(ZERO_ROW).unwrap();
+        record(&mut arr, op).unwrap()
+    }
+
+    fn one_step(reads: Vec<usize>, writes: Vec<usize>) -> Schedule {
+        Schedule {
+            steps: vec![nc_sram::Step {
+                kind: StepKind::Compute,
+                reads,
+                writes,
+                label: "injected",
+            }],
+            ..Schedule::default()
+        }
+    }
+
     #[test]
     fn clean_schedules_produce_no_diagnostics() {
-        let (a, b, dst) = (op(0, 8), op(8, 8), op(16, 9));
-        assert!(check_schedule("add", &extract::add(a, b, dst)).is_empty());
-        let prod = op(32, 16);
-        assert!(check_schedule("mul", &extract::mul(a, b, prod)).is_empty());
-        let flags = [true, false, true, false, true, false, true, false];
-        assert!(
-            check_schedule("mul_skip", &extract::mul_skip_both(a, b, prod, &flags, 5)).is_empty()
-        );
+        let (a, b, dst, prod) = (op(0, 8), op(8, 8), op(16, 9), op(32, 16));
+        assert!(check_schedule("add", &recorded(|arr| arr.add(a, b, dst))).is_empty());
+        assert!(check_schedule("mul", &recorded(|arr| arr.mul(a, b, prod))).is_empty());
+        let s = recorded(|arr| arr.mul_skip_both(a, b, prod));
+        assert!(check_schedule("mul_skip", &s).is_empty());
     }
 
     #[test]
     fn duplicate_sense_is_a_read_port_overflow() {
-        // add with b aliasing a senses row i twice in one cycle.
-        let a = op(0, 8);
-        let s = extract::add(a, a, op(16, 8));
+        // Alias every add cycle's second sensed row onto its first.
+        let mut s = recorded(|arr| arr.add(op(0, 8), op(8, 8), op(16, 8)));
+        for step in &mut s.steps {
+            step.reads[1] = step.reads[0];
+        }
         let diags = check_schedule("alias", &s);
         assert_eq!(diags.len(), 8);
         assert!(diags.iter().all(|d| d.code == ErrorCode::ReadPortOverflow));
@@ -459,9 +425,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_rows_are_flagged() {
-        let mut s = Schedule::new();
-        s.sense1(ROWS, 0, "op_copy");
-        let diags = check_schedule("oob", &s);
+        let diags = check_schedule("oob", &one_step(vec![ROWS], vec![0]));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, ErrorCode::RowOutOfBounds);
         assert_eq!(diags[0].rows, Some((ROWS, ROWS + 1)));
@@ -469,9 +433,7 @@ mod tests {
 
     #[test]
     fn zero_row_writes_are_flagged() {
-        let mut s = Schedule::new();
-        s.write_only(ZERO_ROW, "op_write_const");
-        let diags = check_schedule("clobber", &s);
+        let diags = check_schedule("clobber", &one_step(vec![], vec![ZERO_ROW]));
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, ErrorCode::ZeroRowClobbered);
     }
@@ -521,6 +483,20 @@ mod tests {
             let s = mac_tap_schedule(mode, &flags, 6);
             assert!(check_schedule("mac_tap", &s).is_empty(), "{mode:?}");
         }
-        assert!(check_schedule("reduce", &reduce_schedule(64)).is_empty());
+        assert!(check_schedule("reduce", &reduce_schedule(64).unwrap()).is_empty());
+        assert!(reduce_schedule(3).is_err(), "the array rejects odd spans");
+    }
+
+    #[test]
+    fn recorded_tap_counters_follow_the_fsm_facts() {
+        let flags = [true, true, false, false, false, false, false, false];
+        let s = mac_tap_schedule(SparsityMode::SkipZeroRows, &flags, DATA_BITS);
+        assert_eq!((s.stats.mul_rounds, s.stats.skipped_rounds), (8, 2));
+        let s = mac_tap_schedule(SparsityMode::SkipBoth, &flags, 3);
+        assert_eq!(s.stats.input_rounds_skipped, 2);
+        assert_eq!(s.stats.detect_cycles, 8);
+        // 2 elided rounds at n + 2 = 10, plus 6 executed rounds truncated
+        // from 8 to 3 live adds.
+        assert_eq!(s.stats.skipped_cycles, 2 * 10 + 6 * 5);
     }
 }

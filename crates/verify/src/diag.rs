@@ -29,7 +29,7 @@ pub enum ErrorCode {
     LanePackingAlias,
     /// V008: a reduction group span is not a power of two.
     NonPowerOfTwoLanes,
-    /// V009: statically derived schedule length disagrees with the
+    /// V009: a recorded MAC-tap schedule's length disagrees with the
     /// analytical cost model.
     CycleMismatchAnalytical,
     /// V010: executed cycle counters disagree with the static schedule.

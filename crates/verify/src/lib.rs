@@ -1,6 +1,6 @@
 //! **nc-verify**: a static plan verifier for the Neural Cache
-//! reproduction — hazard detection, operand-layout linting, and three-way
-//! cycle reconciliation, all without touching data.
+//! reproduction — hazard detection, operand-layout linting, and cycle
+//! reconciliation.
 //!
 //! The compute arrays of the paper (Section III) impose hard structural
 //! limits on every cycle: at most **two** word lines sensed (and they must
@@ -8,24 +8,27 @@
 //! line driven for write-back, the dedicated all-zero row never written,
 //! and every row address inside the 256-row array. The executor's
 //! correctness and the timing model's honesty both hinge on its operand
-//! layouts and op schedules respecting those limits. This crate proves it
-//! statically:
+//! layouts and op schedules respecting those limits. This crate proves it:
 //!
-//! 1. [`extract`]: a **schedule extractor** replays the address arithmetic
-//!    of every `nc-sram` operation (add/mul and all three sparsity
-//!    variants, reduce, compare, logic, transfer) into an abstract
-//!    per-cycle IR of row read/write sets ([`ir::Schedule`]) — no
-//!    execution; the data-dependent facts (elided rounds, live weight
-//!    bits) enter as explicit parameters, because those are exactly what
-//!    the control FSM knows.
-//! 2. [`check`]: a **hazard checker** over that IR — port overflows,
-//!    out-of-bounds rows, zero-row clobbering, operand overlap, lane
-//!    packing aliasing, row-budget overflow — plus reserved-way dump
+//! 1. **Recorded schedules**: the checked schedules are not re-derived.
+//!    [`check::mac_tap_schedule`] and [`check::reduce_schedule`] run the
+//!    executor's own pass-1 methods
+//!    ([`neural_cache::layout::MacReduceLayout::mac_tap`] and `reduce`) on
+//!    a scratch `ComputeArray` with recording on, so each
+//!    [`nc_sram::Schedule`] is the per-cycle row read/write sets of the
+//!    micro-ops that really ran. The data-dependent facts (elided rounds,
+//!    live weight bits) enter as lane-0 operand data, because those are
+//!    exactly what the control FSM knows.
+//! 2. [`check`]: a **hazard checker** over those schedules — port
+//!    overflows, out-of-bounds rows, zero-row clobbering, operand overlap,
+//!    lane packing aliasing, row-budget overflow — plus reserved-way dump
 //!    overlap invariants against [`neural_cache::BatchCostModel`].
-//! 3. **Three-way cycle reconciliation**: static schedule length ==
-//!    analytical [`neural_cache::cost::CostModel`] cycles == executed
-//!    [`nc_sram::CycleStats`], per layer per sparsity mode, reported as
-//!    structured [`diag::Diagnostic`]s with stable `Vxxx` codes.
+//! 3. **Cycle reconciliation**: the recorded MAC-tap cycles equal the
+//!    analytical [`neural_cache::cost::CostModel`] at every skip/live
+//!    anchor point (V009), and ([`check_executed_model`]) the executed
+//!    [`nc_sram::CycleStats`] reconcile across sparsity modes and engines
+//!    (V010), reported as structured [`diag::Diagnostic`]s with stable
+//!    `Vxxx` codes.
 //! 4. **Concurrency layer** ([`shard`] + [`hb`]): the Threaded engine's
 //!    shard graph — per-output-window/per-chunk jobs, the inter-array
 //!    reduce barrier, `ArrayPool` checkout/recycle events — rebuilt from
@@ -67,12 +70,12 @@
 
 pub mod check;
 pub mod diag;
-pub mod extract;
 pub mod hb;
-pub mod ir;
 pub mod range;
 pub mod report;
 pub mod shard;
+
+use std::collections::BTreeSet;
 
 use nc_dnn::{Model, QTensor};
 use nc_sram::COLS;
@@ -97,11 +100,12 @@ pub const ALL_MODES: [SparsityMode; 4] = [
 
 /// Statically verifies a model's plan under `config`: executor operand
 /// layouts, per-mode MAC-tap schedules, cost-model anchor points, every
-/// layer's lane geometry / row budget / static-vs-analytical MAC cycles
-/// under all four sparsity modes, and the batching model's reserved-way
-/// dump-overlap window invariants.
+/// layer's lane geometry and row budget under all four sparsity modes, one
+/// reduce schedule per distinct group span, and the batching model's
+/// reserved-way dump-overlap window invariants.
 ///
-/// Works on shape-only models (no weights needed — nothing executes).
+/// Works on shape-only models (no weights needed — the only arrays that
+/// run are scratch arrays recording the executor's op sequences).
 ///
 /// # Panics
 ///
@@ -113,7 +117,7 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report.record("layouts", check::check_layouts());
     report.record("cost-model", check::check_cost_model());
 
-    // Per-mode MAC-tap and reduction schedules must be hazard-free.
+    // Per-mode MAC-tap schedules must be hazard-free.
     let mut hazards = Vec::new();
     let flags = [false, true, false, true, false, true, false, true];
     for mode in ALL_MODES {
@@ -122,35 +126,41 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     }
     report.record("mac-tap-hazards", hazards);
 
-    // Per-layer: lane geometry, row budget, reduction-schedule hazards,
-    // and the static <-> analytical MAC reconciliation under every mode.
+    // Per-layer lane geometry; the reduce schedule depends only on the
+    // group span, so each distinct span is recorded and checked once. A
+    // span the array rejects is already flagged V007/V008 here.
     let mut geometry_diags = Vec::new();
+    let mut spans = BTreeSet::new();
     for layer in &model.layers {
         for conv in layer.conv_sublayers() {
             let geom = conv_lane_geometry(&conv.spec);
-            let label = &conv.spec.name;
-            geometry_diags.extend(check::check_lane_geometry(label, &geom, conv.spec.m));
-            geometry_diags.extend(check::check_schedule(
-                &format!("{label}/reduce"),
-                &check::reduce_schedule(geom.group_span),
+            geometry_diags.extend(check::check_lane_geometry(
+                &conv.spec.name,
+                &geom,
+                conv.spec.m,
             ));
+            spans.insert(geom.group_span);
+        }
+    }
+    for span in spans {
+        if let Ok(s) = check::reduce_schedule(span) {
+            geometry_diags.extend(check::check_schedule(&format!("reduce/span{span}"), &s));
         }
     }
     report.record("lane-geometry", geometry_diags);
 
-    let mut plan_diags = Vec::new();
+    let mut budget_diags = Vec::new();
     for mode in ALL_MODES {
         for plan in plan_model_with(model, &config.geometry, mode) {
             for unit in &plan.units {
                 if let UnitPlan::Conv(c) = unit {
                     let label = format!("{}/{mode:?}", c.name);
-                    plan_diags.extend(check::check_row_budget(&label, c));
-                    plan_diags.extend(check::check_conv_reconciliation(&label, c));
+                    budget_diags.extend(check::check_row_budget(&label, c));
                 }
             }
         }
     }
-    report.record("plan-reconciliation", plan_diags);
+    report.record("row-budget", budget_diags);
 
     report.record("dump-overlap", check_dump_overlap(config, model));
 

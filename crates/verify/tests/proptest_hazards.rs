@@ -1,16 +1,16 @@
 //! Property-based hazard injection: mutate provably clean schedules and
 //! operand sets in targeted ways and assert the verifier flags each
 //! injected hazard with the *right* error code — and never flags the
-//! clean original (no false positives).
+//! clean original (no false positives). The clean schedules are recorded
+//! from real `nc-sram` ops.
 
 use nc_verify::check::{check_lane_geometry, check_operands, check_schedule};
 use nc_verify::diag::ErrorCode;
-use nc_verify::extract;
-use nc_verify::ir::{Step, StepKind};
+use neural_cache::layout::ZERO_ROW;
 use neural_cache::LaneGeometry;
 use proptest::prelude::*;
 
-use nc_sram::{Operand, COLS, ROWS};
+use nc_sram::{ComputeArray, CycleStats, Operand, Schedule, Step, StepKind, COLS, ROWS};
 
 /// Reserved word lines the functional executor dedicates (all-zero row and
 /// comparison dump row); clean operands must stay below both.
@@ -18,6 +18,21 @@ const RESERVED_FLOOR: usize = 240;
 
 fn op(base: usize, bits: usize) -> Operand {
     Operand::new(base, bits).unwrap()
+}
+
+/// Records `run` on `arr` and returns the schedule of the ops it issued.
+fn record_on(
+    mut arr: ComputeArray,
+    run: impl FnOnce(&mut ComputeArray) -> nc_sram::Result<CycleStats>,
+) -> Schedule {
+    arr.start_recording();
+    run(&mut arr).unwrap();
+    arr.take_recording().unwrap()
+}
+
+/// Records `run` on an executor-style array with the zero row reserved.
+fn record(run: impl FnOnce(&mut ComputeArray) -> nc_sram::Result<CycleStats>) -> Schedule {
+    record_on(ComputeArray::with_zero_row(ZERO_ROW).unwrap(), run)
 }
 
 proptest! {
@@ -31,10 +46,11 @@ proptest! {
         let b = op(bits + gap, bits);
         let dst = op(2 * bits + 2 * gap, bits + 1);
         prop_assert_eq!(check_operands("clean", &[("a", a), ("b", b), ("dst", dst)]), vec![]);
-        prop_assert_eq!(check_schedule("add", &extract::add(a, b, dst)), vec![]);
+        prop_assert_eq!(check_schedule("add", &record(|arr| arr.add(a, b, dst))), vec![]);
         let prod = op(64, 2 * bits);
-        prop_assert_eq!(check_schedule("mul", &extract::mul(a, b, prod)), vec![]);
-        prop_assert_eq!(check_schedule("add_assign", &extract::add_assign(prod, a)), vec![]);
+        prop_assert_eq!(check_schedule("mul", &record(|arr| arr.mul(a, b, prod))), vec![]);
+        let s = record(|arr| arr.add_assign(prod, a));
+        prop_assert_eq!(check_schedule("add_assign", &s), vec![]);
     }
 
     /// Two operands forced to share a word line are flagged V001 — and
@@ -55,7 +71,7 @@ proptest! {
         let a = op(0, bits);
         let b = op(16, bits);
         let dst = op(32, bits + 1);
-        let mut s = extract::add(a, b, dst);
+        let mut s = record(|arr| arr.add(a, b, dst));
         prop_assert_eq!(check_schedule("pre", &s), vec![]);
         let idx = step_pick % s.steps.len();
         let step = &mut s.steps[idx];
@@ -74,7 +90,7 @@ proptest! {
     #[test]
     fn injected_read_port_overflow_is_v003(row in 0usize..RESERVED_FLOOR, dup in 0usize..2) {
         let reads = if dup == 0 { vec![row, row] } else { vec![row, (row + 1) % RESERVED_FLOOR, (row + 2) % RESERVED_FLOOR] };
-        let mut s = extract::add(op(0, 4), op(8, 4), op(16, 5));
+        let mut s = record(|arr| arr.add(op(0, 4), op(8, 4), op(16, 5)));
         s.steps.push(Step { kind: StepKind::Compute, reads, writes: vec![], label: "injected" });
         let diags = check_schedule("inject", &s);
         prop_assert!(diags.iter().any(|d| d.code == ErrorCode::ReadPortOverflow), "{diags:?}");
@@ -84,7 +100,7 @@ proptest! {
     /// A compute cycle driving two write word lines is flagged V004.
     #[test]
     fn injected_write_port_overflow_is_v004(row in 0usize..RESERVED_FLOOR - 1) {
-        let mut s = extract::copy(op(0, 4), op(8, 4));
+        let mut s = record(|arr| arr.copy(op(0, 4), op(8, 4), nc_sram::Predicate::Always));
         s.steps.push(Step {
             kind: StepKind::Compute,
             reads: vec![row],
@@ -100,9 +116,12 @@ proptest! {
     /// V005, from both the schedule checker and the operand linter.
     #[test]
     fn injected_zero_row_write_is_v005(bits in 1usize..=8) {
-        // Schedule leg: a broadcast whose top row lands on the zero row.
-        let clobber = op(neural_cache::layout::ZERO_ROW + 1 - bits, bits);
-        let diags = check_schedule("inject", &extract::broadcast(clobber));
+        // Schedule leg: a broadcast whose top row lands on the zero row,
+        // recorded on an array without a reserved zero row so the real op
+        // accepts the write.
+        let clobber = op(ZERO_ROW + 1 - bits, bits);
+        let s = record_on(ComputeArray::new(), |arr| arr.broadcast_scalar(clobber, 1));
+        let diags = check_schedule("inject", &s);
         prop_assert!(diags.iter().any(|d| d.code == ErrorCode::ZeroRowClobbered), "{diags:?}");
         // Operand leg: the linter flags the same claim statically.
         let diags = check_operands("inject", &[("clobber", clobber)]);
