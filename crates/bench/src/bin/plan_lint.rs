@@ -1,24 +1,22 @@
 //! Static plan lint gate: runs the `nc-verify` hazard checks, cycle
-//! reconciliation, the shard-graph concurrency proof, and the
-//! value-range overflow certification over every shipped workload under
-//! all four sparsity modes, writes the diagnostics (and per-workload
-//! shard-graph / value-range stats) as a JSON artifact, and exits non-zero
-//! on *any* diagnostic — so CI fails the moment a plan, schedule, cost
-//! model, executor, or the Threaded engine's work decomposition drifts out
-//! of agreement.
+//! reconciliation, and the value-range overflow certification over every
+//! shipped workload under all four sparsity modes, writes the diagnostics
+//! (and per-workload value-range stats) as a JSON artifact, and exits
+//! non-zero on *any* diagnostic — so CI fails the moment a plan, schedule,
+//! cost model, executor, or execution engine drifts out of agreement.
 //!
 //! Shape-only workloads (the full Inception v3 graph) get the static
 //! passes: operand-layout lints, per-mode MAC-tap schedule hazards,
 //! cost-model anchors, per-layer lane geometry / row budget, one reduce
-//! schedule per distinct group span, the reserved-way dump-overlap window, the
-//! shard-graph happens-before analysis (V013–V019), and the value-range
-//! abstract interpretation with its overflow/width certificates
-//! (V021–V027) checked against both the default and the advised bit
-//! budgets. Weighted workloads additionally run the functional executor
-//! under every sparsity mode on both engines, reconcile the executed
-//! `CycleStats` and `ArrayPool` event counters (V020) against the static
-//! predictions, and reconcile every executed per-layer accumulator min/max
-//! against the static interval certificate (V021 on escape).
+//! schedule per distinct group span, the reserved-way dump-overlap window,
+//! and the value-range abstract interpretation with its overflow/width
+//! certificates (V021–V027) checked against both the default and the
+//! advised bit budgets. Weighted workloads additionally run the functional
+//! executor under every sparsity mode on both engines, reconcile the
+//! executed `CycleStats` against the static predictions, check that every
+//! run's `ArrayPool` events match the sequential dense run's (V020), and
+//! reconcile every executed per-layer accumulator min/max against the
+//! static interval certificate (V021 on escape).
 //!
 //! ```bash
 //! cargo run --release -p nc-bench --bin plan_lint -- --out PLAN_LINT.json
@@ -40,7 +38,7 @@ use nc_dnn::workload::{
 use nc_dnn::Model;
 use nc_verify::diag::Category;
 use nc_verify::report::VerifyReport;
-use nc_verify::{check_executed_model, check_threaded_model};
+use nc_verify::{check_executed_model, check_model};
 
 /// Runs the static-only or static+executed verification for one workload.
 fn verify(model: &Model, executed: bool) -> VerifyReport {
@@ -52,7 +50,7 @@ fn verify(model: &Model, executed: bool) -> VerifyReport {
             Err(e) => {
                 // An executor failure is itself a gate failure: surface it
                 // as a report whose only "diagnostic" is the error text.
-                let mut report = check_threaded_model(&config, model);
+                let mut report = check_model(&config, model);
                 report.record(
                     "executed-reconciliation",
                     vec![nc_verify::diag::Diagnostic::new(
@@ -65,7 +63,7 @@ fn verify(model: &Model, executed: bool) -> VerifyReport {
             }
         }
     } else {
-        check_threaded_model(&config, model)
+        check_model(&config, model)
     }
 }
 
@@ -110,14 +108,9 @@ fn main() -> ExitCode {
     for (model, executed) in &workloads {
         let report = verify(model, *executed);
         let n = report.diagnostics.len();
-        let shards = report
-            .stats
-            .iter()
-            .find(|(name, _)| name == "shard_jobs")
-            .map_or(0, |(_, v)| *v);
         if report.is_clean() {
             println!(
-                "ok   {}: {} check(s) clean, {shards} shard job(s) race-free{}",
+                "ok   {}: {} check(s) clean{}",
                 report.subject,
                 report.checks.len(),
                 if *executed {

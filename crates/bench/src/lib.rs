@@ -91,10 +91,10 @@ pub fn threads_flag(default: usize) -> usize {
 
 /// Static pre-flight every artifact binary runs before printing numbers:
 /// full plan verification — operand layouts, hazard checks, cycle
-/// reconciliation, and the Threaded engine's shard-graph happens-before
-/// proof (`nc_verify::check_threaded_model`) — on the canary workload.
-/// Shape-only and cheap (nothing executes), and it guarantees no artifact
-/// is ever rendered from an unsound plan. Runs at most once per process.
+/// reconciliation, and value-range certification
+/// (`nc_verify::check_model`) — on the canary workload. Shape-only and
+/// cheap (nothing executes), and it guarantees no artifact is ever
+/// rendered from an unsound plan. Runs at most once per process.
 ///
 /// # Panics
 ///
@@ -102,8 +102,7 @@ pub fn threads_flag(default: usize) -> usize {
 pub fn verify_prepass() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let report =
-            nc_verify::check_threaded_model(&base_config(), &nc_dnn::workload::tiny_cnn(42));
+        let report = nc_verify::check_model(&base_config(), &nc_dnn::workload::tiny_cnn(42));
         assert!(report.is_clean(), "verify pre-pass failed:\n{report}");
     });
 }

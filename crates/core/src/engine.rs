@@ -263,8 +263,8 @@ impl ExecutionEngine {
             collected
         });
         indexed.sort_unstable_by_key(|(i, _)| *i);
-        // Runtime shard-coverage check (the dynamic analogue of the static
-        // verifier's V018): the scheduler must run every job exactly once.
+        // Runtime shard-coverage check: the scheduler must run every job
+        // exactly once.
         debug_assert!(
             indexed.iter().map(|(i, _)| *i).eq(0..jobs),
             "threaded scheduler dropped or duplicated a shard job"

@@ -384,29 +384,18 @@ impl Default for PoolAvgLayout {
     }
 }
 
-/// Every shard-job layout with its name, for exhaustive checking.
+/// Every shard-job layout with its name, for exhaustive checking by
+/// [`validate_plan`] and the `nc-verify` layout lints.
 #[must_use]
 pub fn all_layouts() -> Vec<(&'static str, Vec<NamedOperand>)> {
-    all_layouts_with_dump()
-        .into_iter()
-        .map(|(name, operands, _)| (name, operands))
-        .collect()
-}
-
-/// Every shard-job layout with its name and whether its micro-op sequence
-/// drives the reserved [`DUMP_ROW`] (comparison/clamp borrow dumps). The
-/// shard-graph verifier uses the flag to model each job's write set
-/// row-exactly, including the reserved row.
-#[must_use]
-pub fn all_layouts_with_dump() -> Vec<(&'static str, Vec<NamedOperand>, bool)> {
     vec![
-        ("mac_reduce", MacReduceLayout::new().named(), false),
-        ("assemble_acc", AssembleLayout::new().named(), false),
-        ("ranging", RangingLayout::new().named(), true),
-        ("requant", RequantLayout::new().named(), true),
-        ("code_requant", CodeRequantLayout::new().named(), true),
-        ("pool_max", PoolMaxLayout::new().named(), true),
-        ("pool_avg", PoolAvgLayout::new().named(), false),
+        ("mac_reduce", MacReduceLayout::new().named()),
+        ("assemble_acc", AssembleLayout::new().named()),
+        ("ranging", RangingLayout::new().named()),
+        ("requant", RequantLayout::new().named()),
+        ("code_requant", CodeRequantLayout::new().named()),
+        ("pool_max", PoolMaxLayout::new().named()),
+        ("pool_avg", PoolAvgLayout::new().named()),
     ]
 }
 
@@ -460,18 +449,6 @@ mod tests {
         assert_eq!(CodeRequantLayout::new().named().len(), 2);
         assert_eq!(PoolMaxLayout::new().named().len(), 3);
         assert_eq!(PoolAvgLayout::new().named().len(), 7);
-    }
-
-    #[test]
-    fn dump_row_flags_match_the_executor_jobs() {
-        // Exactly the jobs whose micro-ops pass a dump row to `nc-sram`
-        // (reduce_min/max, clamp_max_scalar, max_assign) may claim it.
-        let dumping: Vec<&str> = all_layouts_with_dump()
-            .into_iter()
-            .filter_map(|(name, _, dumps)| dumps.then_some(name))
-            .collect();
-        assert_eq!(dumping, ["ranging", "requant", "code_requant", "pool_max"]);
-        assert_eq!(all_layouts().len(), all_layouts_with_dump().len());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! Property test (vendored proptest): the Sequential and Threaded
 //! execution backends of the functional executor are observably identical
 //! on random small convolution layers — bit-identical output tensors,
-//! identical sub-layer requantization records, and identical [`CycleStats`]
+//! identical sub-layer requantization records, identical [`CycleStats`]
 //! (shard results fold in job order, so cycle accounting must not depend on
-//! thread scheduling).
+//! thread scheduling), and identical `ArrayPool` events with every
+//! checkout returned.
 //!
 //! [`CycleStats`]: nc_sram::CycleStats
 
@@ -50,5 +51,9 @@ proptest! {
             "requantization records must agree across backends");
         prop_assert_eq!(seq.cycles, thr.cycles,
             "cycle accounting must be scheduling-independent");
+        prop_assert_eq!(seq.pool, thr.pool,
+            "pool events must be scheduling-independent");
+        prop_assert_eq!(thr.pool.acquires, thr.pool.releases,
+            "every shard job must return the arrays it checked out");
     }
 }

@@ -6,7 +6,9 @@
 //! the same physical SRAM on every pass; the pool mirrors that by handing
 //! out *cleared* arrays and reclaiming them when the checkout handle drops,
 //! so the hot path stops paying the allocator. It is `Sync`, so the worker
-//! threads of a sharded execution engine can draw from one shared pool.
+//! threads of a sharded execution engine can draw from one shared pool. It
+//! counts checkouts and returns ([`PoolStats`]) so every run can report its
+//! pool events.
 
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,17 +16,12 @@ use std::sync::Mutex;
 
 use crate::{ComputeArray, Result};
 
-/// A monotonic snapshot of one [`ArrayPool`]'s checkout/recycle events.
+/// A monotonic snapshot of one [`ArrayPool`]'s checkout events.
 ///
 /// The counters record the pool's whole lifetime, so a caller can diff two
-/// snapshots around a region of interest. `acquires` and `releases` are
-/// deterministic for a given workload (each shard job checks out a fixed
-/// number of arrays and its handles drop when the job ends); the
-/// fresh/recycled split and the high-water mark depend on thread timing
-/// and are reported for observability only. The static shard-graph
-/// verifier (`nc-verify`) reconciles its predicted checkout count against
-/// `acquires` — a mismatch means the executor's real work decomposition
-/// drifted from the verified plan.
+/// snapshots around a region of interest. Both are deterministic for a
+/// given workload, whatever the thread timing: each shard job checks out a
+/// fixed number of arrays and its handles drop when the job ends.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Total [`ArrayPool::acquire`] calls.
@@ -32,35 +29,6 @@ pub struct PoolStats {
     /// Total handle drops that returned an array to the pool's release
     /// path (whether retained or dropped over the idle cap).
     pub releases: u64,
-    /// Acquires served by constructing a fresh array.
-    pub fresh: u64,
-    /// Acquires served by recycling an idle array.
-    pub recycled: u64,
-    /// Releases discarded because the pool was at its idle cap.
-    pub dropped: u64,
-    /// Maximum number of simultaneously checked-out arrays observed.
-    pub high_water: u64,
-}
-
-impl PoolStats {
-    /// Number of arrays currently checked out (live handles).
-    #[must_use]
-    pub fn outstanding(&self) -> u64 {
-        self.acquires - self.releases
-    }
-}
-
-/// Relaxed atomic event counters behind [`PoolStats`]. Relaxed ordering
-/// suffices: the counters are monotone tallies read after the workers'
-/// scoped join, which already synchronizes.
-#[derive(Debug, Default)]
-struct PoolCounters {
-    acquires: AtomicU64,
-    releases: AtomicU64,
-    fresh: AtomicU64,
-    recycled: AtomicU64,
-    dropped: AtomicU64,
-    high_water: AtomicU64,
 }
 
 /// A recycling pool of [`ComputeArray`]s sharing one zero-row configuration.
@@ -85,15 +53,18 @@ struct PoolCounters {
 pub struct ArrayPool {
     zero_row: Option<usize>,
     free: Mutex<Vec<ComputeArray>>,
-    max_idle: usize,
-    counters: PoolCounters,
+    // Relaxed counters behind [`PoolStats`]: monotone tallies read after
+    // the workers' scoped join, which already synchronizes.
+    acquires: AtomicU64,
+    releases: AtomicU64,
 }
 
 impl ArrayPool {
-    /// Default cap on retained idle arrays ([`ArrayPool::max_idle`]).
+    /// Cap on retained idle arrays: arrays released beyond it are dropped
+    /// instead of pooled.
     ///
     /// A bursty threaded run briefly checks out one array per in-flight
-    /// shard job; without a cap every high-water-mark array would sit idle
+    /// shard job; without a cap every array of the burst would sit idle
     /// (8KB+ each) for the rest of the process. 64 comfortably covers the
     /// steady-state working set of the sharded executor (a few arrays per
     /// worker thread) while bounding retained memory to ~0.5 MB.
@@ -105,8 +76,8 @@ impl ArrayPool {
         ArrayPool {
             zero_row: None,
             free: Mutex::new(Vec::new()),
-            max_idle: Self::DEFAULT_MAX_IDLE,
-            counters: PoolCounters::default(),
+            acquires: AtomicU64::new(0),
+            releases: AtomicU64::new(0),
         }
     }
 
@@ -121,24 +92,8 @@ impl ArrayPool {
         Ok(ArrayPool {
             zero_row: Some(row),
             free: Mutex::new(vec![probe]),
-            max_idle: Self::DEFAULT_MAX_IDLE,
-            counters: PoolCounters::default(),
+            ..ArrayPool::new()
         })
-    }
-
-    /// Sets the maximum number of idle arrays the pool retains; arrays
-    /// released beyond the cap are dropped instead of pooled. A cap of 0
-    /// disables recycling entirely.
-    #[must_use]
-    pub fn with_max_idle(mut self, max_idle: usize) -> Self {
-        self.max_idle = max_idle;
-        self
-    }
-
-    /// The current idle-retention cap.
-    #[must_use]
-    pub fn max_idle(&self) -> usize {
-        self.max_idle
     }
 
     /// Checks an array out of the pool, recycling a cleared one when
@@ -148,21 +103,7 @@ impl ArrayPool {
     #[must_use]
     pub fn acquire(&self) -> PooledArray<'_> {
         let recycled = self.free.lock().expect("array pool poisoned").pop();
-        let c = &self.counters;
-        c.acquires.fetch_add(1, Ordering::Relaxed);
-        if recycled.is_some() {
-            c.recycled.fetch_add(1, Ordering::Relaxed);
-        } else {
-            c.fresh.fetch_add(1, Ordering::Relaxed);
-        }
-        // Best-effort high-water mark (the two loads are not atomic
-        // together; under contention the mark may lag by a few handles,
-        // which is fine for an observability counter).
-        let outstanding = c
-            .acquires
-            .load(Ordering::Relaxed)
-            .saturating_sub(c.releases.load(Ordering::Relaxed));
-        c.high_water.fetch_max(outstanding, Ordering::Relaxed);
+        self.acquires.fetch_add(1, Ordering::Relaxed);
         let arr = recycled.unwrap_or_else(|| self.fresh());
         PooledArray {
             arr: Some(arr),
@@ -170,17 +111,12 @@ impl ArrayPool {
         }
     }
 
-    /// A snapshot of the pool's lifetime checkout/recycle event counters.
+    /// A snapshot of the pool's lifetime checkout event counters.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
-        let c = &self.counters;
         PoolStats {
-            acquires: c.acquires.load(Ordering::Relaxed),
-            releases: c.releases.load(Ordering::Relaxed),
-            fresh: c.fresh.load(Ordering::Relaxed),
-            recycled: c.recycled.load(Ordering::Relaxed),
-            dropped: c.dropped.load(Ordering::Relaxed),
-            high_water: c.high_water.load(Ordering::Relaxed),
+            acquires: self.acquires.load(Ordering::Relaxed),
+            releases: self.releases.load(Ordering::Relaxed),
         }
     }
 
@@ -206,13 +142,11 @@ impl ArrayPool {
         // must not serialize concurrent releasers (a wasted reset on an
         // over-cap array that gets dropped below is harmless).
         arr.reset();
-        self.counters.releases.fetch_add(1, Ordering::Relaxed);
+        self.releases.fetch_add(1, Ordering::Relaxed);
         let mut free = self.free.lock().expect("array pool poisoned");
-        if free.len() < self.max_idle {
+        // At the retention cap the array is simply dropped.
+        if free.len() < Self::DEFAULT_MAX_IDLE {
             free.push(arr);
-        } else {
-            // Drop: the pool is at its retention cap.
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -298,21 +232,21 @@ mod tests {
 
     #[test]
     fn idle_retention_is_capped() {
-        let pool = ArrayPool::with_zero_row(255).unwrap().with_max_idle(2);
-        assert_eq!(pool.max_idle(), 2);
+        let pool = ArrayPool::with_zero_row(255).unwrap();
+        let cap = ArrayPool::DEFAULT_MAX_IDLE;
         {
-            // A burst of 5 concurrent checkouts (high-water mark 5)...
-            let _burst: Vec<_> = (0..5).map(|_| pool.acquire()).collect();
+            // A burst of concurrent checkouts past the cap...
+            let _burst: Vec<_> = (0..cap + 5).map(|_| pool.acquire()).collect();
             assert_eq!(pool.idle(), 0);
         }
-        // ...must not leave 5 arrays idle forever.
-        assert_eq!(pool.idle(), 2, "retention capped at max_idle");
+        // ...must not leave every array of the burst idle forever.
+        assert_eq!(pool.idle(), cap, "retention capped at DEFAULT_MAX_IDLE");
         // The pool still recycles within the cap.
         {
             let _a = pool.acquire();
-            assert_eq!(pool.idle(), 1);
+            assert_eq!(pool.idle(), cap - 1);
         }
-        assert_eq!(pool.idle(), 2);
+        assert_eq!(pool.idle(), cap);
     }
 
     #[test]
@@ -335,29 +269,33 @@ mod tests {
 
     #[test]
     fn stats_track_checkout_and_recycle_events() {
-        let pool = ArrayPool::with_zero_row(255).unwrap().with_max_idle(1);
+        let pool = ArrayPool::with_zero_row(255).unwrap();
         assert_eq!(pool.stats(), PoolStats::default(), "fresh pool is silent");
         {
             let _a = pool.acquire(); // recycles the probe array
             let _b = pool.acquire(); // constructs fresh
-            let s = pool.stats();
-            assert_eq!(s.acquires, 2);
-            assert_eq!(s.releases, 0);
-            assert_eq!(s.outstanding(), 2);
-            assert_eq!((s.recycled, s.fresh), (1, 1));
-            assert!(s.high_water >= 2);
+            let expected = PoolStats {
+                acquires: 2,
+                releases: 0,
+            };
+            assert_eq!(pool.stats(), expected);
         }
+        assert_eq!(pool.stats().releases, 2, "both handles released");
+        // Releases past the idle cap drop the array but still count.
+        let burst: Vec<_> = (0..=ArrayPool::DEFAULT_MAX_IDLE)
+            .map(|_| pool.acquire())
+            .collect();
+        drop(burst);
         let s = pool.stats();
-        assert_eq!(s.releases, 2, "both handles released");
-        assert_eq!(s.outstanding(), 0);
-        assert_eq!(s.dropped, 1, "second release exceeded the idle cap");
+        assert_eq!(s.acquires, s.releases);
+        assert_eq!(s.acquires, 3 + ArrayPool::DEFAULT_MAX_IDLE as u64);
     }
 
     #[test]
     fn stats_are_deterministic_across_thread_counts() {
         // acquires/releases depend only on the job structure, not on
-        // scheduling — the property the verifier's pool reconciliation
-        // rests on. fresh/recycled/high_water may differ; the totals not.
+        // scheduling — the property the executed pool-event checks rest
+        // on.
         let totals: Vec<(u64, u64)> = [1usize, 4]
             .iter()
             .map(|&workers| {

@@ -3,7 +3,9 @@
 //! Every hazard the verifier can detect has a fixed `Vxxx` code so CI
 //! artifacts, tests, and humans can match on the class of failure without
 //! parsing prose. Codes are append-only: existing codes never change
-//! meaning.
+//! meaning or number. `V013`–`V019` are retired (they flagged races in a
+//! static model of the Threaded engine's shard graph, which the executed
+//! engine-equivalence checks replace) and will not be reused.
 
 use std::fmt;
 
@@ -39,29 +41,8 @@ pub enum ErrorCode {
     ReservedWayPortConflict,
     /// V012: an operand region claims the comparison dump row.
     DumpRowConflict,
-    /// V013: two concurrent shards write overlapping word lines of the
-    /// same array.
-    ShardWriteWriteRace,
-    /// V014: a concurrent shard reads word lines another shard writes in
-    /// the same array.
-    ShardReadWriteRace,
-    /// V015: a cross-shard accumulator read is not dominated by the
-    /// inter-array reduce barrier (or any barrier at all).
-    BarrierBypass,
-    /// V016: the array pool recycled an array still reachable by a live
-    /// shard (two concurrent shards hold the same checkout).
-    PrematureRecycle,
-    /// V017: a shard claims the reserved way inside the batch pipeline's
-    /// dump-overlap window.
-    DumpWindowRace,
-    /// V018: an epoch's shard jobs do not exactly partition its output
-    /// slot space (overlapping or missing coverage).
-    ShardCoverageHole,
-    /// V019: a shard's pool checkouts and returns do not balance (leaked
-    /// or doubly released array).
-    PoolEventImbalance,
-    /// V020: executed `ArrayPool` event counts disagree with the static
-    /// shard graph's prediction.
+    /// V020: an executed run's `ArrayPool` event counts disagree with the
+    /// sequential dense run's, or its checkouts and returns do not balance.
     ExecutedPoolMismatch,
     /// V021: a proven accumulator interval exceeds its allocated operand
     /// width (possible silent wraparound), or an executed per-layer
@@ -103,7 +84,7 @@ impl ErrorCode {
     /// Every stable code, in `Vxxx` order. This array is the single source
     /// of truth for the diagnostic table: tests derive the README table
     /// check and uniqueness from it.
-    pub const ALL: [ErrorCode; 27] = [
+    pub const ALL: [ErrorCode; 20] = [
         ErrorCode::OperandOverlap,
         ErrorCode::RowOutOfBounds,
         ErrorCode::ReadPortOverflow,
@@ -116,13 +97,6 @@ impl ErrorCode {
         ErrorCode::CycleMismatchExecuted,
         ErrorCode::ReservedWayPortConflict,
         ErrorCode::DumpRowConflict,
-        ErrorCode::ShardWriteWriteRace,
-        ErrorCode::ShardReadWriteRace,
-        ErrorCode::BarrierBypass,
-        ErrorCode::PrematureRecycle,
-        ErrorCode::DumpWindowRace,
-        ErrorCode::ShardCoverageHole,
-        ErrorCode::PoolEventImbalance,
         ErrorCode::ExecutedPoolMismatch,
         ErrorCode::AccumulatorOverflow,
         ErrorCode::RequantClippingRange,
@@ -149,13 +123,6 @@ impl ErrorCode {
             ErrorCode::CycleMismatchExecuted => "V010",
             ErrorCode::ReservedWayPortConflict => "V011",
             ErrorCode::DumpRowConflict => "V012",
-            ErrorCode::ShardWriteWriteRace => "V013",
-            ErrorCode::ShardReadWriteRace => "V014",
-            ErrorCode::BarrierBypass => "V015",
-            ErrorCode::PrematureRecycle => "V016",
-            ErrorCode::DumpWindowRace => "V017",
-            ErrorCode::ShardCoverageHole => "V018",
-            ErrorCode::PoolEventImbalance => "V019",
             ErrorCode::ExecutedPoolMismatch => "V020",
             ErrorCode::AccumulatorOverflow => "V021",
             ErrorCode::RequantClippingRange => "V022",
@@ -184,13 +151,6 @@ impl ErrorCode {
             ErrorCode::CycleMismatchExecuted => "Static/executed cycle mismatch",
             ErrorCode::ReservedWayPortConflict => "Reserved-way port conflict",
             ErrorCode::DumpRowConflict => "Dump-row conflict",
-            ErrorCode::ShardWriteWriteRace => "Shard write-write race",
-            ErrorCode::ShardReadWriteRace => "Shard read-write race",
-            ErrorCode::BarrierBypass => "Reduce-barrier bypass",
-            ErrorCode::PrematureRecycle => "Premature pool recycle",
-            ErrorCode::DumpWindowRace => "Dump-window race",
-            ErrorCode::ShardCoverageHole => "Shard coverage hole",
-            ErrorCode::PoolEventImbalance => "Pool event imbalance",
             ErrorCode::ExecutedPoolMismatch => "Executed pool mismatch",
             ErrorCode::AccumulatorOverflow => "Accumulator overflow",
             ErrorCode::RequantClippingRange => "Requant clipping range",
@@ -306,14 +266,16 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for (i, code) in ErrorCode::ALL.into_iter().enumerate() {
-            assert!(seen.insert(code.as_str()), "duplicate code {code}");
-            // ALL is ordered: position i carries identifier V(i+1).
-            assert_eq!(code.as_str(), format!("V{:03}", i + 1));
-            assert!(!code.description().is_empty());
-        }
-        assert_eq!(seen.len(), 27);
+        let ids: Vec<&str> = ErrorCode::ALL.into_iter().map(ErrorCode::as_str).collect();
+        // ALL is ordered, so strictly increasing identifiers are unique too.
+        assert!(ids.windows(2).all(|w| w[0] < w[1]), "{ids:?}");
+        assert!(ErrorCode::ALL.iter().all(|c| !c.description().is_empty()));
+        // Retired codes leave gaps; every shipped code keeps its number.
+        let expected: Vec<String> = (1..=12)
+            .chain(20..=27)
+            .map(|n| format!("V{n:03}"))
+            .collect();
+        assert_eq!(ids, expected);
     }
 
     #[test]

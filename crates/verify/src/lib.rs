@@ -29,12 +29,13 @@
 //!    [`nc_sram::CycleStats`] reconcile across sparsity modes and engines
 //!    (V010), reported as structured [`diag::Diagnostic`]s with stable
 //!    `Vxxx` codes.
-//! 4. **Concurrency layer** ([`shard`] + [`hb`]): the Threaded engine's
-//!    shard graph — per-output-window/per-chunk jobs, the inter-array
-//!    reduce barrier, `ArrayPool` checkout/recycle events — rebuilt from
-//!    the model and proven race-free by happens-before analysis
-//!    (V013–V019), then reconciled against the executed pool counters
-//!    (V020).
+//! 4. **Executed pool events** ([`reconcile_pool_events`]): every executed
+//!    run — four sparsity modes on both engines — must check out exactly
+//!    the `ArrayPool` arrays the sequential dense run does and return every
+//!    one of them (V020). The Threaded engine needs no static model of its
+//!    own: the workspace forbids `unsafe`, shard jobs are
+//!    `Fn(usize) -> T + Sync` closures that own each checkout, and the
+//!    executed legs prove it matches the sequential engine.
 //! 5. **Value-range certification** ([`range`]): an interval × known-bits
 //!    abstract interpretation seeded from each layer's quantization
 //!    parameters, propagated op-by-op through the schedule and across
@@ -45,12 +46,10 @@
 //!    `neural_cache::mapping`.
 //!
 //! Entry points: [`check_model`] (static + analytical legs, works on
-//! shape-only models), [`check_threaded_model`] (adds the shard-graph
-//! concurrency proof, still shape-only), and [`check_executed_model`]
-//! (adds the executed leg by running the functional executor under all
-//! four sparsity modes on both engines). The `plan_lint` bench bin sweeps
-//! every shipped workload × sparsity mode × engine and fails CI on any
-//! diagnostic.
+//! shape-only models) and [`check_executed_model`] (adds the executed legs
+//! by running the functional executor under all four sparsity modes on
+//! both engines). The `plan_lint` bench bin sweeps every shipped workload ×
+//! sparsity mode × engine and fails CI on any diagnostic.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -70,10 +69,8 @@
 
 pub mod check;
 pub mod diag;
-pub mod hb;
 pub mod range;
 pub mod report;
-pub mod shard;
 
 use std::collections::BTreeSet;
 
@@ -97,6 +94,9 @@ pub const ALL_MODES: [SparsityMode; 4] = [
     SparsityMode::SkipZeroInputs,
     SparsityMode::SkipBoth,
 ];
+
+/// Diagnostic labels of [`ALL_MODES`], in the same order.
+const MODE_LABELS: [&str; 4] = ["dense", "skip_rows", "skip_inputs", "skip_both"];
 
 /// Statically verifies a model's plan under `config`: executor operand
 /// layouts, per-mode MAC-tap schedules, cost-model anchor points, every
@@ -207,52 +207,27 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report
 }
 
-/// Everything [`check_model`] proves, plus the concurrency layer: builds
-/// the Threaded engine's shard graph ([`shard::ShardGraph::from_model`])
-/// and runs the happens-before analysis ([`hb::check_graph`]) over it —
-/// shard row-set independence (V013/V014), reduce-barrier domination
-/// (V015), pool recycling discipline (V016/V019), reserved-way dump-window
-/// hygiene (V017), and output-slot coverage (V018).
-///
-/// Works on shape-only models; the graph is derived from shapes and lane
-/// geometry alone. The report's `stats` carry the graph's size for the CI
-/// artifact.
-///
-/// # Panics
-///
-/// Panics if a layer cannot be mapped at all (the mapper's own invariant).
-#[must_use]
-pub fn check_threaded_model(config: &SystemConfig, model: &Model) -> VerifyReport {
-    let mut report = check_model(config, model);
-    let graph = shard::ShardGraph::from_model(model);
-    report.record("shard-graph", hb::check_graph(&graph));
-    report.stat("shard_epochs", graph.epochs.len() as u64);
-    report.stat("shard_jobs", graph.shard_count());
-    report.stat("shard_reduce_barriers", graph.reduce_barriers.len() as u64);
-    report.stat("shard_predicted_acquires", graph.predicted_acquires());
-    report
-}
-
 /// Reconciles one executed run's [`ArrayPool`] event counts against the
-/// shard graph's prediction (V020): the executor must check out exactly
-/// the arrays the static decomposition says it will — on every engine,
-/// under every sparsity mode — and return every one of them.
+/// sequential dense run's (V020). Sparsity elides compute rounds, never
+/// checkouts, and the engine only changes which thread runs a shard job,
+/// so every run must check out exactly the arrays the reference run does —
+/// and return every one of them.
 ///
 /// [`ArrayPool`]: nc_sram::ArrayPool
 #[must_use]
 pub fn reconcile_pool_events(
-    predicted_acquires: u64,
+    reference: PoolEvents,
     label: &str,
     events: PoolEvents,
 ) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    if events.acquires != predicted_acquires {
+    if events.acquires != reference.acquires {
         out.push(Diagnostic::new(
             ErrorCode::ExecutedPoolMismatch,
             label,
             format!(
-                "executed {} pool checkouts; the shard graph predicts {predicted_acquires}",
-                events.acquires
+                "executed {} pool checkouts; the sequential dense run made {}",
+                events.acquires, reference.acquires
             ),
         ));
     }
@@ -325,13 +300,16 @@ pub fn check_dump_overlap(config: &SystemConfig, model: &Model) -> Vec<Diagnosti
     out
 }
 
-/// Runs the functional executor under every sparsity mode (sequential and
-/// threaded) and reconciles the executed [`CycleStats`] against the static
+/// Everything [`check_model`] proves, plus the executed legs: runs the
+/// functional executor under every sparsity mode on both engines and
+/// reconciles the executed [`nc_sram::CycleStats`] against the static
 /// schedules (V010): dense executes zero elisions, every mode schedules
 /// the same statically predicted multiplier-round count, elided cycles
 /// reconcile exactly against dense, the dynamic detect charge equals the
-/// scheduled rounds, engines agree cycle-for-cycle, and outputs stay
-/// bit-identical across all of it.
+/// scheduled rounds, engines agree cycle-for-cycle and record-for-record,
+/// and outputs stay bit-identical across all of it. Every run's pool events
+/// must match the sequential dense run's (V020), and every executed
+/// accumulator min/max must lie inside its certified interval (V021).
 ///
 /// # Errors
 ///
@@ -341,25 +319,23 @@ pub fn check_executed_model(
     model: &Model,
     input: &QTensor,
 ) -> Result<VerifyReport, FunctionalError> {
-    let mut report = check_threaded_model(config, model);
+    let mut report = check_model(config, model);
     let mut diags = Vec::new();
 
-    let run = |mode: SparsityMode,
-               engine: ExecutionEngine|
-     -> Result<FunctionalResult, FunctionalError> {
-        run_model_configured(model, input, engine, mode)
-    };
-    let dense = run(SparsityMode::Dense, ExecutionEngine::Sequential)?;
-    let skipping = run(SparsityMode::SkipZeroRows, ExecutionEngine::Sequential)?;
-    let dynamic = run(SparsityMode::SkipZeroInputs, ExecutionEngine::Sequential)?;
-    let both = run(SparsityMode::SkipBoth, ExecutionEngine::Sequential)?;
-    let threaded = run(SparsityMode::Dense, ExecutionEngine::from_threads(4))?;
-    let threaded_rows = run(SparsityMode::SkipZeroRows, ExecutionEngine::from_threads(4))?;
-    let threaded_inputs = run(
-        SparsityMode::SkipZeroInputs,
-        ExecutionEngine::from_threads(4),
-    )?;
-    let threaded_both = run(SparsityMode::SkipBoth, ExecutionEngine::from_threads(4))?;
+    // The eight executed runs, labelled once and shared by every leg below:
+    // each sparsity mode on the sequential engine, then on the threaded one.
+    let mut runs: Vec<(String, FunctionalResult)> = Vec::with_capacity(2 * ALL_MODES.len());
+    for (engine_label, engine) in [
+        ("seq", ExecutionEngine::Sequential),
+        ("threaded", ExecutionEngine::from_threads(4)),
+    ] {
+        for (mode_label, mode) in MODE_LABELS.into_iter().zip(ALL_MODES) {
+            let result = run_model_configured(model, input, engine, mode)?;
+            runs.push((format!("{mode_label}/{engine_label}"), result));
+        }
+    }
+    let (seq, threaded) = runs.split_at(ALL_MODES.len());
+    let [dense, skipping, dynamic, both] = [0, 1, 2, 3].map(|i| &seq[i].1);
 
     let predicted_rounds = predicted_mul_rounds(config, model);
     let mut expect = |cond: bool, op: &str, msg: String| {
@@ -385,11 +361,7 @@ pub fn check_executed_model(
             d.mul_rounds
         ),
     );
-    for (name, r) in [
-        ("skip_rows", &skipping),
-        ("skip_inputs", &dynamic),
-        ("skip_both", &both),
-    ] {
+    for (name, (_, r)) in MODE_LABELS.into_iter().zip(seq).skip(1) {
         expect(
             r.cycles.mul_rounds == d.mul_rounds,
             name,
@@ -425,7 +397,7 @@ pub fn check_executed_model(
         ),
     );
 
-    for (name, r) in [("skip_inputs", &dynamic), ("skip_both", &both)] {
+    for (name, r) in [("skip_inputs", dynamic), ("skip_both", both)] {
         let c = r.cycles;
         expect(
             c.compute_cycles + c.skipped_cycles - c.detect_cycles == d.compute_cycles,
@@ -456,65 +428,35 @@ pub fn check_executed_model(
         ),
     );
 
-    for (name, seq, thr) in [
-        ("engines/dense", &dense, &threaded),
-        ("engines/skip_rows", &skipping, &threaded_rows),
-        ("engines/skip_inputs", &dynamic, &threaded_inputs),
-        ("engines/skip_both", &both, &threaded_both),
-    ] {
+    for ((name, (_, s)), (_, t)) in MODE_LABELS.into_iter().zip(seq).zip(threaded) {
         expect(
-            thr.cycles == seq.cycles && thr.output == seq.output,
-            name,
+            t.cycles == s.cycles && t.output == s.output && t.sublayers == s.sublayers,
+            &format!("engines/{name}"),
             format!(
                 "threaded execution diverges from sequential: {:?} vs {:?}",
-                thr.cycles, seq.cycles
+                t.cycles, s.cycles
             ),
         );
     }
 
     report.record("executed-reconciliation", diags);
 
-    // V020: every run — 4 sparsity modes x both engines — must check out
-    // exactly the arrays the shard graph predicts, and return them all.
-    // Sparsity elides compute *rounds*, never checkouts, so one static
-    // number covers the whole sweep.
-    let predicted = shard::ShardGraph::from_model(model).predicted_acquires();
-    let mut pool_diags = Vec::new();
-    for (name, r) in [
-        ("dense/seq", &dense),
-        ("skip_rows/seq", &skipping),
-        ("skip_inputs/seq", &dynamic),
-        ("skip_both/seq", &both),
-        ("dense/threaded", &threaded),
-        ("skip_rows/threaded", &threaded_rows),
-        ("skip_inputs/threaded", &threaded_inputs),
-        ("skip_both/threaded", &threaded_both),
-    ] {
-        pool_diags.extend(reconcile_pool_events(predicted, name, r.pool));
-    }
+    // V020: every run must check out, and return, exactly the arrays the
+    // sequential dense run does.
+    let pool_diags = runs
+        .iter()
+        .flat_map(|(label, r)| reconcile_pool_events(dense.pool, label, r.pool))
+        .collect();
     report.record("pool-reconciliation", pool_diags);
 
     // V021 executed leg: every per-sublayer accumulator min/max measured
     // by any of the eight runs must lie inside the statically certified
     // interval — the empirical soundness gate of the range analysis.
     let ranges = range::model_ranges(model);
-    let mut range_diags = Vec::new();
-    for (name, r) in [
-        ("dense/seq", &dense),
-        ("skip_rows/seq", &skipping),
-        ("skip_inputs/seq", &dynamic),
-        ("skip_both/seq", &both),
-        ("dense/threaded", &threaded),
-        ("skip_rows/threaded", &threaded_rows),
-        ("skip_inputs/threaded", &threaded_inputs),
-        ("skip_both/threaded", &threaded_both),
-    ] {
-        range_diags.extend(range::reconcile_executed_ranges(
-            name,
-            &ranges,
-            &r.sublayers,
-        ));
-    }
+    let range_diags = runs
+        .iter()
+        .flat_map(|(label, r)| range::reconcile_executed_ranges(label, &ranges, &r.sublayers))
+        .collect();
     report.record("executed-ranges", range_diags);
     Ok(report)
 }
@@ -573,24 +515,17 @@ mod tests {
     }
 
     #[test]
-    fn threaded_check_proves_the_shard_graph_clean() {
-        let config = SystemConfig::default();
-        let report = check_threaded_model(&config, &tiny_cnn(42));
-        assert!(report.is_clean(), "{report}");
-        assert!(report.checks.iter().any(|c| c == "shard-graph"));
-        assert!(report
-            .stats
-            .iter()
-            .any(|(name, value)| name == "shard_predicted_acquires" && *value > 0));
-    }
-
-    #[test]
     fn pool_reconciliation_flags_drifted_counters() {
+        let reference = PoolEvents {
+            acquires: 12,
+            releases: 12,
+        };
+        assert!(reconcile_pool_events(reference, "dense/seq", reference).is_empty());
         let events = PoolEvents {
             acquires: 10,
             releases: 9,
         };
-        let diags = reconcile_pool_events(12, "dense/seq", events);
+        let diags = reconcile_pool_events(reference, "skip_rows/threaded", events);
         assert_eq!(diags.len(), 2);
         assert!(diags
             .iter()
@@ -606,7 +541,6 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert!(report.checks.iter().any(|c| c == "executed-reconciliation"));
         assert!(report.checks.iter().any(|c| c == "pool-reconciliation"));
-        assert!(report.checks.iter().any(|c| c == "shard-graph"));
         assert!(report.checks.iter().any(|c| c == "executed-ranges"));
     }
 

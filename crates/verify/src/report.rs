@@ -15,8 +15,9 @@ pub struct VerifyReport {
     pub checks: Vec<String>,
     /// Every diagnostic, in discovery order.
     pub diagnostics: Vec<Diagnostic>,
-    /// Named scalar measurements (e.g. the shard-graph's epoch/shard/
-    /// checkout counts), serialized into the CI artifact.
+    /// Named scalar measurements (e.g. the value-range pass's certified
+    /// conv count and advised trimmed bits), serialized into the CI
+    /// artifact.
     pub stats: Vec<(String, u64)>,
 }
 
@@ -110,11 +111,11 @@ mod tests {
         );
         assert!(!r.is_clean());
         let json = r.to_json();
-        r.stat("shard_epochs", 9);
+        r.stat("range_convs", 9);
         assert!(json.contains(r#""subject":"tiny_cnn""#));
         assert!(json.contains(r#""clean":false"#));
         assert!(json.contains("V001"));
-        assert!(r.to_json().contains(r#""stats":{"shard_epochs":9}"#));
+        assert!(r.to_json().contains(r#""stats":{"range_convs":9}"#));
         assert!(r.to_string().contains("2 check(s)"));
     }
 }
