@@ -9,7 +9,7 @@ fn main() -> ExitCode {
     nc_bench::verify_prepass();
     // Dense-vs-pruned skip comparisons: computed once, shared by the
     // sparsity artifact rendering and the cross-check guard below.
-    let sparsity_comps = nc_bench::perf::compare_sparsity(1);
+    let sparsity_comps = nc_bench::perf::compare_sparsity();
 
     // (artifact name, rendered text, substrings the paper fixes).
     let checks: [(&str, String, &[&str]); 13] = [

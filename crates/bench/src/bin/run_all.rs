@@ -2,12 +2,11 @@
 //!
 //! `--threads N` runs the simulators behind the artifacts on the threaded
 //! execution engine (N worker threads); the regenerated numbers are
-//! identical, only host wall-clock changes. With `N >= 2` a per-thread
-//! utilization/imbalance summary of the threaded engine is appended.
+//! identical, only host wall-clock changes.
 //! `--trace-out <path>` / `--telemetry-out <path>` additionally write the
 //! Perfetto-loadable timeline and the `TELEMETRY.json` rollup.
 fn main() {
-    let threads = nc_bench::threads_flag(1);
+    nc_bench::threads_flag(1);
     nc_bench::verify_prepass();
     for (title, text) in [
         ("== Table I ==", nc_bench::table1()),
@@ -29,11 +28,6 @@ fn main() {
     ] {
         println!("{title}");
         println!("{text}");
-    }
-    if threads >= 2 {
-        println!("== Thread utilization ==");
-        let util = nc_bench::telemetry::measure_utilization(threads);
-        println!("{}", nc_bench::telemetry::render_utilization_text(&util));
     }
     nc_bench::telemetry::emit_canary_artifacts();
 }

@@ -1,11 +1,8 @@
 //! Runs the `nc-serve` serving bench (offered-load sweep + trace/policy
-//! matrix) plus the telemetry reconciliation gate, prints the
-//! human-readable tables, and optionally writes the Perfetto-loadable
-//! timeline artifacts; exits non-zero when the serving sanity gate
-//! (conservation, monotone latency vs load, goodput bound, engine
-//! byte-identity) or the telemetry gate (span rollups must reconcile
-//! exactly with `CycleStats`/`LayerTiming`/`ServingTrace` under every
-//! sparsity mode and both engines) fails.
+//! matrix), prints the human-readable table, and optionally writes the
+//! Perfetto-loadable timeline artifacts; exits non-zero when the serving
+//! sanity gate (conservation, monotone latency vs load, goodput bound,
+//! engine byte-identity) fails.
 //!
 //! ```bash
 //! cargo run --release -p nc-bench --bin serving_sim -- --threads 4 \
@@ -14,38 +11,19 @@
 //!
 //! `--trace-out trace.json` writes a Chrome trace-event JSON of the
 //! request lifecycle + per-layer/per-op execution timeline — load it at
-//! <https://ui.perfetto.dev>. `--no-telemetry` skips the telemetry gate
-//! and artifacts.
+//! <https://ui.perfetto.dev>.
 
 use std::process::ExitCode;
-
-use nc_bench::telemetry::TelemetryFlags;
 
 fn main() -> ExitCode {
     let threads = nc_bench::threads_flag(4);
     nc_bench::verify_prepass();
-    let flags = TelemetryFlags::from_process_args();
 
     let bench = nc_bench::serving::run_serving_bench(threads);
     print!("{}", nc_bench::serving::render_text(&bench));
+    nc_bench::telemetry::emit_canary_artifacts();
 
-    let telemetry_ok = if flags.disabled {
-        true
-    } else {
-        let report = nc_bench::telemetry::run_telemetry_bench(threads, 1);
-        println!("== Telemetry ==");
-        print!("{}", nc_bench::telemetry::render_text(&report));
-        if flags.wants_artifacts() {
-            let sink = flags.sink();
-            nc_bench::telemetry::record_showcase(&sink, threads);
-            for path in flags.write_artifacts(&sink) {
-                eprintln!("wrote {path}");
-            }
-        }
-        report.verified()
-    };
-
-    if bench.verified() && telemetry_ok {
+    if bench.verified() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

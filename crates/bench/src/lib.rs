@@ -1,7 +1,9 @@
 //! Benchmark harness for the Neural Cache (ISCA 2018) reproduction: one
 //! function per table/figure of the paper's evaluation, each returning the
 //! regenerated artifact as formatted text (the `src/bin/*` binaries print
-//! them; integration tests smoke-check them).
+//! them; integration tests smoke-check them). Every artifact reports
+//! simulated numbers only; the simulator's host wall time is measured by the
+//! `perfbench` benchmark.
 //!
 //! | Artifact | Function | Binary |
 //! |---|---|---|
@@ -23,7 +25,7 @@
 #![warn(clippy::pedantic)]
 // Pedantic allowlist: speedup ratios convert cycle counters to f64
 // (bounded far below 2^52); gate helpers panic by design on malformed
-// expectations; JSON emitters keep their row structs next to the loops.
+// expectations; artifact renderers import helpers next to their use.
 #![allow(
     clippy::cast_precision_loss,
     clippy::items_after_statements,
@@ -470,7 +472,7 @@ pub fn fig16() -> String {
 /// analytical and executed numbers agree).
 #[must_use]
 pub fn sparsity() -> String {
-    sparsity_with(&perf::compare_sparsity(1))
+    sparsity_with(&perf::compare_sparsity())
 }
 
 /// [`sparsity`] rendered from precomputed dense-vs-pruned comparisons, so
@@ -558,7 +560,7 @@ pub fn sparsity_with(comparisons: &[perf::SparsityComparison]) -> String {
 /// detect charge, and the break-even on dense activations.
 #[must_use]
 pub fn activation_sparsity() -> String {
-    activation_sparsity_with(&perf::compare_activation_sparsity(1))
+    activation_sparsity_with(&perf::compare_activation_sparsity())
 }
 
 /// Bit-budget advisor artifact: per-workload operand trims proven by the

@@ -1,135 +1,30 @@
-//! Host wall-time measurement of the functional executor under the
-//! Sequential vs Threaded execution engines **and** the Dense vs
-//! `SkipZeroRows` sparsity modes, emitted as machine-readable JSON
-//! (`BENCH_functional.json`) so CI can track the perf trajectory of the
-//! simulator per PR.
-//!
-//! The workloads are the functional-executor proxies for the paper's
-//! Inception v3 evaluation: `mini_inception` (one block of every Inception
-//! family — the full 299x299 network is out of reach for a bit-serial
-//! simulation in CI), the Inception stem-slice convolution, and `tiny_cnn`;
-//! the sparsity section runs `pruned_inception` and the pruned single-conv
-//! cross-check model. Every comparison also *verifies* its invariant: the
-//! threaded run must be bit-identical to the sequential one with identical
-//! cycle counts, and the skipping run must be bit-identical to dense with
-//! its executed skip fraction agreeing with the `sparsity::analyze`
-//! prediction.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! The executed sparsity and bit-budget comparisons behind the `run_all`
+//! sparsity, activation-sparsity and advisor artifacts: dense vs
+//! `SkipZeroRows` on the pruned workloads, dense vs the dynamic input-skip
+//! modes on ReLU-sparse inputs, and the value-range-proven operand trims.
+//! Every comparison also *verifies* its invariant: the skipping runs must
+//! be bit-identical to dense with their executed skip fractions agreeing
+//! with the `sparsity::analyze` / `activation_profile` predictions, and the
+//! trimmed reference run must be bit-identical to the untrimmed one.
+//! Host wall time is measured by the `perfbench` benchmark, not here.
 
 use nc_dnn::workload::{
-    mini_inception, pruned_conv_model, pruned_inception, random_conv, random_input,
-    relu_sparse_conv_model, relu_sparse_input, relu_sparse_mini, single_conv_model, tiny_cnn,
+    pruned_conv_model, pruned_inception, random_input, relu_sparse_conv_model, relu_sparse_input,
+    relu_sparse_mini, tiny_cnn,
 };
-use nc_dnn::{Model, Padding, QTensor, Shape};
-use neural_cache::functional::{self, run_model_configured, FunctionalResult};
+use nc_dnn::{Model, QTensor};
+use neural_cache::functional::{run_model_configured, FunctionalResult};
 use neural_cache::sparsity::activation_profile;
 use neural_cache::{
     time_inference, time_inference_with_profile, ExecutionEngine, SparsityMode, SystemConfig,
 };
 
-/// Sequential-vs-threaded wall-time comparison of one workload.
-#[derive(Debug, Clone)]
-pub struct EngineComparison {
-    /// Workload name.
-    pub name: String,
-    /// Best-of-`reps` sequential wall time, milliseconds.
-    pub sequential_ms: f64,
-    /// Best-of-`reps` threaded wall time, milliseconds.
-    pub threaded_ms: f64,
-    /// `sequential_ms / threaded_ms`.
-    pub speedup: f64,
-    /// Whether the threaded output tensor matched the sequential one
-    /// byte-for-byte.
-    pub bit_identical: bool,
-    /// Whether the threaded cycle counters matched the sequential ones.
-    pub cycles_identical: bool,
-    /// Simulated compute cycles of the workload (engine-independent).
-    pub compute_cycles: u64,
-}
-
-impl EngineComparison {
-    /// Whether the threaded backend reproduced the sequential results
-    /// exactly (the acceptance gate for the comparison).
-    #[must_use]
-    pub fn verified(&self) -> bool {
-        self.bit_identical && self.cycles_identical
-    }
-}
-
-fn proxy_workloads() -> Vec<(String, Model, QTensor)> {
-    let mut workloads = Vec::new();
-    let mini = mini_inception(2018);
-    let mini_input = random_input(mini.input_shape, mini.input_quant, 7);
-    workloads.push(("inception_v3_proxy_mini".to_owned(), mini, mini_input));
-
-    // Conv2d_1a_3x3's channel geometry (3 -> 32, 3x3 stride-2 VALID) at
-    // reduced spatial size.
-    let stem = single_conv_model(
-        random_conv("stem", (3, 3), 3, 32, 2, Padding::Valid, true, 2018),
-        Shape::new(11, 11, 3),
-    );
-    let stem_input = random_input(stem.input_shape, stem.input_quant, 8);
-    workloads.push(("inception_stem_slice".to_owned(), stem, stem_input));
-
-    let tiny = tiny_cnn(2018);
-    let tiny_input = random_input(tiny.input_shape, tiny.input_quant, 9);
-    workloads.push(("tiny_cnn".to_owned(), tiny, tiny_input));
-    workloads
-}
-
-fn time_runs(
-    model: &Model,
-    input: &QTensor,
-    engine: ExecutionEngine,
-    reps: usize,
-) -> (FunctionalResult, f64) {
-    let mut result = None;
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let r = functional::run_model_with(model, input, engine).expect("functional run");
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        result = Some(r);
-    }
-    (result.expect("at least one rep"), best_ms)
-}
-
-/// Runs every proxy workload under both engines (best of `reps` wall
-/// times) and verifies the threaded results against the sequential ones.
-#[must_use]
-pub fn compare_engines(threads: usize, reps: usize) -> Vec<EngineComparison> {
-    let threaded = ExecutionEngine::from_threads(threads);
-    proxy_workloads()
-        .into_iter()
-        .map(|(name, model, input)| {
-            let (seq, sequential_ms) = time_runs(&model, &input, ExecutionEngine::Sequential, reps);
-            let (thr, threaded_ms) = time_runs(&model, &input, threaded, reps);
-            EngineComparison {
-                name,
-                sequential_ms,
-                threaded_ms,
-                speedup: sequential_ms / threaded_ms,
-                bit_identical: seq.output.data() == thr.output.data()
-                    && seq.sublayers == thr.sublayers,
-                cycles_identical: seq.cycles == thr.cycles,
-                compute_cycles: seq.cycles.compute_cycles,
-            }
-        })
-        .collect()
-}
-
-/// Dense-vs-SkipZeroRows comparison of one pruned workload: host wall
-/// time, simulated cycles, and the predicted-vs-executed skip cross-check.
+/// Dense-vs-SkipZeroRows comparison of one pruned workload: simulated
+/// cycles and the predicted-vs-executed skip cross-check.
 #[derive(Debug, Clone)]
 pub struct SparsityComparison {
     /// Workload name.
     pub name: String,
-    /// Best-of-`reps` dense functional wall time, milliseconds.
-    pub dense_ms: f64,
-    /// Best-of-`reps` skipping functional wall time, milliseconds.
-    pub sparse_ms: f64,
     /// Simulated compute cycles of the dense functional run.
     pub dense_compute_cycles: u64,
     /// Simulated compute cycles of the skipping functional run.
@@ -218,42 +113,26 @@ fn timing_mac_cycles(model: &Model, mode: SparsityMode) -> (u64, u64) {
     (per_bank, lockstep)
 }
 
-fn time_sparsity_runs(
-    model: &Model,
-    input: &QTensor,
-    mode: SparsityMode,
-    reps: usize,
-) -> (FunctionalResult, f64) {
-    let mut result = None;
-    let mut best_ms = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        let r = run_model_configured(model, input, ExecutionEngine::Sequential, mode)
-            .expect("functional run");
-        best_ms = best_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        result = Some(r);
-    }
-    (result.expect("at least one rep"), best_ms)
+/// One sequential functional run of `model` under `mode`.
+fn run_mode(model: &Model, input: &QTensor, mode: SparsityMode) -> FunctionalResult {
+    run_model_configured(model, input, ExecutionEngine::Sequential, mode).expect("functional run")
 }
 
-/// Runs the pruned workloads densely and with round skipping (best of
-/// `reps` wall times), verifying bit identity and the analytical skip
-/// prediction against the executed counters.
+/// Runs the pruned workloads densely and with round skipping, verifying
+/// bit identity and the analytical skip prediction against the executed
+/// counters.
 #[must_use]
-pub fn compare_sparsity(reps: usize) -> Vec<SparsityComparison> {
+pub fn compare_sparsity() -> Vec<SparsityComparison> {
     pruned_workloads()
         .into_iter()
         .map(|(name, model, input)| {
-            let (dense, dense_ms) = time_sparsity_runs(&model, &input, SparsityMode::Dense, reps);
-            let (sparse, sparse_ms) =
-                time_sparsity_runs(&model, &input, SparsityMode::SkipZeroRows, reps);
+            let dense = run_mode(&model, &input, SparsityMode::Dense);
+            let sparse = run_mode(&model, &input, SparsityMode::SkipZeroRows);
             let predicted = neural_cache::sparsity::analyze(&model).simd_skip();
             let (dense_mac, _) = timing_mac_cycles(&model, SparsityMode::Dense);
             let (sparse_mac, lockstep_mac) = timing_mac_cycles(&model, SparsityMode::SkipZeroRows);
             SparsityComparison {
                 name,
-                dense_ms,
-                sparse_ms,
                 dense_compute_cycles: dense.cycles.compute_cycles,
                 sparse_compute_cycles: sparse.cycles.compute_cycles,
                 timing_mac_cycles_dense: dense_mac,
@@ -292,10 +171,6 @@ pub struct ActivationComparison {
     pub name: String,
     /// Which break-even side this workload demonstrates.
     pub expectation: ActivationExpectation,
-    /// Best-of-`reps` dense functional wall time, milliseconds.
-    pub dense_ms: f64,
-    /// Best-of-`reps` `SkipZeroInputs` functional wall time, milliseconds.
-    pub input_ms: f64,
     /// Simulated compute cycles of the dense functional run.
     pub dense_compute_cycles: u64,
     /// Simulated compute cycles under `SkipZeroInputs` (detects included).
@@ -412,25 +287,21 @@ fn timing_mac_cycles_profiled(
 }
 
 /// Runs the dynamic-sparsity workloads densely and under both input-skip
-/// modes (best of `reps` wall times), verifying bit identity, the
-/// per-round detect charge, and the `activation_profile` prediction
-/// against the executed counters.
+/// modes, verifying bit identity, the per-round detect charge, and the
+/// `activation_profile` prediction against the executed counters.
 #[must_use]
-pub fn compare_activation_sparsity(reps: usize) -> Vec<ActivationComparison> {
+pub fn compare_activation_sparsity() -> Vec<ActivationComparison> {
     activation_workloads()
         .into_iter()
         .map(|(name, expectation, model, input)| {
-            let (dense, dense_ms) = time_sparsity_runs(&model, &input, SparsityMode::Dense, reps);
-            let (inputs, input_ms) =
-                time_sparsity_runs(&model, &input, SparsityMode::SkipZeroInputs, reps);
-            let (both, _) = time_sparsity_runs(&model, &input, SparsityMode::SkipBoth, reps);
+            let dense = run_mode(&model, &input, SparsityMode::Dense);
+            let inputs = run_mode(&model, &input, SparsityMode::SkipZeroInputs);
+            let both = run_mode(&model, &input, SparsityMode::SkipBoth);
             let profile = activation_profile(&model, &input);
             let (dense_mac, _) = timing_mac_cycles(&model, SparsityMode::Dense);
             ActivationComparison {
                 name,
                 expectation,
-                dense_ms,
-                input_ms,
                 dense_compute_cycles: dense.cycles.compute_cycles,
                 input_compute_cycles: inputs.cycles.compute_cycles,
                 both_compute_cycles: both.cycles.compute_cycles,
@@ -598,253 +469,13 @@ pub fn compare_advisor() -> Vec<AdvisorComparison> {
         .collect()
 }
 
-/// Renders the comparisons as the `BENCH_functional.json` document CI
-/// uploads as a workflow artifact.
-#[must_use]
-pub fn render_json(comparisons: &[EngineComparison], threads: usize) -> String {
-    render_json_full(comparisons, &[], threads)
-}
-
-/// [`render_json`] with the dense-vs-pruned sparsity section included.
-#[must_use]
-pub fn render_json_full(
-    comparisons: &[EngineComparison],
-    sparsity: &[SparsityComparison],
-    threads: usize,
-) -> String {
-    render_json_all(comparisons, sparsity, &[], &[], None, None, threads)
-}
-
-/// The full `BENCH_functional.json` document: engine comparisons, the
-/// weight-sparsity section, the activation-sparsity section, the
-/// bit-budget advisor section, and (when given) the `nc-serve` serving
-/// section and the telemetry reconciliation/utilization section.
-#[must_use]
-pub fn render_json_all(
-    comparisons: &[EngineComparison],
-    sparsity: &[SparsityComparison],
-    activation: &[ActivationComparison],
-    advisor: &[AdvisorComparison],
-    serving: Option<&crate::serving::ServingBench>,
-    telemetry: Option<&crate::telemetry::TelemetryReport>,
-    threads: usize,
-) -> String {
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"BENCH_functional\",");
-    let _ = writeln!(out, "  \"threads\": {threads},");
-    let _ = writeln!(out, "  \"host_parallelism\": {host},");
-    out.push_str("  \"workloads\": [\n");
-    for (i, c) in comparisons.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", c.name);
-        let _ = writeln!(out, "      \"sequential_ms\": {:.3},", c.sequential_ms);
-        let _ = writeln!(out, "      \"threaded_ms\": {:.3},", c.threaded_ms);
-        let _ = writeln!(out, "      \"speedup\": {:.3},", c.speedup);
-        let _ = writeln!(out, "      \"bit_identical\": {},", c.bit_identical);
-        let _ = writeln!(out, "      \"cycles_identical\": {},", c.cycles_identical);
-        let _ = writeln!(out, "      \"compute_cycles\": {}", c.compute_cycles);
-        let comma = if i + 1 < comparisons.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    if sparsity.is_empty()
-        && activation.is_empty()
-        && advisor.is_empty()
-        && serving.is_none()
-        && telemetry.is_none()
-    {
-        out.push_str("  ]\n}\n");
-        return out;
-    }
-    out.push_str("  ],\n  \"sparsity\": [\n");
-    for (i, s) in sparsity.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", s.name);
-        let _ = writeln!(out, "      \"dense_ms\": {:.3},", s.dense_ms);
-        let _ = writeln!(out, "      \"sparse_ms\": {:.3},", s.sparse_ms);
-        let _ = writeln!(
-            out,
-            "      \"dense_compute_cycles\": {},",
-            s.dense_compute_cycles
-        );
-        let _ = writeln!(
-            out,
-            "      \"sparse_compute_cycles\": {},",
-            s.sparse_compute_cycles
-        );
-        let _ = writeln!(out, "      \"cycle_speedup\": {:.3},", s.cycle_speedup());
-        let _ = writeln!(
-            out,
-            "      \"timing_mac_cycles_dense\": {},",
-            s.timing_mac_cycles_dense
-        );
-        let _ = writeln!(
-            out,
-            "      \"timing_mac_cycles_sparse\": {},",
-            s.timing_mac_cycles_sparse
-        );
-        let _ = writeln!(
-            out,
-            "      \"timing_mac_cycles_lockstep\": {},",
-            s.timing_mac_cycles_lockstep
-        );
-        let _ = writeln!(out, "      \"mac_speedup\": {:.3},", s.mac_speedup());
-        let _ = writeln!(
-            out,
-            "      \"lockstep_spread\": {:.4},",
-            s.lockstep_spread()
-        );
-        let _ = writeln!(out, "      \"mul_rounds\": {},", s.mul_rounds);
-        let _ = writeln!(out, "      \"skipped_rounds\": {},", s.skipped_rounds);
-        let _ = writeln!(
-            out,
-            "      \"executed_skip_fraction\": {:.6},",
-            s.executed_skip_fraction
-        );
-        let _ = writeln!(
-            out,
-            "      \"predicted_skip_fraction\": {:.6},",
-            s.predicted_skip_fraction
-        );
-        let _ = writeln!(out, "      \"bit_identical\": {}", s.bit_identical);
-        let comma = if i + 1 < sparsity.len() { "," } else { "" };
-        let _ = writeln!(out, "    }}{comma}");
-    }
-    out.push_str("  ]");
-    if !activation.is_empty() {
-        out.push_str(",\n  \"activation_sparsity\": [\n");
-        for (i, a) in activation.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"name\": \"{}\",", a.name);
-            let _ = writeln!(
-                out,
-                "      \"expectation\": \"{}\",",
-                match a.expectation {
-                    ActivationExpectation::NetSpeedup => "net-speedup",
-                    ActivationExpectation::Overhead => "overhead",
-                }
-            );
-            let _ = writeln!(out, "      \"dense_ms\": {:.3},", a.dense_ms);
-            let _ = writeln!(out, "      \"input_ms\": {:.3},", a.input_ms);
-            let _ = writeln!(
-                out,
-                "      \"dense_compute_cycles\": {},",
-                a.dense_compute_cycles
-            );
-            let _ = writeln!(
-                out,
-                "      \"input_compute_cycles\": {},",
-                a.input_compute_cycles
-            );
-            let _ = writeln!(
-                out,
-                "      \"both_compute_cycles\": {},",
-                a.both_compute_cycles
-            );
-            let _ = writeln!(out, "      \"cycle_speedup\": {:.3},", a.cycle_speedup());
-            let _ = writeln!(out, "      \"detect_cycles\": {},", a.detect_cycles);
-            let _ = writeln!(out, "      \"mul_rounds\": {},", a.mul_rounds);
-            let _ = writeln!(
-                out,
-                "      \"input_rounds_skipped\": {},",
-                a.input_rounds_skipped
-            );
-            let _ = writeln!(
-                out,
-                "      \"executed_input_skip_fraction\": {:.6},",
-                a.executed_input_skip_fraction
-            );
-            let _ = writeln!(
-                out,
-                "      \"predicted_input_skip_fraction\": {:.6},",
-                a.predicted_input_skip_fraction
-            );
-            let _ = writeln!(
-                out,
-                "      \"timing_mac_cycles_dense\": {},",
-                a.timing_mac_cycles_dense
-            );
-            let _ = writeln!(
-                out,
-                "      \"timing_mac_cycles_input\": {},",
-                a.timing_mac_cycles_input
-            );
-            let _ = writeln!(
-                out,
-                "      \"timing_mac_cycles_both\": {},",
-                a.timing_mac_cycles_both
-            );
-            let _ = writeln!(out, "      \"net_mac_speedup\": {:.3},", a.mac_speedup());
-            let _ = writeln!(
-                out,
-                "      \"net_mac_speedup_both\": {:.3},",
-                a.mac_speedup_both()
-            );
-            let _ = writeln!(out, "      \"bit_identical\": {}", a.bit_identical);
-            let comma = if i + 1 < activation.len() { "," } else { "" };
-            let _ = writeln!(out, "    }}{comma}");
-        }
-        out.push_str("  ]");
-    }
-    if !advisor.is_empty() {
-        out.push_str(",\n  \"advisor\": [\n");
-        for (i, a) in advisor.iter().enumerate() {
-            let _ = writeln!(out, "    {{");
-            let _ = writeln!(out, "      \"name\": \"{}\",", a.name);
-            let _ = writeln!(out, "      \"convs\": {},", a.convs);
-            let _ = writeln!(out, "      \"trimmed_convs\": {},", a.trimmed_convs);
-            let _ = writeln!(out, "      \"trimmed_bits\": {},", a.trimmed_bits);
-            let _ = writeln!(out, "      \"governed_cycles\": {},", a.governed_cycles);
-            let _ = writeln!(out, "      \"saved_cycles\": {},", a.saved_cycles);
-            let _ = writeln!(
-                out,
-                "      \"cycle_reduction\": {:.4},",
-                a.cycle_reduction()
-            );
-            let _ = writeln!(out, "      \"certified_sound\": {},", a.certified_sound);
-            let _ = writeln!(out, "      \"bit_identical\": {}", a.bit_identical);
-            let comma = if i + 1 < advisor.len() { "," } else { "" };
-            let _ = writeln!(out, "    }}{comma}");
-        }
-        out.push_str("  ]");
-    }
-    if let Some(bench) = serving {
-        out.push_str(",\n");
-        out.push_str(&crate::serving::render_json_section(bench));
-    }
-    if let Some(report) = telemetry {
-        out.push_str(",\n");
-        out.push_str(&crate::telemetry::render_json_section(report));
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn comparisons_verify_and_render() {
-        let comps = compare_engines(2, 1);
-        assert_eq!(comps.len(), 3);
-        for c in &comps {
-            assert!(c.verified(), "{} failed verification", c.name);
-            assert!(c.sequential_ms > 0.0 && c.threaded_ms > 0.0);
-            assert!(c.compute_cycles > 10_000, "{} did too little work", c.name);
-        }
-        let json = render_json(&comps, 2);
-        assert!(json.contains("\"benchmark\": \"BENCH_functional\""));
-        assert!(json.contains("\"inception_v3_proxy_mini\""));
-        assert!(json.contains("\"bit_identical\": true"));
-        assert!(json.ends_with("}\n"));
-        // Exactly one trailing element without a comma.
-        assert_eq!(json.matches("},").count(), 2);
-    }
-
-    #[test]
     fn sparsity_comparisons_verify_and_render() {
-        let comps = compare_sparsity(1);
+        let comps = compare_sparsity();
         assert_eq!(comps.len(), 2);
         for s in &comps {
             assert!(s.verified(), "{} failed verification", s.name);
@@ -871,20 +502,21 @@ mod tests {
             );
         }
 
-        let engines = compare_engines(2, 1);
-        let json = render_json_full(&engines, &comps, 2);
-        assert!(json.contains("\"sparsity\": ["));
-        assert!(json.contains("\"pruned_inception\""));
-        assert!(json.contains("\"executed_skip_fraction\""));
-        assert!(json.contains("\"timing_mac_cycles_dense\""));
-        assert!(json.ends_with("}\n"));
-        // The sparsity-free rendering stays backward compatible.
-        assert!(!render_json(&engines, 2).contains("\"sparsity\""));
+        let text = crate::sparsity_with(&comps);
+        assert!(text.contains("SkipZeroRows execution"));
+        for s in &comps {
+            assert!(
+                text.contains(&s.name),
+                "{} missing from the artifact",
+                s.name
+            );
+        }
+        assert!(!text.contains("bit-identical: false"));
     }
 
     #[test]
     fn activation_comparisons_verify_and_render() {
-        let comps = compare_activation_sparsity(1);
+        let comps = compare_activation_sparsity();
         assert_eq!(comps.len(), 3);
         for a in &comps {
             assert!(a.verified(), "{} failed verification", a.name);
@@ -916,16 +548,11 @@ mod tests {
             "dense activations barely skip"
         );
 
-        let engines = compare_engines(2, 1);
-        let json = render_json_all(&engines, &[], &comps, &[], None, None, 2);
-        assert!(json.contains("\"activation_sparsity\": ["));
-        assert!(json.contains("\"relu_sparse_conv\""));
-        assert!(json.contains("\"dense_acts_break_even\""));
-        assert!(json.contains("\"net_mac_speedup\""));
-        assert!(json.contains("\"expectation\": \"overhead\""));
-        assert!(json.ends_with("}\n"));
-        // Backward-compatible renderings omit the section.
-        assert!(!render_json_full(&engines, &[], 2).contains("activation_sparsity"));
+        let text = crate::activation_sparsity_with(&comps);
+        assert!(text.contains("relu_sparse_conv"));
+        assert!(text.contains("dense_acts_break_even"));
+        assert!(text.contains("net MAC"));
+        assert!(!text.contains("bit-identical: false"));
     }
 
     #[test]
@@ -958,14 +585,10 @@ mod tests {
             assert!(a.saved_cycles <= a.governed_cycles, "{}", a.name);
         }
 
-        let engines = compare_engines(2, 1);
-        let json = render_json_all(&engines, &[], &[], &comps, None, None, 2);
-        assert!(json.contains("\"advisor\": ["));
-        assert!(json.contains("\"trimmed_bits\""));
-        assert!(json.contains("\"cycle_reduction\""));
-        assert!(json.contains("\"certified_sound\": true"));
-        assert!(json.ends_with("}\n"));
-        // Advisor-free renderings omit the section.
-        assert!(!render_json_full(&engines, &[], 2).contains("\"advisor\""));
+        let text = crate::advisor_with(&comps);
+        assert!(text.contains("bits trimmed"));
+        assert!(text.contains("cycles saved"));
+        assert!(!text.contains("certified: false"));
+        assert!(!text.contains("bit-identical: false"));
     }
 }

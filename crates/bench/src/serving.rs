@@ -1,8 +1,8 @@
 //! The serving benchmark: drives the `nc-serve` discrete-event simulator
 //! over an offered-load sweep and a trace/policy matrix, rendering the
-//! `"serving"` section of `BENCH_functional.json` and enforcing its sanity
-//! gate (request conservation, latency monotone in offered load, goodput
-//! bounded by offered load, engine byte-identity).
+//! `serving_sim` / `run_all` serving table and enforcing its sanity gate
+//! (request conservation, latency monotone in offered load, goodput bounded
+//! by offered load, engine byte-identity).
 
 use std::fmt::Write as _;
 
@@ -210,75 +210,6 @@ pub fn run_serving_bench(threads: usize) -> ServingBench {
     }
 }
 
-/// Renders one point as a JSON object at the given indent.
-fn point_json(out: &mut String, p: &ServingPoint, indent: &str, comma: bool) {
-    let s = &p.summary;
-    let _ = writeln!(out, "{indent}{{");
-    let _ = writeln!(out, "{indent}  \"trace\": \"{}\",", p.trace);
-    let _ = writeln!(out, "{indent}  \"policy\": \"{}\",", p.policy);
-    let _ = writeln!(out, "{indent}  \"nominal_rps\": {:.3},", p.nominal_rps);
-    let _ = writeln!(
-        out,
-        "{indent}  \"offered_load_rps\": {:.3},",
-        s.offered_load_rps
-    );
-    let _ = writeln!(out, "{indent}  \"goodput_rps\": {:.3},", s.goodput_rps);
-    let _ = writeln!(out, "{indent}  \"mean_ms\": {:.4},", s.mean_ms);
-    let _ = writeln!(out, "{indent}  \"p50_ms\": {:.4},", s.p50_ms);
-    let _ = writeln!(out, "{indent}  \"p95_ms\": {:.4},", s.p95_ms);
-    let _ = writeln!(out, "{indent}  \"p99_ms\": {:.4},", s.p99_ms);
-    let _ = writeln!(out, "{indent}  \"max_ms\": {:.4},", s.max_ms);
-    let _ = writeln!(out, "{indent}  \"admitted\": {},", s.admitted);
-    let _ = writeln!(out, "{indent}  \"completed\": {},", s.completed);
-    let _ = writeln!(out, "{indent}  \"dropped\": {},", s.dropped);
-    let _ = writeln!(out, "{indent}  \"pending\": {},", s.pending);
-    let _ = writeln!(
-        out,
-        "{indent}  \"slo_violation_rate\": {:.4},",
-        s.slo_violation_rate
-    );
-    let _ = writeln!(
-        out,
-        "{indent}  \"mean_queue_depth\": {:.3},",
-        s.mean_queue_depth
-    );
-    let _ = writeln!(out, "{indent}  \"max_queue_depth\": {},", s.max_queue_depth);
-    let _ = writeln!(out, "{indent}  \"mean_batch\": {:.3},", s.mean_batch);
-    let _ = writeln!(out, "{indent}  \"batches\": {},", s.batches);
-    let util: Vec<String> = s
-        .slice_utilization
-        .iter()
-        .map(|u| format!("{u:.4}"))
-        .collect();
-    let _ = writeln!(
-        out,
-        "{indent}  \"slice_utilization\": [{}]",
-        util.join(", ")
-    );
-    let _ = writeln!(out, "{indent}}}{}", if comma { "," } else { "" });
-}
-
-/// Renders the bench as the `"serving"` JSON section body (an object, no
-/// trailing comma), for embedding in `BENCH_functional.json`.
-#[must_use]
-pub fn render_json_section(bench: &ServingBench) -> String {
-    let mut out = String::from("  \"serving\": {\n");
-    let _ = writeln!(out, "    \"slices\": {SLICES},");
-    let _ = writeln!(out, "    \"requests_per_point\": {REQUESTS_PER_POINT},");
-    let _ = writeln!(out, "    \"engine_identical\": {},", bench.engine_identical);
-    let _ = writeln!(out, "    \"verified\": {},", bench.verified());
-    out.push_str("    \"load_sweep\": [\n");
-    for (i, p) in bench.load_sweep.iter().enumerate() {
-        point_json(&mut out, p, "      ", i + 1 < bench.load_sweep.len());
-    }
-    out.push_str("    ],\n    \"matrix\": [\n");
-    for (i, p) in bench.matrix.iter().enumerate() {
-        point_json(&mut out, p, "      ", i + 1 < bench.matrix.len());
-    }
-    out.push_str("    ]\n  }");
-    out
-}
-
 /// Renders the bench as human-readable text (the `serving_sim` binary and
 /// `run_all` section).
 #[must_use]
@@ -356,17 +287,10 @@ mod tests {
         // Goodput saturates below the overloaded offered load.
         assert!(last.goodput_rps < 1200.0);
 
-        let json = render_json_section(&bench);
-        assert!(json.starts_with("  \"serving\": {"));
-        assert!(json.contains("\"load_sweep\": ["));
-        assert!(json.contains("\"policy\": \"slo-adaptive\""));
-        assert!(json.contains("\"trace\": \"closed-loop\""));
-        assert!(json.contains("\"engine_identical\": true"));
-        assert!(json.ends_with('}'));
-
         let text = render_text(&bench);
         assert!(text.contains("Serving under load"));
         assert!(text.contains("slo-adaptive"));
+        assert!(text.contains("closed-loop"));
         assert!(text.contains("sanity gate: ok"));
     }
 

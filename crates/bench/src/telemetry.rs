@@ -1,30 +1,19 @@
 //! Telemetry wiring for the bench binaries: the shared `--trace-out` /
-//! `--telemetry-out` / `--no-telemetry` flags, the telemetry↔counters
-//! reconciliation gate (every [`SparsityMode`] × both engines, plus the
-//! serving 1:1 event mirror), the no-op-sink overhead gate, and the
-//! per-thread utilization/imbalance summary — rendered as the
-//! `"telemetry"` section of `BENCH_functional.json` and as text sections
-//! of `run_all` / `serving_sim`.
+//! `--telemetry-out` flags and the showcase timeline they export.
 //!
-//! The reconciliation contract is **exact**: per-layer and per-op span
-//! arguments must sum to the executed [`CycleStats`] integer-for-integer,
-//! the `timing.layer` / `timing.phase` rollups must equal the
-//! [`neural_cache::InferenceReport`] totals bit-for-bit, pool counters
-//! must match `PoolStats`, and every serving [`nc_serve::TraceEvent`]
-//! must be mirrored by exactly one telemetry record.
-
-use std::fmt::Write as _;
-use std::time::Instant;
+//! The reconciliation contract itself (span arguments sum to the executed
+//! [`nc_sram::CycleStats`], `timing.*` rollups equal the
+//! [`neural_cache::InferenceReport`] totals, one telemetry record per
+//! serving [`nc_serve::TraceEvent`]) is enforced by the tests of the crates
+//! that emit the spans.
 
 use nc_dnn::inception::inception_v3;
 use nc_dnn::workload::{random_input, tiny_cnn};
-use nc_dnn::{Model, QTensor};
-use nc_serve::{simulate_traced, simulate_with_cost, ServeConfig, TraceConfig};
-use nc_sram::CycleStats;
+use nc_serve::{simulate_traced, ServeConfig, TraceConfig};
 use nc_telemetry::{Level, Telemetry};
-use neural_cache::functional::{run_model_configured, run_model_traced};
+use neural_cache::functional::run_model_traced;
 use neural_cache::{
-    time_inference, trace_inference_report, BatchCostModel, ExecutionEngine, Phase, SparsityMode,
+    time_inference, trace_inference_report, BatchCostModel, ExecutionEngine, SparsityMode,
     SystemConfig,
 };
 
@@ -37,19 +26,15 @@ pub struct TelemetryFlags {
     /// `--telemetry-out <path>`: write the `TELEMETRY.json` rollup
     /// artifact (per-category span rollups, counters, gauges, histograms).
     pub telemetry_out: Option<String>,
-    /// `--no-telemetry`: force the no-op sink even when an output path or
-    /// `NC_TELEMETRY` asks for one.
-    pub disabled: bool,
 }
 
 impl TelemetryFlags {
-    /// Parses the three shared flags from `args`.
+    /// Parses the two shared flags from `args`.
     #[must_use]
     pub fn parse(args: &[String]) -> Self {
         TelemetryFlags {
             trace_out: crate::parse_flag(args, "--trace-out"),
             telemetry_out: crate::parse_flag(args, "--telemetry-out"),
-            disabled: args.iter().any(|a| a == "--no-telemetry"),
         }
     }
 
@@ -63,21 +48,7 @@ impl TelemetryFlags {
     /// Whether the run should record and write timeline artifacts.
     #[must_use]
     pub fn wants_artifacts(&self) -> bool {
-        !self.disabled && (self.trace_out.is_some() || self.telemetry_out.is_some())
-    }
-
-    /// The sink the flags select: disabled when `--no-telemetry`, full
-    /// detail when an artifact path is given, else the `NC_TELEMETRY`
-    /// environment level.
-    #[must_use]
-    pub fn sink(&self) -> Telemetry {
-        if self.disabled {
-            Telemetry::disabled()
-        } else if self.wants_artifacts() {
-            Telemetry::enabled(Level::Detail)
-        } else {
-            Telemetry::from_env()
-        }
+        self.trace_out.is_some() || self.telemetry_out.is_some()
     }
 
     /// Writes the requested artifacts from `tel` and returns the paths
@@ -89,9 +60,6 @@ impl TelemetryFlags {
     #[must_use]
     pub fn write_artifacts(&self, tel: &Telemetry) -> Vec<String> {
         let mut written = Vec::new();
-        if self.disabled {
-            return written;
-        }
         if let Some(path) = &self.trace_out {
             std::fs::write(path, tel.to_chrome_trace()).expect("write chrome trace");
             written.push(path.clone());
@@ -101,431 +69,6 @@ impl TelemetryFlags {
             written.push(path.clone());
         }
         written
-    }
-}
-
-/// One executed counter: span-argument name + accessor.
-type CycleField = (&'static str, fn(&CycleStats) -> u64);
-
-/// Every accessor of the seven [`CycleStats`] counters, keyed by the span
-/// argument name the instrumentation emits (the names match the struct
-/// fields one-for-one).
-fn cycle_fields() -> [CycleField; 7] {
-    [
-        ("compute_cycles", |c| c.compute_cycles),
-        ("access_cycles", |c| c.access_cycles),
-        ("mul_rounds", |c| c.mul_rounds),
-        ("skipped_rounds", |c| c.skipped_rounds),
-        ("skipped_cycles", |c| c.skipped_cycles),
-        ("detect_cycles", |c| c.detect_cycles),
-        ("input_rounds_skipped", |c| c.input_rounds_skipped),
-    ]
-}
-
-/// All four sparsity modes, in gate order.
-pub const MODES: [SparsityMode; 4] = [
-    SparsityMode::Dense,
-    SparsityMode::SkipZeroRows,
-    SparsityMode::SkipZeroInputs,
-    SparsityMode::SkipBoth,
-];
-
-/// One (engine, sparsity-mode) reconciliation: the traced functional run
-/// and the timing-model trace, each checked against its ground truth.
-#[derive(Debug, Clone)]
-pub struct ReconcileCase {
-    /// Engine label (`sequential` / `threaded`).
-    pub engine: &'static str,
-    /// Sparsity-mode label.
-    pub mode: String,
-    /// `functional.layer` spans recorded (must equal the layer count).
-    pub layer_spans: usize,
-    /// `functional.op` spans recorded.
-    pub op_spans: usize,
-    /// Executed compute cycles of the traced run.
-    pub compute_cycles: u64,
-    /// Every reconciliation violation; empty when exact.
-    pub failures: Vec<String>,
-}
-
-impl ReconcileCase {
-    /// Whether this case reconciled exactly.
-    #[must_use]
-    pub fn verified(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-// The timing.* checks are *bit-exact by contract*: the tracer stores the
-// report's SimTime durations verbatim and sums them in insertion order,
-// so strict f64 equality is the property under test, not an accident.
-#[allow(clippy::float_cmp)]
-fn reconcile_case(
-    model: &Model,
-    input: &QTensor,
-    engine_label: &'static str,
-    engine: ExecutionEngine,
-    mode: SparsityMode,
-) -> ReconcileCase {
-    let mut failures = Vec::new();
-    let tel = Telemetry::enabled(Level::Detail);
-    let traced = run_model_traced(model, input, engine, mode, &tel).expect("traced run");
-    let plain = run_model_configured(model, input, engine, mode).expect("plain run");
-    if plain.output.data() != traced.output.data()
-        || plain.sublayers != traced.sublayers
-        || plain.cycles != traced.cycles
-    {
-        failures.push("traced run diverged from the untraced run".to_owned());
-    }
-    let layer_spans = tel.span_count("functional.layer");
-    if layer_spans != model.layers.len() {
-        failures.push(format!(
-            "functional.layer spans {layer_spans} != {} layers",
-            model.layers.len()
-        ));
-    }
-    // Both span taxonomies partition the executed counters: per-layer and
-    // per-op argument sums must each reproduce CycleStats exactly.
-    for (field, get) in cycle_fields() {
-        let want = get(&traced.cycles);
-        for cat in ["functional.layer", "functional.op"] {
-            let got = tel.sum_u64_arg(cat, field);
-            if got != want {
-                failures.push(format!("{cat} {field}: span sum {got} != executed {want}"));
-            }
-        }
-    }
-    if tel.counter("functional.pool.acquires") != traced.pool.acquires
-        || tel.counter("functional.pool.releases") != traced.pool.releases
-    {
-        failures.push("pool counters diverged from PoolStats".to_owned());
-    }
-
-    // Timing-model trace under the same mode/engine: rollups must match
-    // the report bit-for-bit.
-    let mut config = SystemConfig::with_sparsity(mode);
-    config.parallelism = engine;
-    let report = time_inference(&config, model);
-    let timing_tel = Telemetry::enabled(Level::Spans);
-    trace_inference_report(&timing_tel, &report);
-    if timing_tel.sum_dur("timing.layer") != report.total().as_secs_f64() {
-        failures.push("timing.layer rollup != InferenceReport::total".to_owned());
-    }
-    let breakdown = report.breakdown();
-    for phase in Phase::ALL {
-        if timing_tel.sum_dur_named("timing.phase", phase.label())
-            != breakdown.get(phase).as_secs_f64()
-        {
-            failures.push(format!(
-                "timing.phase {} rollup != aggregated breakdown",
-                phase.label()
-            ));
-        }
-    }
-
-    ReconcileCase {
-        engine: engine_label,
-        mode: format!("{mode:?}"),
-        layer_spans,
-        op_spans: tel.span_count("functional.op"),
-        compute_cycles: traced.cycles.compute_cycles,
-        failures,
-    }
-}
-
-/// The serving 1:1 mirror check: a traced simulation must be trajectory-
-/// identical to the untraced one with exactly one telemetry record per
-/// logged [`nc_serve::TraceEvent`].
-#[derive(Debug, Clone)]
-pub struct ServingCheck {
-    /// Events in the deterministic serving log.
-    pub events: usize,
-    /// `serving.event` telemetry records.
-    pub records: usize,
-    /// `serving.request` queue-wait spans.
-    pub request_spans: usize,
-    /// Completed requests.
-    pub completed: usize,
-    /// Every violation; empty when the mirror is exact.
-    pub failures: Vec<String>,
-}
-
-impl ServingCheck {
-    /// Whether the mirror held.
-    #[must_use]
-    pub fn verified(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-fn reconcile_serving() -> ServingCheck {
-    let model = inception_v3();
-    let config = ServeConfig::default_two_slice();
-    let cost = BatchCostModel::new(&config.system, &model);
-    let trace = TraceConfig::poisson(400.0, 120, 2018);
-    let plain = simulate_with_cost(&config, &cost, &trace);
-    let tel = Telemetry::enabled(Level::Detail);
-    let traced = simulate_traced(&config, &cost, &trace, &tel);
-
-    let mut failures = Vec::new();
-    if plain.trace.to_log() != traced.trace.to_log() || plain.summary != traced.summary {
-        failures.push("traced serving run diverged from the untraced run".to_owned());
-    }
-    let events = traced.trace.events.len();
-    let records = tel.record_count("serving.event");
-    if records != events {
-        failures.push(format!(
-            "serving.event records {records} != {events} trace events"
-        ));
-    }
-    let s = &traced.summary;
-    for (counter, want) in [
-        ("serving.arrivals", s.admitted),
-        ("serving.drops", s.dropped),
-        ("serving.completions", s.completed),
-        ("serving.dispatches", s.batches),
-    ] {
-        let got = tel.counter(counter);
-        if got != want as u64 {
-            failures.push(format!("{counter} = {got} != summary {want}"));
-        }
-    }
-    ServingCheck {
-        events,
-        records,
-        request_spans: tel.span_count("serving.request"),
-        completed: s.completed,
-        failures,
-    }
-}
-
-/// Relative overhead the disabled sink may add to an instrumented hot
-/// path (the satellite gate: "no-op sink must not regress wall time by
-/// more than 5%").
-pub const OVERHEAD_LIMIT_FRAC: f64 = 0.05;
-
-/// Absolute slack (milliseconds) under the relative limit, so scheduler
-/// noise on a sub-20 ms workload cannot trip the gate spuriously.
-const OVERHEAD_FLOOR_MS: f64 = 2.0;
-
-/// Best-of-reps wall time of the functional executor with no telemetry
-/// argument vs the same run through [`run_model_traced`] with the
-/// disabled sink.
-#[derive(Debug, Clone, Copy)]
-pub struct OverheadCheck {
-    /// Best uninstrumented wall time, milliseconds.
-    pub baseline_ms: f64,
-    /// Best disabled-sink wall time, milliseconds.
-    pub noop_ms: f64,
-}
-
-impl OverheadCheck {
-    /// `(noop - baseline) / baseline` (0 for a zero baseline).
-    #[must_use]
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.baseline_ms > 0.0 {
-            (self.noop_ms - self.baseline_ms) / self.baseline_ms
-        } else {
-            0.0
-        }
-    }
-
-    /// The gate: disabled-sink time within the relative limit (plus the
-    /// absolute noise floor) of the baseline.
-    #[must_use]
-    pub fn verified(&self) -> bool {
-        self.noop_ms <= self.baseline_ms * (1.0 + OVERHEAD_LIMIT_FRAC) + OVERHEAD_FLOOR_MS
-    }
-}
-
-fn measure_overhead(model: &Model, input: &QTensor, reps: usize) -> OverheadCheck {
-    let disabled = Telemetry::disabled();
-    let mut baseline_ms = f64::INFINITY;
-    let mut noop_ms = f64::INFINITY;
-    for _ in 0..reps.max(3) {
-        let start = Instant::now();
-        let plain = run_model_configured(model, input, ExecutionEngine::Sequential, MODES[0])
-            .expect("baseline run");
-        baseline_ms = baseline_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        let traced = run_model_traced(
-            model,
-            input,
-            ExecutionEngine::Sequential,
-            MODES[0],
-            &disabled,
-        )
-        .expect("no-op traced run");
-        noop_ms = noop_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(plain.cycles, traced.cycles, "no-op sink changed the run");
-    }
-    OverheadCheck {
-        baseline_ms,
-        noop_ms,
-    }
-}
-
-/// Per-thread utilization of one Threaded functional run, reduced from
-/// the engine's wall-clock shard samples (`engine.*` gauges/counters and
-/// the `engine.shard_seconds` histogram).
-#[derive(Debug, Clone)]
-pub struct UtilizationSummary {
-    /// Worker threads.
-    pub workers: usize,
-    /// Host wall time of the run, seconds.
-    pub wall_s: f64,
-    /// Busy fraction: total busy time over `wall_s * workers`.
-    pub utilization: f64,
-    /// Busy seconds per worker.
-    pub busy_s: Vec<f64>,
-    /// Shard jobs per worker.
-    pub shards: Vec<u64>,
-    /// Total shard jobs timed.
-    pub shard_count: u64,
-    /// Mean shard duration, milliseconds.
-    pub shard_mean_ms: f64,
-    /// Longest shard, milliseconds.
-    pub shard_max_ms: f64,
-    /// Log2-bucketed shard-duration histogram (bucket exponent, count).
-    pub shard_buckets: Vec<(i32, u64)>,
-}
-
-impl UtilizationSummary {
-    /// Busiest worker over the mean worker (1.0 = perfectly balanced;
-    /// meaningful only when some work ran).
-    #[must_use]
-    pub fn imbalance(&self) -> f64 {
-        let total: f64 = self.busy_s.iter().sum();
-        let mean = total / self.busy_s.len().max(1) as f64;
-        let max = self.busy_s.iter().copied().fold(0.0f64, f64::max);
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
-}
-
-/// Runs one Threaded functional workload with a metrics-only sink and
-/// reduces the per-shard wall-clock samples into a utilization summary.
-#[must_use]
-pub fn measure_utilization(threads: usize) -> UtilizationSummary {
-    let workers = threads.max(2);
-    let model = tiny_cnn(2018);
-    let input = random_input(model.input_shape, model.input_quant, 9);
-    let tel = Telemetry::enabled(Level::Summary);
-    let _ = run_model_traced(
-        &model,
-        &input,
-        ExecutionEngine::from_threads(workers),
-        SparsityMode::Dense,
-        &tel,
-    )
-    .expect("utilization run");
-    let busy_s: Vec<f64> = (0..workers)
-        .map(|w| {
-            tel.gauge(&format!("engine.worker.{w}.busy_s"))
-                .unwrap_or(0.0)
-        })
-        .collect();
-    let shards: Vec<u64> = (0..workers)
-        .map(|w| tel.counter(&format!("engine.worker.{w}.shards")))
-        .collect();
-    let hist = tel.histogram("engine.shard_seconds");
-    UtilizationSummary {
-        workers,
-        wall_s: tel.gauge("engine.wall_s").unwrap_or(0.0),
-        utilization: tel.gauge("engine.utilization").unwrap_or(0.0),
-        busy_s,
-        shards,
-        shard_count: hist.as_ref().map_or(0, nc_telemetry::Histogram::count),
-        shard_mean_ms: hist.as_ref().map_or(0.0, |h| h.mean() * 1e3),
-        shard_max_ms: hist.as_ref().map_or(0.0, |h| h.max() * 1e3),
-        shard_buckets: hist
-            .as_ref()
-            .map_or_else(Vec::new, nc_telemetry::Histogram::buckets),
-    }
-}
-
-/// The whole telemetry bench: the reconciliation matrix, the serving
-/// mirror, the no-op overhead gate, and the utilization summary.
-#[derive(Debug, Clone)]
-pub struct TelemetryReport {
-    /// One case per (engine, sparsity mode).
-    pub cases: Vec<ReconcileCase>,
-    /// The serving 1:1 mirror check.
-    pub serving: ServingCheck,
-    /// The no-op-sink overhead gate.
-    pub overhead: OverheadCheck,
-    /// Per-thread utilization of the Threaded engine.
-    pub utilization: UtilizationSummary,
-}
-
-impl TelemetryReport {
-    /// Every gate violation across all sections; empty when the telemetry
-    /// layer reconciles exactly and costs nothing when disabled.
-    #[must_use]
-    pub fn gate_failures(&self) -> Vec<String> {
-        let mut failures = Vec::new();
-        for c in &self.cases {
-            for f in &c.failures {
-                failures.push(format!("{}/{}: {f}", c.engine, c.mode));
-            }
-        }
-        for f in &self.serving.failures {
-            failures.push(format!("serving: {f}"));
-        }
-        if !self.overhead.verified() {
-            failures.push(format!(
-                "no-op sink overhead {:.1}% exceeds the {:.0}% limit ({:.3} ms vs {:.3} ms)",
-                100.0 * self.overhead.overhead_fraction(),
-                100.0 * OVERHEAD_LIMIT_FRAC,
-                self.overhead.noop_ms,
-                self.overhead.baseline_ms
-            ));
-        }
-        failures
-    }
-
-    /// The CI gate: no violations.
-    #[must_use]
-    pub fn verified(&self) -> bool {
-        self.gate_failures().is_empty()
-    }
-}
-
-/// Runs the full telemetry bench: every [`SparsityMode`] under both
-/// engines on the functional + timing canary, the serving mirror, the
-/// overhead gate (best of `reps`), and the utilization summary.
-#[must_use]
-pub fn run_telemetry_bench(threads: usize, reps: usize) -> TelemetryReport {
-    let model = tiny_cnn(2018);
-    let input = random_input(model.input_shape, model.input_quant, 9);
-    let engines = [
-        ("sequential", ExecutionEngine::Sequential),
-        ("threaded", ExecutionEngine::from_threads(threads.max(2))),
-    ];
-    let mut cases = Vec::with_capacity(engines.len() * MODES.len());
-    for (label, engine) in engines {
-        for mode in MODES {
-            cases.push(reconcile_case(&model, &input, label, engine, mode));
-        }
-    }
-    // A genuine no-op-sink regression reproduces on every attempt;
-    // scheduler noise (parallel tests, CI neighbors) does not. Re-measure
-    // up to three times before declaring the overhead gate failed.
-    let mut overhead = measure_overhead(&model, &input, reps);
-    for _ in 0..2 {
-        if overhead.verified() {
-            break;
-        }
-        overhead = measure_overhead(&model, &input, reps);
-    }
-    TelemetryReport {
-        cases,
-        serving: reconcile_serving(),
-        overhead,
-        utilization: measure_utilization(threads),
     }
 }
 
@@ -555,217 +98,22 @@ pub fn record_showcase(tel: &Telemetry, threads: usize) {
 /// Honors the shared telemetry flags from the process arguments: when an
 /// artifact path is requested, records the showcase timeline and writes
 /// the files, reporting each path on stderr. The shared tail of every
-/// single-artifact binary.
+/// artifact binary.
 pub fn emit_canary_artifacts() {
     let flags = TelemetryFlags::from_process_args();
     if !flags.wants_artifacts() {
         return;
     }
-    let tel = flags.sink();
+    let tel = Telemetry::enabled(Level::Detail);
     record_showcase(&tel, 2);
     for path in flags.write_artifacts(&tel) {
         eprintln!("wrote {path}");
     }
 }
 
-/// Renders the report as human-readable text (the `run_all` /
-/// `serving_sim` telemetry section).
-#[must_use]
-pub fn render_text(report: &TelemetryReport) -> String {
-    let mut out = String::from(
-        "Telemetry reconciliation (tiny_cnn canary, every sparsity mode x both engines)\n",
-    );
-    let _ = writeln!(
-        out,
-        "{:<12} {:<16} {:>11} {:>9} {:>15} {:>8}",
-        "engine", "mode", "layer-spans", "op-spans", "compute-cycles", "status"
-    );
-    for c in &report.cases {
-        let _ = writeln!(
-            out,
-            "{:<12} {:<16} {:>11} {:>9} {:>15} {:>8}",
-            c.engine,
-            c.mode,
-            c.layer_spans,
-            c.op_spans,
-            c.compute_cycles,
-            if c.verified() { "exact" } else { "FAILED" }
-        );
-    }
-    let s = &report.serving;
-    let _ = writeln!(
-        out,
-        "serving mirror: {} trace events -> {} telemetry records | {} queue-wait spans | {}",
-        s.events,
-        s.records,
-        s.request_spans,
-        if s.verified() { "exact" } else { "FAILED" }
-    );
-    let o = &report.overhead;
-    let _ = writeln!(
-        out,
-        "no-op sink overhead: {:.3} ms baseline vs {:.3} ms disabled sink ({:+.1}%, limit {:.0}%) | {}",
-        o.baseline_ms,
-        o.noop_ms,
-        100.0 * o.overhead_fraction(),
-        100.0 * OVERHEAD_LIMIT_FRAC,
-        if o.verified() { "ok" } else { "FAILED" }
-    );
-    out.push_str(&render_utilization_text(&report.utilization));
-    let _ = writeln!(
-        out,
-        "telemetry gate: {}",
-        if report.verified() { "ok" } else { "FAILED" }
-    );
-    for f in report.gate_failures() {
-        let _ = writeln!(out, "GATE FAILURE: {f}");
-    }
-    out
-}
-
-/// Renders the per-thread utilization summary as text (also printed by
-/// `run_all --threads N`).
-#[must_use]
-pub fn render_utilization_text(u: &UtilizationSummary) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "thread utilization ({} workers): wall {:.2} ms | busy fraction {:.1}% | imbalance {:.2}x",
-        u.workers,
-        u.wall_s * 1e3,
-        100.0 * u.utilization,
-        u.imbalance()
-    );
-    for w in 0..u.workers {
-        let _ = writeln!(
-            out,
-            "  worker {w}: busy {:.2} ms | {} shards",
-            u.busy_s.get(w).copied().unwrap_or(0.0) * 1e3,
-            u.shards.get(w).copied().unwrap_or(0)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  shards: {} timed | mean {:.3} ms | max {:.3} ms",
-        u.shard_count, u.shard_mean_ms, u.shard_max_ms
-    );
-    out
-}
-
-/// Renders the report as the `"telemetry"` JSON section body (an object,
-/// no trailing comma) of `BENCH_functional.json`.
-#[must_use]
-pub fn render_json_section(report: &TelemetryReport) -> String {
-    let mut out = String::from("  \"telemetry\": {\n");
-    let _ = writeln!(out, "    \"verified\": {},", report.verified());
-    out.push_str("    \"reconciliation\": [\n");
-    for (i, c) in report.cases.iter().enumerate() {
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(out, "        \"engine\": \"{}\",", c.engine);
-        let _ = writeln!(out, "        \"mode\": \"{}\",", c.mode);
-        let _ = writeln!(out, "        \"layer_spans\": {},", c.layer_spans);
-        let _ = writeln!(out, "        \"op_spans\": {},", c.op_spans);
-        let _ = writeln!(out, "        \"compute_cycles\": {},", c.compute_cycles);
-        let _ = writeln!(out, "        \"exact\": {}", c.verified());
-        let comma = if i + 1 < report.cases.len() { "," } else { "" };
-        let _ = writeln!(out, "      }}{comma}");
-    }
-    out.push_str("    ],\n");
-    let s = &report.serving;
-    let _ = writeln!(out, "    \"serving_mirror\": {{");
-    let _ = writeln!(out, "      \"trace_events\": {},", s.events);
-    let _ = writeln!(out, "      \"telemetry_records\": {},", s.records);
-    let _ = writeln!(out, "      \"queue_wait_spans\": {},", s.request_spans);
-    let _ = writeln!(out, "      \"exact\": {}", s.verified());
-    let _ = writeln!(out, "    }},");
-    let o = &report.overhead;
-    let _ = writeln!(out, "    \"noop_overhead\": {{");
-    let _ = writeln!(out, "      \"baseline_ms\": {:.4},", o.baseline_ms);
-    let _ = writeln!(out, "      \"noop_ms\": {:.4},", o.noop_ms);
-    let _ = writeln!(
-        out,
-        "      \"overhead_fraction\": {:.4},",
-        o.overhead_fraction()
-    );
-    let _ = writeln!(out, "      \"limit_fraction\": {OVERHEAD_LIMIT_FRAC},");
-    let _ = writeln!(out, "      \"within_limit\": {}", o.verified());
-    let _ = writeln!(out, "    }},");
-    let u = &report.utilization;
-    let _ = writeln!(out, "    \"thread_utilization\": {{");
-    let _ = writeln!(out, "      \"workers\": {},", u.workers);
-    let _ = writeln!(out, "      \"wall_ms\": {:.4},", u.wall_s * 1e3);
-    let _ = writeln!(out, "      \"busy_fraction\": {:.4},", u.utilization);
-    let _ = writeln!(out, "      \"imbalance\": {:.4},", u.imbalance());
-    let _ = writeln!(out, "      \"shard_count\": {},", u.shard_count);
-    let _ = writeln!(out, "      \"shard_mean_ms\": {:.4},", u.shard_mean_ms);
-    let _ = writeln!(out, "      \"shard_max_ms\": {:.4},", u.shard_max_ms);
-    out.push_str("      \"per_worker\": [\n");
-    for w in 0..u.workers {
-        let _ = writeln!(
-            out,
-            "        {{\"busy_ms\": {:.4}, \"shards\": {}}}{}",
-            u.busy_s.get(w).copied().unwrap_or(0.0) * 1e3,
-            u.shards.get(w).copied().unwrap_or(0),
-            if w + 1 < u.workers { "," } else { "" }
-        );
-    }
-    out.push_str("      ],\n");
-    let buckets: Vec<String> = u
-        .shard_buckets
-        .iter()
-        .map(|(b, n)| format!("[{b}, {n}]"))
-        .collect();
-    let _ = writeln!(out, "      \"shard_buckets\": [{}]", buckets.join(", "));
-    out.push_str("    }\n  }");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn telemetry_bench_reconciles_exactly_and_renders() {
-        let report = run_telemetry_bench(2, 1);
-        assert_eq!(report.cases.len(), 8, "4 modes x 2 engines");
-        assert!(
-            report.verified(),
-            "gate failures: {:?}",
-            report.gate_failures()
-        );
-        assert_eq!(report.serving.records, report.serving.events);
-        assert!(report.serving.events > 0);
-        assert!(report.utilization.shard_count > 0);
-        assert!(report.utilization.utilization > 0.0);
-        for c in &report.cases {
-            assert!(
-                c.layer_spans > 0 && c.op_spans > 0,
-                "{}/{}",
-                c.engine,
-                c.mode
-            );
-        }
-        // Dynamic modes run fewer compute cycles than dense on the same
-        // engine — the reconciliation covers genuinely different traces.
-        let dense = report.cases.iter().find(|c| c.mode == "Dense").unwrap();
-        let both = report.cases.iter().find(|c| c.mode == "SkipBoth").unwrap();
-        assert_ne!(dense.compute_cycles, both.compute_cycles);
-
-        let text = render_text(&report);
-        assert!(text.contains("telemetry gate: ok"));
-        assert!(text.contains("serving mirror"));
-        assert!(text.contains("thread utilization"));
-
-        let json = render_json_section(&report);
-        assert!(json.starts_with("  \"telemetry\": {"));
-        assert!(json.contains("\"reconciliation\": ["));
-        assert!(json.contains("\"mode\": \"SkipBoth\""));
-        assert!(json.contains("\"serving_mirror\""));
-        assert!(json.contains("\"noop_overhead\""));
-        assert!(json.contains("\"thread_utilization\""));
-        assert!(json.contains("\"verified\": true"));
-        assert!(json.ends_with('}'));
-    }
 
     #[test]
     fn flags_parse_and_pick_the_sink() {
@@ -777,16 +125,14 @@ mod tests {
         assert_eq!(flags.trace_out.as_deref(), Some("t.json"));
         assert!(flags.telemetry_out.is_none());
         assert!(flags.wants_artifacts());
-        assert_eq!(flags.sink().level(), Level::Detail);
 
-        let off: Vec<String> = ["--trace-out", "t.json", "--no-telemetry"]
-            .iter()
-            .map(|s| (*s).to_owned())
-            .collect();
-        let flags = TelemetryFlags::parse(&off);
-        assert!(flags.disabled && !flags.wants_artifacts());
-        assert!(!flags.sink().is_enabled());
-        assert!(flags.write_artifacts(&Telemetry::disabled()).is_empty());
+        // Without an artifact path no sink is recorded and nothing is
+        // written.
+        let none = TelemetryFlags::parse(&["--threads".to_owned(), "4".to_owned()]);
+        assert!(!none.wants_artifacts());
+        assert!(none
+            .write_artifacts(&Telemetry::enabled(Level::Detail))
+            .is_empty());
     }
 
     #[test]

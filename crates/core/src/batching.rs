@@ -5,9 +5,8 @@
 //! [`BatchCostModel`] is the plan-once costing substrate: it plans the
 //! model a single time, folds the per-layer timings into the Section IV-E
 //! (filter, per-image) split, and can then price any batch size in O(layers)
-//! without re-planning — [`time_batch`], [`throughput_sweep`],
-//! [`serve_requests`] and the `nc-serve` discrete-event simulator all cost
-//! batches through it.
+//! without re-planning — [`time_batch`], [`throughput_sweep`] and the
+//! `nc-serve` discrete-event simulator all cost batches through it.
 
 use nc_geometry::{DramModel, SimTime};
 
@@ -27,7 +26,7 @@ pub const DUMP_OVERLAP_EFFICIENCY: f64 = 0.5;
 /// One socket's Section IV-E time split: (one-time filter loading,
 /// per-image streaming + compute). Per-layer timings are sharded through
 /// [`SystemConfig::parallelism`] and folded in layer order, so the split is
-/// engine-independent. Shared by the batch and serving drivers.
+/// engine-independent. Shared by both [`BatchCostModel`] constructors.
 fn socket_times(config: &SystemConfig, plans: &[LayerPlan]) -> (SimTime, SimTime) {
     let layer_times = config
         .parallelism
@@ -335,82 +334,6 @@ pub fn time_batch(config: &SystemConfig, model: &nc_dnn::Model, batch: usize) ->
     BatchCostModel::new(config, model).report(batch)
 }
 
-/// Result of the multi-request throughput-serving driver: `N` concurrent
-/// inference requests dispatched round-robin across the host's sockets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingReport {
-    /// Number of requests served.
-    pub requests: usize,
-    /// Independent accelerator sockets the requests were spread over.
-    pub sockets: usize,
-    /// Requests dispatched to each socket (round-robin remainder first).
-    pub per_socket: Vec<usize>,
-    /// Time until the last request completes.
-    pub makespan: SimTime,
-    /// Aggregate inferences per second over the makespan.
-    pub throughput_ips: f64,
-    /// Mean request completion latency (all requests arrive at t = 0).
-    pub mean_latency: SimTime,
-    /// Worst-case request completion latency (the queue tail).
-    pub max_latency: SimTime,
-}
-
-/// Simulates serving `requests` concurrent inference requests across
-/// `config.sockets` independent Neural Cache sockets.
-///
-/// Each socket behaves per Section IV-E: its filters load once, stay
-/// stationary, and its queued requests then stream back-to-back, each
-/// paying only the per-image (non-filter) time. Requests are dispatched
-/// round-robin; request latencies are queueing delays plus service time,
-/// all derived from the deterministic timing model, so the report is fully
-/// reproducible.
-///
-/// # Panics
-///
-/// Panics if `requests` is zero.
-#[must_use]
-pub fn serve_requests(
-    config: &SystemConfig,
-    model: &nc_dnn::Model,
-    requests: usize,
-) -> ServingReport {
-    assert!(requests > 0, "must serve at least one request");
-    let cost = BatchCostModel::new(config, model);
-    let (filter_time, per_image_time) = (cost.filter_time(), cost.per_image_time());
-
-    let sockets = config.sockets.max(1);
-    let per_socket: Vec<usize> = (0..sockets)
-        .map(|s| requests / sockets + usize::from(s < requests % sockets))
-        .collect();
-
-    let mut makespan = SimTime::ZERO;
-    let mut latency_sum = 0.0f64;
-    let mut max_latency = SimTime::ZERO;
-    for &queued in &per_socket {
-        if queued == 0 {
-            continue;
-        }
-        // k-th request on this socket completes after the one-time filter
-        // load plus k back-to-back per-image services.
-        let tail = filter_time + per_image_time * queued as f64;
-        makespan = makespan.max(tail);
-        max_latency = max_latency.max(tail);
-        for k in 1..=queued {
-            latency_sum += (filter_time + per_image_time * k as f64).as_secs_f64();
-        }
-    }
-
-    ServingReport {
-        requests,
-        sockets,
-        per_socket,
-        makespan,
-        throughput_ips: requests as f64 / makespan.as_secs_f64(),
-        mean_latency: SimTime::from_secs(latency_sum / requests as f64),
-        max_latency,
-    }
-}
-
 /// Sweeps throughput over batch sizes (Figure 16's x-axis). The model is
 /// planned **once** through [`BatchCostModel`]; each sweep point reuses the
 /// same plan (identical to pointwise [`time_batch`], just not O(points *
@@ -472,41 +395,6 @@ mod tests {
         let model = inception_v3();
         let peak = time_batch(&config(), &model, 256).throughput_ips;
         assert!((450.0..800.0).contains(&peak), "got {peak:.0} inf/s");
-    }
-
-    #[test]
-    fn serving_one_request_matches_single_inference() {
-        let model = inception_v3();
-        let single = crate::timing::time_inference(&config(), &model).total();
-        let r = serve_requests(&config(), &model, 1);
-        assert_eq!(r.per_socket.iter().sum::<usize>(), 1);
-        assert!((r.makespan.as_secs_f64() - single.as_secs_f64()).abs() < 1e-12);
-        assert_eq!(r.mean_latency, r.max_latency);
-    }
-
-    #[test]
-    fn serving_spreads_requests_and_amortizes_filters() {
-        let model = inception_v3();
-        let one = serve_requests(&config(), &model, 1);
-        let many = serve_requests(&config(), &model, 64);
-        assert_eq!(many.sockets, 2);
-        assert_eq!(many.per_socket, vec![32, 32]);
-        // Filters load once per socket: 64 requests complete in far less
-        // than 64 single-request latencies.
-        assert!(many.makespan.as_secs_f64() < 40.0 * one.makespan.as_secs_f64());
-        // Later requests queue behind earlier ones.
-        assert!(many.mean_latency < many.max_latency);
-        assert!(many.throughput_ips > one.throughput_ips);
-        // Deterministic.
-        assert_eq!(many, serve_requests(&config(), &model, 64));
-    }
-
-    #[test]
-    fn serving_odd_requests_round_robins_the_remainder() {
-        let model = inception_v3();
-        let r = serve_requests(&config(), &model, 7);
-        assert_eq!(r.per_socket, vec![4, 3]);
-        assert_eq!(r.requests, 7);
     }
 
     #[test]

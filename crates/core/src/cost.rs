@@ -8,8 +8,9 @@
 //!   division). Figure/table regeneration uses this model.
 //! - [`DerivedCostModel`] uses the micro-op sequence lengths of the
 //!   `nc-sram` implementation; a test executes the real bit-serial ops and
-//!   asserts the constants stay in sync. The difference between the two is
-//!   quantified by the `cost_model_ablation` bench (DESIGN.md §6).
+//!   asserts the constants stay in sync. Selecting either through
+//!   `SystemConfig::cost` ([`CostModelKind`]) gives the ablation; an
+//!   end-to-end test keeps the two Inception v3 totals within 2x.
 
 use std::fmt;
 

@@ -118,6 +118,44 @@ mod tests {
     }
 
     #[test]
+    fn timing_rollups_reconcile_under_every_sparsity_mode() {
+        use crate::sparsity::SparsityMode;
+        use crate::ExecutionEngine;
+        // The weighted model, so the skip modes change the MAC phase.
+        let model = nc_dnn::workload::tiny_cnn(2018);
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::from_threads(4),
+        ] {
+            for mode in [
+                SparsityMode::Dense,
+                SparsityMode::SkipZeroRows,
+                SparsityMode::SkipZeroInputs,
+                SparsityMode::SkipBoth,
+            ] {
+                let mut config = SystemConfig::with_sparsity(mode);
+                config.parallelism = engine;
+                let report = time_inference(&config, &model);
+                let tel = Telemetry::enabled(Level::Spans);
+                trace_inference_report(&tel, &report);
+                assert_eq!(
+                    tel.sum_dur("timing.layer"),
+                    report.total().as_secs_f64(),
+                    "{engine:?}/{mode:?}: layer rollup != InferenceReport::total"
+                );
+                let breakdown = report.breakdown();
+                for phase in Phase::ALL {
+                    assert_eq!(
+                        tel.sum_dur_named("timing.phase", phase.label()),
+                        breakdown.get(phase).as_secs_f64(),
+                        "{engine:?}/{mode:?}: {phase:?} rollup != breakdown"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn tracing_below_spans_level_records_nothing() {
         let report = time_inference(&SystemConfig::xeon_e5_2697_v3(), &inception_v3());
         for tel in [Telemetry::disabled(), Telemetry::enabled(Level::Summary)] {

@@ -2,8 +2,7 @@
 //! and the `TELEMETRY.json` rollup artifact.
 //!
 //! Both are hand-rolled `writeln!` JSON, matching the workspace's
-//! vendored-offline policy (no serde) and the style of
-//! `nc_bench::perf::render_json_all`.
+//! vendored-offline policy (no serde).
 
 use std::fmt::Write as _;
 

@@ -10,8 +10,8 @@
 //! contract that makes it more than logging: every rollup derivable from a
 //! trace must reconcile **exactly** (integer-exact for cycle counters,
 //! bit-exact for simulated-time folds) against the counters the simulators
-//! report, so the trace is a faithful second witness, enforced by proptests
-//! in `neural-cache`/`nc-serve` and a CI gate in `nc-bench`.
+//! report, so the trace is a faithful second witness, enforced by unit tests
+//! and proptests in `neural-cache`/`nc-serve`.
 //!
 //! Three pieces:
 //!
@@ -19,9 +19,8 @@
 //!   **no-op sink** ([`Telemetry::disabled`]). The disabled handle holds no
 //!   allocation and every record call is a single branch on an `Option`, so
 //!   instrumented hot paths cost nothing when telemetry is off (the default
-//!   everywhere). A [`Level`] filter (parsed from the `NC_TELEMETRY`
-//!   environment variable, or forced by `--trace-out`/`--no-telemetry` in
-//!   the bench binaries) gates how much detail an enabled sink records.
+//!   everywhere). A [`Level`] filter, chosen when the sink is created,
+//!   gates how much detail an enabled sink records.
 //! - A metrics registry on the same handle: named monotonic counters,
 //!   gauges, log2-bucketed [`Histogram`]s, and the time-weighted
 //!   [`TimeWeightedHistogram`] the serving queue-depth report feeds.
@@ -49,8 +48,8 @@ pub use registry::{bucket_floor, log2_bucket, Histogram, TimeWeightedHistogram, 
 /// How much an enabled sink records, in increasing detail.
 ///
 /// Ordered so `level >= Level::Spans` style comparisons read naturally;
-/// [`Level::Off`] exists only as the parse result that maps to a disabled
-/// handle (an enabled sink always has a level above `Off`).
+/// [`Level::Off`] is the level of the disabled handle (an enabled sink
+/// always has a level above `Off`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Level {
     /// Record nothing (disabled handle).
@@ -58,32 +57,15 @@ pub enum Level {
     Off,
     /// Metrics registry only: counters, gauges, histograms.
     Summary,
-    /// Metrics plus per-layer / per-event spans (the default for
-    /// `--trace-out`).
+    /// Metrics plus per-layer / per-event spans.
     Spans,
-    /// Everything: per-op and per-shard spans too.
+    /// Everything: per-op and per-shard spans too (what the bench
+    /// binaries' `--trace-out` records).
     Detail,
 }
 
 impl Level {
-    /// Parses an `NC_TELEMETRY`-style level string. Accepts names
-    /// (`off`/`summary`/`spans`/`detail`, case-insensitive) and the numeric
-    /// shorthands `0`–`3`; anything unrecognized is `Off` so a typo can
-    /// never make a hot path start recording.
-    #[must_use]
-    pub fn parse(s: &str) -> Self {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "summary" | "1" => Level::Summary,
-            "spans" | "2" => Level::Spans,
-            "detail" | "3" => Level::Detail,
-            _ => Level::Off,
-        }
-    }
-
-    /// The environment variable [`Telemetry::from_env`] reads.
-    pub const ENV_VAR: &'static str = "NC_TELEMETRY";
-
-    /// Stable lowercase name (inverse of [`Level::parse`]).
+    /// Stable lowercase name (the `"level"` field of the rollup JSON).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -182,16 +164,6 @@ impl Telemetry {
                 level,
                 state: Mutex::new(State::default()),
             })),
-        }
-    }
-
-    /// A sink at the level named by the `NC_TELEMETRY` environment variable
-    /// (disabled when unset or unrecognized).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var(Level::ENV_VAR) {
-            Ok(v) => Telemetry::enabled(Level::parse(&v)),
-            Err(_) => Telemetry::disabled(),
         }
     }
 
@@ -466,16 +438,18 @@ mod tests {
 
     #[test]
     fn level_parsing_round_trips_and_defaults_off() {
-        assert_eq!(Level::parse("off"), Level::Off);
-        assert_eq!(Level::parse("SUMMARY"), Level::Summary);
-        assert_eq!(Level::parse("spans"), Level::Spans);
-        assert_eq!(Level::parse(" detail "), Level::Detail);
-        assert_eq!(Level::parse("2"), Level::Spans);
-        assert_eq!(Level::parse("bogus"), Level::Off);
-        for l in [Level::Off, Level::Summary, Level::Spans, Level::Detail] {
-            assert_eq!(Level::parse(l.name()), l);
+        let levels = [Level::Off, Level::Summary, Level::Spans, Level::Detail];
+        let names: Vec<&str> = levels.iter().map(|l| l.name()).collect();
+        assert_eq!(names, ["off", "summary", "spans", "detail"]);
+        // Ordered by detail, so `tel.at(level)` is a plain comparison.
+        assert!(levels.windows(2).all(|w| w[0] < w[1]));
+        // A sink reports the level it was created with; Off is the default
+        // and the level of the disabled handle.
+        for l in levels {
+            assert_eq!(Telemetry::enabled(l).level(), l);
         }
-        assert!(Level::Detail > Level::Spans);
+        assert_eq!(Level::default(), Level::Off);
+        assert_eq!(Telemetry::default().level(), Level::Off);
     }
 
     #[test]

@@ -103,24 +103,6 @@ fn table3_energy_ordering_holds() {
 }
 
 #[test]
-fn serving_driver_scales_with_sockets_and_stays_deterministic() {
-    use neural_cache_repro::cache::serve_requests;
-    let model = inception_v3();
-    let config = SystemConfig::xeon_e5_2697_v3();
-    let r = serve_requests(&config, &model, 32);
-    assert_eq!(r.sockets, 2);
-    assert_eq!(r.per_socket, vec![16, 16]);
-    // Steady-state serving beats the batch-1 number (filters amortize) and
-    // stays below the batched peak (no reserved-way dump modeling here).
-    let single = 1.0 / time_inference(&config, &model).total().as_secs_f64();
-    assert!(r.throughput_ips > single);
-    // The parallelism knob must not change the simulated report.
-    let mut threaded = config.clone();
-    threaded.parallelism = neural_cache_repro::cache::ExecutionEngine::from_threads(4);
-    assert_eq!(r, serve_requests(&threaded, &model, 32));
-}
-
-#[test]
 fn discrete_event_serving_simulator_end_to_end() {
     use neural_cache_repro::serve::{simulate, BatchPolicy, ServeConfig, TraceConfig};
     let model = inception_v3();
