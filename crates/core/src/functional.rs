@@ -49,7 +49,7 @@ use nc_dnn::{
     Requantizer, Shape,
 };
 use nc_sram::ops::copy_lanes_between;
-use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, SramError, COLS};
+use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, Operand, SramError, COLS};
 use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
 use crate::engine::{ExecutionEngine, ShardObserver};
@@ -882,6 +882,8 @@ fn mac_reduce_run(
 
     let groups = filters.len();
     let mut partial_arrays = Vec::with_capacity(arrays_per_filter);
+    let mut w_lanes = vec![0u64; groups * group_span];
+    let mut x_lanes = w_lanes.clone();
 
     for array_idx in 0..arrays_per_filter {
         let mut arr = pool.acquire();
@@ -895,17 +897,13 @@ fn mac_reduce_run(
             // transfer time is the movement model's concern).
             for (g, chunks) in filters.iter().enumerate() {
                 for l in 0..group_span {
-                    let lane = g * group_span + l;
-                    let byte = chunks.get(lane_base + l).map_or(0, |c| c[t]);
-                    arr.poke_lane(lane, filter_byte, u64::from(byte));
+                    let tap = |lanes: &[Vec<u8>]| lanes.get(lane_base + l).map_or(0, |c| c[t]);
+                    w_lanes[g * group_span + l] = u64::from(tap(chunks));
+                    x_lanes[g * group_span + l] = u64::from(tap(input_lanes));
                 }
             }
-            for l in 0..group_span {
-                let byte = input_lanes.get(lane_base + l).map_or(0, |c| c[t]);
-                for g in 0..groups {
-                    arr.poke_lane(g * group_span + l, input_byte, u64::from(byte));
-                }
-            }
+            arr.poke_lanes(0, filter_byte, &w_lanes)?;
+            arr.poke_lanes(0, input_byte, &x_lanes)?;
             // S1 += w * x ; S2 += x — all lanes in parallel.
             *cycles += l.mac_tap(&mut arr, mode)?;
         }
@@ -927,13 +925,13 @@ fn mac_reduce_run(
         *cycles += arr0.add_assign(s2_a, s2_b)?;
     }
 
-    let mut s1s = Vec::with_capacity(groups);
-    let mut s2s = Vec::with_capacity(groups);
-    for g in 0..groups {
-        s1s.push(arr0.peek_lane(g * group_span, seg_a));
-        s2s.push(arr0.peek_lane(g * group_span, s2_a));
-    }
-    Ok((s1s, s2s))
+    // Group g's sums sit on its first lane.
+    let group_sums = |op| {
+        (0..groups)
+            .map(|g| peek_one(arr0, g * group_span, op))
+            .collect::<Result<Vec<u64>>>()
+    };
+    Ok((group_sums(seg_a)?, group_sums(s2_a)?))
 }
 
 /// Assembles `ACC = S1 - zp_w*S2 + C0` in a 40-bit two's-complement
@@ -947,7 +945,6 @@ fn assemble_acc(
     c0: i64,
     relu: bool,
 ) -> Result<i64> {
-    const W: usize = 40;
     let layout::AssembleLayout {
         s1_op,
         s2_op,
@@ -958,9 +955,10 @@ fn assemble_acc(
     } = layout::AssembleLayout::new();
     let mut arr = pool.acquire();
 
-    arr.poke_lane(0, s1_op, s1);
-    arr.poke_lane(0, s2_op, s2);
-    arr.poke_lane_signed(0, c0_op, clamp_to_bits(c0, W));
+    arr.poke_lanes(0, s1_op, &[s1])?;
+    arr.poke_lanes(0, s2_op, &[s2])?;
+    let c0 = c0_op.signed_code(clamp_to_bits(c0, c0_op.bits()))?;
+    arr.poke_lanes(0, c0_op, &[c0])?;
 
     *cycles += arr.copy_zext(s1_op, t)?;
     *cycles += arr.mul_scalar(s2_op, zp_w, u)?;
@@ -969,7 +967,7 @@ fn assemble_acc(
     if relu {
         *cycles += arr.relu(t)?;
     }
-    Ok(arr.peek_lane_signed(0, t))
+    Ok(t.signed_value(peek_one(&arr, 0, t)?))
 }
 
 /// One 256-lane min/max ranging run over a chunk of accumulators.
@@ -981,20 +979,19 @@ fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<(i64, i64, CycleStat
     let mut cycles = CycleStats::new();
     let mut min = i64::MAX;
     let mut max = i64::MIN;
+    // Idle lanes replicate the first value (neutral for both reductions).
+    let lanes: Vec<u64> = (0..COLS)
+        .map(|lane| (chunk.get(lane).copied().unwrap_or(chunk[0]) + OFFSET) as u64)
+        .collect();
     for want_max in [false, true] {
         let mut arr = pool.acquire();
-        for lane in 0..COLS {
-            // Idle lanes replicate the first value (neutral for both
-            // reductions).
-            let val = chunk.get(lane).copied().unwrap_or(chunk[0]);
-            arr.poke_lane(lane, v, (val + OFFSET) as u64);
-        }
+        arr.poke_lanes(0, v, &lanes)?;
         if want_max {
             cycles += arr.reduce_max(v, scratch, cmp, DUMP, COLS)?;
-            max = max.max(arr.peek_lane(0, v) as i64 - OFFSET);
+            max = max.max(peek_one(&arr, 0, v)? as i64 - OFFSET);
         } else {
             cycles += arr.reduce_min(v, scratch, cmp, DUMP, COLS)?;
-            min = min.min(arr.peek_lane(0, v) as i64 - OFFSET);
+            min = min.min(peek_one(&arr, 0, v)? as i64 - OFFSET);
         }
     }
     Ok((min, max, cycles))
@@ -1012,9 +1009,11 @@ fn requant_chunk(
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    for (lane, &v) in chunk.iter().enumerate() {
-        arr.poke_lane_signed(lane, d_op, clamp_to_bits(v, 40));
-    }
+    let accs = chunk
+        .iter()
+        .map(|&v| d_op.signed_code(clamp_to_bits(v, d_op.bits())))
+        .collect::<std::result::Result<Vec<u64>, SramError>>()?;
+    arr.poke_lanes(0, d_op, &accs)?;
     // D = max(ACC - acc_min, 0).
     cycles += arr.add_scalar_signed(d_op, -requant.acc_min)?;
     cycles += arr.relu(d_op)?;
@@ -1022,12 +1021,7 @@ fn requant_chunk(
     cycles += arr.mul_scalar(d32, u64::from(requant.multiplier), prod)?;
     let shifted = prod.slice(requant.shift as usize, 16)?;
     cycles += arr.clamp_max_scalar(shifted, 255, DUMP)?;
-    let q_op = shifted.slice(0, 8)?;
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, q_op) as u8;
-    }
-    Ok((out, cycles))
+    Ok((peek_bytes(&arr, shifted.slice(0, 8)?, chunk.len())?, cycles))
 }
 
 /// One 256-code code-to-code requantization array run.
@@ -1041,9 +1035,7 @@ fn code_requant_chunk(
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    for (lane, &q) in chunk.iter().enumerate() {
-        arr.poke_lane(lane, q_in, u64::from(q));
-    }
+    poke_bytes(&mut arr, q_in, chunk.iter().copied())?;
     cycles += arr.mul_scalar(q_in, m_abs, prod)?;
     // m is non-negative for real scale ratios; fold c (possibly negative)
     // as a two's-complement scalar add.
@@ -1051,12 +1043,7 @@ fn code_requant_chunk(
     cycles += arr.relu(prod)?;
     let shifted = prod.slice(map.sh as usize, 16)?;
     cycles += arr.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
-    let q_op = shifted.slice(0, 8)?;
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, q_op) as u8;
-    }
-    Ok((out, cycles))
+    Ok((peek_bytes(&arr, shifted.slice(0, 8)?, chunk.len())?, cycles))
 }
 
 /// Max pooling over one 256-lane chunk: running max via subtract / MSB
@@ -1071,23 +1058,18 @@ fn pool_max_chunk(
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    for (lane, w) in chunk.iter().enumerate() {
-        arr.poke_lane(lane, acc, u64::from(w[0]));
-    }
+    poke_bytes(&mut arr, acc, chunk.iter().map(|w| w[0]))?;
     for i in 1..max_window {
-        for (lane, w) in chunk.iter().enumerate() {
-            // Short windows (image edges) repeat their first element,
-            // which is a no-op for max.
-            let v = w.get(i).copied().unwrap_or(w[0]);
-            arr.poke_lane(lane, x, u64::from(v));
-        }
+        // Short windows (image edges) repeat their first element, which is
+        // a no-op for max.
+        poke_bytes(
+            &mut arr,
+            x,
+            chunk.iter().map(|w| w.get(i).copied().unwrap_or(w[0])),
+        )?;
         cycles += arr.max_assign(acc, x, scratch, DUMP)?;
     }
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, acc) as u8;
-    }
-    Ok((out, cycles))
+    Ok((peek_bytes(&arr, acc, chunk.len())?, cycles))
 }
 
 /// Average pooling over one 256-lane chunk: bit-serial window sum, then
@@ -1111,22 +1093,37 @@ fn pool_avg_chunk(
     let mut arr = pool.acquire();
     cycles += arr.zero(sum)?;
     for i in 0..max_window {
-        for (lane, w) in chunk.iter().enumerate() {
-            let v = w.get(i).copied().unwrap_or(0);
-            arr.poke_lane(lane, x, u64::from(v));
-        }
+        poke_bytes(
+            &mut arr,
+            x,
+            chunk.iter().map(|w| w.get(i).copied().unwrap_or(0)),
+        )?;
         cycles += arr.add_assign(sum, x)?;
     }
-    for (lane, w) in chunk.iter().enumerate() {
-        arr.poke_lane(lane, den, w.len() as u64);
-    }
+    let counts: Vec<u64> = chunk.iter().map(|w| w.len() as u64).collect();
+    arr.poke_lanes(0, den, &counts)?;
     cycles += arr.div(sum, den, quot, rem, trial, notden)?;
-    let q_op = quot.slice(0, 8)?;
-    let mut out = vec![0u8; chunk.len()];
-    for (lane, byte) in out.iter_mut().enumerate() {
-        *byte = arr.peek_lane(lane, q_op) as u8;
-    }
-    Ok((out, cycles))
+    Ok((peek_bytes(&arr, quot.slice(0, 8)?, chunk.len())?, cycles))
+}
+
+/// Stages one byte per lane, from lane 0 on, into `op`.
+fn poke_bytes(arr: &mut ComputeArray, op: Operand, bytes: impl Iterator<Item = u8>) -> Result<()> {
+    let lanes: Vec<u64> = bytes.map(u64::from).collect();
+    Ok(arr.poke_lanes(0, op, &lanes)?)
+}
+
+/// Lane `lane`'s value of `op`.
+fn peek_one(arr: &ComputeArray, lane: usize, op: Operand) -> Result<u64> {
+    let mut value = [0];
+    arr.peek_lanes(lane, op, &mut value)?;
+    Ok(value[0])
+}
+
+/// Reads the 8-bit `op` of lanes `0..lanes`.
+fn peek_bytes(arr: &ComputeArray, op: Operand, lanes: usize) -> Result<Vec<u8>> {
+    let mut values = vec![0u64; lanes];
+    arr.peek_lanes(0, op, &mut values)?;
+    Ok(values.into_iter().map(|v| v as u8).collect())
 }
 
 // ----------------------------------------------------------------------
@@ -1538,6 +1535,33 @@ mod tests {
             run_model_with(&model, &input, ExecutionEngine::from_threads(16)).expect("threaded");
         assert_eq!(seq.output.data(), thr.output.data());
         assert_eq!(seq.cycles, thr.cycles);
+    }
+
+    #[test]
+    fn unstageable_operand_is_a_typed_error() {
+        // A 16x16 average window holds 256 elements: one count more than the
+        // 8-bit divisor operand of the pooling layout can stage.
+        let model = Model {
+            name: "avg16".into(),
+            input_shape: Shape::new(16, 16, 1),
+            input_quant: ActQuant::from_range(0.0, 1.0),
+            layers: vec![Layer::Pool(nc_dnn::Pool2d {
+                name: "avg16/pool".into(),
+                kind: PoolKind::Avg,
+                k: 16,
+                stride: 1,
+                padding: Padding::Valid,
+            })],
+        };
+        let input = random_input(model.input_shape, model.input_quant, 5);
+        let err = run_model(&model, &input).unwrap_err();
+        assert_eq!(
+            err,
+            FunctionalError::Sram(SramError::DestinationTooNarrow {
+                needed: 9,
+                available: 8,
+            })
+        );
     }
 
     #[test]

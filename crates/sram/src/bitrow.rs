@@ -162,6 +162,74 @@ impl BitRow {
         (0..COLS).map(move |c| self.get(c))
     }
 
+    /// The row whose column `64 * i + j` is bit `j` of `words[i]`.
+    #[inline]
+    pub(crate) const fn from_words(words: [u64; ROW_WORDS]) -> Self {
+        BitRow { words }
+    }
+
+    /// The backing words, column `64 * i + j` in bit `j` of word `i`.
+    #[inline]
+    pub(crate) const fn words(&self) -> &[u64; ROW_WORDS] {
+        &self.words
+    }
+
+    /// Mutable [`BitRow::words`].
+    #[inline]
+    pub(crate) fn words_mut(&mut self) -> &mut [u64; ROW_WORDS] {
+        &mut self.words
+    }
+
+    /// The mask of columns `start..end` (empty when `start >= end`).
+    #[inline]
+    pub(crate) fn lane_range(start: usize, end: usize) -> BitRow {
+        let below = |n: usize| {
+            BitRow::from_words(std::array::from_fn(|i| {
+                let n = n.saturating_sub(64 * i);
+                if n >= 64 {
+                    u64::MAX
+                } else {
+                    (1u64 << n) - 1
+                }
+            }))
+        };
+        below(end).and(&below(start).not())
+    }
+
+    /// The row moved `cols` columns towards column 0: column `c` of the
+    /// result is column `c + cols` of `self`, and the top `cols` columns
+    /// are clear.
+    #[inline]
+    pub(crate) fn shift_down(&self, cols: usize) -> BitRow {
+        let (skip, bits) = (cols / 64, cols % 64);
+        let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        BitRow::from_words(std::array::from_fn(|i| {
+            let (lo, hi) = (word(i + skip), word(i + skip + 1));
+            if bits == 0 {
+                lo
+            } else {
+                (lo >> bits) | (hi << (64 - bits))
+            }
+        }))
+    }
+
+    /// The row moved `cols` columns away from column 0: column `c + cols` of
+    /// the result is column `c` of `self`, and the low `cols` columns are
+    /// clear.
+    #[inline]
+    pub(crate) fn shift_up(&self, cols: usize) -> BitRow {
+        let (skip, bits) = (cols / 64, cols % 64);
+        let word = |i: Option<usize>| i.and_then(|i| self.words.get(i)).copied().unwrap_or(0);
+        BitRow::from_words(std::array::from_fn(|i| {
+            let lo = word(i.checked_sub(skip));
+            if bits == 0 {
+                lo
+            } else {
+                (lo << bits) | (word(i.checked_sub(skip + 1)) >> (64 - bits))
+            }
+        }))
+    }
+
     #[inline]
     fn zip(&self, other: &BitRow, f: impl Fn(u64, u64) -> u64) -> BitRow {
         let mut out = BitRow::zero();
@@ -278,6 +346,44 @@ mod tests {
         assert_eq!(a | b, a.or(&b));
         assert_eq!(a ^ b, a.xor(&b));
         assert_eq!(!a, a.not());
+    }
+
+    #[test]
+    fn shifts_and_lane_ranges_match_per_column_moves() {
+        let row = BitRow::from_fn(|c| (c * 7 + c / 5) % 3 == 0);
+        for cols in [0, 1, 5, 63, 64, 65, 127, 128, 200, 255, 256, 300] {
+            let (down, up) = (row.shift_down(cols), row.shift_up(cols));
+            for c in 0..COLS {
+                assert_eq!(
+                    down.get(c),
+                    c + cols < COLS && row.get(c + cols),
+                    "down {cols} col {c}"
+                );
+                assert_eq!(
+                    up.get(c),
+                    c >= cols && row.get(c - cols),
+                    "up {cols} col {c}"
+                );
+            }
+        }
+        for (start, end) in [
+            (0, 0),
+            (0, 1),
+            (3, 64),
+            (63, 65),
+            (0, 256),
+            (100, 90),
+            (255, 256),
+        ] {
+            let mask = BitRow::lane_range(start, end);
+            for c in 0..COLS {
+                assert_eq!(
+                    mask.get(c),
+                    (start..end).contains(&c),
+                    "{start}..{end} col {c}"
+                );
+            }
+        }
     }
 
     #[test]

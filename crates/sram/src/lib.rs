@@ -21,13 +21,17 @@
 //!   accounting. Micro-ops cost exactly one cycle; high-level bit-serial
 //!   operations (`add`, `sub`, `mul`, `div`, `max`, `relu`, tree reduction,
 //!   predicated copies, scalar broadcasts, equality search) are built from
-//!   micro-ops, so their cycle counts are *derived*, not asserted.
+//!   micro-ops, so their cycle counts are *derived*, not asserted. Each
+//!   operation checks its operands before its first cycle, so a rejected
+//!   one changes nothing. Operands are staged for free through
+//!   [`ComputeArray::poke_lanes`]/[`ComputeArray::peek_lanes`].
 //! - [`Operand`]: a transposed operand descriptor (base row + bit width).
 //! - [`Schedule`]: the per-cycle word-line read/write sets a
 //!   [`ComputeArray`] records from its own micro-ops while recording is on
 //!   — the schedule static checkers verify is the one that ran.
 //! - [`TransposeUnit`]: the 8T-SRAM transpose memory unit (TMU) that converts
-//!   between bit-parallel and transposed layouts.
+//!   between bit-parallel and transposed layouts; its bit packing is also
+//!   the compute array's operand loader.
 //! - [`stats`]: cycle statistics and the paper's per-cycle timing/energy
 //!   constants (1022 ps compute cycle, 15.4 pJ/compute cycle at 22 nm, ...).
 //! - [`area`]: the Figure-12 area model (7.5% array overhead, TMU and control

@@ -136,6 +136,32 @@ impl Operand {
             (1u64 << self.bits) - 1
         }
     }
+
+    /// The two's-complement code of `value` in this operand: its low
+    /// `bits()` bits (all 64 for operands of 64 bits or more).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SramError::DestinationTooNarrow`] when `value` does not fit
+    /// in `bits()` two's-complement bits.
+    pub fn signed_code(&self, value: i64) -> Result<u64> {
+        let needed = 65 - (value ^ (value >> 63)).leading_zeros() as usize;
+        if needed > self.bits {
+            return Err(SramError::DestinationTooNarrow {
+                needed,
+                available: self.bits,
+            });
+        }
+        Ok(value as u64 & self.max_value())
+    }
+
+    /// The value of the two's-complement code `code`: its low `bits()` bits,
+    /// sign-extended (operands of 64 bits or more read all 64).
+    #[must_use]
+    pub fn signed_value(&self, code: u64) -> i64 {
+        let unused = 64 - self.bits.min(64);
+        ((code << unused) as i64) >> unused
+    }
 }
 
 impl fmt::Display for Operand {
@@ -209,6 +235,29 @@ mod tests {
         let intersects = a.rows().start < b.rows().end && b.rows().start < a.rows().end;
         assert_eq!(intersects, a.overlaps(&b));
         assert!(a.rows().all(|r| a.contains_row(r)));
+    }
+
+    #[test]
+    fn signed_codes_round_trip_and_reject_values_that_do_not_fit() {
+        let op = Operand::new(0, 8).unwrap();
+        for v in [-128i64, -1, 0, 1, 127] {
+            let code = op.signed_code(v).unwrap();
+            assert!(code <= op.max_value());
+            assert_eq!(op.signed_value(code), v);
+        }
+        assert_eq!(op.signed_code(-1), Ok(0xFF));
+        for (v, needed) in [(128, 9), (-129, 9), (i64::MIN, 64)] {
+            assert_eq!(
+                op.signed_code(v),
+                Err(SramError::DestinationTooNarrow {
+                    needed,
+                    available: 8
+                })
+            );
+        }
+        let wide = Operand::new(0, 80).unwrap();
+        assert_eq!(wide.signed_code(i64::MIN), Ok(1 << 63));
+        assert_eq!(wide.signed_value(1 << 63), i64::MIN);
     }
 
     #[test]

@@ -13,9 +13,9 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails on width mismatch or if `dst` partially overlaps an input
+    /// Fails on width mismatch, if `dst` partially overlaps an input
     /// (aliasing `dst == a` exactly is allowed: each cycle reads the operand
-    /// row before the write-back phase).
+    /// row before the write-back phase), or if `dst` covers the zero row.
     pub fn add(&mut self, a: Operand, b: Operand, dst: Operand) -> Result<CycleStats> {
         let n = a.bits();
         if b.bits() != n {
@@ -40,21 +40,14 @@ impl ComputeArray {
                 what: "addition destination partially overlaps an input",
             });
         }
-        // Post-validation invariants every emitted micro-op relies on.
-        debug_assert!(!a.overlaps(&b), "add inputs alias: {a} vs {b}");
-        debug_assert!(
-            a.rows().end <= crate::ROWS
-                && b.rows().end <= crate::ROWS
-                && dst.rows().end <= crate::ROWS,
-            "add operands out of bounds: {a}, {b}, {dst}"
-        );
+        self.guard_zero_row(&dst)?;
         let before = self.stats();
         self.preset_carry(false);
         for i in 0..n {
-            self.op_full_add(a.row(i), b.row(i), dst.row(i), Predicate::Always)?;
+            self.step_full_add(a.row(i), b.row(i), dst.row(i), Predicate::Always);
         }
         if dst.bits() == n + 1 {
-            self.op_write_carry(dst.row(n), Predicate::Always)?;
+            self.step_write_carry(dst.row(n), Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -68,9 +61,17 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails if the accumulator is narrower than the addend or the regions
-    /// overlap.
+    /// Fails if the accumulator is narrower than the addend, the regions
+    /// overlap, or the accumulator covers the zero row.
     pub fn add_assign(&mut self, acc: Operand, addend: Operand) -> Result<CycleStats> {
+        self.check_add_assign(acc, addend)?;
+        let before = self.stats();
+        self.add_assign_steps(acc, addend);
+        Ok(self.stats() - before)
+    }
+
+    /// The checks of [`ComputeArray::add_assign`].
+    pub(crate) fn check_add_assign(&self, acc: Operand, addend: Operand) -> Result<()> {
         if acc.bits() < addend.bits() {
             return Err(SramError::DestinationTooNarrow {
                 needed: addend.bits(),
@@ -82,15 +83,20 @@ impl ComputeArray {
                 what: "accumulator overlaps addend",
             });
         }
-        let before = self.stats();
+        self.guard_zero_row(&acc)
+    }
+
+    /// The cycles of [`ComputeArray::add_assign`], for callers that ran
+    /// [`ComputeArray::check_add_assign`].
+    pub(crate) fn add_assign_steps(&mut self, acc: Operand, addend: Operand) {
         self.preset_carry(false);
-        for i in 0..addend.bits() {
-            self.op_full_add(addend.row(i), acc.row(i), acc.row(i), Predicate::Always)?;
+        let carry_from = acc.base() + addend.bits();
+        for (x, r) in addend.rows().zip(acc.base()..carry_from) {
+            self.step_full_add(x, r, r, Predicate::Always);
         }
-        for i in addend.bits()..acc.bits() {
-            self.op_full_add_const(acc.row(i), false, acc.row(i), Predicate::Always)?;
+        for r in carry_from..acc.rows().end {
+            self.step_full_add_const(r, false, r, Predicate::Always);
         }
-        Ok(self.stats() - before)
     }
 
     /// In-place broadcast-constant addition `op <- op + k` modulo
@@ -101,13 +107,14 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Propagates row errors.
+    /// Fails if the operand covers the zero row.
     pub fn add_scalar(&mut self, op: Operand, k: u64) -> Result<CycleStats> {
+        self.guard_zero_row(&op)?;
         let before = self.stats();
         self.preset_carry(false);
         for i in 0..op.bits() {
             let bit = i < 64 && (k >> i) & 1 == 1;
-            self.op_full_add_const(op.row(i), bit, op.row(i), Predicate::Always)?;
+            self.step_full_add_const(op.row(i), bit, op.row(i), Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -148,8 +155,9 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Requires the zero row. All three regions and `scratch` must be
-    /// pairwise non-overlapping except that `dst` may alias `a` exactly.
+    /// Requires the zero row, clear of `b`, `dst` and the `n` scratch rows.
+    /// All three regions and `scratch` must be pairwise non-overlapping
+    /// except that `dst` may alias `a` exactly.
     pub fn sub(
         &mut self,
         a: Operand,
@@ -186,13 +194,16 @@ impl ComputeArray {
                 return Err(SramError::OverlappingOperands { what });
             }
         }
+        let zero = self.zero_for_complement(&b)?;
+        self.guard_zero_row(&scratch.slice(0, n)?)?;
+        self.guard_zero_row(&dst)?;
         let before = self.stats();
         for i in 0..n {
-            self.op_not(b.row(i), scratch.row(i), Predicate::Always)?;
+            self.step_not(b.row(i), zero, scratch.row(i), Predicate::Always);
         }
         self.preset_carry(true);
         for i in 0..n {
-            self.op_full_add(a.row(i), scratch.row(i), dst.row(i), Predicate::Always)?;
+            self.step_full_add(a.row(i), scratch.row(i), dst.row(i), Predicate::Always);
         }
         Ok(self.stats() - before)
     }

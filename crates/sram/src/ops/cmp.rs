@@ -13,8 +13,9 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Requires the zero row; `scratch` must hold `n` bits disjoint from the
-    /// inputs, and `dump_row` must lie outside every named region.
+    /// Requires the zero row, clear of `b`, of the `n` scratch rows and of
+    /// `dump_row`; `scratch` must hold `n` bits disjoint from the inputs,
+    /// and `dump_row` must lie in the array, outside every named region.
     pub fn compare_ge(
         &mut self,
         a: Operand,
@@ -22,6 +23,20 @@ impl ComputeArray {
         scratch: Operand,
         dump_row: usize,
     ) -> Result<CycleStats> {
+        let zero = self.check_compare_ge(a, b, scratch, dump_row)?;
+        let before = self.stats();
+        self.compare_ge_steps(a, b, scratch, dump_row, zero);
+        Ok(self.stats() - before)
+    }
+
+    /// The checks of [`ComputeArray::compare_ge`]; returns the zero row.
+    fn check_compare_ge(
+        &self,
+        a: Operand,
+        b: Operand,
+        scratch: Operand,
+        dump_row: usize,
+    ) -> Result<usize> {
         let n = a.bits();
         if b.bits() != n {
             return Err(SramError::OverlappingOperands {
@@ -44,15 +59,29 @@ impl ComputeArray {
                 what: "dump row lies inside a comparison region",
             });
         }
-        let before = self.stats();
-        for i in 0..n {
-            self.op_not(b.row(i), scratch.row(i), Predicate::Always)?;
+        let zero = self.zero_for_complement(&b)?;
+        self.guard_zero_row(&scratch.slice(0, n)?)?;
+        self.check_write(dump_row)?;
+        Ok(zero)
+    }
+
+    /// The cycles of [`ComputeArray::compare_ge`], for callers that ran
+    /// its checks; `zero` is the zero row.
+    fn compare_ge_steps(
+        &mut self,
+        a: Operand,
+        b: Operand,
+        scratch: Operand,
+        dump_row: usize,
+        zero: usize,
+    ) {
+        for (x, s) in b.rows().zip(scratch.rows()) {
+            self.step_not(x, zero, s, Predicate::Always);
         }
         self.preset_carry(true);
-        for i in 0..n {
-            self.op_full_add(a.row(i), scratch.row(i), dump_row, Predicate::Always)?;
+        for (x, s) in a.rows().zip(scratch.rows()) {
+            self.step_full_add(x, s, dump_row, Predicate::Always);
         }
-        Ok(self.stats() - before)
     }
 
     /// Unsigned lane-wise running maximum: `acc <- max(acc, x)`.
@@ -63,7 +92,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Same constraints as [`ComputeArray::compare_ge`].
+    /// Same constraints as [`ComputeArray::compare_ge`], and `acc` must be
+    /// clear of the zero row.
     pub fn max_assign(
         &mut self,
         acc: Operand,
@@ -71,12 +101,9 @@ impl ComputeArray {
         scratch: Operand,
         dump_row: usize,
     ) -> Result<CycleStats> {
+        let zero = self.check_extremum(acc, x, scratch, dump_row)?;
         let before = self.stats();
-        self.compare_ge(acc, x, scratch, dump_row)?;
-        // carry = (acc >= x); replace where acc < x.
-        self.op_write_carry(dump_row, Predicate::Always)?;
-        self.op_load_tag_not(dump_row)?;
-        self.copy(x, acc, Predicate::Tag)?;
+        self.extremum_steps(true, acc, x, scratch, dump_row, zero);
         Ok(self.stats() - before)
     }
 
@@ -85,7 +112,7 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Same constraints as [`ComputeArray::compare_ge`].
+    /// Same constraints as [`ComputeArray::max_assign`].
     pub fn min_assign(
         &mut self,
         acc: Operand,
@@ -93,13 +120,47 @@ impl ComputeArray {
         scratch: Operand,
         dump_row: usize,
     ) -> Result<CycleStats> {
+        let zero = self.check_extremum(acc, x, scratch, dump_row)?;
         let before = self.stats();
-        self.compare_ge(acc, x, scratch, dump_row)?;
-        // carry = (acc >= x); replace where acc >= x (ties copy harmlessly).
-        self.op_write_carry(dump_row, Predicate::Always)?;
-        self.op_load_tag(dump_row)?;
-        self.copy(x, acc, Predicate::Tag)?;
+        self.extremum_steps(false, acc, x, scratch, dump_row, zero);
         Ok(self.stats() - before)
+    }
+
+    /// The checks of [`ComputeArray::max_assign`] and
+    /// [`ComputeArray::min_assign`]; returns the zero row.
+    pub(crate) fn check_extremum(
+        &self,
+        acc: Operand,
+        x: Operand,
+        scratch: Operand,
+        dump_row: usize,
+    ) -> Result<usize> {
+        let zero = self.check_compare_ge(acc, x, scratch, dump_row)?;
+        self.check_copy(x, acc)?;
+        Ok(zero)
+    }
+
+    /// The cycles of `max_assign` (`max`) or `min_assign`, for callers that
+    /// ran [`ComputeArray::check_extremum`]; `zero` is the zero row.
+    pub(crate) fn extremum_steps(
+        &mut self,
+        max: bool,
+        acc: Operand,
+        x: Operand,
+        scratch: Operand,
+        dump_row: usize,
+        zero: usize,
+    ) {
+        self.compare_ge_steps(acc, x, scratch, dump_row, zero);
+        // carry = (acc >= x): max replaces where acc < x, min where
+        // acc >= x (ties copy harmlessly).
+        self.step_write_carry(dump_row, Predicate::Always);
+        if max {
+            self.step_load_tag_not(dump_row, zero);
+        } else {
+            self.step_load_tag(dump_row);
+        }
+        self.copy_steps(x, acc, Predicate::Tag);
     }
 
     /// `ReLU` on a two's-complement operand: lanes with a set sign bit are
@@ -108,12 +169,13 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Propagates row errors.
+    /// Fails if `x` covers the zero row.
     pub fn relu(&mut self, x: Operand) -> Result<CycleStats> {
+        self.guard_zero_row(&x)?;
         let before = self.stats();
-        self.op_load_tag(x.msb_row())?;
+        self.step_load_tag(x.msb_row());
         for i in 0..x.bits() {
-            self.op_write_const(x.row(i), false, Predicate::Tag)?;
+            self.step_write_const(x.row(i), false, Predicate::Tag);
         }
         Ok(self.stats() - before)
     }
@@ -124,7 +186,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails if `k` does not fit in the operand or `dump_row` lies inside it.
+    /// Fails if `k` does not fit in the operand, `dump_row` lies inside it,
+    /// or the operand or `dump_row` covers the zero row.
     pub fn clamp_max_scalar(&mut self, op: Operand, k: u64, dump_row: usize) -> Result<CycleStats> {
         if op.bits() < 64 && k >= op.max_value() {
             // k == max is a no-op clamp; treat "k beyond range" as an error
@@ -141,22 +204,24 @@ impl ComputeArray {
                 what: "dump row lies inside the clamped region",
             });
         }
-        let before = self.stats();
         // carry = (op >= k + 1) = (op > k), via op + ~(k+1) + 1.
         let Some(threshold) = k.checked_add(1) else {
             return Ok(CycleStats::new()); // nothing exceeds u64::MAX
         };
+        self.check_write(dump_row)?;
+        self.guard_zero_row(&op)?;
+        let before = self.stats();
         let notk = !threshold;
         self.preset_carry(true);
         for i in 0..op.bits() {
             let bit = i < 64 && (notk >> i) & 1 == 1;
-            self.op_full_add_const(op.row(i), bit, dump_row, Predicate::Always)?;
+            self.step_full_add_const(op.row(i), bit, dump_row, Predicate::Always);
         }
-        self.op_write_carry(dump_row, Predicate::Always)?;
-        self.op_load_tag(dump_row)?;
+        self.step_write_carry(dump_row, Predicate::Always);
+        self.step_load_tag(dump_row);
         for i in 0..op.bits() {
             let bit = i < 64 && (k >> i) & 1 == 1;
-            self.op_write_const(op.row(i), bit, Predicate::Tag)?;
+            self.step_write_const(op.row(i), bit, Predicate::Tag);
         }
         Ok(self.stats() - before)
     }

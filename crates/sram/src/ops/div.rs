@@ -36,8 +36,9 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Requires the zero row. `rem`, `trial`, and `notden` must each hold
-    /// `w` bits; all regions must be pairwise disjoint.
+    /// Requires the zero row, outside `den`, `quot` and the low `w` rows of
+    /// `rem`, `trial` and `notden`, which must each hold `w` bits; all
+    /// regions must be pairwise disjoint.
     pub fn div(
         &mut self,
         num: Operand,
@@ -74,36 +75,39 @@ impl ComputeArray {
                 }
             }
         }
+        let zero = self.zero_for_complement(&den)?;
+        self.guard_zero_row(&notden.slice(0, w)?)?;
+        let rem_w = self.guard_div_registers(quot, rem, trial, w)?;
         let before = self.stats();
 
         // notden <- ~den, zero-extended to w bits (so its top bit is 1).
         for i in 0..den.bits() {
-            self.op_not(den.row(i), notden.row(i), Predicate::Always)?;
+            self.step_not(den.row(i), zero, notden.row(i), Predicate::Always);
         }
-        self.op_write_const(notden.row(w - 1), true, Predicate::Always)?;
-        self.zero(rem.slice(0, w).expect("validated"))?;
+        self.step_write_const(notden.row(w - 1), true, Predicate::Always);
+        self.zero_steps(rem_w);
 
         for i in (0..n).rev() {
             // rem <- (rem << 1) | num[i]
             for k in (1..w).rev() {
-                self.op_copy(rem.row(k - 1), rem.row(k), Predicate::Always)?;
+                self.step_copy(rem.row(k - 1), rem.row(k), Predicate::Always);
             }
-            self.op_copy(num.row(i), rem.row(0), Predicate::Always)?;
+            self.step_copy(num.row(i), rem.row(0), Predicate::Always);
             // trial <- rem - den  (rem + ~den + 1); carry = no borrow.
             self.preset_carry(true);
             for k in 0..w {
-                self.op_full_add(rem.row(k), notden.row(k), trial.row(k), Predicate::Always)?;
+                self.step_full_add(rem.row(k), notden.row(k), trial.row(k), Predicate::Always);
             }
             // quot[i] <- carry; commit trial where it did not borrow.
-            self.op_write_carry(quot.row(i), Predicate::Always)?;
-            self.op_load_tag(quot.row(i))?;
+            self.step_write_carry(quot.row(i), Predicate::Always);
+            self.step_load_tag(quot.row(i));
             for k in 0..w {
-                self.op_copy(trial.row(k), rem.row(k), Predicate::Tag)?;
+                self.step_copy(trial.row(k), rem.row(k), Predicate::Tag);
             }
         }
         // Zero any excess quotient bits.
         for i in n..quot.bits() {
-            self.op_write_const(quot.row(i), false, Predicate::Always)?;
+            self.step_write_const(quot.row(i), false, Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -115,7 +119,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails if `k == 0`, or on the same region constraints as `div`.
+    /// Fails if `k == 0`, or on the same region and zero-row constraints as
+    /// `div`.
     pub fn div_scalar(
         &mut self,
         num: Operand,
@@ -154,29 +159,46 @@ impl ComputeArray {
                 }
             }
         }
+        let rem_w = self.guard_div_registers(quot, rem, trial, w)?;
         let notk = !k; // two's complement add of ~k + 1 subtracts k
         let before = self.stats();
-        self.zero(rem.slice(0, w).expect("validated"))?;
+        self.zero_steps(rem_w);
         for i in (0..n).rev() {
             for r in (1..w).rev() {
-                self.op_copy(rem.row(r - 1), rem.row(r), Predicate::Always)?;
+                self.step_copy(rem.row(r - 1), rem.row(r), Predicate::Always);
             }
-            self.op_copy(num.row(i), rem.row(0), Predicate::Always)?;
+            self.step_copy(num.row(i), rem.row(0), Predicate::Always);
             self.preset_carry(true);
             for r in 0..w {
                 let bit = r < 64 && (notk >> r) & 1 == 1;
-                self.op_full_add_const(rem.row(r), bit, trial.row(r), Predicate::Always)?;
+                self.step_full_add_const(rem.row(r), bit, trial.row(r), Predicate::Always);
             }
-            self.op_write_carry(quot.row(i), Predicate::Always)?;
-            self.op_load_tag(quot.row(i))?;
+            self.step_write_carry(quot.row(i), Predicate::Always);
+            self.step_load_tag(quot.row(i));
             for r in 0..w {
-                self.op_copy(trial.row(r), rem.row(r), Predicate::Tag)?;
+                self.step_copy(trial.row(r), rem.row(r), Predicate::Tag);
             }
         }
         for i in n..quot.bits() {
-            self.op_write_const(quot.row(i), false, Predicate::Always)?;
+            self.step_write_const(quot.row(i), false, Predicate::Always);
         }
         Ok(self.stats() - before)
+    }
+
+    /// Rejects a division whose `w`-bit remainder or trial register, or
+    /// whose quotient, covers the zero row; returns the `w`-bit remainder.
+    fn guard_div_registers(
+        &self,
+        quot: Operand,
+        rem: Operand,
+        trial: Operand,
+        w: usize,
+    ) -> Result<Operand> {
+        let rem_w = rem.slice(0, w)?;
+        self.guard_zero_row(&rem_w)?;
+        self.guard_zero_row(&trial.slice(0, w)?)?;
+        self.guard_zero_row(&quot)?;
+        Ok(rem_w)
     }
 }
 

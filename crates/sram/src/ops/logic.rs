@@ -10,11 +10,18 @@ impl ComputeArray {
     ///
     /// Fails if the operand overlaps the dedicated zero row.
     pub fn zero(&mut self, op: Operand) -> Result<CycleStats> {
+        self.guard_zero_row(&op)?;
         let before = self.stats();
-        for i in 0..op.bits() {
-            self.op_write_const(op.row(i), false, Predicate::Always)?;
-        }
+        self.zero_steps(op);
         Ok(self.stats() - before)
+    }
+
+    /// The cycles of [`ComputeArray::zero`], for callers that checked `op`
+    /// against the zero row.
+    pub(crate) fn zero_steps(&mut self, op: Operand) {
+        for r in op.rows() {
+            self.step_write_const(r, false, Predicate::Always);
+        }
     }
 
     /// Writes the broadcast constant `k` into the operand on every lane
@@ -31,10 +38,11 @@ impl ComputeArray {
                 available: op.bits(),
             });
         }
+        self.guard_zero_row(&op)?;
         let before = self.stats();
         for i in 0..op.bits() {
             let bit = i < 64 && (k >> i) & 1 == 1;
-            self.op_write_const(op.row(i), bit, Predicate::Always)?;
+            self.step_write_const(op.row(i), bit, Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -45,8 +53,17 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails on width mismatch or partial overlap of the two regions.
+    /// Fails on width mismatch, partial overlap of the two regions, or a
+    /// distinct `dst` that covers the zero row.
     pub fn copy(&mut self, src: Operand, dst: Operand, pred: Predicate) -> Result<CycleStats> {
+        self.check_copy(src, dst)?;
+        let before = self.stats();
+        self.copy_steps(src, dst, pred);
+        Ok(self.stats() - before)
+    }
+
+    /// The checks of [`ComputeArray::copy`].
+    pub(crate) fn check_copy(&self, src: Operand, dst: Operand) -> Result<()> {
         if src.bits() != dst.bits() {
             return Err(SramError::DestinationTooNarrow {
                 needed: src.bits(),
@@ -58,13 +75,20 @@ impl ComputeArray {
                 what: "copy source and destination partially overlap",
             });
         }
-        let before = self.stats();
+        if src == dst {
+            return Ok(()); // no cycle runs
+        }
+        self.guard_zero_row(&dst)
+    }
+
+    /// The cycles of [`ComputeArray::copy`], for callers that ran
+    /// [`ComputeArray::check_copy`].
+    pub(crate) fn copy_steps(&mut self, src: Operand, dst: Operand, pred: Predicate) {
         if src != dst {
-            for i in 0..src.bits() {
-                self.op_copy(src.row(i), dst.row(i), pred)?;
+            for (s, d) in src.rows().zip(dst.rows()) {
+                self.step_copy(s, d, pred);
             }
         }
-        Ok(self.stats() - before)
     }
 
     /// Copies `src` into the wider `dst`, zero-extending the upper bits
@@ -72,7 +96,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails if `dst` is narrower than `src` or the regions overlap.
+    /// Fails if `dst` is narrower than `src`, the regions overlap, or `dst`
+    /// covers the zero row.
     pub fn copy_zext(&mut self, src: Operand, dst: Operand) -> Result<CycleStats> {
         if dst.bits() < src.bits() {
             return Err(SramError::DestinationTooNarrow {
@@ -85,12 +110,13 @@ impl ComputeArray {
                 what: "zero-extending copy source and destination overlap",
             });
         }
+        self.guard_zero_row(&dst)?;
         let before = self.stats();
         for i in 0..src.bits() {
-            self.op_copy(src.row(i), dst.row(i), Predicate::Always)?;
+            self.step_copy(src.row(i), dst.row(i), Predicate::Always);
         }
         for i in src.bits()..dst.bits() {
-            self.op_write_const(dst.row(i), false, Predicate::Always)?;
+            self.step_write_const(dst.row(i), false, Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -100,8 +126,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Requires the dedicated zero row; fails on width mismatch or partial
-    /// overlap.
+    /// Requires the dedicated zero row, clear of both regions; fails on
+    /// width mismatch or partial overlap.
     pub fn not_region(&mut self, src: Operand, dst: Operand) -> Result<CycleStats> {
         if src.bits() != dst.bits() {
             return Err(SramError::DestinationTooNarrow {
@@ -114,9 +140,11 @@ impl ComputeArray {
                 what: "complement source and destination partially overlap",
             });
         }
+        let zero = self.zero_for_complement(&src)?;
+        self.guard_zero_row(&dst)?;
         let before = self.stats();
         for i in 0..src.bits() {
-            self.op_not(src.row(i), dst.row(i), Predicate::Always)?;
+            self.step_not(src.row(i), zero, dst.row(i), Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -126,7 +154,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Fails on width mismatch or when `dst` partially overlaps an input.
+    /// Fails on width mismatch, when `dst` partially overlaps an input, or
+    /// when `dst` covers the zero row.
     pub fn logic_region(
         &mut self,
         op: LogicOp,
@@ -150,14 +179,10 @@ impl ComputeArray {
                 what: "logic destination partially overlaps an input",
             });
         }
+        self.guard_zero_row(&dst)?;
         let before = self.stats();
         for i in 0..a.bits() {
-            match op {
-                LogicOp::And => self.op_and(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-                LogicOp::Or => self.op_or(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-                LogicOp::Xor => self.op_xor(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-                LogicOp::Nor => self.op_nor(a.row(i), b.row(i), dst.row(i), Predicate::Always)?,
-            }
+            self.step_logic(op, a.row(i), b.row(i), dst.row(i), Predicate::Always);
         }
         Ok(self.stats() - before)
     }
@@ -169,7 +194,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Requires the zero row (complement senses); fails if `k` does not fit.
+    /// Requires the zero row for the complement senses of `k`'s zero bits,
+    /// clear of the rows they sense; fails if `k` does not fit.
     pub fn search_eq_scalar(&mut self, op: Operand, k: u64) -> Result<CycleStats> {
         if op.bits() < 64 && k > op.max_value() {
             return Err(SramError::DestinationTooNarrow {
@@ -177,11 +203,21 @@ impl ComputeArray {
                 available: op.bits(),
             });
         }
+        let want_one = |i: usize| i < 64 && (k >> i) & 1 == 1;
+        let zero = if (0..op.bits()).all(want_one) {
+            None
+        } else {
+            let zero = self.require_zero_row()?;
+            if op.contains_row(zero) && !want_one(zero - op.base()) {
+                return Err(SramError::SelfActivation { row: zero });
+            }
+            Some(zero)
+        };
         let before = self.stats();
         self.preset_tag(true);
         for i in 0..op.bits() {
-            let want_one = i < 64 && (k >> i) & 1 == 1;
-            self.op_and_tag(op.row(i), !want_one)?;
+            let complement_against = if want_one(i) { None } else { zero };
+            self.step_and_tag(op.row(i), complement_against);
         }
         Ok(self.stats() - before)
     }

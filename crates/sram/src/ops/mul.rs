@@ -23,16 +23,16 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// `prod` must hold at least `n + m` bits and be disjoint from both
-    /// inputs; inputs must not overlap each other.
+    /// `prod` must hold at least `n + m` bits, be disjoint from both
+    /// inputs and clear of the zero row; inputs must not overlap each other.
     pub fn mul(&mut self, a: Operand, b: Operand, prod: Operand) -> Result<CycleStats> {
         self.validate_mul(a, b, prod)?;
         let (n, m) = (a.bits(), b.bits());
         let before = self.stats();
-        self.zero(prod)?;
+        self.zero_steps(prod);
         for j in 0..m {
             self.note_mul_round();
-            self.mul_round(a, b, prod, j, n)?;
+            self.mul_round(a, b, prod, j, n);
         }
         Ok(self.stats() - before)
     }
@@ -66,16 +66,16 @@ impl ComputeArray {
         self.validate_mul(a, b, prod)?;
         let (n, m) = (a.bits(), b.bits());
         let before = self.stats();
-        self.zero(prod)?;
+        self.zero_steps(prod);
         for j in 0..m {
             self.note_mul_round();
-            if self.cells().read_row(b.row(j))?.is_zero() {
+            if self.cells().row(b.row(j)).is_zero() {
                 // Dense cost of the elided round: tag load + n predicated
                 // adds + carry write.
                 self.note_skipped_round(n as u64 + 2);
                 continue;
             }
-            self.mul_round(a, b, prod, j, n)?;
+            self.mul_round(a, b, prod, j, n);
         }
         Ok(self.stats() - before)
     }
@@ -113,14 +113,14 @@ impl ComputeArray {
         self.validate_mul(a, b, prod)?;
         let (n, m) = (a.bits(), b.bits());
         let before = self.stats();
-        self.zero(prod)?;
+        self.zero_steps(prod);
         for j in 0..m {
             self.note_mul_round();
-            if self.op_detect_zero(b.row(j))? {
+            if self.step_detect_zero(b.row(j)) {
                 self.note_input_round_skipped(n as u64 + 2);
                 continue;
             }
-            self.mul_round(a, b, prod, j, n)?;
+            self.mul_round(a, b, prod, j, n);
         }
         Ok(self.stats() - before)
     }
@@ -158,53 +158,40 @@ impl ComputeArray {
         let (n, m) = (a.bits(), b.bits());
         // Highest live multiplicand bit across every lane — known to the
         // FSM for free when the transpose unit writes the filter rows.
-        let mut live = 0;
-        for i in (0..n).rev() {
-            if !self.cells().read_row(a.row(i))?.is_zero() {
-                live = i + 1;
-                break;
-            }
-        }
+        let live = (0..n)
+            .rev()
+            .find(|&i| !self.cells().row(a.row(i)).is_zero())
+            .map_or(0, |i| i + 1);
         let before = self.stats();
-        self.zero(prod)?;
+        self.zero_steps(prod);
         for j in 0..m {
             self.note_mul_round();
-            if self.op_detect_zero(b.row(j))? {
+            if self.step_detect_zero(b.row(j)) {
                 self.note_input_round_skipped(n as u64 + 2);
                 continue;
             }
             self.note_truncated_cycles((n - live) as u64);
-            self.op_load_tag(b.row(j))?;
-            self.preset_carry(false);
-            for i in 0..live {
-                self.op_full_add(a.row(i), prod.row(j + i), prod.row(j + i), Predicate::Tag)?;
-            }
-            self.op_write_carry(prod.row(j + live), Predicate::Tag)?;
+            self.mul_round(a, b, prod, j, live);
         }
         Ok(self.stats() - before)
     }
 
     /// One multiplier-bit round of the Figure 6 algorithm: load the tag
-    /// from multiplier bit `j`, conditionally add the multiplicand into the
-    /// partial product at offset `j`, commit the round's carry-out.
-    fn mul_round(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        prod: Operand,
-        j: usize,
-        n: usize,
-    ) -> Result<()> {
-        self.op_load_tag(b.row(j))?;
+    /// from multiplier bit `j`, conditionally add the low `n` multiplicand
+    /// bits into the partial product at offset `j`, commit the round's
+    /// carry-out at `prod[j + n]`.
+    fn mul_round(&mut self, a: Operand, b: Operand, prod: Operand, j: usize, n: usize) {
+        self.step_load_tag(b.row(j));
         self.preset_carry(false);
-        for i in 0..n {
-            self.op_full_add(a.row(i), prod.row(j + i), prod.row(j + i), Predicate::Tag)?;
+        let window = prod.base() + j;
+        for (x, p) in a.rows().take(n).zip(window..) {
+            self.step_full_add(x, p, p, Predicate::Tag);
         }
-        self.op_write_carry(prod.row(j + n), Predicate::Tag)?;
-        Ok(())
+        self.step_write_carry(window + n, Predicate::Tag);
     }
 
-    /// Shared operand validation of the vector-multiply family.
+    /// Shared operand validation of the vector-multiply family: every
+    /// check its cycles rely on.
     fn validate_mul(&self, a: Operand, b: Operand, prod: Operand) -> Result<()> {
         let (n, m) = (a.bits(), b.bits());
         if prod.bits() < n + m {
@@ -223,18 +210,7 @@ impl ComputeArray {
                 what: "product region overlaps an input",
             });
         }
-        // Post-validation invariants every emitted micro-op relies on.
-        debug_assert!(
-            !a.overlaps(&b) && !prod.overlaps(&a) && !prod.overlaps(&b),
-            "mul operands alias: {a}, {b}, {prod}"
-        );
-        debug_assert!(
-            a.rows().end <= crate::ROWS
-                && b.rows().end <= crate::ROWS
-                && prod.rows().end <= crate::ROWS,
-            "mul operands out of bounds: {a}, {b}, {prod}"
-        );
-        Ok(())
+        self.guard_zero_row(&prod)
     }
 
     /// In-place broadcast-scalar multiplication `prod <- a * k`.
@@ -247,8 +223,8 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// `prod` must hold `a.bits() + bit_length(k)` bits and be disjoint from
-    /// `a`.
+    /// `prod` must hold `a.bits() + bit_length(k)` bits, be disjoint from
+    /// `a` and clear of the zero row.
     pub fn mul_scalar(&mut self, a: Operand, k: u64, prod: Operand) -> Result<CycleStats> {
         let n = a.bits();
         let klen = (64 - k.leading_zeros()) as usize;
@@ -263,12 +239,15 @@ impl ComputeArray {
                 what: "product region overlaps the multiplicand",
             });
         }
+        self.guard_zero_row(&prod)?;
         let before = self.stats();
-        self.zero(prod)?;
+        self.zero_steps(prod);
         for j in 0..klen {
             if (k >> j) & 1 == 1 {
+                // At least `n + 1` bits wide, disjoint from `a`, inside
+                // `prod`: the checks of `add_assign` hold.
                 let window = prod.slice(j, prod.bits() - j).expect("validated width");
-                self.add_assign(window, a)?;
+                self.add_assign_steps(window, a);
             }
         }
         Ok(self.stats() - before)

@@ -34,27 +34,11 @@ impl ComputeArray {
         lane_shift: usize,
         lanes: usize,
     ) -> Result<CycleStats> {
-        if src.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if lanes == 0 || lanes + lane_shift > COLS {
-            return Err(SramError::ColOutOfRange {
-                col: lanes + lane_shift,
-            });
-        }
-        if src.overlaps(&dst) {
-            return Err(SramError::OverlappingOperands {
-                what: "lane-move source and destination share rows",
-            });
-        }
-        self.move_rows(src, dst, |source, target| {
-            for lane in 0..lanes {
-                target.set(lane, source.get(lane + lane_shift));
-            }
-        })
+        let end = lanes + lane_shift;
+        self.check_move(src, dst, lanes > 0 && end <= COLS, end)?;
+        let before = self.stats();
+        self.move_rows(src, dst, lane_shift, &BitRow::lane_range(0, lanes));
+        Ok(self.stats() - before)
     }
 
     /// Tree-sum reduction of `lanes` values held in `value` (one per lane)
@@ -72,16 +56,21 @@ impl ComputeArray {
     /// # Errors
     ///
     /// Fails unless `lanes` is a power of two within the array, regions are
-    /// disjoint and of equal width.
+    /// disjoint and of equal width, and (for more than one lane) both are
+    /// clear of the zero row.
     pub fn reduce_sum(
         &mut self,
         value: Operand,
         scratch: Operand,
         lanes: usize,
     ) -> Result<CycleStats> {
-        self.reduce_with(value, scratch, lanes, |arr, acc, x| {
-            arr.add_assign(acc, x).map(|_| ())
-        })
+        if !self.check_reduce(value, scratch, lanes)? {
+            return Ok(CycleStats::new());
+        }
+        self.check_add_assign(value, scratch)?;
+        Ok(self.reduce_steps(value, scratch, lanes, |arr| {
+            arr.add_assign_steps(value, scratch);
+        }))
     }
 
     /// Tree-max reduction: leaves the maximum of `lanes` unsigned values in
@@ -100,9 +89,7 @@ impl ComputeArray {
         dump_row: usize,
         lanes: usize,
     ) -> Result<CycleStats> {
-        self.reduce_with(value, scratch, lanes, |arr, acc, x| {
-            arr.max_assign(acc, x, cmp_scratch, dump_row).map(|_| ())
-        })
+        self.reduce_extremum(true, value, scratch, cmp_scratch, dump_row, lanes)
     }
 
     /// Tree-min reduction: leaves the minimum of `lanes` unsigned values in
@@ -119,9 +106,7 @@ impl ComputeArray {
         dump_row: usize,
         lanes: usize,
     ) -> Result<CycleStats> {
-        self.reduce_with(value, scratch, lanes, |arr, acc, x| {
-            arr.min_assign(acc, x, cmp_scratch, dump_row).map(|_| ())
-        })
+        self.reduce_extremum(false, value, scratch, cmp_scratch, dump_row, lanes)
     }
 
     /// Grouped lane move: within each of `groups` lane groups of stride
@@ -142,59 +127,65 @@ impl ComputeArray {
         group_stride: usize,
         groups: usize,
     ) -> Result<CycleStats> {
+        self.check_move_grouped(src, dst, lane_shift, lanes_per_group, group_stride, groups)?;
+        let before = self.stats();
+        let mask = group_mask(groups, group_stride, lanes_per_group);
+        self.move_rows(src, dst, lane_shift, &mask);
+        Ok(self.stats() - before)
+    }
+
+    /// The checks of [`ComputeArray::move_lanes_grouped`].
+    fn check_move_grouped(
+        &self,
+        src: Operand,
+        dst: Operand,
+        lane_shift: usize,
+        lanes_per_group: usize,
+        group_stride: usize,
+        groups: usize,
+    ) -> Result<()> {
+        let end = groups * group_stride;
+        let lanes_fit = groups > 0
+            && lanes_per_group > 0
+            && lanes_per_group + lane_shift <= group_stride
+            && end <= COLS;
+        self.check_move(src, dst, lanes_fit, end)
+    }
+
+    /// The checks both lane moves run, in order: equal widths, lanes that
+    /// fit the array (else [`SramError::ColOutOfRange`] at `end`), disjoint
+    /// regions, and a destination clear of the zero row.
+    fn check_move(&self, src: Operand, dst: Operand, lanes_fit: bool, end: usize) -> Result<()> {
         if src.bits() != dst.bits() {
             return Err(SramError::DestinationTooNarrow {
                 needed: src.bits(),
                 available: dst.bits(),
             });
         }
-        if groups == 0
-            || lanes_per_group == 0
-            || lanes_per_group + lane_shift > group_stride
-            || groups * group_stride > COLS
-        {
-            return Err(SramError::ColOutOfRange {
-                col: groups * group_stride,
-            });
+        if !lanes_fit {
+            return Err(SramError::ColOutOfRange { col: end });
         }
         if src.overlaps(&dst) {
             return Err(SramError::OverlappingOperands {
                 what: "lane-move source and destination share rows",
             });
         }
-        self.move_rows(src, dst, |source, target| {
-            for g in 0..groups {
-                let base = g * group_stride;
-                for lane in 0..lanes_per_group {
-                    target.set(base + lane, source.get(base + lane + lane_shift));
-                }
-            }
-        })
+        self.guard_zero_row(&dst)
     }
 
     /// The row loop shared by both lane moves: per row of `src`, one read
     /// cycle on the source row, then one read-modify-write cycle that
-    /// merges the moved lanes (`merge`) into the destination row
+    /// merges the source, moved `lane_shift` lanes down, into the
+    /// destination row on the lanes of `mask`
     /// ([`LANE_MOVE_CYCLES_PER_ROW`] = 2).
-    fn move_rows(
-        &mut self,
-        src: Operand,
-        dst: Operand,
-        merge: impl Fn(&BitRow, &mut BitRow),
-    ) -> Result<CycleStats> {
-        self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..src.bits() {
-            let (src_row, dst_row) = (src.row(i), dst.row(i));
+    fn move_rows(&mut self, src: Operand, dst: Operand, lane_shift: usize, mask: &BitRow) {
+        for (src_row, dst_row) in src.rows().zip(dst.rows()) {
             let cells = self.raw_cells_mut();
-            let source = cells.read_row(src_row)?;
-            let mut target = cells.read_row(dst_row)?;
-            merge(&source, &mut target);
-            cells.write_row(dst_row, target)?;
+            let moved = cells.row(src_row).shift_down(lane_shift);
+            cells.set_row(dst_row, moved.select(&cells.row(dst_row), mask));
             self.tick_compute(&[src_row], &[], "move_lanes/read");
             self.tick_compute(&[dst_row], &[dst_row], "move_lanes/write");
         }
-        Ok(self.stats() - before)
     }
 
     /// Grouped tree-sum reduction: `groups` independent lane groups of
@@ -216,37 +207,60 @@ impl ComputeArray {
         if !group_lanes.is_power_of_two() || group_lanes * groups > COLS {
             return Err(SramError::NonPowerOfTwoLanes { lanes: group_lanes });
         }
-        if value.bits() != scratch.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: value.bits(),
-                available: scratch.bits(),
-            });
-        }
-        if value.overlaps(&scratch) {
-            return Err(SramError::OverlappingOperands {
-                what: "reduction value and scratch regions overlap",
-            });
+        self.check_reduce_regions(value, scratch)?;
+        if group_lanes > 1 {
+            // The first level's checks cover every later, narrower one.
+            let first = group_lanes / 2;
+            self.check_move_grouped(value, scratch, first, first, group_lanes, groups)?;
+            self.check_add_assign(value, scratch)?;
         }
         let before = self.stats();
         let mut stride = group_lanes / 2;
         while stride >= 1 {
-            self.move_lanes_grouped(value, scratch, stride, stride, group_lanes, groups)?;
-            self.add_assign(value, scratch)?;
+            let mask = group_mask(groups, group_lanes, stride);
+            self.move_rows(value, scratch, stride, &mask);
+            self.add_assign_steps(value, scratch);
             stride /= 2;
         }
         Ok(self.stats() - before)
     }
 
-    fn reduce_with(
+    /// `reduce_max` (`max`) or `reduce_min`.
+    fn reduce_extremum(
         &mut self,
+        max: bool,
         value: Operand,
         scratch: Operand,
+        cmp_scratch: Operand,
+        dump_row: usize,
         lanes: usize,
-        mut combine: impl FnMut(&mut ComputeArray, Operand, Operand) -> Result<()>,
     ) -> Result<CycleStats> {
+        if !self.check_reduce(value, scratch, lanes)? {
+            return Ok(CycleStats::new());
+        }
+        let zero = self.check_extremum(value, scratch, cmp_scratch, dump_row)?;
+        Ok(self.reduce_steps(value, scratch, lanes, |arr| {
+            arr.extremum_steps(max, value, scratch, cmp_scratch, dump_row, zero);
+        }))
+    }
+
+    /// The checks of a tree reduction over `lanes` lanes, up to its
+    /// combine step: a power-of-two lane count within the array, equal
+    /// disjoint regions, and a lane-move target clear of the zero row.
+    /// `false` when no level runs (one lane).
+    fn check_reduce(&self, value: Operand, scratch: Operand, lanes: usize) -> Result<bool> {
         if !lanes.is_power_of_two() || lanes > COLS {
             return Err(SramError::NonPowerOfTwoLanes { lanes });
         }
+        self.check_reduce_regions(value, scratch)?;
+        if lanes == 1 {
+            return Ok(false);
+        }
+        self.guard_zero_row(&scratch)?;
+        Ok(true)
+    }
+
+    fn check_reduce_regions(&self, value: Operand, scratch: Operand) -> Result<()> {
         if value.bits() != scratch.bits() {
             return Err(SramError::DestinationTooNarrow {
                 needed: value.bits(),
@@ -258,27 +272,37 @@ impl ComputeArray {
                 what: "reduction value and scratch regions overlap",
             });
         }
-        // Post-validation invariants every reduction step relies on.
-        debug_assert!(
-            !value.overlaps(&scratch),
-            "reduction operands alias: {value} vs {scratch}"
-        );
-        debug_assert!(
-            value.rows().end <= crate::ROWS && scratch.rows().end <= crate::ROWS,
-            "reduction operands out of bounds: {value}, {scratch}"
-        );
+        Ok(())
+    }
+
+    /// The levels of a checked tree reduction: per level, move the upper
+    /// half's values under the lower half, then `combine` on every lane
+    /// (SIMD; lanes `>= stride` compute garbage that is never read again).
+    fn reduce_steps(
+        &mut self,
+        value: Operand,
+        scratch: Operand,
+        lanes: usize,
+        mut combine: impl FnMut(&mut ComputeArray),
+    ) -> CycleStats {
         let before = self.stats();
         let mut stride = lanes / 2;
         while stride >= 1 {
-            // Move the upper half's values under the lower half...
-            self.move_lanes(value, scratch, stride, stride)?;
-            // ...and combine. The combine step runs on every lane (SIMD);
-            // lanes >= stride compute garbage that is never read again.
-            combine(self, value, scratch)?;
+            self.move_rows(value, scratch, stride, &BitRow::lane_range(0, stride));
+            combine(self);
             stride /= 2;
         }
-        Ok(self.stats() - before)
+        self.stats() - before
     }
+}
+
+/// The lanes `base..base + lanes_per_group` of each group
+/// `base = g * group_stride`, `g < groups`.
+fn group_mask(groups: usize, group_stride: usize, lanes_per_group: usize) -> BitRow {
+    (0..groups).fold(BitRow::zero(), |mask, g| {
+        let base = g * group_stride;
+        mask.or(&BitRow::lane_range(base, base + lanes_per_group))
+    })
 }
 
 #[cfg(test)]

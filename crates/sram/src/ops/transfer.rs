@@ -6,7 +6,7 @@
 //! general case rides the intra-slice bus and is charged by the geometry
 //! model on top of the per-array access cycles counted here.
 
-use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
+use crate::{BitRow, ComputeArray, CycleStats, Operand, Result, SramError, COLS};
 
 /// Copies `lanes` lanes' worth of `src_op` in `src` into `dst_op` of `dst`,
 /// lane `l` to lane `l` (optionally shifted by `dst_lane_offset`).
@@ -17,7 +17,8 @@ use crate::{ComputeArray, CycleStats, Operand, Result, SramError, COLS};
 ///
 /// # Errors
 ///
-/// Fails on width mismatch, lane overflow, or zero-row clobbering.
+/// Fails, before the first cycle, on width mismatch, lane overflow, or
+/// zero-row clobbering.
 ///
 /// # Examples
 ///
@@ -53,15 +54,15 @@ pub fn copy_lanes_between(
     }
     dst.guard_zero_row(&dst_op)?;
     let before = src.stats() + dst.stats();
+    let mask = BitRow::lane_range(dst_lane_offset, dst_lane_offset + lanes);
     for i in 0..src_op.bits() {
-        let row = src.access_read_row(src_op.row(i))?;
-        let dst_row_idx = dst_op.row(i);
-        let mut target = dst.raw_cells_mut().read_row(dst_row_idx)?;
-        for lane in 0..lanes {
-            target.set(dst_lane_offset + lane, row.get(lane));
-        }
-        dst.raw_cells_mut().write_row(dst_row_idx, target)?;
-        dst.tick_access(&[], &[dst_row_idx], "transfer/write");
+        let moved = src
+            .step_access_read(src_op.row(i))
+            .shift_up(dst_lane_offset);
+        let dst_row = dst_op.row(i);
+        let cells = dst.raw_cells_mut();
+        cells.set_row(dst_row, moved.select(&cells.row(dst_row), &mask));
+        dst.tick_access(&[], &[dst_row], "transfer/write");
     }
     Ok((src.stats() + dst.stats()) - before)
 }

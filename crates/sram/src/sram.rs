@@ -1,6 +1,7 @@
 //! Raw 256x256 SRAM bit storage with the two-row activation primitive.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::{BitRow, Result, SramError, COLS, ROWS};
 
@@ -32,7 +33,7 @@ pub struct SenseOut {
 /// discipline: [`SramArray::sense`] takes exactly two distinct rows.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SramArray {
-    rows: Vec<BitRow>,
+    rows: Box<[BitRow; ROWS]>,
 }
 
 impl SramArray {
@@ -40,7 +41,7 @@ impl SramArray {
     #[must_use]
     pub fn new() -> Self {
         SramArray {
-            rows: vec![BitRow::zero(); ROWS],
+            rows: Box::new([BitRow::zero(); ROWS]),
         }
     }
 
@@ -50,8 +51,8 @@ impl SramArray {
     ///
     /// Returns [`SramError::RowOutOfRange`] for rows past the array.
     pub fn read_row(&self, row: usize) -> Result<BitRow> {
-        self.check_row(row)?;
-        Ok(self.rows[row])
+        check_row(row)?;
+        Ok(self.row(row))
     }
 
     /// Normal single-word-line write.
@@ -60,9 +61,33 @@ impl SramArray {
     ///
     /// Returns [`SramError::RowOutOfRange`] for rows past the array.
     pub fn write_row(&mut self, row: usize, value: BitRow) -> Result<()> {
-        self.check_row(row)?;
-        self.rows[row] = value;
+        check_row(row)?;
+        self.set_row(row, value);
         Ok(())
+    }
+
+    /// Row `row`, for callers that checked it before their first cycle
+    /// (indexing still panics on a row past the array).
+    #[inline]
+    pub(crate) fn row(&self, row: usize) -> BitRow {
+        self.rows[row]
+    }
+
+    /// Overwrites row `row`; the checked-once counterpart of
+    /// [`SramArray::write_row`].
+    #[inline]
+    pub(crate) fn set_row(&mut self, row: usize, value: BitRow) {
+        self.rows[row] = value;
+    }
+
+    /// The rows `range`, for callers that checked it.
+    pub(crate) fn rows(&self, range: Range<usize>) -> &[BitRow] {
+        &self.rows[range]
+    }
+
+    /// Mutable [`SramArray::rows`].
+    pub(crate) fn rows_mut(&mut self, range: Range<usize>) -> &mut [BitRow] {
+        &mut self.rows[range]
     }
 
     /// Clears every cell (all word lines to zero) without reallocating the
@@ -81,51 +106,69 @@ impl SramArray {
     /// Returns [`SramError::SelfActivation`] when `a == b` and
     /// [`SramError::RowOutOfRange`] for rows past the array.
     pub fn sense(&self, a: usize, b: usize) -> Result<SenseOut> {
-        self.check_row(a)?;
-        self.check_row(b)?;
-        if a == b {
-            return Err(SramError::SelfActivation { row: a });
-        }
+        check_sense(a, b)?;
+        Ok(self.sense_rows(a, b))
+    }
+
+    /// The two-row activation of [`SramArray::sense`] for callers that
+    /// checked `a` and `b` before their first cycle.
+    #[inline]
+    pub(crate) fn sense_rows(&self, a: usize, b: usize) -> SenseOut {
+        debug_assert_ne!(a, b, "two-row sense of word line {a} against itself");
         let (ra, rb) = (self.rows[a], self.rows[b]);
         let and = ra.and(&rb);
         let nor = ra.nor(&rb);
         let xor = and.nor(&nor); // !(and | nor) == a ^ b
-        Ok(SenseOut { and, nor, xor })
+        SenseOut { and, nor, xor }
     }
 
-    /// Reads the single bit at (`row`, `col`). Test/loader convenience.
+    /// Reads the single bit at (`row`, `col`), a test convenience (the
+    /// loader moves whole rows: [`ComputeArray::peek_lanes`](crate::ComputeArray::peek_lanes)).
     ///
     /// # Errors
     ///
     /// Returns an error if the row or column is out of range.
     pub fn get(&self, row: usize, col: usize) -> Result<bool> {
-        self.check_row(row)?;
+        check_row(row)?;
         if col >= COLS {
             return Err(SramError::ColOutOfRange { col });
         }
         Ok(self.rows[row].get(col))
     }
 
-    /// Writes the single bit at (`row`, `col`). Test/loader convenience.
+    /// Writes the single bit at (`row`, `col`), a test convenience (the
+    /// loader moves whole rows: [`ComputeArray::poke_lanes`](crate::ComputeArray::poke_lanes)).
     ///
     /// # Errors
     ///
     /// Returns an error if the row or column is out of range.
     pub fn set(&mut self, row: usize, col: usize, bit: bool) -> Result<()> {
-        self.check_row(row)?;
+        check_row(row)?;
         if col >= COLS {
             return Err(SramError::ColOutOfRange { col });
         }
         self.rows[row].set(col, bit);
         Ok(())
     }
+}
 
-    fn check_row(&self, row: usize) -> Result<()> {
-        if row >= ROWS {
-            return Err(SramError::RowOutOfRange { row });
-        }
-        Ok(())
+/// Rejects a word line past the array.
+pub(crate) fn check_row(row: usize) -> Result<()> {
+    if row >= ROWS {
+        return Err(SramError::RowOutOfRange { row });
     }
+    Ok(())
+}
+
+/// Rejects a two-row activation the array cannot perform: a row past the
+/// array, or one row sensed against itself.
+pub(crate) fn check_sense(a: usize, b: usize) -> Result<()> {
+    check_row(a)?;
+    check_row(b)?;
+    if a == b {
+        return Err(SramError::SelfActivation { row: a });
+    }
+    Ok(())
 }
 
 impl Default for SramArray {

@@ -7,8 +7,18 @@
 //! horizontally and read out vertically as bit slices ready for the compute
 //! arrays — or vice versa when results leave the cache. A few TMUs placed in
 //! the cache-control box saturate the available interconnect bandwidth.
+//!
+//! The model keeps the TMU's cells as bit slices, so its transposed reads
+//! and writes are row copies and its regular-direction port does the
+//! transposing. The simulator has one transposition routine, here: that
+//! port and the compute array's zero-cost operand loader
+//! ([`ComputeArray::poke_lanes`](crate::ComputeArray::poke_lanes) and
+//! [`ComputeArray::peek_lanes`](crate::ComputeArray::peek_lanes)) all move
+//! bits through the same 8x8-tile packing (bit by bit for a run too short
+//! to fill a tile).
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::{BitRow, CycleStats, Result, SramError, COLS};
 
@@ -37,9 +47,9 @@ pub const TMU_TILE_DIM: usize = 64;
 /// ```
 #[derive(Clone)]
 pub struct TransposeUnit {
-    bits_per_element: usize,
-    /// cells[element][bit]
-    cells: Vec<u64>,
+    /// The cells in the transposed direction: `slices[b]` holds bit `b` of
+    /// every element, element `i` on column `i`.
+    slices: Vec<BitRow>,
     elements: usize,
     stats: CycleStats,
 }
@@ -57,8 +67,7 @@ impl TransposeUnit {
             "TMU element width must be 1..=64 bits"
         );
         TransposeUnit {
-            bits_per_element,
-            cells: vec![0; COLS],
+            slices: vec![BitRow::zero(); bits_per_element],
             elements: 0,
             stats: CycleStats::new(),
         }
@@ -67,7 +76,7 @@ impl TransposeUnit {
     /// Element width this TMU was configured for.
     #[must_use]
     pub fn bits_per_element(&self) -> usize {
-        self.bits_per_element
+        self.slices.len()
     }
 
     /// Number of elements currently loaded.
@@ -89,36 +98,30 @@ impl TransposeUnit {
     }
 
     /// Loads up to 256 elements in the regular (bit-parallel) direction,
-    /// one access cycle per element row.
+    /// one access cycle per element row; the columns past the last element
+    /// are cleared.
     ///
     /// # Errors
     ///
-    /// Fails if more than 256 elements are supplied or an element overflows
-    /// the configured width.
+    /// Fails, leaving the unit untouched, if more than 256 elements are
+    /// supplied or an element overflows the configured width.
     pub fn load_regular(&mut self, elements: &[u64]) -> Result<()> {
         if elements.len() > COLS {
             return Err(SramError::ColOutOfRange {
                 col: elements.len(),
             });
         }
-        let max = if self.bits_per_element == 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.bits_per_element) - 1
-        };
-        for (i, &e) in elements.iter().enumerate() {
-            if e > max {
-                return Err(SramError::DestinationTooNarrow {
-                    needed: (64 - e.leading_zeros()) as usize,
-                    available: self.bits_per_element,
-                });
-            }
-            self.cells[i] = e;
-            self.stats.access_cycles += 1;
+        let bits = self.bits_per_element();
+        let max = u64::MAX >> (64 - bits);
+        if let Some(&e) = elements.iter().find(|&&e| e > max) {
+            return Err(SramError::DestinationTooNarrow {
+                needed: (64 - e.leading_zeros()) as usize,
+                available: bits,
+            });
         }
-        for c in self.cells.iter_mut().skip(elements.len()) {
-            *c = 0;
-        }
+        self.slices.fill(BitRow::zero());
+        scatter_lanes(&mut self.slices, 0, elements);
+        self.stats.access_cycles += elements.len() as u64;
         self.elements = elements.len();
         Ok(())
     }
@@ -131,11 +134,12 @@ impl TransposeUnit {
     ///
     /// Fails if `bit` exceeds the configured element width.
     pub fn read_bit_slice(&mut self, bit: usize) -> Result<BitRow> {
-        if bit >= self.bits_per_element {
-            return Err(SramError::RowOutOfRange { row: bit });
-        }
+        let slice = *self
+            .slices
+            .get(bit)
+            .ok_or(SramError::RowOutOfRange { row: bit })?;
         self.stats.access_cycles += 1;
-        Ok(BitRow::from_fn(|col| (self.cells[col] >> bit) & 1 == 1))
+        Ok(slice)
     }
 
     /// Writes bit-slice `bit` in the transposed direction (one access
@@ -145,18 +149,12 @@ impl TransposeUnit {
     ///
     /// Fails if `bit` exceeds the configured element width.
     pub fn write_bit_slice(&mut self, bit: usize, slice: &BitRow) -> Result<()> {
-        if bit >= self.bits_per_element {
-            return Err(SramError::RowOutOfRange { row: bit });
-        }
-        for col in 0..COLS {
-            let mask = 1u64 << bit;
-            if slice.get(col) {
-                self.cells[col] |= mask;
-            } else {
-                self.cells[col] &= !mask;
-            }
-        }
-        self.elements = self.elements.max(COLS);
+        let row = self
+            .slices
+            .get_mut(bit)
+            .ok_or(SramError::RowOutOfRange { row: bit })?;
+        *row = *slice;
+        self.elements = COLS;
         self.stats.access_cycles += 1;
         Ok(())
     }
@@ -171,27 +169,166 @@ impl TransposeUnit {
             return Err(SramError::ColOutOfRange { col: i });
         }
         self.stats.access_cycles += 1;
-        Ok(self.cells[i])
+        let mut element = [0];
+        gather_lanes(&self.slices, i, &mut element);
+        Ok(element[0])
     }
 
     /// Convenience: transposes a byte slice into `8` bit-slice rows in one
-    /// call (used when streaming quantized inputs through the C-BOX).
+    /// call (used when streaming quantized inputs through the C-BOX): a
+    /// regular load, then the 8 transposed reads.
     ///
     /// # Errors
     ///
     /// Fails if more than 256 bytes are supplied or the unit is not
     /// byte-configured.
     pub fn transpose_bytes(&mut self, bytes: &[u8]) -> Result<Vec<BitRow>> {
-        if self.bits_per_element != 8 {
+        if self.bits_per_element() != 8 {
             return Err(SramError::DestinationTooNarrow {
                 needed: 8,
-                available: self.bits_per_element,
+                available: self.bits_per_element(),
             });
         }
         let words: Vec<u64> = bytes.iter().map(|&b| u64::from(b)).collect();
         self.load_regular(&words)?;
-        (0..8).map(|b| self.read_bit_slice(b)).collect()
+        (0..8).map(|bit| self.read_bit_slice(bit)).collect()
     }
+}
+
+/// Transposes the 8x8 bit matrix whose row `r` is byte `r` of `x`: bit `c`
+/// of byte `r` moves to bit `r` of byte `c`. Its own inverse.
+#[inline]
+fn transpose8(x: u64) -> u64 {
+    let t = (x ^ (x >> 7)) & 0x00AA_00AA_00AA_00AA;
+    let x = x ^ t ^ (t << 7);
+    let t = (x ^ (x >> 14)) & 0x0000_CCCC_0000_CCCC;
+    let x = x ^ t ^ (t << 14);
+    let t = (x ^ (x >> 28)) & 0x0000_0000_F0F0_F0F0;
+    x ^ t ^ (t << 28)
+}
+
+/// The transposition the TMU and the compute array's bulk loader
+/// ([`ComputeArray::poke_lanes`](crate::ComputeArray::poke_lanes)) share:
+/// byte `plane` of up to 64 lane values, as 8 bit-slice words. Word `b`
+/// holds bit `8 * plane + b` of `values[i]` on bit `i`. Works on 8x8 bit
+/// tiles, 8 lanes at a time.
+#[inline]
+fn pack_plane(values: &[u64], plane: usize) -> [u64; 8] {
+    debug_assert!(values.len() <= 64 && plane < 8);
+    let mut slices = [0u64; 8];
+    for (group, lanes) in values.chunks(8).enumerate() {
+        let tile = lanes
+            .iter()
+            .rev()
+            .fold(0, |tile, &v| (tile << 8) | ((v >> (8 * plane)) & 0xFF));
+        let tile = transpose8(tile);
+        for (b, slice) in slices.iter_mut().enumerate() {
+            *slice |= ((tile >> (8 * b)) & 0xFF) << (8 * group);
+        }
+    }
+    slices
+}
+
+/// The inverse of [`pack_plane`]: bit `i` of slice word `b` becomes bit
+/// `8 * plane + b` of `values[i]`; the other bytes of `values` are kept.
+#[inline]
+fn unpack_plane(slices: &[u64; 8], plane: usize, values: &mut [u64]) {
+    debug_assert!(values.len() <= 64 && plane < 8);
+    let byte = 8 * plane;
+    for (group, lanes) in values.chunks_mut(8).enumerate() {
+        let tile = slices
+            .iter()
+            .rev()
+            .fold(0, |tile, &s| (tile << 8) | ((s >> (8 * group)) & 0xFF));
+        let tile = transpose8(tile);
+        for (l, v) in lanes.iter_mut().enumerate() {
+            *v = (*v & !(0xFF << byte)) | (((tile >> (8 * l)) & 0xFF) << byte);
+        }
+    }
+}
+
+/// Writes lane values into bit-slice rows, for the TMU's regular load and
+/// the compute array's bulk loader: bit `b` of `values[i]` lands on column
+/// `first + i` of `rows[b]` (zero for `b >= 64`); every other column keeps
+/// its bit.
+///
+/// The caller keeps `first + values.len() <= COLS`.
+pub(crate) fn scatter_lanes(rows: &mut [BitRow], first: usize, values: &[u64]) {
+    for (word, offset, run) in word_runs(first, first + values.len()) {
+        let lanes = &values[run];
+        if lanes.len() < 8 {
+            // Too few lanes to fill a tile: move them bit by bit. The
+            // executor's one-lane runs (pass-2 assembly, group-sum peeks)
+            // make this pay: perfbench's `mini_inception_dense` read a
+            // median `host_ref_ms_p50` of 5.79 ref ms with this branch and
+            // its twin in `gather_lanes` against 6.29 without them (10
+            // alternating pairs at 20 s, seeds 1001-1010, 9 wins).
+            for (col, &v) in (offset..).zip(lanes) {
+                let mut v = v;
+                for row in rows.iter_mut() {
+                    let cell = &mut row.words_mut()[word];
+                    *cell = (*cell & !(1 << col)) | ((v & 1) << col);
+                    v >>= 1;
+                }
+            }
+            continue;
+        }
+        let mask = (u64::MAX >> (64 - lanes.len())) << offset;
+        for (plane, rows) in rows.chunks_mut(8).enumerate() {
+            let slices = if plane < 8 {
+                pack_plane(lanes, plane)
+            } else {
+                [0; 8]
+            };
+            for (row, slice) in rows.iter_mut().zip(slices) {
+                let cell = &mut row.words_mut()[word];
+                *cell = (*cell & !mask) | (slice << offset);
+            }
+        }
+    }
+}
+
+/// The inverse of [`scatter_lanes`]: `out[i]` becomes the value whose bit
+/// `b < 64` is column `first + i` of `rows[b]`.
+///
+/// The caller keeps `first + out.len() <= COLS`.
+pub(crate) fn gather_lanes(rows: &[BitRow], first: usize, out: &mut [u64]) {
+    let rows = &rows[..rows.len().min(64)];
+    for (word, offset, run) in word_runs(first, first + out.len()) {
+        let lanes = &mut out[run];
+        if lanes.len() < 8 {
+            // As in `scatter_lanes`: too few lanes to fill a tile.
+            for (col, v) in (offset..).zip(lanes) {
+                *v = rows.iter().enumerate().fold(0, |v, (bit, row)| {
+                    v | (((row.words()[word] >> col) & 1) << bit)
+                });
+            }
+            continue;
+        }
+        lanes.fill(0);
+        for (plane, rows) in rows.chunks(8).enumerate() {
+            let mut slices = [0; 8];
+            for (slice, row) in slices.iter_mut().zip(rows) {
+                *slice = row.words()[word] >> offset;
+            }
+            unpack_plane(&slices, plane, lanes);
+        }
+    }
+}
+
+/// Splits the lanes `first..end` at 64-lane word boundaries into
+/// non-empty runs `(word, offset of the run in the word, indices of the
+/// run)`.
+fn word_runs(first: usize, end: usize) -> impl Iterator<Item = (usize, usize, Range<usize>)> {
+    let words = if first < end {
+        first / 64..end.div_ceil(64)
+    } else {
+        0..0
+    };
+    words.map(move |word| {
+        let (lo, hi) = ((64 * word).max(first), (64 * word + 64).min(end));
+        (word, lo % 64, lo - first..hi - first)
+    })
 }
 
 impl fmt::Debug for TransposeUnit {
@@ -199,7 +336,8 @@ impl fmt::Debug for TransposeUnit {
         write!(
             f,
             "TransposeUnit {{ bits_per_element: {}, elements: {} }}",
-            self.bits_per_element, self.elements
+            self.bits_per_element(),
+            self.elements
         )
     }
 }
@@ -248,6 +386,18 @@ mod tests {
         assert!(tmu.load_regular(&[16]).is_err());
         assert!(tmu.load_regular(&[15]).is_ok());
         assert!(tmu.read_bit_slice(4).is_err());
+        // A rejected load leaves cells, length and counters as they were.
+        let before = tmu.stats();
+        assert_eq!(
+            tmu.load_regular(&[1, 2, 17]),
+            Err(SramError::DestinationTooNarrow {
+                needed: 5,
+                available: 4
+            })
+        );
+        assert!(tmu.load_regular(&[0; COLS + 1]).is_err());
+        assert_eq!((tmu.stats(), tmu.len()), (before, 1));
+        assert_eq!(tmu.read_regular(0).unwrap(), 15);
     }
 
     #[test]
@@ -259,6 +409,41 @@ mod tests {
         assert!(!rows[0].get(1));
         assert!(rows[0].get(2)); // 0xA5 bit 0 = 1
         assert!(!rows[1].get(2)); // 0xA5 bit 1 = 0
+        let bytes: Vec<u8> = (0..=255).map(|b: u8| b.wrapping_mul(37)).collect();
+        let rows = tmu.transpose_bytes(&bytes).unwrap();
+        for (bit, row) in rows.iter().enumerate() {
+            assert_eq!(*row, tmu.read_bit_slice(bit).unwrap(), "slice {bit}");
+        }
+        assert_eq!(tmu.stats().access_cycles, 3 + 8 + 256 + 8 + 8);
+    }
+
+    #[test]
+    fn planes_match_per_bit_packing_and_round_trip() {
+        let values: Vec<u64> = (0..64u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 40))
+            .collect();
+        for len in [0, 1, 7, 8, 9, 63, 64] {
+            for plane in 0..8 {
+                let slices = pack_plane(&values[..len], plane);
+                for (b, slice) in slices.iter().enumerate() {
+                    for (i, v) in values.iter().enumerate() {
+                        let want = i < len && (v >> (8 * plane + b)) & 1 == 1;
+                        assert_eq!(
+                            (slice >> i) & 1 == 1,
+                            want,
+                            "len {len} bit {} lane {i}",
+                            8 * plane + b
+                        );
+                    }
+                }
+                let mut back = vec![u64::MAX; len];
+                unpack_plane(&slices, plane, &mut back);
+                for (got, v) in back.iter().zip(&values) {
+                    let keep = !(0xFFu64 << (8 * plane));
+                    assert_eq!(*got, keep | (v & !keep), "len {len} plane {plane}");
+                }
+            }
+        }
     }
 
     #[test]
