@@ -9,21 +9,28 @@
 //! One layer executes as three in-cache passes, each of which fits the
 //! 256-row budget of an 8KB array:
 //!
-//! 1. **MAC + reduce** — filters/inputs stream tap-by-tap into 8-row byte
-//!    regions; bit-serial multiply accumulates the per-lane partial sum
+//! 1. **MAC + reduce** — filters and inputs enter tap by tap as whole-row
+//!    bit planes ([`ComputeArray::load_rows`]) built from one per-layer
+//!    lane map ([`LaneMap`]): each m-block's filter planes are packed once
+//!    per layer (filters are stationary), the input planes once per output
+//!    window. Bit-serial multiply accumulates the per-lane partial sum
 //!    (`S1`) and the zero-point-correction running sum (`S2`); the grouped
 //!    in-array reduction tree (and, for filters spanning two arrays, an
 //!    inter-array transfer + add) collapses channels.
-//! 2. **Accumulator assembly** — `ACC = S1 - zp_w*S2 + C0(m)` via scalar
+//! 2. **Accumulator assembly** — in place on the pass-1 array, once per
+//!    array run and lane-parallel: `ACC = S1 - zp_w*S2 + C0(m)` via scalar
 //!    multiply and region subtract/add over 40-bit two's-complement
-//!    operands, then the MSB-masked `ReLU`.
+//!    operands, then the MSB-masked `ReLU`. The temporaries overlay the
+//!    rows pass 1 has spent, `C0` comes from a per-m-block plane holding
+//!    each group's constant on its first lane, and `zp_w` is a scalar
+//!    ([`layout::AssembleLayout`]).
 //! 3. **Requantization** — subtract the layer minimum, scalar-multiply by
 //!    the CPU-provided multiplier, shift by row re-addressing, saturate.
 //!
-//! Between passes the executor re-stages values into fresh arrays (in
-//! hardware they stay put and the quantization temporaries overlay the
-//! spent MAC regions); the arithmetic performed is identical, and every
-//! step is a genuine `nc-sram` micro-op sequence.
+//! Between the layer-wide ranging barrier and pass 3 the executor
+//! re-stages accumulators into fresh arrays (in hardware they stay put);
+//! the arithmetic performed is identical, and every step is a genuine
+//! `nc-sram` micro-op sequence.
 //!
 //! ## Sharding
 //!
@@ -48,13 +55,15 @@ use nc_dnn::{
     pad_before, ActQuant, Branch, BranchOp, Conv2d, Layer, MixedBlock, Model, PoolKind, QTensor,
     Requantizer, Shape,
 };
-use nc_sram::ops::copy_lanes_between;
-use nc_sram::{ArrayPool, ArrayTimings, ComputeArray, CycleStats, Operand, SramError, COLS};
+use nc_sram::{
+    pack_lanes, ArrayPool, ArrayTimings, BitRow, ComputeArray, CycleStats, Operand, SramError, COLS,
+};
 use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
+use crate::cost::DATA_BITS;
 use crate::engine::{ExecutionEngine, ShardObserver};
-use crate::layout::{self, DUMP_ROW, ZERO_ROW};
-use crate::mapping::{chunk_filter, chunk_window_bytes, conv_lane_geometry};
+use crate::layout::{self, AssembleLayout, MacReduceLayout, DUMP_ROW, ZERO_ROW};
+use crate::mapping::{gather_window, LaneMap};
 use crate::sparsity::SparsityMode;
 
 /// Result of a functional (bit-accurate) model execution.
@@ -95,6 +104,22 @@ pub enum FunctionalError {
         /// Offending sub-layer.
         name: String,
     },
+    /// The input tensor's shape is not the model's input shape.
+    InputShape {
+        /// The model's input shape.
+        expected: Shape,
+        /// The shape of the input passed in.
+        found: Shape,
+    },
+    /// A value staged into a two's-complement accumulator operand (a
+    /// layer's `C0` constant or a requantization operand) does not fit
+    /// its width.
+    AccumulatorOverflow {
+        /// The value that does not fit.
+        value: i64,
+        /// The operand's width in bits.
+        bits: usize,
+    },
     /// An underlying SRAM operation was rejected.
     Sram(SramError),
 }
@@ -108,6 +133,14 @@ impl fmt::Display for FunctionalError {
                     "sub-layer {name} has no weights; build the model with weights"
                 )
             }
+            FunctionalError::InputShape { expected, found } => write!(
+                f,
+                "input shape {found} does not match the model's input shape {expected}"
+            ),
+            FunctionalError::AccumulatorOverflow { value, bits } => write!(
+                f,
+                "{value} does not fit a {bits}-bit two's-complement accumulator operand"
+            ),
             FunctionalError::Sram(e) => write!(f, "sram operation failed: {e}"),
         }
     }
@@ -117,7 +150,7 @@ impl Error for FunctionalError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             FunctionalError::Sram(e) => Some(e),
-            FunctionalError::MissingWeights { .. } => None,
+            _ => None,
         }
     }
 }
@@ -135,7 +168,8 @@ type Result<T> = std::result::Result<T, FunctionalError>;
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
+/// Fails if the input shape is not the model's or any convolution
+/// sub-layer lacks weights.
 pub fn run_model(model: &Model, input: &QTensor) -> Result<FunctionalResult> {
     run_model_with(model, input, ExecutionEngine::Sequential)
 }
@@ -146,7 +180,8 @@ pub fn run_model(model: &Model, input: &QTensor) -> Result<FunctionalResult> {
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
+/// Fails if the input shape is not the model's or any convolution
+/// sub-layer lacks weights.
 pub fn run_model_with(
     model: &Model,
     input: &QTensor,
@@ -170,11 +205,8 @@ pub fn run_model_with(
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
-///
-/// # Panics
-///
-/// Panics if the input shape does not match the model's input shape.
+/// Fails if the input shape is not the model's or any convolution
+/// sub-layer lacks weights.
 pub fn run_model_configured(
     model: &Model,
     input: &QTensor,
@@ -211,11 +243,10 @@ pub fn run_model_configured(
 ///
 /// # Errors
 ///
-/// Fails if any convolution sub-layer lacks weights.
-///
-/// # Panics
-///
-/// Panics if the input shape does not match the model's input shape.
+/// Fails with [`FunctionalError::InputShape`] if the input shape is not the
+/// model's, with [`FunctionalError::MissingWeights`] if a convolution
+/// sub-layer lacks weights, and with a typed error if an operand cannot be
+/// staged.
 pub fn run_model_traced(
     model: &Model,
     input: &QTensor,
@@ -223,7 +254,12 @@ pub fn run_model_traced(
     mode: SparsityMode,
     tel: &Telemetry,
 ) -> Result<FunctionalResult> {
-    assert_eq!(input.shape(), model.input_shape, "input shape mismatch");
+    if input.shape() != model.input_shape {
+        return Err(FunctionalError::InputShape {
+            expected: model.input_shape,
+            found: input.shape(),
+        });
+    }
     let mut exec = Exec::new(engine, mode, tel.clone())?;
     let timings = ArrayTimings::default();
     let mut cur = input.clone();
@@ -558,7 +594,7 @@ impl Exec {
     }
 
     // ------------------------------------------------------------------
-    // Pass 1: MACs + grouped channel reduction
+    // Passes 1 and 2: MACs, grouped channel reduction, assembly
     // ------------------------------------------------------------------
 
     /// Computes the (`ReLU`'d, when fused) integer accumulators of one
@@ -569,80 +605,24 @@ impl Exec {
     /// ranging barrier below.
     fn conv_accumulate(&mut self, conv: &Conv2d, input: &QTensor) -> Result<AccChunk> {
         let spec = &conv.spec;
-        if conv.weights.is_none() {
-            return Err(FunctionalError::MissingWeights {
-                name: spec.name.clone(),
-            });
-        }
-        let in_shape = input.shape();
-        let out_shape = spec.out_shape(in_shape);
-        let zp_a = i64::from(input.params().zero_point);
-        let zp_w = u64::from(conv.w_quant.zero_point as u32);
-        let n_taps = spec.macs_per_output() as i64;
-        let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding) as isize;
-        let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding) as isize;
+        let out_shape = spec.out_shape(input.shape());
+        let layer = ConvLayer::new(conv, input.params().zero_point, self.mode)?;
 
-        // Lane geometry (Section IV-A packing/splitting) — the exact same
-        // computation the mapper plans with, so skip-fraction analysis on
-        // the mapping describes this executor's behavior precisely.
-        let geom = conv_lane_geometry(spec);
-
-        // Per-filter static data: lane-chunked weight bytes, code sums and
-        // the per-channel constant C0.
-        let filter_lanes: Vec<Vec<Vec<u8>>> =
-            (0..spec.m).map(|m| chunk_filter(conv, m, &geom)).collect();
-        let c0: Vec<i64> = (0..spec.m)
-            .map(|m| {
-                -zp_a * conv.filter_code_sum(m) + n_taps * (zp_w as i64) * zp_a + conv.bias_of(m)
-            })
-            .collect();
-
-        let group_span = geom.group_span;
-        let arrays_per_filter = geom.arrays_per_filter;
-        let groups_per_array = geom.groups_per_array(spec.m);
-
-        // Passes 1+2, sharded per output window: each job MACs and reduces
-        // every filter group against its window, then assembles the
-        // accumulators, on arrays drawn from the shared pool.
+        // Passes 1+2, sharded per output window, on arrays drawn from the
+        // shared pool.
         let engine = self.engine;
-        let mode = self.mode;
         let pool = &self.pool;
         let positions = out_shape.h * out_shape.w;
-        let filter_lanes = &filter_lanes;
-        let c0 = &c0;
+        let layer = &layer;
         let op_before = self.cycles;
         let observer = self.observer.as_ref();
         let shards = engine.run_observed(
             positions,
-            |pos| -> Result<(Vec<i64>, CycleStats)> {
+            |pos| {
                 let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-                let mut cycles = CycleStats::new();
-                let mut window_bytes = vec![0u8; spec.r * spec.s * spec.c];
-                gather_window(input, spec, ey, ex, pad_y, pad_x, &mut window_bytes);
-                let input_lanes = chunk_window_bytes(&window_bytes, spec.c, &geom);
-
-                let mut vals = vec![0i64; spec.m];
-                let mut m = 0;
-                while m < spec.m {
-                    let group_count = groups_per_array.min(spec.m - m);
-                    let (s1s, s2s) = mac_reduce_run(
-                        pool,
-                        &mut cycles,
-                        &filter_lanes[m..m + group_count],
-                        &input_lanes,
-                        geom.eff_window,
-                        group_span,
-                        arrays_per_filter,
-                        mode,
-                    )?;
-                    for (g, (s1, s2)) in s1s.iter().zip(&s2s).enumerate() {
-                        // Pass 2: ACC assembly + fused ReLU, in-cache.
-                        vals[m + g] =
-                            assemble_acc(pool, &mut cycles, *s1, *s2, zp_w, c0[m + g], spec.relu)?;
-                    }
-                    m += group_count;
-                }
-                Ok((vals, cycles))
+                let mut window = vec![0u8; spec.macs_per_output()];
+                gather_window(input, spec, ey, ex, &mut window);
+                layer.run_window(pool, &window)
             },
             observer,
         );
@@ -849,125 +829,170 @@ impl Exec {
 // the cycles it consumed, so results fold deterministically in job order.
 // ----------------------------------------------------------------------
 
-/// One MAC+reduce run: `groups` filters (or one filter spanning
-/// `arrays_per_filter` arrays) against one input window. Under
-/// [`SparsityMode::SkipZeroRows`] the weight operand is the multiplier and
-/// all-lanes-zero weight-bit rounds are elided (bit-identical products).
-#[allow(clippy::too_many_arguments)]
-fn mac_reduce_run(
-    pool: &ArrayPool,
-    cycles: &mut CycleStats,
-    filters: &[Vec<Vec<u8>>],
-    input_lanes: &[Vec<u8>],
-    eff_window: usize,
-    group_span: usize,
-    arrays_per_filter: usize,
+/// One convolution sub-layer's passes 1 and 2: its lane map, its
+/// stationary operands and its pass-2 scalars, prepared once per layer.
+struct ConvLayer {
+    map: LaneMap,
+    /// The m-blocks: filters that share one array run.
+    blocks: Vec<FilterBlock>,
+    /// Filter groups co-resident in one array.
+    groups_per_array: usize,
+    zp_w: u64,
+    relu: bool,
     mode: SparsityMode,
-) -> Result<(Vec<u64>, Vec<u64>)> {
-    // Row layout and op sequence of the pass-1 array (all regions
-    // disjoint, 202 rows) — shared with the static checker via
-    // `crate::layout`.
-    let l = layout::MacReduceLayout::new();
-    let layout::MacReduceLayout {
-        filter_byte,
-        input_byte,
-        partial,
-        s2sum,
-        seg_a,
-        seg_b,
-        s2_a,
-        s2_b,
-        ..
-    } = l;
-
-    let groups = filters.len();
-    let mut partial_arrays = Vec::with_capacity(arrays_per_filter);
-    let mut w_lanes = vec![0u64; groups * group_span];
-    let mut x_lanes = w_lanes.clone();
-
-    for array_idx in 0..arrays_per_filter {
-        let mut arr = pool.acquire();
-        *cycles += arr.zero(partial)? + arr.zero(s2sum)?;
-
-        // Lane slice handled by this array.
-        let lane_base = array_idx * COLS;
-
-        for t in 0..eff_window {
-            // Stream tap t of the filter and input bytes (loader path;
-            // transfer time is the movement model's concern).
-            for (g, chunks) in filters.iter().enumerate() {
-                for l in 0..group_span {
-                    let tap = |lanes: &[Vec<u8>]| lanes.get(lane_base + l).map_or(0, |c| c[t]);
-                    w_lanes[g * group_span + l] = u64::from(tap(chunks));
-                    x_lanes[g * group_span + l] = u64::from(tap(input_lanes));
-                }
-            }
-            arr.poke_lanes(0, filter_byte, &w_lanes)?;
-            arr.poke_lanes(0, input_byte, &x_lanes)?;
-            // S1 += w * x ; S2 += x — all lanes in parallel.
-            *cycles += l.mac_tap(&mut arr, mode)?;
-        }
-
-        // Widen into the reduction segments, then grouped in-array channel
-        // reduction.
-        *cycles += l.reduce(&mut arr, group_span, groups)?;
-        partial_arrays.push(arr);
-    }
-
-    // Cross-array fold (filters spanning two arrays share sense amps,
-    // Section III-D): transfer partner sums into array 0 and add.
-    let (first, rest) = partial_arrays.split_at_mut(1);
-    let arr0: &mut ComputeArray = &mut first[0];
-    for partner in rest.iter_mut() {
-        *cycles += copy_lanes_between(partner, seg_a, arr0, seg_b, 0, 1)?;
-        *cycles += arr0.add_assign(seg_a, seg_b)?;
-        *cycles += copy_lanes_between(partner, s2_a, arr0, s2_b, 0, 1)?;
-        *cycles += arr0.add_assign(s2_a, s2_b)?;
-    }
-
-    // Group g's sums sit on its first lane.
-    let group_sums = |op| {
-        (0..groups)
-            .map(|g| peek_one(arr0, g * group_span, op))
-            .collect::<Result<Vec<u64>>>()
-    };
-    Ok((group_sums(seg_a)?, group_sums(s2_a)?))
 }
 
-/// Assembles `ACC = S1 - zp_w*S2 + C0` in a 40-bit two's-complement
-/// region and applies the MSB-masked `ReLU` when fused (pass 2).
-fn assemble_acc(
-    pool: &ArrayPool,
-    cycles: &mut CycleStats,
-    s1: u64,
-    s2: u64,
-    zp_w: u64,
-    c0: i64,
-    relu: bool,
-) -> Result<i64> {
-    let layout::AssembleLayout {
-        s1_op,
-        s2_op,
-        t,
-        u,
-        scratch,
-        c0_op,
-    } = layout::AssembleLayout::new();
-    let mut arr = pool.acquire();
+/// One m-block's stationary operands, packed once per layer.
+struct FilterBlock {
+    /// Filters of the block, one lane group each.
+    groups: usize,
+    /// Filter byte planes: [`DATA_BITS`] rows per (array, tap), in the
+    /// lane map's order.
+    filters: Vec<BitRow>,
+    /// The rows of [`AssembleLayout::c0_op`]: group `g`'s per-channel
+    /// constant `C0` on lane `g * group_span`.
+    c0: Vec<BitRow>,
+}
 
-    arr.poke_lanes(0, s1_op, &[s1])?;
-    arr.poke_lanes(0, s2_op, &[s2])?;
-    let c0 = c0_op.signed_code(clamp_to_bits(c0, c0_op.bits()))?;
-    arr.poke_lanes(0, c0_op, &[c0])?;
-
-    *cycles += arr.copy_zext(s1_op, t)?;
-    *cycles += arr.mul_scalar(s2_op, zp_w, u)?;
-    *cycles += arr.sub(t, u, t, scratch)?;
-    *cycles += arr.add_assign(t, c0_op)?;
-    if relu {
-        *cycles += arr.relu(t)?;
+impl ConvLayer {
+    /// Places the layer's bytes with one lane map (Section IV-A
+    /// packing/splitting, the same map the sparsity analyses walk) and
+    /// packs each m-block's filter planes and `C0` plane.
+    fn new(conv: &Conv2d, zp_a: i32, mode: SparsityMode) -> Result<Self> {
+        let spec = &conv.spec;
+        let Some(weights) = conv.weights.as_deref() else {
+            return Err(FunctionalError::MissingWeights {
+                name: spec.name.clone(),
+            });
+        };
+        let map = LaneMap::new(spec);
+        let geom = *map.geometry();
+        let groups_per_array = geom.groups_per_array(spec.m);
+        let per_filter = spec.macs_per_output();
+        let zp_a = i64::from(zp_a);
+        let zp_w = u64::from(conv.w_quant.zero_point as u32);
+        let c0_op = AssembleLayout::new().c0_op;
+        let blocks = (0..spec.m)
+            .step_by(groups_per_array)
+            .map(|first| {
+                let groups = groups_per_array.min(spec.m - first);
+                let filters =
+                    byte_planes(&map, groups, |g, k| weights[(first + g) * per_filter + k])?;
+                let mut c0_lanes = vec![0u64; groups * geom.group_span];
+                for g in 0..groups {
+                    let m = first + g;
+                    let c0 = -zp_a * conv.filter_code_sum(m)
+                        + per_filter as i64 * (zp_w as i64) * zp_a
+                        + conv.bias_of(m);
+                    c0_lanes[g * geom.group_span] = accumulator_code(c0_op, c0)?;
+                }
+                let mut c0 = vec![BitRow::zero(); c0_op.bits()];
+                pack_lanes(&c0_lanes, &mut c0)?;
+                Ok(FilterBlock {
+                    groups,
+                    filters,
+                    c0,
+                })
+            })
+            .collect::<Result<_>>()?;
+        Ok(ConvLayer {
+            map,
+            blocks,
+            groups_per_array,
+            zp_w,
+            relu: spec.relu,
+            mode,
+        })
     }
-    Ok(t.signed_value(peek_one(&arr, 0, t)?))
+
+    /// One output window's shard job: packs the window's input planes
+    /// (every filter group of an array sees the same input lanes), then
+    /// runs every m-block against them. Returns the accumulators in
+    /// filter order and the cycles charged.
+    fn run_window(&self, pool: &ArrayPool, window: &[u8]) -> Result<(Vec<i64>, CycleStats)> {
+        let inputs = byte_planes(&self.map, self.groups_per_array, |_, k| window[k])?;
+        let mut cycles = CycleStats::new();
+        let mut vals = Vec::new();
+        for block in &self.blocks {
+            vals.extend(self.run_block(pool, block, &inputs, &mut cycles)?);
+        }
+        Ok((vals, cycles))
+    }
+
+    /// Runs one m-block's MAC taps, reduce and cross-array fold (pass 1),
+    /// then assembles every group's accumulator at once in place (pass 2),
+    /// and returns group `g`'s accumulator, read from its first lane.
+    /// Under [`SparsityMode::SkipZeroRows`] the weight operand is the
+    /// multiplier and all-lanes-zero weight-bit rounds are elided
+    /// (bit-identical products).
+    fn run_block(
+        &self,
+        pool: &ArrayPool,
+        block: &FilterBlock,
+        inputs: &[BitRow],
+        cycles: &mut CycleStats,
+    ) -> Result<Vec<i64>> {
+        let geom = self.map.geometry();
+        let l = MacReduceLayout::new();
+        let per_array = geom.eff_window * DATA_BITS;
+        let mut arrays = Vec::with_capacity(geom.arrays_per_filter);
+        for (filters, inputs) in block
+            .filters
+            .chunks(per_array)
+            .zip(inputs.chunks(per_array))
+        {
+            let mut arr = pool.acquire();
+            *cycles += l.clear_sums(&mut arr)?;
+            for (w, x) in filters.chunks(DATA_BITS).zip(inputs.chunks(DATA_BITS)) {
+                // Tap t's filter and input bytes enter as whole rows
+                // (loader path; transfer time is the movement model's).
+                arr.load_rows(l.filter_byte, w)?;
+                arr.load_rows(l.input_byte, x)?;
+                // S1 += w * x ; S2 += x — all lanes in parallel.
+                *cycles += l.mac_tap(&mut arr, self.mode)?;
+            }
+            *cycles += l.reduce(&mut arr, geom.group_span, block.groups)?;
+            arrays.push(arr);
+        }
+        let (first, partners) = arrays.split_at_mut(1);
+        let arr: &mut ComputeArray = &mut first[0];
+        for partner in partners {
+            *cycles += l.fold(arr, partner)?;
+        }
+
+        let asm = AssembleLayout::new();
+        arr.load_rows(asm.c0_op, &block.c0)?;
+        *cycles += asm.assemble(arr, self.zp_w, self.relu)?;
+        let span = geom.group_span;
+        (0..block.groups)
+            .map(|g| Ok(asm.t.signed_value(peek_one(arr, g * span, asm.t)?)))
+            .collect()
+    }
+}
+
+/// The operand byte planes of every (array, tap) of `map`, [`DATA_BITS`]
+/// rows each, for `groups` lane groups side by side: lane
+/// `g * group_span + l` of array `a` at tap `t` holds `byte(g, k)` for the
+/// window index `k` the map places on lane `l`, and 0 on an empty slot.
+fn byte_planes(
+    map: &LaneMap,
+    groups: usize,
+    byte: impl Fn(usize, usize) -> u8,
+) -> Result<Vec<BitRow>> {
+    let geom = map.geometry();
+    let span = geom.group_span;
+    let mut lanes = vec![0u64; groups * span];
+    let mut planes = vec![BitRow::zero(); geom.arrays_per_filter * geom.eff_window * DATA_BITS];
+    for (i, plane) in planes.chunks_mut(DATA_BITS).enumerate() {
+        let (a, t) = (i / geom.eff_window, i % geom.eff_window);
+        for (l, k) in map.lanes(a, t).iter().enumerate() {
+            for g in 0..groups {
+                lanes[g * span + l] = k.map_or(0, |k| u64::from(byte(g, k)));
+            }
+        }
+        pack_lanes(&lanes, plane)?;
+    }
+    Ok(planes)
 }
 
 /// One 256-lane min/max ranging run over a chunk of accumulators.
@@ -1011,8 +1036,8 @@ fn requant_chunk(
     let mut arr = pool.acquire();
     let accs = chunk
         .iter()
-        .map(|&v| d_op.signed_code(clamp_to_bits(v, d_op.bits())))
-        .collect::<std::result::Result<Vec<u64>, SramError>>()?;
+        .map(|&v| accumulator_code(d_op, v))
+        .collect::<Result<Vec<u64>>>()?;
     arr.poke_lanes(0, d_op, &accs)?;
     // D = max(ACC - acc_min, 0).
     cycles += arr.add_scalar_signed(d_op, -requant.acc_min)?;
@@ -1126,42 +1151,14 @@ fn peek_bytes(arr: &ComputeArray, op: Operand, lanes: usize) -> Result<Vec<u8>> 
     Ok(values.into_iter().map(|v| v as u8).collect())
 }
 
-// ----------------------------------------------------------------------
-// Window gathering (lane chunking lives in `crate::mapping`)
-// ----------------------------------------------------------------------
-
-/// Gathers one padded input window in the same (r, s, c) order as the
-/// reference executor, then regroups it channel-major for lane chunking.
-fn gather_window(
-    input: &QTensor,
-    spec: &nc_dnn::ConvSpec,
-    ey: usize,
-    ex: usize,
-    pad_y: isize,
-    pad_x: isize,
-    out: &mut [u8],
-) {
-    let oy = (ey * spec.stride) as isize - pad_y;
-    let ox = (ex * spec.stride) as isize - pad_x;
-    let mut idx = 0;
-    for r in 0..spec.r {
-        for s in 0..spec.s {
-            for c in 0..spec.c {
-                out[idx] = input.get_padded(oy + r as isize, ox + s as isize, c);
-                idx += 1;
-            }
-        }
-    }
-}
-
-fn clamp_to_bits(v: i64, bits: usize) -> i64 {
-    let lo = -(1i64 << (bits - 1));
-    let hi = (1i64 << (bits - 1)) - 1;
-    debug_assert!(
-        (lo..=hi).contains(&v),
-        "{v} exceeds {bits}-bit two's complement"
-    );
-    v.clamp(lo, hi)
+/// The two's-complement code of `value` in the accumulator operand `op`
+/// (a layer's `C0` or a requantization operand).
+fn accumulator_code(op: Operand, value: i64) -> Result<u64> {
+    op.signed_code(value)
+        .map_err(|_| FunctionalError::AccumulatorOverflow {
+            value,
+            bits: op.bits(),
+        })
 }
 
 fn concat_channels(parts: &[QTensor], params: ActQuant) -> QTensor {
@@ -1562,6 +1559,120 @@ mod tests {
                 available: 8,
             })
         );
+    }
+
+    #[test]
+    fn mac_reduce_cycles_are_the_layout_methods_once_per_array_run() {
+        use crate::mapping::conv_lane_geometry;
+        // Each term is measured by running its layout method on a scratch
+        // array. Pass 2 runs once per array run, not once per output.
+        let cases = [
+            // Many groups per array, like Conv2d_1a_3x3.
+            (
+                random_conv("groups", (3, 3), 3, 32, 2, Padding::Valid, true, 31),
+                Shape::new(9, 9, 3),
+            ),
+            // Packing: 16 channels per lane.
+            (
+                random_conv("packed", (1, 1), 40, 4, 1, Padding::Valid, true, 32),
+                Shape::new(3, 3, 40),
+            ),
+            // Splitting: a 5x5 window over three lanes per channel.
+            (
+                random_conv("split", (5, 5), 3, 2, 1, Padding::Same, false, 33),
+                Shape::new(5, 5, 3),
+            ),
+            // A filter spanning two arrays, folded across them.
+            (
+                random_conv("wide", (3, 3), 300, 2, 1, Padding::Valid, true, 34),
+                Shape::new(3, 3, 300),
+            ),
+        ];
+        for (conv, in_shape) in cases {
+            let model = single_conv_model(conv.clone(), in_shape);
+            let input = random_input(model.input_shape, model.input_quant, 35);
+            let tel = Telemetry::enabled(Level::Detail);
+            run_model_traced(
+                &model,
+                &input,
+                ExecutionEngine::Sequential,
+                SparsityMode::Dense,
+                &tel,
+            )
+            .expect("traced run");
+            let executed = ["compute_cycles", "access_cycles"]
+                .map(|arg| tel.sum_u64_arg_named("functional.op", "mac-reduce", arg));
+
+            let spec = &conv.spec;
+            let geom = conv_lane_geometry(spec);
+            let (l, asm) = (MacReduceLayout::new(), AssembleLayout::new());
+            let scratch = || ComputeArray::with_zero_row(ZERO_ROW).expect("scratch array");
+            let cost = |c: std::result::Result<CycleStats, SramError>| {
+                let c = c.expect("layout method runs");
+                [c.compute_cycles, c.access_cycles]
+            };
+            let zero = cost(l.clear_sums(&mut scratch()));
+            let tap = cost(l.mac_tap(&mut scratch(), SparsityMode::Dense));
+            let fold = cost(l.fold(&mut scratch(), &mut scratch()));
+            let zp_w = u64::from(conv.w_quant.zero_point as u32);
+            let assemble = cost(asm.assemble(&mut scratch(), zp_w, spec.relu));
+            let windows = spec.out_shape(in_shape).len() / spec.m;
+            let mut expected = [0u64; 2];
+            let mut first = 0;
+            while first < spec.m {
+                let groups = geom.groups_per_array(spec.m).min(spec.m - first);
+                let reduce = cost(l.reduce(&mut scratch(), geom.group_span, groups));
+                for i in 0..2 {
+                    let array = zero[i] + geom.eff_window as u64 * tap[i] + reduce[i];
+                    let run = geom.arrays_per_filter as u64 * array
+                        + (geom.arrays_per_filter as u64 - 1) * fold[i]
+                        + assemble[i];
+                    expected[i] += windows as u64 * run;
+                }
+                first += groups;
+            }
+            assert_eq!(executed, expected, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn input_shape_mismatch_is_a_typed_error() {
+        let model = tiny_cnn(5);
+        let wrong = Shape::new(
+            model.input_shape.h + 1,
+            model.input_shape.w,
+            model.input_shape.c,
+        );
+        let input = random_input(wrong, model.input_quant, 6);
+        let err = run_model(&model, &input).unwrap_err();
+        assert_eq!(
+            err,
+            FunctionalError::InputShape {
+                expected: model.input_shape,
+                found: wrong,
+            }
+        );
+        assert!(err.to_string().contains("input shape"));
+    }
+
+    #[test]
+    fn accumulator_constant_past_40_bits_is_a_typed_error() {
+        // A bias of 2^45 puts C0 past the 40-bit two's-complement operand
+        // pass 2 stages it into; release builds used to clamp it silently.
+        let mut conv = random_conv("c", (1, 1), 4, 2, 1, Padding::Valid, false, 36);
+        conv.bias = vec![0, 1 << 45];
+        let model = single_conv_model(conv, Shape::new(2, 2, 4));
+        let input = random_input(model.input_shape, model.input_quant, 37);
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::from_threads(2),
+        ] {
+            let err = run_model_with(&model, &input, engine).unwrap_err();
+            assert!(
+                matches!(err, FunctionalError::AccumulatorOverflow { value, bits: 40 } if value > 1 << 44),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

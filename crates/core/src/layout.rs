@@ -1,6 +1,6 @@
 //! Operand layouts of the functional executor's shard jobs — the single
 //! source of truth for which word-line ranges each in-cache pass occupies,
-//! and for the pass-1 op sequence that runs over them.
+//! and for the convolution op sequences that run over them.
 //!
 //! The bit-accurate executor ([`crate::functional`]) stages every pass into
 //! fixed row regions of a 256-row array. This module names every region
@@ -8,14 +8,16 @@
 //!
 //! - the executor builds its operands from here (no drift possible),
 //! - [`validate_plan`] proves the whole plan hazard-free before the first
-//!   row is touched (debug-mode pre-pass in the executor),
+//!   row is touched (debug-mode pre-pass in the executor), including the
+//!   in-place hand-off from pass 1 to pass 2 ([`handoff_violations`]),
 //! - the `nc-verify` static checker lints the same descriptors, and
-//! - the pass-1 MAC tap and reduce tail are methods here
-//!   ([`MacReduceLayout::mac_tap`], [`MacReduceLayout::reduce`]): the
-//!   executor runs them, and `nc-verify` records the very same calls on a
-//!   scratch array (`ComputeArray::start_recording`) to get the schedules
-//!   it checks.
+//! - the convolution's op sequences are methods here: pass 1's MAC tap,
+//!   reduce tail and cross-array fold ([`MacReduceLayout`]) and pass 2's
+//!   assembly ([`AssembleLayout::assemble`]). The executor runs them, and
+//!   `nc-verify` records the very same calls on a scratch array
+//!   (`ComputeArray::start_recording`) to get the schedules it checks.
 
+use nc_sram::ops::copy_lanes_between;
 use nc_sram::{ComputeArray, CycleStats, Operand, Result, ROWS};
 
 use crate::sparsity::SparsityMode;
@@ -35,6 +37,10 @@ fn op(base: usize, bits: usize) -> Operand {
 }
 
 /// Pass 1 (MAC + grouped channel reduction) row layout.
+///
+/// The reduce leaves the sums in `seg_a` and `s2_a`, which sit above every
+/// other pass-1 region: once the cross-array fold is done, rows `0..136`
+/// are spent and pass 2 ([`AssembleLayout`]) reuses them in place.
 #[derive(Debug, Clone, Copy)]
 pub struct MacReduceLayout {
     /// Streamed filter byte of the current tap.
@@ -67,11 +73,20 @@ impl MacReduceLayout {
             scratch16: op(16, 16),
             partial: op(32, 24),
             s2sum: op(56, 16),
-            seg_a: op(72, 32),
-            seg_b: op(104, 32),
-            s2_a: op(136, 32),
-            s2_b: op(168, 32),
+            seg_b: op(72, 32),
+            s2_b: op(104, 32),
+            seg_a: op(136, 32),
+            s2_a: op(168, 32),
         }
+    }
+
+    /// Clears the per-lane sums `S1` and `S2` before an array's first tap.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's zero-row check.
+    pub fn clear_sums(&self, arr: &mut ComputeArray) -> Result<CycleStats> {
+        Ok(arr.zero(self.partial)? + arr.zero(self.s2sum)?)
     }
 
     /// One MAC tap on every lane: `S1 += w * x; S2 += x`, with the
@@ -121,6 +136,21 @@ impl MacReduceLayout {
         Ok(cycles)
     }
 
+    /// The cross-array fold of a filter spanning two arrays (they share
+    /// sense amps, Section III-D): moves the partner's reduced sums, on
+    /// lane 0, into `arr`'s spent `seg_b`/`s2_b` and adds them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the arrays' checks.
+    pub fn fold(&self, arr: &mut ComputeArray, partner: &mut ComputeArray) -> Result<CycleStats> {
+        let mut cycles = copy_lanes_between(partner, self.seg_a, arr, self.seg_b, 0, 1)?;
+        cycles += arr.add_assign(self.seg_a, self.seg_b)?;
+        cycles += copy_lanes_between(partner, self.s2_a, arr, self.s2_b, 0, 1)?;
+        cycles += arr.add_assign(self.s2_a, self.s2_b)?;
+        Ok(cycles)
+    }
+
     /// Every region with its name, for generic layout checking.
     #[must_use]
     pub fn named(&self) -> Vec<NamedOperand> {
@@ -145,11 +175,17 @@ impl Default for MacReduceLayout {
 }
 
 /// Pass 2 (accumulator assembly `ACC = S1 - zp_w*S2 + C0`) row layout.
+///
+/// Pass 2 runs in place on the pass-1 array, once per array run and on
+/// every lane at once: it reads each group's `S1`/`S2` where
+/// [`MacReduceLayout::reduce`] leaves them, keeps its temporaries on the
+/// rows pass 1 no longer needs, and takes `C0` from a row region pass 1
+/// never touches ([`handoff_violations`] checks the hand-off).
 #[derive(Debug, Clone, Copy)]
 pub struct AssembleLayout {
-    /// 32-bit staged `S1`.
+    /// 32-bit `S1`: pass 1's `seg_a`.
     pub s1_op: Operand,
-    /// 32-bit staged `S2`.
+    /// 32-bit `S2`: pass 1's `s2_a`.
     pub s2_op: Operand,
     /// 40-bit two's-complement accumulator `T`.
     pub t: Operand,
@@ -162,17 +198,37 @@ pub struct AssembleLayout {
 }
 
 impl AssembleLayout {
-    /// The layout used by every pass-2 assembly job.
+    /// The layout every pass-2 assembly uses.
     #[must_use]
     pub fn new() -> Self {
+        let mac = MacReduceLayout::new();
         AssembleLayout {
-            s1_op: op(0, 32),
-            s2_op: op(32, 32),
-            t: op(64, 40),
-            u: op(104, 40),
-            scratch: op(144, 40),
-            c0_op: op(184, 40),
+            s1_op: mac.seg_a,
+            s2_op: mac.s2_a,
+            t: op(0, 40),
+            u: op(40, 40),
+            scratch: op(80, 40),
+            c0_op: op(200, 40),
         }
+    }
+
+    /// Assembles `ACC = S1 - zp_w*S2 + C0` into the 40-bit two's-complement
+    /// `t` on every lane, then applies the MSB-masked `ReLU` when `relu` is
+    /// set. `zp_w` is the layer's weight zero point, a scalar from the
+    /// control FSM; `C0` must already be staged in `c0_op`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's operand and zero-row checks.
+    pub fn assemble(&self, arr: &mut ComputeArray, zp_w: u64, relu: bool) -> Result<CycleStats> {
+        let mut cycles = arr.copy_zext(self.s1_op, self.t)?;
+        cycles += arr.mul_scalar(self.s2_op, zp_w, self.u)?;
+        cycles += arr.sub(self.t, self.u, self.t, self.scratch)?;
+        cycles += arr.add_assign(self.t, self.c0_op)?;
+        if relu {
+            cycles += arr.relu(self.t)?;
+        }
+        Ok(cycles)
     }
 
     /// Every region with its name, for generic layout checking.
@@ -390,7 +446,7 @@ impl Default for PoolAvgLayout {
 pub fn all_layouts() -> Vec<(&'static str, Vec<NamedOperand>)> {
     vec![
         ("mac_reduce", MacReduceLayout::new().named()),
-        ("assemble_acc", AssembleLayout::new().named()),
+        ("assemble", AssembleLayout::new().named()),
         ("ranging", RangingLayout::new().named()),
         ("requant", RequantLayout::new().named()),
         ("code_requant", CodeRequantLayout::new().named()),
@@ -399,8 +455,37 @@ pub fn all_layouts() -> Vec<(&'static str, Vec<NamedOperand>)> {
     ]
 }
 
+/// The pass-1 to pass-2 hand-off rule. Assembly runs in place on the
+/// pass-1 array, so its `S1`/`S2` regions must be exactly the segments the
+/// reduce leaves the sums in (`seg_a`/`s2_a`), and no other assembly region
+/// may overlap those segments. Returns one human-readable violation per
+/// breach (empty = clean).
+#[must_use]
+pub fn handoff_violations(mac: &MacReduceLayout, asm: &AssembleLayout) -> Vec<String> {
+    let mut violations = Vec::new();
+    for (name, read, src_name, src) in [
+        ("s1_op", asm.s1_op, "seg_a", mac.seg_a),
+        ("s2_op", asm.s2_op, "s2_a", mac.s2_a),
+    ] {
+        if read != src {
+            violations.push(format!(
+                "assemble: {name} {read} is not mac_reduce's {src_name} {src}"
+            ));
+        }
+        for (other, o) in asm.named() {
+            if !matches!(other, "s1_op" | "s2_op") && o.overlaps(&src) {
+                violations.push(format!(
+                    "assemble: {other} {o} overlaps mac_reduce's {src_name} {src}"
+                ));
+            }
+        }
+    }
+    violations
+}
+
 /// Statically validates every shard-job layout: all regions in bounds,
-/// pairwise disjoint, and clear of the reserved zero and dump rows.
+/// pairwise disjoint, and clear of the reserved zero and dump rows; and
+/// the in-place pass-1 to pass-2 hand-off ([`handoff_violations`]).
 ///
 /// Returns one human-readable violation per hazard (empty = clean). The
 /// functional executor runs this as a debug-mode pre-pass before touching
@@ -426,6 +511,10 @@ pub fn validate_plan() -> Vec<String> {
             }
         }
     }
+    violations.extend(handoff_violations(
+        &MacReduceLayout::new(),
+        &AssembleLayout::new(),
+    ));
     violations
 }
 
@@ -449,6 +538,20 @@ mod tests {
         assert_eq!(CodeRequantLayout::new().named().len(), 2);
         assert_eq!(PoolMaxLayout::new().named().len(), 3);
         assert_eq!(PoolAvgLayout::new().named().len(), 7);
+    }
+
+    #[test]
+    fn handoff_rule_flags_moved_sums_and_overlapping_temporaries() {
+        let mac = MacReduceLayout::new();
+        let mut asm = AssembleLayout::new();
+        assert_eq!(handoff_violations(&mac, &asm), Vec::<String>::new());
+        asm.s1_op = op(120, 32);
+        asm.u = op(160, 40);
+        let found = handoff_violations(&mac, &asm);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found[0].contains("s1_op") && found[0].contains("is not mac_reduce's seg_a"));
+        assert!(found[1].contains(": u ") && found[1].contains("overlaps mac_reduce's seg_a"));
+        assert!(found[2].contains(": u ") && found[2].contains("overlaps mac_reduce's s2_a"));
     }
 
     #[test]

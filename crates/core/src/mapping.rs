@@ -9,7 +9,7 @@
 //! example (`Conv2D_2b`: ~32K parallel convolutions, 43 serial rounds, 99.7%
 //! utilization) is reproduced by tests.
 
-use nc_dnn::{Conv2d, ConvSpec, Layer, Model, PoolKind, Shape};
+use nc_dnn::{pad_before, Conv2d, ConvSpec, Layer, Model, PoolKind, QTensor, Shape};
 use nc_geometry::CacheGeometry;
 use nc_sram::{COLS, ROWS};
 
@@ -110,69 +110,90 @@ pub fn conv_lane_geometry(spec: &ConvSpec) -> LaneGeometry {
     }
 }
 
-/// Chunks filter `m`'s bytes into per-lane byte vectors of `eff_window`
-/// bytes under `geom`'s layout (packing compresses channels; splitting
-/// spreads large windows). This is the exact byte placement the functional
-/// executor streams tap-by-tap.
+/// The Section IV-A byte placement of one convolution: for every array of
+/// a filter, tap and lane, the index into the `(r, s, c)`-ordered window
+/// whose byte that lane streams at that tap, or `None` for a zero-padded
+/// slot. Packing puts `packing` consecutive channels on one lane, one per
+/// tap; splitting spreads one channel's window over `split` lanes of
+/// `eff_window` taps; lanes past `eff_channels` stay empty.
 ///
-/// # Panics
-///
-/// Panics if the layer is shape-only.
-#[must_use]
-pub fn chunk_filter(conv: &Conv2d, m: usize, geom: &LaneGeometry) -> Vec<Vec<u8>> {
-    let spec = &conv.spec;
-    let mut per_channel: Vec<Vec<u8>> = vec![Vec::with_capacity(spec.window()); spec.c];
+/// Filter `m`'s weights and a gathered input window ([`gather_window`])
+/// are both `(r, s, c)`-ordered, so this one map places filter and input
+/// bytes alike: the functional executor builds its operand planes from it,
+/// and the sparsity analyses walk it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LaneMap {
+    geom: LaneGeometry,
+    /// Window index of lane `l` of array `a` at tap `t`, at
+    /// `(a * eff_window + t) * group_span + l`.
+    index: Vec<Option<usize>>,
+}
+
+impl LaneMap {
+    /// The lane map of `spec` under [`conv_lane_geometry`].
+    #[must_use]
+    pub fn new(spec: &ConvSpec) -> Self {
+        let geom = conv_lane_geometry(spec);
+        let (taps, span) = (geom.eff_window, geom.group_span);
+        let mut index = vec![None; geom.arrays_per_filter * taps * span];
+        for lane in 0..geom.eff_channels {
+            let (a, l) = (lane / span, lane % span);
+            for t in 0..taps {
+                index[(a * taps + t) * span + l] = if geom.packing > 1 {
+                    let c = lane * geom.packing + t;
+                    (c < spec.c).then_some(c)
+                } else {
+                    let (c, piece) = (lane / geom.split, lane % geom.split);
+                    let pos = piece * taps + t;
+                    (pos < spec.window()).then_some(pos * spec.c + c)
+                };
+            }
+        }
+        LaneMap { geom, index }
+    }
+
+    /// The lane geometry the map realizes.
+    #[must_use]
+    pub fn geometry(&self) -> &LaneGeometry {
+        &self.geom
+    }
+
+    /// Window indices of array `a`'s `group_span` lanes at tap `t`.
+    #[must_use]
+    pub fn lanes(&self, a: usize, t: usize) -> &[Option<usize>] {
+        let span = self.geom.group_span;
+        let start = (a * self.geom.eff_window + t) * span;
+        &self.index[start..start + span]
+    }
+
+    /// OR of `window`'s bytes over array `a`'s lanes at tap `t`: bit `j`
+    /// is clear exactly when bit round `(t, j)` is zero on every lane.
+    #[must_use]
+    pub fn or_mask(&self, window: &[u8], a: usize, t: usize) -> u8 {
+        self.lanes(a, t)
+            .iter()
+            .fold(0, |or, k| or | k.map_or(0, |k| window[k]))
+    }
+}
+
+/// Gathers the padded input window of output `(ey, ex)` in the
+/// `(r, s, c)` order of the filters and of the reference executor
+/// (padding bytes hold the zero-point code). `out` holds `R*S*C` bytes.
+pub fn gather_window(input: &QTensor, spec: &ConvSpec, ey: usize, ex: usize, out: &mut [u8]) {
+    let in_shape = input.shape();
+    let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding) as isize;
+    let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding) as isize;
+    let oy = (ey * spec.stride) as isize - pad_y;
+    let ox = (ex * spec.stride) as isize - pad_x;
+    let mut idx = 0;
     for r in 0..spec.r {
         for s in 0..spec.s {
-            for (c, bytes) in per_channel.iter_mut().enumerate() {
-                bytes.push(conv.weight(m, r, s, c));
+            for c in 0..spec.c {
+                out[idx] = input.get_padded(oy + r as isize, ox + s as isize, c);
+                idx += 1;
             }
         }
     }
-    chunk_channel_major(&per_channel, geom)
-}
-
-/// Regroups an `(r, s, c)`-ordered input window into per-lane chunks
-/// matching [`chunk_filter`].
-#[must_use]
-pub fn chunk_window_bytes(window: &[u8], channels: usize, geom: &LaneGeometry) -> Vec<Vec<u8>> {
-    let taps = window.len() / channels;
-    let mut per_channel: Vec<Vec<u8>> = vec![Vec::with_capacity(taps); channels];
-    for (i, &b) in window.iter().enumerate() {
-        per_channel[i % channels].push(b);
-    }
-    chunk_channel_major(&per_channel, geom)
-}
-
-/// The shared chunking rule: packing places `packing` consecutive channels'
-/// single bytes on one lane; splitting spreads one channel's window across
-/// `split` lanes of `eff_window` bytes (zero-padded).
-fn chunk_channel_major(per_channel: &[Vec<u8>], geom: &LaneGeometry) -> Vec<Vec<u8>> {
-    let mut lanes = Vec::new();
-    if geom.packing > 1 {
-        for group in per_channel.chunks(geom.packing) {
-            let mut lane = Vec::with_capacity(geom.eff_window);
-            for ch in group {
-                lane.push(ch[0]);
-            }
-            lane.resize(geom.eff_window, 0);
-            lanes.push(lane);
-        }
-    } else {
-        for ch in per_channel {
-            for piece in 0..geom.split {
-                let mut lane: Vec<u8> = ch
-                    .iter()
-                    .copied()
-                    .skip(piece * geom.eff_window)
-                    .take(geom.eff_window)
-                    .collect();
-                lane.resize(geom.eff_window, 0);
-                lanes.push(lane);
-            }
-        }
-    }
-    lanes
 }
 
 /// Word-line budget of one lane under the Figure 10 layout, extended with
@@ -961,6 +982,38 @@ mod tests {
         assert_eq!(g.arrays_per_filter, 2);
         assert_eq!(g.group_span, 256);
         assert_eq!(g.groups_per_array(2), 1, "spanning filters run alone");
+    }
+
+    #[test]
+    fn lane_map_places_packed_and_split_windows() {
+        let spec = |r, s, c| nc_dnn::ConvSpec {
+            name: "map".into(),
+            r,
+            s,
+            c,
+            m: 1,
+            stride: 1,
+            padding: nc_dnn::Padding::Same,
+            relu: true,
+        };
+        // 1x1 over 40 channels: lane l streams channels 16l..16l+16, one
+        // per tap, and the last lane runs out after channel 39.
+        let map = LaneMap::new(&spec(1, 1, 40));
+        assert_eq!(map.lanes(0, 3)[..4], [Some(3), Some(19), Some(35), None]);
+        assert_eq!(map.lanes(0, 8)[2], None);
+        // 5x5 over 3 channels: channel c's 25 window bytes split over lanes
+        // 3c..3c+3 of 9 taps each, at window index position * C + c.
+        let map = LaneMap::new(&spec(5, 5, 3));
+        assert_eq!(map.lanes(0, 0)[..4], [Some(0), Some(27), Some(54), Some(1)]);
+        assert_eq!(map.lanes(0, 6)[2], Some(24 * 3));
+        assert_eq!(map.lanes(0, 7)[2], None, "the window has 25 positions");
+        assert!(map.lanes(0, 0)[9..].iter().all(Option::is_none));
+        let window: Vec<u8> = (0..75).collect();
+        let tap0 = [0u8, 27, 54, 1, 28, 55, 2, 29, 56];
+        assert_eq!(
+            map.or_mask(&window, 0, 0),
+            tap0.into_iter().fold(0, |m, k| m | k)
+        );
     }
 
     #[test]

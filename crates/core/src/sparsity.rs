@@ -17,19 +17,18 @@
 //! - **oracle (per-lane)**: the lower bound if each lane could skip its own
 //!   zero multiplier bits (what a non-SIMD bit-serial machine gets);
 //! - **simd (all-lanes-zero rows)**: the rounds actually removable in
-//!   Neural Cache, measured on the **mapper's real lane packing**
-//!   ([`crate::mapping::conv_lane_geometry`] + [`crate::mapping::chunk_filter`]),
-//!   so the analytical skip fraction agrees exactly with the executed
-//!   [`nc_sram::CycleStats::skipped_rounds`] counters.
+//!   Neural Cache, measured on the **executor's lane map**
+//!   ([`crate::mapping::LaneMap`]), so the analytical skip fraction agrees
+//!   exactly with the executed [`nc_sram::CycleStats::skipped_rounds`]
+//!   counters.
 //!
 //! All cycle arithmetic derives from the [`CostModel`] trait — the analysis
 //! can no longer drift from `cost.rs`.
 
-use nc_dnn::{pad_before, reference, BranchOp, Conv2d, Layer, Model, QTensor};
-use nc_sram::COLS;
+use nc_dnn::{reference, BranchOp, Conv2d, Layer, Model, QTensor};
 
 use crate::cost::{CostModel, DATA_BITS};
-use crate::mapping::{chunk_filter, chunk_window_bytes, conv_lane_geometry, LayerPlan, UnitPlan};
+use crate::mapping::{gather_window, LaneMap, LayerPlan, UnitPlan};
 
 /// Which multiplier-bit rounds the executors elide.
 ///
@@ -126,52 +125,55 @@ impl SkipVariants {
     }
 }
 
-/// Shared walk over the `(m-block, array, tap)` OR masks of a convolution's
-/// lane packing: returns the per-array totals plus the global (lockstep) OR
-/// per tap.
-fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
+/// The `(m-block, array, tap)` OR masks of a convolution's filter bytes on
+/// the executor's lane map, in execution order, and the taps per array:
+/// bit `j` of a mask is set exactly when round `(tap, j)` has a live 1 bit
+/// on some lane of that array.
+fn filter_or_masks(conv: &Conv2d) -> (Vec<u8>, usize) {
     let spec = &conv.spec;
-    assert!(conv.weights.is_some(), "skip profile needs weights");
-    let geom = conv_lane_geometry(spec);
-    let groups_per_array = geom.groups_per_array(spec.m);
-
-    let mut skippable = 0u64;
-    let mut total = 0u64;
-    // Lockstep banks share one FSM: a round (tap, bit) is elidable only if
-    // zero across every array of every m-block, i.e. in the global OR.
-    let mut global_or = vec![0u8; geom.eff_window];
-    let mut m = 0;
-    while m < spec.m {
-        let group_count = groups_per_array.min(spec.m - m);
-        let filters: Vec<Vec<Vec<u8>>> = (m..m + group_count)
-            .map(|f| chunk_filter(conv, f, &geom))
-            .collect();
-        for array_idx in 0..geom.arrays_per_filter {
-            let lane_base = array_idx * COLS;
+    let weights = conv
+        .weights
+        .as_deref()
+        .expect("weight-skip analysis needs weights");
+    let map = LaneMap::new(spec);
+    let geom = map.geometry();
+    let per_filter = spec.macs_per_output();
+    let filter = |f: usize| &weights[f * per_filter..(f + 1) * per_filter];
+    let groups = geom.groups_per_array(spec.m);
+    let mut masks = Vec::new();
+    for first in (0..spec.m).step_by(groups) {
+        let block = first..spec.m.min(first + groups);
+        for a in 0..geom.arrays_per_filter {
             for t in 0..geom.eff_window {
-                // OR of this tap's bytes over every live lane of the array:
-                // bit j of the mask set <=> round (t, j) has a live 1 bit.
-                let mut or_mask = 0u8;
-                for chunks in &filters {
-                    for l in 0..geom.group_span {
-                        or_mask |= chunks.get(lane_base + l).map_or(0, |lane| lane[t]);
-                    }
-                }
-                total += DATA_BITS as u64;
-                // DATA_BITS = 8 = u8::BITS: every zero bit of the OR mask
-                // is one elidable round.
-                skippable += u64::from(or_mask.count_zeros());
-                global_or[t] |= or_mask;
+                masks.push(
+                    block
+                        .clone()
+                        .fold(0, |or, f| or | map.or_mask(filter(f), a, t)),
+                );
             }
         }
-        m += group_count;
     }
+    (masks, geom.eff_window)
+}
+
+/// The per-array skip totals plus the global (lockstep) OR per tap, from
+/// [`filter_or_masks`].
+fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
+    let (masks, taps) = filter_or_masks(conv);
+    // DATA_BITS = 8 = u8::BITS: every zero bit of a mask is one elidable
+    // round.
     let profile = SkipProfile {
-        skippable_rounds: skippable,
-        total_rounds: total,
+        skippable_rounds: masks.iter().map(|m| u64::from(m.count_zeros())).sum(),
+        total_rounds: (masks.len() * DATA_BITS) as u64,
     };
+    // Lockstep banks share one FSM: a round (tap, bit) is elidable only if
+    // zero across every array of every m-block, i.e. in the global OR.
+    let mut global_or = vec![0u8; taps];
+    for (i, &mask) in masks.iter().enumerate() {
+        global_or[i % taps] |= mask;
+    }
     let lockstep_zeros: u64 = global_or.iter().map(|&m| u64::from(m.count_zeros())).sum();
-    let lockstep_total = (geom.eff_window * DATA_BITS) as u64;
+    let lockstep_total = (taps * DATA_BITS) as u64;
     let variants = SkipVariants {
         mean: profile.fraction(),
         lockstep: if lockstep_total == 0 {
@@ -184,8 +186,8 @@ fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
 }
 
 /// Measures the SIMD skip profile of one convolution on the exact lane
-/// packing the mapper/executor realize: filters are chunked per lane
-/// ([`chunk_filter`]), grouped `groups_per_array` at a time, and a round
+/// packing the mapper/executor realize: filter bytes are placed by the
+/// executor's [`LaneMap`], grouped `groups_per_array` at a time, and a round
 /// `(m-block, array, tap, bit)` is elidable only when that bit is zero on
 /// **every** live lane of the array.
 ///
@@ -358,38 +360,12 @@ pub fn analyze(model: &Model) -> SparsityReport {
 /// Panics if the sub-layer is shape-only.
 #[must_use]
 pub fn conv_live_mult_bits(conv: &Conv2d) -> f64 {
-    let spec = &conv.spec;
-    assert!(conv.weights.is_some(), "live-bit analysis needs weights");
-    let geom = conv_lane_geometry(spec);
-    let groups_per_array = geom.groups_per_array(spec.m);
-
-    let mut live_sum = 0u64;
-    let mut muls = 0u64;
-    let mut m = 0;
-    while m < spec.m {
-        let group_count = groups_per_array.min(spec.m - m);
-        let filters: Vec<Vec<Vec<u8>>> = (m..m + group_count)
-            .map(|f| chunk_filter(conv, f, &geom))
-            .collect();
-        for array_idx in 0..geom.arrays_per_filter {
-            let lane_base = array_idx * COLS;
-            for t in 0..geom.eff_window {
-                let mut or_mask = 0u8;
-                for chunks in &filters {
-                    for l in 0..geom.group_span {
-                        or_mask |= chunks.get(lane_base + l).map_or(0, |lane| lane[t]);
-                    }
-                }
-                live_sum += u64::from(8 - or_mask.leading_zeros());
-                muls += 1;
-            }
-        }
-        m += group_count;
-    }
-    if muls == 0 {
+    let (masks, _) = filter_or_masks(conv);
+    if masks.is_empty() {
         DATA_BITS as f64
     } else {
-        live_sum as f64 / muls as f64
+        let live: u64 = masks.iter().map(|m| u64::from(8 - m.leading_zeros())).sum();
+        live as f64 / masks.len() as f64
     }
 }
 
@@ -492,10 +468,10 @@ impl ActivationProfile {
 }
 
 /// Measures the dynamic input-bit skip opportunity of every convolution
-/// sub-layer of `model` on one actual `input`, replaying the mapper's real
-/// lane packing ([`chunk_window_bytes`] over the executor's exact window
-/// gathering) on every intermediate activation tensor. Intermediates come
-/// from the [`nc_dnn::reference`] golden executor, which the functional
+/// sub-layer of `model` on one actual `input`, walking the executor's lane
+/// map ([`LaneMap`] over the executor's window gathering) on every
+/// intermediate activation tensor. Intermediates come from the
+/// [`nc_dnn::reference`] golden executor, which the functional
 /// executor matches bit for bit — so the profile predicts the executed
 /// [`nc_sram::CycleStats::input_rounds_skipped`] counters **exactly**.
 ///
@@ -544,49 +520,28 @@ pub fn activation_profile(model: &Model, input: &QTensor) -> ActivationProfile {
 }
 
 /// One sub-layer's input-bit skip measurement: for every output window,
-/// regroup the padded window exactly as the executor streams it
-/// ([`chunk_window_bytes`]), OR each tap's bytes over every live lane of
-/// each array, and count the zero bits of the mask — each is one round the
-/// wired-NOR elides. M-blocks replicate the same input lanes, so their
-/// rounds multiply the count.
+/// gather the padded window exactly as the executor does
+/// ([`gather_window`]), OR each tap's bytes over every lane of each array
+/// on the executor's lane map ([`LaneMap::or_mask`]), and count the zero
+/// bits of the mask — each is one round the wired-NOR elides. M-blocks
+/// replicate the same input lanes, so their rounds multiply the count.
 fn profile_conv(conv: &Conv2d, input: &QTensor) -> ActivationStats {
     let spec = &conv.spec;
-    let in_shape = input.shape();
-    let out_shape = spec.out_shape(in_shape);
-    let geom = conv_lane_geometry(spec);
-    let groups_per_array = geom.groups_per_array(spec.m);
-    let m_blocks = spec.m.div_ceil(groups_per_array) as u64;
-    let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding) as isize;
-    let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding) as isize;
+    let out_shape = spec.out_shape(input.shape());
+    let map = LaneMap::new(spec);
+    let geom = map.geometry();
+    let m_blocks = spec.m.div_ceil(geom.groups_per_array(spec.m)) as u64;
 
     let mut skippable = 0u64;
     let mut total = 0u64;
-    let mut window = vec![0u8; spec.r * spec.s * spec.c];
+    let mut window = vec![0u8; spec.macs_per_output()];
     for ey in 0..out_shape.h {
         for ex in 0..out_shape.w {
-            // The executor's exact (r, s, c) window gathering, padding
-            // included (padding bytes hold the zero-point code).
-            let oy = (ey * spec.stride) as isize - pad_y;
-            let ox = (ex * spec.stride) as isize - pad_x;
-            let mut idx = 0;
-            for r in 0..spec.r {
-                for s in 0..spec.s {
-                    for c in 0..spec.c {
-                        window[idx] = input.get_padded(oy + r as isize, ox + s as isize, c);
-                        idx += 1;
-                    }
-                }
-            }
-            let lanes = chunk_window_bytes(&window, spec.c, &geom);
-            for array_idx in 0..geom.arrays_per_filter {
-                let lane_base = array_idx * COLS;
+            gather_window(input, spec, ey, ex, &mut window);
+            for a in 0..geom.arrays_per_filter {
                 for t in 0..geom.eff_window {
-                    let mut or_mask = 0u8;
-                    for l in 0..geom.group_span {
-                        or_mask |= lanes.get(lane_base + l).map_or(0, |lane| lane[t]);
-                    }
                     total += DATA_BITS as u64;
-                    skippable += u64::from(or_mask.count_zeros());
+                    skippable += u64::from(map.or_mask(&window, a, t).count_zeros());
                 }
             }
         }

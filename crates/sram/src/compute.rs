@@ -20,6 +20,9 @@
 //! update per operand bit, through the bit packing of the
 //! [`TransposeUnit`](crate::TransposeUnit), and no cycle charged, because the
 //! data-movement model prices moving operands into the arrays.
+//! [`ComputeArray::load_rows`] loads an operand packed ahead of time
+//! ([`pack_lanes`](crate::pack_lanes)) as whole rows, for operands that
+//! enter many arrays.
 
 use crate::ops::LogicOp;
 use crate::sram::{check_row, check_sense};
@@ -498,6 +501,33 @@ impl ComputeArray {
         Ok(())
     }
 
+    /// Writes `rows` into the word lines of `op`, operand bit `b` from
+    /// `rows[b]`, without charging cycles: the whole-row form of
+    /// [`ComputeArray::poke_lanes`], for operand planes packed once
+    /// ([`pack_lanes`](crate::pack_lanes)) and loaded many times. The rows
+    /// of `op` past `rows.len()` are cleared.
+    ///
+    /// # Errors
+    ///
+    /// Every check runs before the first row changes, so a rejected call
+    /// leaves the array untouched:
+    /// [`SramError::DestinationTooNarrow`] when `rows` holds more bits than
+    /// `op`, and [`SramError::ZeroRowClobbered`] when `op` covers the zero
+    /// row.
+    pub fn load_rows(&mut self, op: Operand, rows: &[BitRow]) -> Result<()> {
+        if rows.len() > op.bits() {
+            return Err(SramError::DestinationTooNarrow {
+                needed: rows.len(),
+                available: op.bits(),
+            });
+        }
+        self.guard_zero_row(&op)?;
+        let (head, tail) = self.array.rows_mut(op.rows()).split_at_mut(rows.len());
+        head.copy_from_slice(rows);
+        tail.fill(BitRow::zero());
+        Ok(())
+    }
+
     /// Writes `value` into `lane`'s transposed operand without charging
     /// cycles: the one-lane case of [`ComputeArray::poke_lanes`].
     ///
@@ -915,6 +945,60 @@ mod tests {
             Err(SramError::ZeroRowClobbered { row: 255 })
         );
         assert_eq!(snapshot(&a), before);
+    }
+
+    #[test]
+    fn loaded_planes_equal_poked_lanes() {
+        let values: Vec<u64> = (0..200u64).map(|l| (l * 0x9E37) & 0xFF_FFFF).collect();
+        let mut rows = [BitRow::ones(); 24];
+        crate::pack_lanes(&values, &mut rows).unwrap();
+        // A plane narrower than the operand clears the operand's top rows.
+        let (op, poked_op) = (Operand::new(40, 32).unwrap(), Operand::new(0, 32).unwrap());
+        let mut loaded = filled();
+        loaded.load_rows(op, &rows).unwrap();
+        let mut poked = filled();
+        poked.poke_lanes(0, poked_op, &values).unwrap();
+        poked.poke_lanes(200, poked_op, &[0; 56]).unwrap();
+        for lane in 0..COLS {
+            assert_eq!(loaded.peek_lane(lane, op), poked.peek_lane(lane, poked_op));
+        }
+        assert_eq!(loaded.stats().total_cycles(), 0, "loading is free");
+    }
+
+    #[test]
+    fn load_rows_rejects_wide_planes_and_the_zero_row_untouched() {
+        let mut a = filled();
+        let before = snapshot(&a);
+        let rows = [BitRow::ones(); 9];
+        assert_eq!(
+            a.load_rows(Operand::new(8, 8).unwrap(), &rows),
+            Err(SramError::DestinationTooNarrow {
+                needed: 9,
+                available: 8
+            })
+        );
+        assert_eq!(
+            a.load_rows(Operand::new(247, 9).unwrap(), &rows),
+            Err(SramError::ZeroRowClobbered { row: 255 })
+        );
+        assert_eq!(snapshot(&a), before);
+    }
+
+    #[test]
+    fn pack_lanes_rejects_bad_runs_untouched() {
+        let mut rows = [BitRow::ones(); 8];
+        assert_eq!(
+            crate::pack_lanes(&[0; COLS + 1], &mut rows),
+            Err(SramError::ColOutOfRange { col: COLS + 1 })
+        );
+        assert_eq!(
+            crate::pack_lanes(&[1, 256], &mut rows),
+            Err(SramError::DestinationTooNarrow {
+                needed: 9,
+                available: 8
+            })
+        );
+        assert_eq!(rows, [BitRow::ones(); 8]);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //!   micro-ops, so their cycle counts are *derived*, not asserted. Each
 //!   operation checks its operands before its first cycle, so a rejected
 //!   one changes nothing. Operands are staged for free through
-//!   [`ComputeArray::poke_lanes`]/[`ComputeArray::peek_lanes`].
+//!   [`ComputeArray::poke_lanes`]/[`ComputeArray::peek_lanes`], or as
+//!   whole rows of planes packed once ([`pack_lanes`],
+//!   [`ComputeArray::load_rows`]).
 //! - [`Operand`]: a transposed operand descriptor (base row + bit width).
 //! - [`Schedule`]: the per-cycle word-line read/write sets a
 //!   [`ComputeArray`] records from its own micro-ops while recording is on
@@ -96,7 +98,7 @@ pub use pool::{ArrayPool, PoolStats, PooledArray};
 pub use schedule::{Schedule, Step, StepKind};
 pub use sram::SramArray;
 pub use stats::{ArrayEnergy, ArrayTimings, CycleStats, ValueStats};
-pub use transpose::{TransposeUnit, TMU_TILE_DIM};
+pub use transpose::{pack_lanes, TransposeUnit, TMU_TILE_DIM};
 
 // Compile-time Send/Sync audit: sharded execution engines move arrays into
 // worker threads and share one pool between them, so these bounds are part

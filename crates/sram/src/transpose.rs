@@ -11,11 +11,11 @@
 //! The model keeps the TMU's cells as bit slices, so its transposed reads
 //! and writes are row copies and its regular-direction port does the
 //! transposing. The simulator has one transposition routine, here: that
-//! port and the compute array's zero-cost operand loader
+//! port, the operand planes of [`pack_lanes`] and the compute array's
+//! zero-cost operand loader
 //! ([`ComputeArray::poke_lanes`](crate::ComputeArray::poke_lanes) and
 //! [`ComputeArray::peek_lanes`](crate::ComputeArray::peek_lanes)) all move
-//! bits through the same 8x8-tile packing (bit by bit for a run too short
-//! to fill a tile).
+//! bits through the same 8x8-tile packing, runs of any length included.
 
 use std::fmt;
 use std::ops::Range;
@@ -106,21 +106,7 @@ impl TransposeUnit {
     /// Fails, leaving the unit untouched, if more than 256 elements are
     /// supplied or an element overflows the configured width.
     pub fn load_regular(&mut self, elements: &[u64]) -> Result<()> {
-        if elements.len() > COLS {
-            return Err(SramError::ColOutOfRange {
-                col: elements.len(),
-            });
-        }
-        let bits = self.bits_per_element();
-        let max = u64::MAX >> (64 - bits);
-        if let Some(&e) = elements.iter().find(|&&e| e > max) {
-            return Err(SramError::DestinationTooNarrow {
-                needed: (64 - e.leading_zeros()) as usize,
-                available: bits,
-            });
-        }
-        self.slices.fill(BitRow::zero());
-        scatter_lanes(&mut self.slices, 0, elements);
+        pack_lanes(elements, &mut self.slices)?;
         self.stats.access_cycles += elements.len() as u64;
         self.elements = elements.len();
         Ok(())
@@ -247,8 +233,36 @@ fn unpack_plane(slices: &[u64; 8], plane: usize, values: &mut [u64]) {
     }
 }
 
-/// Writes lane values into bit-slice rows, for the TMU's regular load and
-/// the compute array's bulk loader: bit `b` of `values[i]` lands on column
+/// Packs lane values into bit-slice rows through the TMU's packing: bit `b`
+/// of `values[i]` lands on column `i` of `rows[b]`, and the columns past
+/// the last value are cleared. This builds the operand planes that
+/// [`ComputeArray::load_rows`](crate::ComputeArray::load_rows) loads as
+/// whole rows.
+///
+/// # Errors
+///
+/// Fails, leaving `rows` untouched, with [`SramError::ColOutOfRange`] when
+/// there are more values than lanes and with
+/// [`SramError::DestinationTooNarrow`] when a value needs more bits than
+/// there are rows.
+pub fn pack_lanes(values: &[u64], rows: &mut [BitRow]) -> Result<()> {
+    if values.len() > COLS {
+        return Err(SramError::ColOutOfRange { col: values.len() });
+    }
+    let bits = rows.len();
+    if let Some(&wide) = values.iter().find(|&&v| bits < 64 && v >> bits != 0) {
+        return Err(SramError::DestinationTooNarrow {
+            needed: 64 - wide.leading_zeros() as usize,
+            available: bits,
+        });
+    }
+    rows.fill(BitRow::zero());
+    scatter_lanes(rows, 0, values);
+    Ok(())
+}
+
+/// Writes lane values into bit-slice rows, for [`pack_lanes`] and the
+/// compute array's bulk loader: bit `b` of `values[i]` lands on column
 /// `first + i` of `rows[b]` (zero for `b >= 64`); every other column keeps
 /// its bit.
 ///
@@ -256,23 +270,6 @@ fn unpack_plane(slices: &[u64; 8], plane: usize, values: &mut [u64]) {
 pub(crate) fn scatter_lanes(rows: &mut [BitRow], first: usize, values: &[u64]) {
     for (word, offset, run) in word_runs(first, first + values.len()) {
         let lanes = &values[run];
-        if lanes.len() < 8 {
-            // Too few lanes to fill a tile: move them bit by bit. The
-            // executor's one-lane runs (pass-2 assembly, group-sum peeks)
-            // make this pay: perfbench's `mini_inception_dense` read a
-            // median `host_ref_ms_p50` of 5.79 ref ms with this branch and
-            // its twin in `gather_lanes` against 6.29 without them (10
-            // alternating pairs at 20 s, seeds 1001-1010, 9 wins).
-            for (col, &v) in (offset..).zip(lanes) {
-                let mut v = v;
-                for row in rows.iter_mut() {
-                    let cell = &mut row.words_mut()[word];
-                    *cell = (*cell & !(1 << col)) | ((v & 1) << col);
-                    v >>= 1;
-                }
-            }
-            continue;
-        }
         let mask = (u64::MAX >> (64 - lanes.len())) << offset;
         for (plane, rows) in rows.chunks_mut(8).enumerate() {
             let slices = if plane < 8 {
@@ -296,15 +293,6 @@ pub(crate) fn gather_lanes(rows: &[BitRow], first: usize, out: &mut [u64]) {
     let rows = &rows[..rows.len().min(64)];
     for (word, offset, run) in word_runs(first, first + out.len()) {
         let lanes = &mut out[run];
-        if lanes.len() < 8 {
-            // As in `scatter_lanes`: too few lanes to fill a tile.
-            for (col, v) in (offset..).zip(lanes) {
-                *v = rows.iter().enumerate().fold(0, |v, (bit, row)| {
-                    v | (((row.words()[word] >> col) & 1) << bit)
-                });
-            }
-            continue;
-        }
         lanes.fill(0);
         for (plane, rows) in rows.chunks(8).enumerate() {
             let mut slices = [0; 8];

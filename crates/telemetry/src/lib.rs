@@ -306,10 +306,21 @@ impl Telemetry {
     /// (spans without the argument contribute 0).
     #[must_use]
     pub fn sum_u64_arg(&self, cat: &str, arg: &str) -> u64 {
+        self.sum_u64_arg_where(cat, None, arg)
+    }
+
+    /// [`Telemetry::sum_u64_arg`] over the spans in `cat` whose name is
+    /// `name`.
+    #[must_use]
+    pub fn sum_u64_arg_named(&self, cat: &str, name: &str, arg: &str) -> u64 {
+        self.sum_u64_arg_where(cat, Some(name), arg)
+    }
+
+    fn sum_u64_arg_where(&self, cat: &str, name: Option<&str>, arg: &str) -> u64 {
         self.with_state(|s| {
             s.spans
                 .iter()
-                .filter(|sp| sp.cat == cat)
+                .filter(|sp| sp.cat == cat && name.is_none_or(|n| sp.name == n))
                 .flat_map(|sp| &sp.args)
                 .filter(|(n, _)| *n == arg)
                 .map(|(_, v)| if let Value::U64(u) = v { *u } else { 0 })
@@ -496,6 +507,8 @@ mod tests {
         assert_eq!(tel.sum_u64_arg("layer", "cycles"), 1 + 2 + 3 + 4);
         assert_eq!(tel.sum_u64_arg("layer", "absent"), 0);
         assert_eq!(tel.sum_dur_named("layer", "l1"), 0.2);
+        assert_eq!(tel.sum_u64_arg_named("layer", "l2", "cycles"), 3);
+        assert_eq!(tel.sum_u64_arg_named("layer", "none", "cycles"), 0);
         assert_eq!(tel.span_names("layer"), vec!["l0", "l1", "l2", "l3"]);
         // Same (process, thread) pair interns to the same track.
         assert_eq!(tel.track("sim", "layers"), track);

@@ -7,7 +7,9 @@
 
 use nc_sram::{ComputeArray, CycleStats, Schedule, StepKind, COLS, ROWS};
 use neural_cache::cost::{CostModel, DerivedCostModel, DATA_BITS};
-use neural_cache::layout::{self, MacReduceLayout, NamedOperand, DUMP_ROW, ZERO_ROW};
+use neural_cache::layout::{
+    self, AssembleLayout, MacReduceLayout, NamedOperand, DUMP_ROW, ZERO_ROW,
+};
 use neural_cache::mapping::ConvMapping;
 use neural_cache::{LaneGeometry, SparsityMode};
 
@@ -157,12 +159,21 @@ pub fn check_operands(label: &str, operands: &[NamedOperand]) -> Vec<Diagnostic>
 }
 
 /// Lints every named operand layout the functional executor ships
-/// ([`layout::all_layouts`]).
+/// ([`layout::all_layouts`]), plus the in-place hand-off from pass 1 to
+/// pass 2 ([`layout::handoff_violations`], reported as V001: assembly
+/// regions that are not, or overlap, the pass-1 sums they read).
 #[must_use]
 pub fn check_layouts() -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (name, operands) in layout::all_layouts() {
         out.extend(check_operands(name, &operands));
+    }
+    for violation in layout::handoff_violations(&MacReduceLayout::new(), &AssembleLayout::new()) {
+        out.push(Diagnostic::new(
+            ErrorCode::OperandOverlap,
+            "mac_reduce->assemble",
+            violation,
+        ));
     }
     out
 }
@@ -281,6 +292,24 @@ pub fn reduce_schedule(group_span: usize) -> nc_sram::Result<Schedule> {
     let l = MacReduceLayout::new();
     let mut arr = ComputeArray::with_zero_row(ZERO_ROW)?;
     record(&mut arr, |arr| l.reduce(arr, group_span, 1))
+}
+
+/// The executor's pass-2 assembly schedule ([`AssembleLayout::assemble`])
+/// for weight zero point `zp_w`, with or without the fused `ReLU`, recorded
+/// on a scratch array. Its length depends on `zp_w` (one scalar add per set
+/// bit), which is why [`crate::check_model`] does not record it per layer.
+///
+/// # Panics
+///
+/// Panics if the shipped pass-2 layout is invalid, which
+/// [`check_layouts`] reports.
+#[must_use]
+pub fn assemble_schedule(zp_w: u8, relu: bool) -> Schedule {
+    let mut arr = ComputeArray::with_zero_row(ZERO_ROW).expect("zero row is in bounds");
+    record(&mut arr, |arr| {
+        AssembleLayout::new().assemble(arr, u64::from(zp_w), relu)
+    })
+    .expect("the pass-2 layout is valid")
 }
 
 /// Schedule-derived tap constants: the dense per-tap MAC cycles and the
@@ -485,6 +514,26 @@ mod tests {
         }
         assert!(check_schedule("reduce", &reduce_schedule(64).unwrap()).is_empty());
         assert!(reduce_schedule(3).is_err(), "the array rejects odd spans");
+    }
+
+    #[test]
+    fn assemble_schedules_are_hazard_free() {
+        for zp_w in [0, 1, 0x80, 0xFF] {
+            for relu in [false, true] {
+                let s = assemble_schedule(zp_w, relu);
+                assert!(!s.steps.is_empty());
+                assert_eq!(
+                    check_schedule("assemble", &s),
+                    Vec::new(),
+                    "zp_w {zp_w:#x}, relu {relu}"
+                );
+            }
+        }
+        // One shifted add per set bit of zp_w, and ReLU costs cycles.
+        let len = |zp_w, relu| assemble_schedule(zp_w, relu).compute_cycles();
+        assert!(len(0, false) < len(0x80, false));
+        assert!(len(0x80, false) < len(0xFF, false));
+        assert!(len(1, false) < len(1, true));
     }
 
     #[test]

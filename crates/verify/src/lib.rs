@@ -11,9 +11,10 @@
 //! layouts and op schedules respecting those limits. This crate proves it:
 //!
 //! 1. **Recorded schedules**: the checked schedules are not re-derived.
-//!    [`check::mac_tap_schedule`] and [`check::reduce_schedule`] run the
-//!    executor's own pass-1 methods
-//!    ([`neural_cache::layout::MacReduceLayout::mac_tap`] and `reduce`) on
+//!    [`check::mac_tap_schedule`], [`check::reduce_schedule`] and
+//!    [`check::assemble_schedule`] run the executor's own methods
+//!    ([`neural_cache::layout::MacReduceLayout::mac_tap`] and `reduce`,
+//!    [`neural_cache::layout::AssembleLayout::assemble`]) on
 //!    a scratch `ComputeArray` with recording on, so each
 //!    [`nc_sram::Schedule`] is the per-cycle row read/write sets of the
 //!    micro-ops that really ran. The data-dependent facts (elided rounds,

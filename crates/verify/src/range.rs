@@ -39,7 +39,7 @@ use neural_cache::mapping::{
 use crate::diag::{Diagnostic, ErrorCode};
 
 /// Width of the two's-complement accumulator assembly region (5 bytes; the
-/// executor's `assemble_acc`/`clamp_to_bits` width).
+/// executor's `AssembleLayout::t` and `C0` width).
 pub const ACC_BITS: u32 = 40;
 
 /// The dynamic-ranging bias exponent: min/max trees load accumulators with
