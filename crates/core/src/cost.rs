@@ -6,13 +6,25 @@
 //!   per 8-bit MAC, `n^2 + 5n - 2` multiplication, 132-cycle reduction
 //!   steps derived from the `Conv2D_2b` worked example, `1.5n^2 + 5.5n`
 //!   division). Figure/table regeneration uses this model.
-//! - [`DerivedCostModel`] uses the micro-op sequence lengths of the
-//!   `nc-sram` implementation; a test executes the real bit-serial ops and
-//!   asserts the constants stay in sync. Selecting either through
-//!   `SystemConfig::cost` ([`CostModelKind`]) gives the ablation; an
-//!   end-to-end test keeps the two Inception v3 totals within 2x.
+//! - [`DerivedCostModel`] measures each cost from the executor's own op
+//!   sequences: the [`crate::layout`] methods the functional executor
+//!   runs, run once on a scratch `nc-sram` array. It holds no cycle
+//!   literal. Selecting either through `SystemConfig::cost`
+//!   ([`CostModelKind`]) gives the ablation; an end-to-end test keeps the
+//!   two Inception v3 totals within 2x.
 
 use std::fmt;
+use std::sync::OnceLock;
+
+use nc_dnn::quant::{MAX_MULTIPLIER, MAX_SHIFT};
+use nc_dnn::Requantizer;
+use nc_sram::{ComputeArray, CycleStats};
+
+use crate::layout::{
+    AssembleLayout, MacReduceLayout, PoolAvgLayout, PoolMaxLayout, RangingLayout, RequantLayout,
+    ZERO_ROW,
+};
+use crate::sparsity::SparsityMode;
 
 /// Bit width of activation/weight codes (the paper fixes 8-bit precision).
 pub const DATA_BITS: usize = 8;
@@ -101,7 +113,8 @@ pub trait CostModel: fmt::Debug + Send + Sync {
     /// (`arrays_per_filter > 1`; pairs share sense amps, Section III-D).
     fn cross_array_step_cycles(&self) -> u64;
 
-    /// Cycles of the requantization pipeline applied to one round's outputs
+    /// Cycles of turning one round's accumulators into output codes: the
+    /// zero-point assembly of `ACC` and the requantization pipeline
     /// (subtract min, ReLU-clamp, scalar multiply, shift, saturate).
     fn requant_cycles(&self) -> u64;
 
@@ -208,84 +221,103 @@ impl CostModel for PaperCostModel {
     }
 }
 
-/// Costs derived from the `nc-sram` micro-op sequences (kept in sync by the
-/// `derived_cost_model_matches_functional_ops` test).
+/// Costs measured from the executor's own op sequences: each value is the
+/// cycles (compute plus the cross-array fold's transfer cycles) of the
+/// [`crate::layout`] method(s) the functional executor runs for that step,
+/// run on a scratch `ComputeArray` on first use and kept in a `OnceLock`.
 ///
-/// The derived 8-bit MAC is cheaper than the paper's 236 cycles (the
-/// Figure 4-7 micro-ops compose to ~136 including the zero-point-correction
-/// running sum); the derived reduction is costlier per step because the S2
-/// correction reduces alongside S1. See DESIGN.md §6.
+/// Two steps depend on a layer scalar that shape-only models do not carry,
+/// so they take its worst case: the assembly in
+/// [`CostModel::requant_cycles`] runs with weight zero point `0xFF` and
+/// `ReLU`, and the requantization with [`MAX_MULTIPLIER`]. The derived
+/// 8-bit MAC is cheaper than the paper's 236 cycles; the derived reduction
+/// step is costlier than the paper's, because the `S2` correction reduces
+/// alongside `S1`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DerivedCostModel;
 
-impl DerivedCostModel {
-    /// Derived multiplication cost: `prod_bits + m*(n+2)` (see
-    /// `ComputeArray::mul`), i.e. `n^2 + 4n` for equal widths.
-    #[must_use]
-    pub fn mul_cycles(n: u64, m: u64, prod_bits: u64) -> u64 {
-        prod_bits + m * (n + 2)
-    }
+/// The cycles (compute plus transfer) `method` charges on a scratch array.
+fn cycles(method: impl FnOnce(&mut ComputeArray) -> nc_sram::Result<CycleStats>) -> u64 {
+    let mut scratch = ComputeArray::with_zero_row(ZERO_ROW).expect("the zero row is in bounds");
+    method(&mut scratch)
+        .expect("the shipped layouts run on a scratch array")
+        .total_cycles()
 }
 
 impl CostModel for DerivedCostModel {
     fn mac_cycles(&self) -> u64 {
-        // mul(8x8 -> 16): 96, accumulate into 24-bit partial: 24,
-        // S2 correction add into 16-bit: 16.
-        96 + 24 + 16
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| cycles(|a| MacReduceLayout::new().mac_tap(a, SparsityMode::Dense)))
     }
 
     fn mul_round_cycles(&self) -> u64 {
-        // One `ComputeArray::mul` round: op_load_tag (1) + n op_full_add
-        // (8) + op_write_carry (1); kept in sync with nc-sram by the
-        // `derived_mul_round_matches_skip_accounting` test.
-        DATA_BITS as u64 + 2
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| {
+            // A scratch array's filter byte is zero, so every round is elided.
+            let mac = MacReduceLayout::new();
+            let skipped = cycles(|a| mac.mac_tap(a, SparsityMode::SkipZeroRows));
+            (self.mac_cycles() - skipped) / DATA_BITS as u64
+        })
     }
 
     fn reduction_step_cycles(&self) -> u64 {
-        // S1 tree step: move (2*32) + add (32) = 96, and the S2 tree runs
-        // the same step.
-        192
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| {
+            let two_lanes = cycles(|a| MacReduceLayout::new().reduce(a, 2, 1));
+            two_lanes - self.reduction_setup_cycles()
+        })
     }
 
     fn reduction_setup_cycles(&self) -> u64 {
-        // Zero-extend S1 (24 -> 32) and S2 (16 -> 32) into segments.
-        64
+        // A one-lane group reduces nothing: only the widening remains.
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| cycles(|a| MacReduceLayout::new().reduce(a, 1, 1)))
     }
 
     fn cross_array_step_cycles(&self) -> u64 {
-        // Inter-array transfer of both 32-bit segments through shared sense
-        // amps (one access cycle per row each way).
-        128
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| {
+            let mut partner = ComputeArray::new();
+            cycles(|a| MacReduceLayout::new().fold(a, &mut partner))
+        })
     }
 
     fn requant_cycles(&self) -> u64 {
-        // ACC assembly: mul_scalar(S2 * zp_w into 40b) ~ 40 + 8*40 = 360,
-        // sub 40-bit (80), add C0 region (40);
-        // requant: add_scalar (40) + relu (41) + mul_scalar 16-bit into
-        // 56-bit (56 + 16*56 = 952) + clamp (2*16+2 = 34) + copy out (8).
-        360 + 80 + 40 + 40 + 41 + 952 + 34 + 8
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| {
+            let worst = Requantizer {
+                acc_min: 0,
+                multiplier: MAX_MULTIPLIER,
+                shift: MAX_SHIFT,
+            };
+            cycles(|a| AssembleLayout::new().assemble(a, 0xFF, true))
+                + cycles(|a| RequantLayout::new().requantize(a, worst))
+        })
     }
 
     fn max_cycles(&self) -> u64 {
-        3 * 8 + 2 // max_assign at n = 8
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| cycles(|a| PoolMaxLayout::new().step(a)))
     }
 
     fn avg_add_cycles(&self) -> u64 {
-        16 // add_assign into the 16-bit window sum
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| cycles(|a| PoolAvgLayout::new().accumulate(a)))
     }
 
     fn avg_div_cycles(&self) -> u64 {
-        // div_scalar on a 16-bit sum by a 4-bit divisor (paper: Inception's
-        // divisors fit 4 bits), remainder width w = 5:
-        // zero(w) + 16 * (shift w + trial w + writeC + loadT + copy w).
-        5 + 16 * (3 * 5 + 2)
+        static CYCLES: OnceLock<u64> = OnceLock::new();
+        *CYCLES.get_or_init(|| cycles(|a| PoolAvgLayout::new().divide(a)))
     }
 
     fn minmax_tree_cycles(&self, lanes: usize) -> u64 {
-        let steps = u64::from(lanes.next_power_of_two().trailing_zeros());
-        // Duplicate outputs (2*32 move), then per step: move (64) + 32-bit
-        // max (3*32+2 = 98) for each of the min and max trees.
-        64 + steps * 2 * (64 + 98)
+        // One level of the min tree plus one level of the max tree.
+        static LEVEL: OnceLock<u64> = OnceLock::new();
+        let level = *LEVEL.get_or_init(|| {
+            let ranging = RangingLayout::new();
+            cycles(|a| ranging.reduce(a, false, 2)) + cycles(|a| ranging.reduce(a, true, 2))
+        });
+        u64::from(lanes.next_power_of_two().trailing_zeros()) * level
     }
 
     fn name(&self) -> &'static str {
@@ -299,7 +331,7 @@ pub enum CostModelKind {
     /// Paper-published constants (used for figure regeneration).
     #[default]
     Paper,
-    /// Constants derived from the `nc-sram` micro-op implementation.
+    /// Costs measured from the executor's layout methods.
     Derived,
 }
 
@@ -470,6 +502,13 @@ mod tests {
                 model.mac_cycles_dynamic(1.0, rounds)
             );
         }
+    }
+
+    #[test]
+    fn derived_mac_costs_are_the_cited_ones() {
+        // mul(8x8 -> 16) 96 + S1 add 24 + S2 add 16, and n + 2 per round.
+        assert_eq!(DerivedCostModel.mac_cycles(), 136);
+        assert_eq!(DerivedCostModel.mul_round_cycles(), 10);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! simulated [`ComputeArray`]s using the bit-serial operations of
 //! Sections III and IV-D, and must match the [`nc_dnn::reference`] golden
 //! executor **bit for bit** (the paper's trace-matching validation,
-//! Section V; DESIGN.md §4/S19).
+//! Section V).
 //!
 //! ## Staging
 //!
@@ -62,7 +62,7 @@ use nc_telemetry::{Level, Telemetry, TrackId, Value};
 
 use crate::cost::DATA_BITS;
 use crate::engine::{ExecutionEngine, ShardObserver};
-use crate::layout::{self, AssembleLayout, MacReduceLayout, DUMP_ROW, ZERO_ROW};
+use crate::layout::{self, AssembleLayout, MacReduceLayout, ZERO_ROW};
 use crate::mapping::{gather_window, LaneMap};
 use crate::sparsity::SparsityMode;
 
@@ -382,26 +382,40 @@ impl Exec {
         })
     }
 
-    /// Emits a [`Level::Detail`] `functional.op` span covering the cycles
-    /// accumulated since `before` (the in-cache pass that just folded). Op
-    /// spans partition the run's cycle totals: every fold site emits
-    /// exactly one per [`ExecutionEngine`] dispatch it folds, so summing a
-    /// cycle argument over the category reproduces the run total exactly.
-    fn op_span(&self, name: &str, before: CycleStats) {
-        if !self.tel.at(Level::Detail) {
-            return;
+    /// Runs one in-cache pass as `jobs` shard jobs on the engine, each on
+    /// arrays drawn from the shared pool; folds their cycles in job order
+    /// and returns their outputs in job order.
+    ///
+    /// At [`Level::Detail`] it emits one `functional.op` span named `name`
+    /// over the pass's cycles. Every pass runs through here, so op spans
+    /// partition the run's cycle totals: summing a cycle argument over the
+    /// category reproduces the run total exactly.
+    fn dispatch<T: Send>(
+        &mut self,
+        name: &str,
+        jobs: usize,
+        job: impl Fn(&ArrayPool, usize) -> Result<(T, CycleStats)> + Sync,
+    ) -> Result<Vec<T>> {
+        let before = self.cycles;
+        let pool = &self.pool;
+        let shards = self
+            .engine
+            .run_observed(jobs, |i| job(pool, i), self.observer.as_ref());
+        let mut out = Vec::with_capacity(jobs);
+        for shard in shards {
+            let (value, cycles) = shard?;
+            self.cycles += cycles;
+            out.push(value);
         }
-        let timings = ArrayTimings::default();
-        let start_s = before.seconds(&timings);
-        let dur_s = self.cycles.seconds(&timings) - start_s;
-        self.tel.span(
-            self.op_track,
-            "functional.op",
-            name,
-            start_s,
-            dur_s,
-            cycle_args(self.cycles - before),
-        );
+        if self.tel.at(Level::Detail) {
+            let timings = ArrayTimings::default();
+            let start_s = before.seconds(&timings);
+            let dur_s = self.cycles.seconds(&timings) - start_s;
+            let args = cycle_args(self.cycles - before);
+            self.tel
+                .span(self.op_track, "functional.op", name, start_s, dur_s, args);
+        }
+        Ok(out)
     }
 
     /// Folds wall-clock shard samples into the metrics registry (traced
@@ -608,35 +622,22 @@ impl Exec {
         let out_shape = spec.out_shape(input.shape());
         let layer = ConvLayer::new(conv, input.params().zero_point, self.mode)?;
 
-        // Passes 1+2, sharded per output window, on arrays drawn from the
-        // shared pool.
-        let engine = self.engine;
-        let pool = &self.pool;
-        let positions = out_shape.h * out_shape.w;
+        // Passes 1+2, sharded per output window.
         let layer = &layer;
-        let op_before = self.cycles;
-        let observer = self.observer.as_ref();
-        let shards = engine.run_observed(
-            positions,
-            |pos| {
-                let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-                let mut window = vec![0u8; spec.macs_per_output()];
-                gather_window(input, spec, ey, ex, &mut window);
-                layer.run_window(pool, &window)
-            },
-            observer,
-        );
+        let per_window = self.dispatch("mac-reduce", out_shape.h * out_shape.w, |pool, pos| {
+            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
+            let mut window = vec![0u8; spec.macs_per_output()];
+            gather_window(input, spec, ey, ex, &mut window);
+            layer.run_window(pool, &window)
+        })?;
 
         let mut acc_values = vec![0i64; out_shape.len()];
-        for (pos, shard) in shards.into_iter().enumerate() {
-            let (vals, cycles) = shard?;
-            self.cycles += cycles;
+        for (pos, vals) in per_window.into_iter().enumerate() {
             let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
             for (m, v) in vals.into_iter().enumerate() {
                 acc_values[out_shape.index(ey, ex, m)] = v;
             }
         }
-        self.op_span("mac-reduce", op_before);
 
         // Inter-array reduce barrier — dynamic ranging (Section IV-D) needs
         // every shard's accumulators: per-array min/max trees, combined
@@ -665,27 +666,21 @@ impl Exec {
     /// results combine like per-array results do over the bus and ring
     /// (each 256-lane chunk is one shard job).
     fn min_max_in_cache(&mut self, values: &[i64]) -> Result<(i64, i64)> {
-        let engine = self.engine;
-        let pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[i64]> = values.chunks(COLS).collect();
-        let shards =
-            engine.run_observed(chunks.len(), |i| min_max_chunk(pool, chunks[i]), observer);
+        let extremes = self.dispatch("ranging", chunks.len(), |pool, i| {
+            min_max_chunk(pool, chunks[i])
+        })?;
 
         // Per-shard extremes fold through ValueStats: merge is commutative
         // and associative, so the combined range is independent of shard
         // completion order (the threaded engine's only freedom here).
         let mut range = nc_sram::ValueStats::new();
-        for shard in shards {
-            let (lo, hi, cycles) = shard?;
-            self.cycles += cycles;
+        for (lo, hi) in extremes {
             let mut shard_stats = nc_sram::ValueStats::new();
             shard_stats.observe(lo);
             shard_stats.observe(hi);
             range = range.merge(shard_stats);
         }
-        self.op_span("ranging", before);
         Ok((range.min, range.max))
     }
 
@@ -702,25 +697,11 @@ impl Exec {
         requant: Requantizer,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let engine = self.engine;
-        let pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[i64]> = acc.values.chunks(COLS).collect();
-        let shards = engine.run_observed(
-            chunks.len(),
-            |i| requant_chunk(pool, chunks[i], requant),
-            observer,
-        );
-
-        let mut out = Vec::with_capacity(acc.values.len());
-        for shard in shards {
-            let (bytes, cycles) = shard?;
-            self.cycles += cycles;
-            out.extend_from_slice(&bytes);
-        }
-        self.op_span("requantize", before);
-        Ok(QTensor::from_vec(acc.shape, out_quant, out))
+        let out = self.dispatch("requantize", chunks.len(), |pool, i| {
+            requant_chunk(pool, chunks[i], requant)
+        })?;
+        Ok(QTensor::from_vec(acc.shape, out_quant, out.concat()))
     }
 
     /// In-cache code-to-code requantization of a pool-final branch
@@ -732,25 +713,11 @@ impl Exec {
         map: CodeRequant,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let engine = self.engine;
-        let pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[u8]> = t.data().chunks(COLS).collect();
-        let shards = engine.run_observed(
-            chunks.len(),
-            |i| code_requant_chunk(pool, chunks[i], map),
-            observer,
-        );
-
-        let mut out = Vec::with_capacity(t.data().len());
-        for shard in shards {
-            let (bytes, cycles) = shard?;
-            self.cycles += cycles;
-            out.extend_from_slice(&bytes);
-        }
-        self.op_span("code-requant", before);
-        Ok(QTensor::from_vec(t.shape(), out_quant, out))
+        let out = self.dispatch("code-requant", chunks.len(), |pool, i| {
+            code_requant_chunk(pool, chunks[i], map)
+        })?;
+        Ok(QTensor::from_vec(t.shape(), out_quant, out.concat()))
     }
 
     // ------------------------------------------------------------------
@@ -792,35 +759,16 @@ impl Exec {
         // All lanes (across every array run) advance through the same
         // number of rounds, in lockstep with the widest window.
         let max_window = windows.iter().map(Vec::len).max().unwrap_or(0);
-        let engine = self.engine;
-        let shared_pool = &self.pool;
-        let before = self.cycles;
-        let observer = self.observer.as_ref();
         let chunks: Vec<&[Vec<u8>]> = windows.chunks(COLS).collect();
-        let kind = pool.kind;
-        let shards = engine.run_observed(
-            chunks.len(),
-            |i| match kind {
-                PoolKind::Max => pool_max_chunk(shared_pool, chunks[i], max_window),
-                PoolKind::Avg => pool_avg_chunk(shared_pool, chunks[i], max_window),
-            },
-            observer,
-        );
-
-        let mut out = Vec::with_capacity(total);
-        for shard in shards {
-            let (bytes, cycles) = shard?;
-            self.cycles += cycles;
-            out.extend_from_slice(&bytes);
-        }
-        self.op_span(
-            match kind {
-                PoolKind::Max => "pool-max",
-                PoolKind::Avg => "pool-avg",
-            },
-            before,
-        );
-        Ok(QTensor::from_vec(out_shape, input.params(), out))
+        let name = match pool.kind {
+            PoolKind::Max => "pool-max",
+            PoolKind::Avg => "pool-avg",
+        };
+        let out = self.dispatch(name, chunks.len(), |shared_pool, i| match pool.kind {
+            PoolKind::Max => pool_max_chunk(shared_pool, chunks[i], max_window),
+            PoolKind::Avg => pool_avg_chunk(shared_pool, chunks[i], max_window),
+        })?;
+        Ok(QTensor::from_vec(out_shape, input.params(), out.concat()))
     }
 }
 
@@ -996,30 +944,23 @@ fn byte_planes(
 }
 
 /// One 256-lane min/max ranging run over a chunk of accumulators.
-fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<(i64, i64, CycleStats)> {
+fn min_max_chunk(pool: &ArrayPool, chunk: &[i64]) -> Result<((i64, i64), CycleStats)> {
     const OFFSET: i64 = 1 << 38; // |ACC| < 2^38 stays positive
-    let layout::RangingLayout { v, scratch, cmp } = layout::RangingLayout::new();
-    const DUMP: usize = DUMP_ROW;
+    let l = layout::RangingLayout::new();
 
     let mut cycles = CycleStats::new();
-    let mut min = i64::MAX;
-    let mut max = i64::MIN;
+    let mut extremes = [0i64; 2];
     // Idle lanes replicate the first value (neutral for both reductions).
     let lanes: Vec<u64> = (0..COLS)
         .map(|lane| (chunk.get(lane).copied().unwrap_or(chunk[0]) + OFFSET) as u64)
         .collect();
-    for want_max in [false, true] {
+    for (max, extreme) in [false, true].into_iter().zip(&mut extremes) {
         let mut arr = pool.acquire();
-        arr.poke_lanes(0, v, &lanes)?;
-        if want_max {
-            cycles += arr.reduce_max(v, scratch, cmp, DUMP, COLS)?;
-            max = max.max(peek_one(&arr, 0, v)? as i64 - OFFSET);
-        } else {
-            cycles += arr.reduce_min(v, scratch, cmp, DUMP, COLS)?;
-            min = min.min(peek_one(&arr, 0, v)? as i64 - OFFSET);
-        }
+        arr.poke_lanes(0, l.v, &lanes)?;
+        cycles += l.reduce(&mut arr, max, COLS)?;
+        *extreme = peek_one(&arr, 0, l.v)? as i64 - OFFSET;
     }
-    Ok((min, max, cycles))
+    Ok(((extremes[0], extremes[1]), cycles))
 }
 
 /// One 256-output requantization array run (pass 3).
@@ -1028,25 +969,16 @@ fn requant_chunk(
     chunk: &[i64],
     requant: Requantizer,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::RequantLayout { d_op, prod } = layout::RequantLayout::new();
-    let d32 = d_op.slice(0, 32)?;
-    const DUMP: usize = DUMP_ROW;
-
-    let mut cycles = CycleStats::new();
+    let l = layout::RequantLayout::new();
     let mut arr = pool.acquire();
     let accs = chunk
         .iter()
-        .map(|&v| accumulator_code(d_op, v))
+        .map(|&v| accumulator_code(l.d_op, v))
         .collect::<Result<Vec<u64>>>()?;
-    arr.poke_lanes(0, d_op, &accs)?;
-    // D = max(ACC - acc_min, 0).
-    cycles += arr.add_scalar_signed(d_op, -requant.acc_min)?;
-    cycles += arr.relu(d_op)?;
-    // P = D * M; q = min(P >> SH, 255).
-    cycles += arr.mul_scalar(d32, u64::from(requant.multiplier), prod)?;
-    let shifted = prod.slice(requant.shift as usize, 16)?;
-    cycles += arr.clamp_max_scalar(shifted, 255, DUMP)?;
-    Ok((peek_bytes(&arr, shifted.slice(0, 8)?, chunk.len())?, cycles))
+    arr.poke_lanes(0, l.d_op, &accs)?;
+    let cycles = l.requantize(&mut arr, requant)?;
+    let code = l.prod.slice(requant.shift as usize, 8)?;
+    Ok((peek_bytes(&arr, code, chunk.len())?, cycles))
 }
 
 /// One 256-code code-to-code requantization array run.
@@ -1055,80 +987,61 @@ fn code_requant_chunk(
     chunk: &[u8],
     map: CodeRequant,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::CodeRequantLayout { q_in, prod } = layout::CodeRequantLayout::new();
-    let m_abs = map.m.unsigned_abs();
-
-    let mut cycles = CycleStats::new();
+    let l = layout::CodeRequantLayout::new();
     let mut arr = pool.acquire();
-    poke_bytes(&mut arr, q_in, chunk.iter().copied())?;
-    cycles += arr.mul_scalar(q_in, m_abs, prod)?;
-    // m is non-negative for real scale ratios; fold c (possibly negative)
-    // as a two's-complement scalar add.
-    cycles += arr.add_scalar_signed(prod, map.c)?;
-    cycles += arr.relu(prod)?;
-    let shifted = prod.slice(map.sh as usize, 16)?;
-    cycles += arr.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
-    Ok((peek_bytes(&arr, shifted.slice(0, 8)?, chunk.len())?, cycles))
+    poke_bytes(&mut arr, l.q_in, chunk.iter().copied())?;
+    let cycles = l.requantize(&mut arr, map)?;
+    let code = l.prod.slice(map.sh as usize, 8)?;
+    Ok((peek_bytes(&arr, code, chunk.len())?, cycles))
 }
 
-/// Max pooling over one 256-lane chunk: running max via subtract / MSB
-/// mask / selective copy.
+/// Max pooling over one 256-lane chunk: a running max over the window.
 fn pool_max_chunk(
     pool: &ArrayPool,
     chunk: &[Vec<u8>],
     max_window: usize,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::PoolMaxLayout { acc, x, scratch } = layout::PoolMaxLayout::new();
-    const DUMP: usize = DUMP_ROW;
+    let l = layout::PoolMaxLayout::new();
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    poke_bytes(&mut arr, acc, chunk.iter().map(|w| w[0]))?;
+    poke_bytes(&mut arr, l.acc, chunk.iter().map(|w| w[0]))?;
     for i in 1..max_window {
         // Short windows (image edges) repeat their first element, which is
         // a no-op for max.
         poke_bytes(
             &mut arr,
-            x,
+            l.x,
             chunk.iter().map(|w| w.get(i).copied().unwrap_or(w[0])),
         )?;
-        cycles += arr.max_assign(acc, x, scratch, DUMP)?;
+        cycles += l.step(&mut arr)?;
     }
-    Ok((peek_bytes(&arr, acc, chunk.len())?, cycles))
+    Ok((peek_bytes(&arr, l.acc, chunk.len())?, cycles))
 }
 
 /// Average pooling over one 256-lane chunk: bit-serial window sum, then
-/// lane-wise restoring division by the per-lane valid-element count.
+/// lane-wise division by the per-lane valid-element count.
 fn pool_avg_chunk(
     pool: &ArrayPool,
     chunk: &[Vec<u8>],
     max_window: usize,
 ) -> Result<(Vec<u8>, CycleStats)> {
-    let layout::PoolAvgLayout {
-        x,
-        sum,
-        den,
-        quot,
-        rem,
-        trial,
-        notden,
-    } = layout::PoolAvgLayout::new();
+    let l = layout::PoolAvgLayout::new();
 
-    let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    cycles += arr.zero(sum)?;
+    let mut cycles = l.clear(&mut arr)?;
     for i in 0..max_window {
         poke_bytes(
             &mut arr,
-            x,
+            l.x,
             chunk.iter().map(|w| w.get(i).copied().unwrap_or(0)),
         )?;
-        cycles += arr.add_assign(sum, x)?;
+        cycles += l.accumulate(&mut arr)?;
     }
     let counts: Vec<u64> = chunk.iter().map(|w| w.len() as u64).collect();
-    arr.poke_lanes(0, den, &counts)?;
-    cycles += arr.div(sum, den, quot, rem, trial, notden)?;
-    Ok((peek_bytes(&arr, quot.slice(0, 8)?, chunk.len())?, cycles))
+    arr.poke_lanes(0, l.den, &counts)?;
+    cycles += l.divide(&mut arr)?;
+    Ok((peek_bytes(&arr, l.quot.slice(0, 8)?, chunk.len())?, cycles))
 }
 
 /// Stages one byte per lane, from lane 0 on, into `op`.
@@ -1183,6 +1096,17 @@ mod tests {
     use nc_dnn::reference;
     use nc_dnn::workload::{random_conv, random_input, single_conv_model, tiny_cnn};
     use nc_dnn::Padding;
+
+    /// A fresh array to measure a layout method on.
+    fn scratch() -> ComputeArray {
+        ComputeArray::with_zero_row(ZERO_ROW).expect("scratch array")
+    }
+
+    /// The compute and access cycles of one layout-method run.
+    fn cost(cycles: std::result::Result<CycleStats, SramError>) -> [u64; 2] {
+        let c = cycles.expect("layout method runs");
+        [c.compute_cycles, c.access_cycles]
+    }
 
     fn check_model(model: &Model, input_seed: u64) {
         let input = random_input(model.input_shape, model.input_quant, input_seed);
@@ -1606,11 +1530,6 @@ mod tests {
             let spec = &conv.spec;
             let geom = conv_lane_geometry(spec);
             let (l, asm) = (MacReduceLayout::new(), AssembleLayout::new());
-            let scratch = || ComputeArray::with_zero_row(ZERO_ROW).expect("scratch array");
-            let cost = |c: std::result::Result<CycleStats, SramError>| {
-                let c = c.expect("layout method runs");
-                [c.compute_cycles, c.access_cycles]
-            };
             let zero = cost(l.clear_sums(&mut scratch()));
             let tap = cost(l.mac_tap(&mut scratch(), SparsityMode::Dense));
             let fold = cost(l.fold(&mut scratch(), &mut scratch()));
@@ -1632,6 +1551,63 @@ mod tests {
                 first += groups;
             }
             assert_eq!(executed, expected, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn ranging_requant_and_pool_cycles_are_the_layout_methods_per_array_run() {
+        // mini_inception has a plain conv, max and average pools, and a
+        // Mixed block whose max-pool branch ends in a code requantization.
+        // Every conv has at most 256 accumulators and every pooling layer
+        // at most 256 outputs of 3x3 windows, except `mini_a/b3_pool`'s
+        // 8x8x8: one array run each, two for that pool.
+        let model = nc_dnn::workload::mini_inception(44);
+        let input = random_input(model.input_shape, model.input_quant, 45);
+        let tel = Telemetry::enabled(Level::Detail);
+        let run = run_model_traced(
+            &model,
+            &input,
+            ExecutionEngine::Sequential,
+            SparsityMode::Dense,
+            &tel,
+        )
+        .expect("traced run");
+        let record = |name: &str| run.sublayers.iter().find(|r| r.name == name).unwrap();
+        // The pool branch maps mini_a's codes onto mini_r's shared domain.
+        let map = CodeRequant::between(
+            record("mini_a/b0").out_quant,
+            record("mini_r/b0_3x3").out_quant,
+        );
+
+        let (trees, requant) = (layout::RangingLayout::new(), layout::RequantLayout::new());
+        let (max, avg) = (layout::PoolMaxLayout::new(), layout::PoolAvgLayout::new());
+        let code = layout::CodeRequantLayout::new();
+        // (span, array runs, one run of the method)
+        let convs = run.sublayers.len() as u64;
+        let terms = [
+            ("ranging", convs, trees.reduce(&mut scratch(), false, COLS)),
+            ("ranging", convs, trees.reduce(&mut scratch(), true, COLS)),
+            ("code-requant", 1, code.requantize(&mut scratch(), map)),
+            ("pool-max", 8, max.step(&mut scratch())),
+            ("pool-avg", 3, avg.clear(&mut scratch())),
+            ("pool-avg", 3 * 9, avg.accumulate(&mut scratch())),
+            ("pool-avg", 3, avg.divide(&mut scratch())),
+        ];
+        let requants = run
+            .sublayers
+            .iter()
+            .map(|r| requant.requantize(&mut scratch(), r.requant))
+            .map(|c| ("requantize", 1, c));
+        let mut expected = std::collections::BTreeMap::<_, [u64; 2]>::new();
+        for (span, n, c) in terms.into_iter().chain(requants) {
+            let (sum, c) = (expected.entry(span).or_default(), cost(c));
+            *sum = [sum[0] + n * c[0], sum[1] + n * c[1]];
+        }
+        for (span, expected) in expected {
+            let executed = ["compute_cycles", "access_cycles"]
+                .map(|arg| tel.sum_u64_arg_named("functional.op", span, arg));
+            assert!(executed[0] > 0, "{span}");
+            assert_eq!(executed, expected, "{span}");
         }
     }
 

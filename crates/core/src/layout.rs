@@ -11,12 +11,18 @@
 //!   row is touched (debug-mode pre-pass in the executor), including the
 //!   in-place hand-off from pass 1 to pass 2 ([`handoff_violations`]),
 //! - the `nc-verify` static checker lints the same descriptors, and
-//! - the convolution's op sequences are methods here: pass 1's MAC tap,
-//!   reduce tail and cross-array fold ([`MacReduceLayout`]) and pass 2's
-//!   assembly ([`AssembleLayout::assemble`]). The executor runs them, and
-//!   `nc-verify` records the very same calls on a scratch array
-//!   (`ComputeArray::start_recording`) to get the schedules it checks.
+//! - every pass's op sequence is a method here: pass 1's MAC tap, reduce
+//!   tail and cross-array fold ([`MacReduceLayout`]), pass 2's assembly
+//!   ([`AssembleLayout::assemble`]), the ranging trees
+//!   ([`RangingLayout::reduce`]), both requantizations
+//!   ([`RequantLayout::requantize`], [`CodeRequantLayout::requantize`]) and
+//!   pooling ([`PoolMaxLayout::step`], [`PoolAvgLayout`]). The executor
+//!   runs them, `nc-verify` records the very same calls on a scratch array
+//!   (`ComputeArray::start_recording`) to get the schedules it checks, and
+//!   [`crate::cost::DerivedCostModel`] measures its costs from them.
 
+use nc_dnn::quant::CodeRequant;
+use nc_dnn::Requantizer;
 use nc_sram::ops::copy_lanes_between;
 use nc_sram::{ComputeArray, CycleStats, Operand, Result, ROWS};
 
@@ -273,6 +279,23 @@ impl RangingLayout {
         }
     }
 
+    /// Tree-reduces the values staged in `v` on `lanes` lanes to their
+    /// minimum, or their maximum when `max` is set, left in lane 0's `v`
+    /// (the in-array min/max trees of Section IV-D). The comparison is
+    /// unsigned, so signed values must be staged with an offset.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn reduce(&self, arr: &mut ComputeArray, max: bool, lanes: usize) -> Result<CycleStats> {
+        let (v, scratch, cmp) = (self.v, self.scratch, self.cmp);
+        if max {
+            arr.reduce_max(v, scratch, cmp, DUMP_ROW, lanes)
+        } else {
+            arr.reduce_min(v, scratch, cmp, DUMP_ROW, lanes)
+        }
+    }
+
     /// Every region with its name, for generic layout checking.
     #[must_use]
     pub fn named(&self) -> Vec<NamedOperand> {
@@ -305,6 +328,25 @@ impl RequantLayout {
         }
     }
 
+    /// Requantizes the 40-bit two's-complement accumulators staged in
+    /// `d_op` on every lane (pass 3): `D = max(ACC - acc_min, 0)`,
+    /// `P = D * multiplier`, then `min(P >> shift, 255)`, left in the 8
+    /// rows of `prod` from row `shift` on (the shift is row
+    /// re-addressing). `requant`'s scalars come from the control FSM.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn requantize(&self, arr: &mut ComputeArray, requant: Requantizer) -> Result<CycleStats> {
+        let mut cycles = arr.add_scalar_signed(self.d_op, -requant.acc_min)?;
+        cycles += arr.relu(self.d_op)?;
+        let d32 = self.d_op.slice(0, 32)?;
+        cycles += arr.mul_scalar(d32, u64::from(requant.multiplier), self.prod)?;
+        let shifted = self.prod.slice(requant.shift as usize, 16)?;
+        cycles += arr.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
+        Ok(cycles)
+    }
+
     /// Every region with its name, for generic layout checking.
     #[must_use]
     pub fn named(&self) -> Vec<NamedOperand> {
@@ -335,6 +377,24 @@ impl CodeRequantLayout {
             q_in: op(0, 8),
             prod: op(8, 48),
         }
+    }
+
+    /// Maps the codes staged in `q_in` on every lane to
+    /// `clamp((q * m + c) >> sh, 0, 255)`, left in the 8 rows of `prod`
+    /// from row `sh` on (Section IV-D's batch-norm style multiply, add and
+    /// shift). `m` is non-negative for real scale ratios; `c`, possibly
+    /// negative, is a two's-complement scalar add.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn requantize(&self, arr: &mut ComputeArray, map: CodeRequant) -> Result<CycleStats> {
+        let mut cycles = arr.mul_scalar(self.q_in, map.m.unsigned_abs(), self.prod)?;
+        cycles += arr.add_scalar_signed(self.prod, map.c)?;
+        cycles += arr.relu(self.prod)?;
+        let shifted = self.prod.slice(map.sh as usize, 16)?;
+        cycles += arr.clamp_max_scalar(shifted, 255, DUMP_ROW)?;
+        Ok(cycles)
     }
 
     /// Every region with its name, for generic layout checking.
@@ -370,6 +430,16 @@ impl PoolMaxLayout {
             x: op(8, 8),
             scratch: op(16, 8),
         }
+    }
+
+    /// One window step on every lane: `acc = max(acc, x)` by subtract,
+    /// MSB mask and selective copy.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn step(&self, arr: &mut ComputeArray) -> Result<CycleStats> {
+        arr.max_assign(self.acc, self.x, self.scratch, DUMP_ROW)
     }
 
     /// Every region with its name, for generic layout checking.
@@ -417,6 +487,41 @@ impl PoolAvgLayout {
             trial: op(57, 9),
             notden: op(66, 9),
         }
+    }
+
+    /// Clears the window sum before the first element.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn clear(&self, arr: &mut ComputeArray) -> Result<CycleStats> {
+        arr.zero(self.sum)
+    }
+
+    /// Adds the staged window element `x` into the sum on every lane.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn accumulate(&self, arr: &mut ComputeArray) -> Result<CycleStats> {
+        arr.add_assign(self.sum, self.x)
+    }
+
+    /// Divides the sum by each lane's valid-element count `den` (lane-wise
+    /// restoring division), leaving the average in `quot`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the array's checks.
+    pub fn divide(&self, arr: &mut ComputeArray) -> Result<CycleStats> {
+        arr.div(
+            self.sum,
+            self.den,
+            self.quot,
+            self.rem,
+            self.trial,
+            self.notden,
+        )
     }
 
     /// Every region with its name, for generic layout checking.

@@ -1,139 +1,170 @@
-//! DESIGN.md §3 promise: the `DerivedCostModel` constants must stay in sync
-//! with the *actual* micro-op sequences of `nc-sram`. This test executes
-//! the real bit-serial operations and compares measured cycles against the
-//! model.
+//! `DerivedCostModel` measures each cost once, on a zeroed scratch array,
+//! from the `layout` methods the functional executor runs. These tests run
+//! the same methods on arrays holding real data: each must compute what its
+//! pass needs and charge exactly the model's value, so the price the timing
+//! simulator takes from the model does not depend on the data.
 
-use nc_sram::{ComputeArray, Operand, COLS};
+use nc_sram::{ComputeArray, COLS};
 use neural_cache::cost::{CostModel, DerivedCostModel};
+use neural_cache::layout::{MacReduceLayout, PoolAvgLayout, PoolMaxLayout, ZERO_ROW};
+use neural_cache::SparsityMode;
 
 fn arr() -> ComputeArray {
-    ComputeArray::with_zero_row(255).expect("zero row")
+    ComputeArray::with_zero_row(ZERO_ROW).expect("zero row")
+}
+
+/// Stages `S1`/`S2` on every lane and runs the reduce tail over groups of
+/// `span` lanes; returns the array and the tail's cycles.
+fn reduce_tail(mac: MacReduceLayout, span: usize) -> (ComputeArray, u64) {
+    let mut a = arr();
+    for lane in 0..COLS {
+        a.poke_lane(lane, mac.partial, lane as u64 * 65_537 + 3);
+        a.poke_lane(lane, mac.s2sum, 255);
+    }
+    let tail = mac.reduce(&mut a, span, COLS / span).unwrap();
+    (a, tail.total_cycles())
 }
 
 #[test]
 fn derived_mac_cycles_match_functional_ops() {
-    // One MAC = mul(8x8 -> 16) + accumulate into the 24-bit partial +
-    // accumulate the input byte into the 16-bit S2 sum.
+    let mac = MacReduceLayout::new();
     let mut a = arr();
-    let w = Operand::new(0, 8).unwrap();
-    let x = Operand::new(8, 8).unwrap();
-    let prod = Operand::new(16, 16).unwrap();
-    let partial = Operand::new(32, 24).unwrap();
-    let s2 = Operand::new(56, 16).unwrap();
-    a.poke_lane(0, w, 200);
-    a.poke_lane(0, x, 123);
-    let mut measured = 0;
-    measured += a.mul(w, x, prod).unwrap().compute_cycles;
-    measured += a.add_assign(partial, prod).unwrap().compute_cycles;
-    measured += a.add_assign(s2, x).unwrap().compute_cycles;
-    assert_eq!(
-        measured,
-        DerivedCostModel.mac_cycles(),
-        "DerivedCostModel::mac_cycles out of sync with nc-sram"
-    );
-    assert_eq!(a.peek_lane(0, partial), 200 * 123);
-    assert_eq!(a.peek_lane(0, s2), 123);
+    let bytes = [(0, 200, 123), (7, 255, 255), (200, 1, 9)];
+    for (lane, w, x) in bytes {
+        a.poke_lane(lane, mac.filter_byte, w);
+        a.poke_lane(lane, mac.input_byte, x);
+    }
+    mac.clear_sums(&mut a).unwrap();
+    for _ in 0..2 {
+        let tap = mac.mac_tap(&mut a, SparsityMode::Dense).unwrap();
+        assert_eq!(tap.total_cycles(), DerivedCostModel.mac_cycles());
+    }
+    for (lane, w, x) in bytes {
+        assert_eq!(a.peek_lane(lane, mac.partial), 2 * w * x, "lane {lane}");
+        assert_eq!(a.peek_lane(lane, mac.s2sum), 2 * x, "lane {lane}");
+    }
 }
 
 #[test]
 fn derived_mul_round_matches_skip_accounting() {
-    // The per-round cost the sparsity analysis elides must equal what the
-    // real bit-serial multiply spends per multiplier bit — and what
-    // mul_skip_zero_rows reports as saved when it elides a round.
+    // Filter byte 0b101 leaves 6 of the 8 multiplier-bit rounds all-zero:
+    // the skipping tap must save 6 model rounds and charge what the timing
+    // simulator's sparse MAC price predicts for that skip fraction.
+    let mac = MacReduceLayout::new();
     let mut a = arr();
-    let x = Operand::new(0, 8).unwrap();
-    let w = Operand::new(8, 8).unwrap();
-    let prod = Operand::new(16, 16).unwrap();
-    a.poke_lane(0, x, 77);
-    a.poke_lane(0, w, 0b0000_0101); // rounds 1, 3..8 are all-zero
-    let d = a.mul_skip_zero_rows(x, w, prod).unwrap();
-    assert_eq!(a.peek_lane(0, prod), 77 * 5);
-    assert_eq!(d.skipped_rounds, 6);
-    assert_eq!(
-        d.skipped_cycles,
-        6 * DerivedCostModel.mul_round_cycles(),
-        "DerivedCostModel::mul_round_cycles out of sync with nc-sram"
-    );
-    // Dense full-mul cost decomposes as prod zeroing + 8 rounds.
-    let mut b = arr();
-    b.poke_lane(0, x, 77);
-    b.poke_lane(0, w, 255);
-    let dense = b.mul(x, w, prod).unwrap();
-    assert_eq!(
-        dense.compute_cycles,
-        16 + 8 * DerivedCostModel.mul_round_cycles()
-    );
-    assert_eq!(dense.mul_rounds, 8);
+    a.poke_lane(3, mac.filter_byte, 0b101);
+    a.poke_lane(3, mac.input_byte, 77);
+    let tap = mac.mac_tap(&mut a, SparsityMode::SkipZeroRows).unwrap();
+    assert_eq!(a.peek_lane(3, mac.partial), 77 * 5);
+    assert_eq!(tap.skipped_rounds, 6);
+    assert_eq!(tap.skipped_cycles, 6 * DerivedCostModel.mul_round_cycles());
+    let predicted = DerivedCostModel.mac_cycles_sparse(tap.skip_fraction());
+    assert_eq!(tap.total_cycles() as f64, predicted);
 }
 
 #[test]
 fn derived_reduction_step_matches_functional_ops() {
-    // One reduction step = lane move (2 cycles/row) + 32-bit add, for each
-    // of the S1 and S2 trees.
-    let mut a = arr();
-    let v = Operand::new(0, 32).unwrap();
-    let s = Operand::new(32, 32).unwrap();
-    let before = a.stats();
-    a.move_lanes(v, s, 1, 1).unwrap();
-    a.add_assign(v, s).unwrap();
-    let one_tree_step = (a.stats() - before).compute_cycles;
+    let model = DerivedCostModel;
+    let (a, cycles) = reduce_tail(MacReduceLayout::new(), 2);
     assert_eq!(
-        2 * one_tree_step,
-        DerivedCostModel.reduction_step_cycles(),
-        "DerivedCostModel::reduction_step_cycles out of sync"
+        cycles,
+        model.reduction_setup_cycles() + model.reduction_step_cycles()
     );
+    let mac = MacReduceLayout::new();
+    for lane in (0..COLS as u64).step_by(2) {
+        let s1 = (2 * lane + 1) * 65_537 + 6;
+        assert_eq!(a.peek_lane(lane as usize, mac.seg_a), s1, "lane {lane}");
+        assert_eq!(a.peek_lane(lane as usize, mac.s2_a), 2 * 255);
+    }
 }
 
 #[test]
 fn derived_reduction_setup_matches_functional_ops() {
+    // One-lane groups reduce nothing: the tail only widens S1 and S2 into
+    // their 32-bit segments, keeping full-scale values.
+    let mac = MacReduceLayout::new();
     let mut a = arr();
-    let p = Operand::new(0, 24).unwrap();
-    let s2 = Operand::new(24, 16).unwrap();
-    let seg = Operand::new(40, 32).unwrap();
-    let seg2 = Operand::new(72, 32).unwrap();
-    let before = a.stats();
-    a.copy_zext(p, seg).unwrap();
-    a.copy_zext(s2, seg2).unwrap();
+    a.poke_lane(0, mac.partial, (1 << 24) - 1);
+    a.poke_lane(0, mac.s2sum, (1 << 16) - 1);
+    a.poke_lane(255, mac.partial, 123_456);
+    let tail = mac.reduce(&mut a, 1, COLS).unwrap();
     assert_eq!(
-        (a.stats() - before).compute_cycles,
-        DerivedCostModel.reduction_setup_cycles(),
+        tail.total_cycles(),
+        DerivedCostModel.reduction_setup_cycles()
     );
+    assert_eq!(a.peek_lane(0, mac.seg_a), (1 << 24) - 1);
+    assert_eq!(a.peek_lane(0, mac.s2_a), (1 << 16) - 1);
+    assert_eq!(a.peek_lane(255, mac.seg_a), 123_456);
 }
 
 #[test]
 fn derived_max_cycles_match_functional_ops() {
+    let pool = PoolMaxLayout::new();
     let mut a = arr();
-    let acc = Operand::new(0, 8).unwrap();
-    let x = Operand::new(8, 8).unwrap();
-    let s = Operand::new(16, 8).unwrap();
-    let d = a.max_assign(acc, x, s, 250).unwrap();
-    assert_eq!(d.compute_cycles, DerivedCostModel.max_cycles());
+    let cases = [
+        (0, 0, 0),
+        (1, 255, 0),
+        (2, 0, 255),
+        (3, 128, 127),
+        (4, 9, 9),
+    ];
+    for (lane, acc, x) in cases {
+        a.poke_lane(lane, pool.acc, acc);
+        a.poke_lane(lane, pool.x, x);
+    }
+    let step = pool.step(&mut a).unwrap();
+    assert_eq!(step.total_cycles(), DerivedCostModel.max_cycles());
+    for (lane, acc, x) in cases {
+        assert_eq!(a.peek_lane(lane, pool.acc), acc.max(x), "lane {lane}");
+    }
 }
 
 #[test]
 fn derived_avg_pool_costs_match_functional_ops() {
+    // Lane n - 1 averages a window of n codes, n = 1..=9.
+    let pool = PoolAvgLayout::new();
     let mut a = arr();
-    let sum = Operand::new(0, 16).unwrap();
-    let x = Operand::new(16, 8).unwrap();
-    let d = a.add_assign(sum, x).unwrap();
-    assert_eq!(d.compute_cycles, DerivedCostModel.avg_add_cycles());
-
-    let quot = Operand::new(24, 16).unwrap();
-    let rem = Operand::new(40, 7).unwrap();
-    let trial = Operand::new(47, 7).unwrap();
-    a.poke_lane(0, sum, 12345);
-    let d = a.div_scalar(sum, 9, quot, rem, trial).unwrap();
-    assert_eq!(d.compute_cycles, DerivedCostModel.avg_div_cycles());
-    assert_eq!(a.peek_lane(0, quot), 12345 / 9);
+    let windows: Vec<Vec<u64>> = (1..=9u64)
+        .map(|n| (0..n).map(|i| (i * 97 + n * 31) % 256).collect())
+        .collect();
+    pool.clear(&mut a).unwrap();
+    for i in 0..9 {
+        for (lane, window) in windows.iter().enumerate() {
+            a.poke_lane(lane, pool.x, window.get(i).copied().unwrap_or(0));
+        }
+        let add = pool.accumulate(&mut a).unwrap();
+        assert_eq!(add.total_cycles(), DerivedCostModel.avg_add_cycles());
+    }
+    for (lane, window) in windows.iter().enumerate() {
+        a.poke_lane(lane, pool.den, window.len() as u64);
+    }
+    let div = pool.divide(&mut a).unwrap();
+    assert_eq!(div.total_cycles(), DerivedCostModel.avg_div_cycles());
+    for (lane, window) in windows.iter().enumerate() {
+        let avg = window.iter().sum::<u64>() / window.len() as u64;
+        assert_eq!(a.peek_lane(lane, pool.quot), avg, "lane {lane}");
+    }
 }
 
 #[test]
 fn full_reduction_tree_cost_composes_from_steps() {
-    // A 256-lane, 32-bit tree costs exactly steps * (move + add).
-    let mut a = arr();
-    let v = Operand::new(0, 32).unwrap();
-    let s = Operand::new(32, 32).unwrap();
-    let d = a.reduce_sum(v, s, COLS).unwrap();
-    let per_step = 2 * 32 + 32;
-    assert_eq!(d.compute_cycles, 8 * per_step);
+    // The timing simulator prices a tree over `span` channels as the setup
+    // plus log2(span) steps; the reduce tail must cost exactly that at
+    // every depth, and leave each group's sums on its first lane.
+    let (mac, model) = (MacReduceLayout::new(), DerivedCostModel);
+    for depth in 0..=COLS.trailing_zeros() {
+        let span = 1usize << depth;
+        let (a, cycles) = reduce_tail(mac, span);
+        let steps = u64::from(depth) * model.reduction_step_cycles();
+        assert_eq!(
+            cycles,
+            model.reduction_setup_cycles() + steps,
+            "span {span}"
+        );
+        for group in (0..COLS).step_by(span) {
+            let s1: u64 = (group..group + span).map(|l| l as u64 * 65_537 + 3).sum();
+            assert_eq!(a.peek_lane(group, mac.seg_a), s1, "group at {group}");
+            assert_eq!(a.peek_lane(group, mac.s2_a), 255 * span as u64);
+        }
+    }
 }

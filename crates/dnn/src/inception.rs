@@ -7,7 +7,7 @@
 //! against the paper in `summary` tests. Weights are synthetic (seeded
 //! pseudo-random codes) — the schedule and cycle counts of Neural Cache are
 //! data-independent (Section VI-A), so real `ImageNet` weights would change
-//! no timing result; see DESIGN.md §4.
+//! no timing result.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -374,7 +374,8 @@ mod tests {
         let mb = m.total_filter_bytes() as f64 / (1024.0 * 1024.0);
         // Table I's filter column sums to 21.7 MB; our graph derives
         // 22.7 MB because the paper's Mixed_6a and Mixed_6e filter cells
-        // are inconsistent with their own convolution counts (DESIGN.md §6).
+        // are inconsistent with their own convolution counts (see the
+        // `PAPER` table in `summary`'s tests).
         assert!((22.0..23.5).contains(&mb), "got {mb} MB");
     }
 

@@ -13,7 +13,8 @@
 //! - [`layer`]: convolution / pooling / fully-connected / Inception mixed
 //!   blocks, assembled into a [`Model`];
 //! - [`reference`](mod@crate::reference): a plain-Rust integer executor (the golden
-//!   model — our substitute for instrumented TensorFlow traces, DESIGN.md §4);
+//!   model — our substitute for the instrumented TensorFlow traces of
+//!   Section V);
 //! - [`inception`]: the complete Inception v3 graph (20 top-level layers,
 //!   94 convolution sub-layers) with seeded synthetic weights;
 //! - [`summary`]: Table I derivation (layer parameters, convolution counts,

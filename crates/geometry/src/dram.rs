@@ -5,7 +5,7 @@
 //! cycles (Section V). That measurement collapses to an *effective fill
 //! bandwidth*; this model exposes it as a parameter calibrated so filter
 //! loading lands at the paper's reported ~46% share of inference time
-//! (DESIGN.md §4).
+//! (Figure 14).
 
 use crate::SimTime;
 

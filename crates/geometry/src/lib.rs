@@ -15,7 +15,7 @@
 //!   bidirectional inter-slice ring and the intra-slice 256-bit data bus
 //!   (4 x 64-bit quadrant buses, per-bank 64-bit input latches);
 //! - [`DramModel`]: the effective-bandwidth stream model substituted for the
-//!   paper's measured C micro-benchmark (DESIGN.md §4);
+//!   paper's measured C micro-benchmark (Section V);
 //! - [`decode_address`]: a set-decode model in the spirit of the paper's
 //!   reverse-engineered Xeon addressing;
 //! - [`SimTime`]: seconds newtype shared by all timing results.

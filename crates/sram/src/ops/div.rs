@@ -27,8 +27,9 @@ impl ComputeArray {
     /// `3n^2` for equal widths, versus the paper's published
     /// `1.5n^2 + 5.5n`; the paper's tighter bound assumes non-restoring
     /// division with fused sign handling, while this implementation favors
-    /// the simpler restoring form. Both costs are exposed to the timing
-    /// model (DESIGN.md §6).
+    /// the simpler restoring form. The timing model can charge either: the
+    /// paper cost model uses the published formula, and the derived one
+    /// measures this op as the executor's average-pooling divide.
     ///
     /// Lanes whose divisor is zero produce an all-ones quotient (the
     /// trial subtraction never borrows); no error is raised because idle

@@ -4,9 +4,10 @@
 //! [`ComputeArray`](crate::ComputeArray) micro-ops (plus, for lane moves, the
 //! sense-amp-cycling model of [`LANE_MOVE_CYCLES_PER_ROW`]), so its cycle count is
 //! *derived from the micro-op sequence* rather than asserted. Each operation
-//! returns the [`CycleStats`](crate::CycleStats) delta it consumed; the
-//! `neural-cache` crate's `DerivedCostModel` is calibrated directly against
-//! these deltas (and a test asserts they stay in sync).
+//! returns the [`CycleStats`](crate::CycleStats) delta it consumed. The
+//! `neural-cache` crate's `DerivedCostModel` holds no cycle constant: it
+//! runs the executor's layout methods, which are sequences of these
+//! operations, on a scratch array and takes their deltas as its costs.
 //!
 //! Each operation checks its operands (widths, overlaps, lane ranges, the
 //! zero row) before its first cycle and then runs the micro-ops' infallible
@@ -15,8 +16,9 @@
 //!
 //! Paper cost reference (Section III): addition `n+1`, multiplication
 //! `n^2+5n-2`, division `1.5n^2+5.5n`. The derived sequences here are close
-//! but not identical (see `DESIGN.md` §6); both cost models are available to
-//! the timing simulator.
+//! but not identical (see [`ComputeArray::mul`](crate::ComputeArray::mul)
+//! and [`ComputeArray::div`](crate::ComputeArray::div)); both cost models
+//! are available to the timing simulator.
 
 mod add;
 mod cmp;

@@ -17,7 +17,7 @@ impl ComputeArray {
     /// `n = a.bits()`, `m = b.bits()`. For n = m it is `n^2 + 4n` including
     /// initialization — the paper quotes `n^2 + 5n - 2`, which matches at
     /// n = 2 (the published walkthrough) and differs by `n - 2` cycles for
-    /// wider operands; see DESIGN.md §6.
+    /// wider operands.
     ///
     /// The tag and carry latches are clobbered.
     ///

@@ -339,8 +339,11 @@ mod tests {
             a.poke_lane(lane, value, v);
             expected += v;
         }
-        a.reduce_sum(value, scratch, COLS).unwrap();
+        let d = a.reduce_sum(value, scratch, COLS).unwrap();
         assert_eq!(a.peek_lane(0, value), expected);
+        // log2(256) = 8 steps of a 32-bit lane move (2 cycles per row) and
+        // a 32-bit add.
+        assert_eq!(d.compute_cycles, 8 * (2 * 32 + 32));
     }
 
     #[test]

@@ -11,25 +11,28 @@
 //! layouts and op schedules respecting those limits. This crate proves it:
 //!
 //! 1. **Recorded schedules**: the checked schedules are not re-derived.
-//!    [`check::mac_tap_schedule`], [`check::reduce_schedule`] and
-//!    [`check::assemble_schedule`] run the executor's own methods
-//!    ([`neural_cache::layout::MacReduceLayout::mac_tap`] and `reduce`,
-//!    [`neural_cache::layout::AssembleLayout::assemble`]) on
+//!    Every in-cache pass is a method of its executor layout
+//!    ([`neural_cache::layout`]). [`check::mac_tap_schedule`] and
+//!    [`check::reduce_schedule`] run pass 1's
+//!    ([`neural_cache::layout::MacReduceLayout::mac_tap`] and `reduce`) on
 //!    a scratch `ComputeArray` with recording on, so each
 //!    [`nc_sram::Schedule`] is the per-cycle row read/write sets of the
 //!    micro-ops that really ran. The data-dependent facts (elided rounds,
 //!    live weight bits) enter as lane-0 operand data, because those are
-//!    exactly what the control FSM knows.
+//!    exactly what the control FSM knows. The later passes' schedules
+//!    depend on per-layer scalars, so [`check`]'s unit tests record them at
+//!    the scalars' corner values instead of [`check_model`].
 //! 2. [`check`]: a **hazard checker** over those schedules — port
 //!    overflows, out-of-bounds rows, zero-row clobbering, operand overlap,
 //!    lane packing aliasing, row-budget overflow — plus reserved-way dump
 //!    overlap invariants against [`neural_cache::BatchCostModel`].
-//! 3. **Cycle reconciliation**: the recorded MAC-tap cycles equal the
-//!    analytical [`neural_cache::cost::CostModel`] at every skip/live
-//!    anchor point (V009), and ([`check_executed_model`]) the executed
-//!    [`nc_sram::CycleStats`] reconcile across sparsity modes and engines
-//!    (V010), reported as structured [`diag::Diagnostic`]s with stable
-//!    `Vxxx` codes.
+//! 3. **Cycle reconciliation**: [`neural_cache::cost::DerivedCostModel`]
+//!    measures its base costs from the same layout methods, and its
+//!    skip-aware MAC costs equal the recorded MAC-tap cycles at every
+//!    skip/live anchor point (V009). [`check_executed_model`] checks that
+//!    the executed [`nc_sram::CycleStats`] reconcile across sparsity modes
+//!    and engines (V010). Both report structured [`diag::Diagnostic`]s
+//!    with stable `Vxxx` codes.
 //! 4. **Executed pool events** ([`reconcile_pool_events`]): every executed
 //!    run — four sparsity modes on both engines — must check out exactly
 //!    the `ArrayPool` arrays the sequential dense run does and return every

@@ -1,6 +1,5 @@
 //! Cross-crate integration tests: the full Neural Cache system against the
-//! paper's published evaluation results (shape-of-result assertions, per
-//! DESIGN.md §5).
+//! paper's published evaluation results (shape-of-result assertions).
 
 use neural_cache_repro::baselines::{cpu_xeon_e5, gpu_titan_xp};
 use neural_cache_repro::cache::{
