@@ -10,8 +10,8 @@
 //! cost-model anchors, per-layer lane geometry / row budget, one reduce
 //! schedule per distinct group span, the reserved-way dump-overlap window,
 //! and the value-range abstract interpretation with its overflow/width
-//! certificates (V021–V027) checked against both the default and the
-//! advised bit budgets. Weighted workloads additionally run the functional
+//! certificates (V021–V023, V025–V027) checked against the shipped Figure
+//! 10 bit budget. Weighted workloads additionally run the functional
 //! executor under every sparsity mode on both engines, reconcile the
 //! executed `CycleStats` against the static predictions, check that every
 //! run's `ArrayPool` events match the sequential dense run's (V020), and
@@ -23,10 +23,10 @@
 //! ```
 //!
 //! Exit codes: `0` all workloads clean, `1` at least one hazard-category
-//! diagnostic (plan/schedule/width defects, including V021–V027), `2`
-//! reconciliation-category diagnostics only (V009/V010/V020 — the static
-//! and executed views drifted but no plan hazard was proven), `3` the
-//! artifact could not be written.
+//! diagnostic (plan/schedule/width defects, including V021–V023 and
+//! V025–V027), `2` reconciliation-category diagnostics only
+//! (V009/V010/V020 — the static and executed views drifted but no plan
+//! hazard was proven), `3` the artifact could not be written.
 
 use std::process::ExitCode;
 
@@ -77,11 +77,10 @@ fn range_stats_line(report: &VerifyReport) -> Option<String> {
     };
     let convs = stat("range_convs")?;
     Some(format!(
-        "{} conv range(s), {} exact-weighted, acc width max {} bit(s), {} advised bit(s) trimmed",
+        "{} conv range(s), {} exact-weighted, acc width max {} bit(s)",
         convs,
         stat("range_exact_weighted").unwrap_or(0),
         stat("range_acc_bits_max").unwrap_or(0),
-        stat("range_trimmed_bits").unwrap_or(0),
     ))
 }
 

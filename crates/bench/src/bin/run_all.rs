@@ -22,7 +22,6 @@ fn main() {
         ("== Figure 16 ==", nc_bench::fig16()),
         ("== Sparsity ==", nc_bench::sparsity()),
         ("== Activation sparsity ==", nc_bench::activation_sparsity()),
-        ("== Bit-budget advisor ==", nc_bench::advisor()),
         ("== Serving ==", nc_bench::serving_under_load()),
         ("== Headlines ==", nc_bench::headlines()),
     ] {

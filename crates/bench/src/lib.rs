@@ -563,44 +563,6 @@ pub fn activation_sparsity() -> String {
     activation_sparsity_with(&perf::compare_activation_sparsity())
 }
 
-/// Bit-budget advisor artifact: per-workload operand trims proven by the
-/// value-range pass, the bit-exactness gate, and the resulting MAC/reduce
-/// cycle savings.
-#[must_use]
-pub fn advisor() -> String {
-    advisor_with(&perf::compare_advisor())
-}
-
-/// [`advisor`] rendered from precomputed comparisons.
-#[must_use]
-pub fn advisor_with(comparisons: &[perf::AdvisorComparison]) -> String {
-    let mut out = String::from(
-        "Bit-budget advisor (value-range-proven operand trims, bit-exact by certificate)\n",
-    );
-    for a in comparisons {
-        let _ = writeln!(
-            out,
-            "{:<20} convs {:>3} (trimmed {:>3}) | bits trimmed {:>4} | cycles saved \
-             {:>12}/{:>12} ({:>5.1}%) | certified: {} | bit-identical: {}",
-            a.name,
-            a.convs,
-            a.trimmed_convs,
-            a.trimmed_bits,
-            a.saved_cycles,
-            a.governed_cycles,
-            100.0 * a.cycle_reduction(),
-            a.certified_sound,
-            a.bit_identical
-        );
-    }
-    let _ = writeln!(
-        out,
-        "(saved/governed = trimmed vs default multiplicand+partial+reduce cycle pool; \
-         budgets come from nc-verify's interval certificates, never from executed values)"
-    );
-    out
-}
-
 /// [`activation_sparsity`] rendered from precomputed comparisons.
 #[must_use]
 pub fn activation_sparsity_with(comparisons: &[perf::ActivationComparison]) -> String {
@@ -695,7 +657,6 @@ mod tests {
             ("fig16", fig16()),
             ("headlines", headlines()),
             ("activation_sparsity", activation_sparsity()),
-            ("advisor", advisor()),
             ("serving", serving_under_load()),
         ] {
             assert!(text.lines().count() >= 3, "{name} too short:\n{text}");

@@ -1,16 +1,15 @@
-//! The executed sparsity and bit-budget comparisons behind the `run_all`
-//! sparsity, activation-sparsity and advisor artifacts: dense vs
-//! `SkipZeroRows` on the pruned workloads, dense vs the dynamic input-skip
-//! modes on ReLU-sparse inputs, and the value-range-proven operand trims.
-//! Every comparison also *verifies* its invariant: the skipping runs must
-//! be bit-identical to dense with their executed skip fractions agreeing
-//! with the `sparsity::analyze` / `activation_profile` predictions, and the
-//! trimmed reference run must be bit-identical to the untrimmed one.
-//! Host wall time is measured by the `perfbench` benchmark, not here.
+//! The executed sparsity comparisons behind the `run_all` sparsity and
+//! activation-sparsity artifacts: dense vs `SkipZeroRows` on the pruned
+//! workloads, and dense vs the dynamic input-skip modes on ReLU-sparse
+//! inputs. Every comparison also *verifies* its invariant: the skipping
+//! runs must be bit-identical to dense with their executed skip fractions
+//! agreeing with the `sparsity::analyze` / `activation_profile`
+//! predictions. Host wall time is measured by the `perfbench` benchmark,
+//! not here.
 
 use nc_dnn::workload::{
     pruned_conv_model, pruned_inception, random_input, relu_sparse_conv_model, relu_sparse_input,
-    relu_sparse_mini, tiny_cnn,
+    relu_sparse_mini,
 };
 use nc_dnn::{Model, QTensor};
 use neural_cache::functional::{run_model_configured, FunctionalResult};
@@ -330,145 +329,6 @@ pub fn compare_activation_sparsity() -> Vec<ActivationComparison> {
         .collect()
 }
 
-/// Bit-budget advisor comparison of one weighted workload: the value-range
-/// certificate's trimmed operand widths, the bit-exactness gate (the
-/// reference executor re-run with every budget masked to the advised
-/// widths must reproduce the untrimmed run exactly), and the MAC/reduce
-/// cycle savings the trims buy under the derived cost model.
-#[derive(Debug, Clone)]
-pub struct AdvisorComparison {
-    /// Workload name.
-    pub name: String,
-    /// Convolution sub-layers certified.
-    pub convs: usize,
-    /// Sub-layers whose advised budget trims at least one bit.
-    pub trimmed_convs: usize,
-    /// Total operand bits trimmed across all sub-layers.
-    pub trimmed_bits: u64,
-    /// Budget-governed cycles of the default allocation: the lane
-    /// accumulate, multiply, and in-array reduction cycles the operand
-    /// widths control (the pool the savings come out of).
-    pub governed_cycles: u64,
-    /// Cycles the advised trims save out of `governed_cycles`.
-    pub saved_cycles: u64,
-    /// Whether every advised budget passed the static soundness checks
-    /// (no V021/V026/V027 against the advised widths).
-    pub certified_sound: bool,
-    /// Whether the trimmed run reproduced the untrimmed outputs, records
-    /// and requant decisions byte-for-byte.
-    pub bit_identical: bool,
-}
-
-impl AdvisorComparison {
-    /// Fraction of the budget-governed MAC/reduce cycles the trims save.
-    #[must_use]
-    pub fn cycle_reduction(&self) -> f64 {
-        if self.governed_cycles == 0 {
-            0.0
-        } else {
-            self.saved_cycles as f64 / self.governed_cycles as f64
-        }
-    }
-
-    /// The acceptance gate: a clean static certificate and an exactly
-    /// bit-identical trimmed run (`saved_cycles` is unsigned, so the cycle
-    /// delta is non-negative by construction).
-    #[must_use]
-    pub fn verified(&self) -> bool {
-        self.certified_sound && self.bit_identical
-    }
-}
-
-fn advisor_workloads() -> Vec<(String, Model, QTensor)> {
-    let tiny = tiny_cnn(2018);
-    let tiny_input = random_input(tiny.input_shape, tiny.input_quant, 9);
-    let pruned = pruned_inception(2018);
-    let pruned_input = random_input(pruned.input_shape, pruned.input_quant, 7);
-    let mini = relu_sparse_mini(2018);
-    let mini_input = random_input(mini.input_shape, mini.input_quant, 8);
-    vec![
-        ("tiny_cnn".to_owned(), tiny, tiny_input),
-        ("pruned_inception".to_owned(), pruned, pruned_input),
-        ("relu_sparse_mini".to_owned(), mini, mini_input),
-    ]
-}
-
-/// Runs the value-range pass, derives the advised budgets, replays the
-/// reference executor with every operand masked to the advised widths, and
-/// verifies bit-exactness plus the static soundness certificate.
-#[must_use]
-pub fn compare_advisor() -> Vec<AdvisorComparison> {
-    use nc_dnn::reference::{run_model, run_model_trimmed, AccTrim};
-    use nc_verify::range;
-    use neural_cache::mapping::{plan_model, BitBudget};
-    use neural_cache::timing::advised_trim_savings;
-    use neural_cache::UnitPlan;
-    use std::collections::HashMap;
-
-    let geometry = SystemConfig::xeon_e5_2697_v3().geometry;
-    advisor_workloads()
-        .into_iter()
-        .map(|(name, model, input)| {
-            let ranges = range::model_ranges(&model);
-            let plans = plan_model(&model, &geometry);
-            let mappings: HashMap<&str, &neural_cache::mapping::ConvMapping> = plans
-                .iter()
-                .flat_map(|p| &p.units)
-                .filter_map(|u| match u {
-                    UnitPlan::Conv(c) => Some((c.name.as_str(), c)),
-                    UnitPlan::Pool(_) => None,
-                })
-                .collect();
-
-            let mut certified_sound = true;
-            let mut trims: HashMap<String, AccTrim> = HashMap::new();
-            let mut trimmed_bits = 0u64;
-            let mut trimmed_convs = 0usize;
-            let mut governed_cycles = 0u64;
-            let mut saved_cycles = 0u64;
-            let zero_budget = |n: &str| BitBudget {
-                name: n.to_owned(),
-                mult_bits: 0,
-                partial_bits: 0,
-                reduce_bits: 0,
-            };
-            for r in &ranges.convs {
-                let advised = r.advise();
-                certified_sound &= range::check_widths(&r.name, r, &advised).is_empty();
-                trimmed_bits += advised.trimmed_bits();
-                trimmed_convs += usize::from(!advised.is_default());
-                let mapping = mappings
-                    .get(r.name.as_str())
-                    .unwrap_or_else(|| panic!("{}: no conv plan", r.name));
-                governed_cycles += advised_trim_savings(mapping, &zero_budget(&r.name));
-                saved_cycles += advised_trim_savings(mapping, &advised);
-                trims.insert(
-                    r.name.clone(),
-                    AccTrim {
-                        chunk: r.lane_taps,
-                        partial_bits: advised.partial_bits,
-                        reduce_bits: advised.reduce_bits,
-                        mult_bits: advised.mult_bits,
-                    },
-                );
-            }
-
-            let baseline = run_model(&model, &input);
-            let trimmed = run_model_trimmed(&model, &input, &|n| trims.get(n).copied());
-            AdvisorComparison {
-                name,
-                convs: ranges.convs.len(),
-                trimmed_convs,
-                trimmed_bits,
-                governed_cycles,
-                saved_cycles,
-                certified_sound,
-                bit_identical: baseline == trimmed,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -552,43 +412,6 @@ mod tests {
         assert!(text.contains("relu_sparse_conv"));
         assert!(text.contains("dense_acts_break_even"));
         assert!(text.contains("net MAC"));
-        assert!(!text.contains("bit-identical: false"));
-    }
-
-    #[test]
-    fn advisor_comparisons_verify_and_render() {
-        let comps = compare_advisor();
-        assert_eq!(comps.len(), 3);
-        for a in &comps {
-            assert!(
-                a.certified_sound,
-                "{}: advised budget not certified",
-                a.name
-            );
-            assert!(a.bit_identical, "{}: trimmed run diverged", a.name);
-            assert!(a.verified(), "{} failed verification", a.name);
-            assert!(a.convs > 0);
-        }
-        // The proven bounds must trim at least one shipped workload, and
-        // every trim must translate into a cycle saving.
-        assert!(
-            comps.iter().any(|a| a.saved_cycles > 0),
-            "no workload saved any cycles"
-        );
-        for a in &comps {
-            assert_eq!(
-                a.saved_cycles > 0,
-                a.trimmed_bits > 0,
-                "{}: trims and savings must agree",
-                a.name
-            );
-            assert!(a.saved_cycles <= a.governed_cycles, "{}", a.name);
-        }
-
-        let text = crate::advisor_with(&comps);
-        assert!(text.contains("bits trimmed"));
-        assert!(text.contains("cycles saved"));
-        assert!(!text.contains("certified: false"));
         assert!(!text.contains("bit-identical: false"));
     }
 }

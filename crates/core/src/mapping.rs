@@ -686,10 +686,9 @@ fn fresh_fraction(window_rows: usize, stride: usize) -> f64 {
 
 /// Per-sublayer operand bit allocation: the widths the bit-serial schedule
 /// spends cycles on. [`BitBudget::default_for`] is the fixed Figure 10
-/// provisioning every plan ships (8-bit multiplicand, 24-bit lane partial,
-/// 32-bit reduction segments); the bit-budget advisor shrinks each width to
-/// what a value-range certificate proves sufficient, because every trimmed
-/// bit is a skipped compute cycle per serial MAC or reduction step.
+/// provisioning every plan ships and executes (8-bit multiplicand, 24-bit
+/// lane partial, 32-bit reduction segments); `nc-verify` certifies a
+/// model's proven value ranges against it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitBudget {
     /// Sub-layer name this budget applies to.
@@ -703,7 +702,7 @@ pub struct BitBudget {
 }
 
 impl BitBudget {
-    /// The default (untrimmed) Figure 10 allocation.
+    /// The fixed Figure 10 allocation every plan ships.
     #[must_use]
     pub fn default_for(name: impl Into<String>) -> Self {
         BitBudget {
@@ -713,58 +712,12 @@ impl BitBudget {
             reduce_bits: REDUCE_BITS as u32,
         }
     }
-
-    /// Whether the budget equals the default allocation (nothing trimmed).
-    #[must_use]
-    pub fn is_default(&self) -> bool {
-        self.mult_bits == DATA_BITS as u32
-            && self.partial_bits == PARTIAL_BITS as u32
-            && self.reduce_bits == REDUCE_BITS as u32
-    }
-
-    /// Total operand bits trimmed relative to the default allocation.
-    #[must_use]
-    pub fn trimmed_bits(&self) -> u64 {
-        u64::from((DATA_BITS as u32).saturating_sub(self.mult_bits))
-            + u64::from((PARTIAL_BITS as u32).saturating_sub(self.partial_bits))
-            + u64::from((REDUCE_BITS as u32).saturating_sub(self.reduce_bits))
-    }
-}
-
-/// Proven per-sublayer magnitude bounds the advisor consumes. Produced by
-/// `nc-verify`'s value-range abstract interpretation; kept as plain numbers
-/// here so the planner stays free of a verifier dependency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProvenBounds {
-    /// Largest per-lane partial sum any lane grouping can accumulate.
-    pub partial_max: u64,
-    /// Largest `S1` reduction-tree running sum.
-    pub s1_max: u64,
-    /// Largest `S2` reduction-tree running sum.
-    pub s2_max: u64,
-    /// Bit-length of the largest live weight code.
-    pub weight_bits: u32,
 }
 
 /// Minimum bits representing `v` as an unsigned value (1 for `v == 0`).
 #[must_use]
 pub fn bits_for_unsigned(v: u64) -> u32 {
     (64 - v.leading_zeros()).max(1)
-}
-
-/// Derives the trimmed bit budget a value-range certificate justifies:
-/// each width shrinks to exactly the proven need, clamped to the default
-/// allocation — a bound *past* a default is an overflow hazard the verifier
-/// reports (V021/V026/V027), not something wider provisioning here could
-/// hide.
-#[must_use]
-pub fn advise_bit_budget(name: &str, bounds: &ProvenBounds) -> BitBudget {
-    BitBudget {
-        name: name.to_owned(),
-        mult_bits: bounds.weight_bits.clamp(1, DATA_BITS as u32),
-        partial_bits: bits_for_unsigned(bounds.partial_max).min(PARTIAL_BITS as u32),
-        reduce_bits: bits_for_unsigned(bounds.s1_max.max(bounds.s2_max)).min(REDUCE_BITS as u32),
-    }
 }
 
 #[cfg(test)]
@@ -795,42 +748,6 @@ mod tests {
         assert_eq!(bits_for_unsigned(255), 8);
         assert_eq!(bits_for_unsigned(256), 9);
         assert_eq!(bits_for_unsigned(u64::MAX), 64);
-    }
-
-    #[test]
-    fn bit_budget_advisor_trims_to_proven_need() {
-        let bounds = ProvenBounds {
-            partial_max: 1000,
-            s1_max: 50_000,
-            s2_max: 522_240,
-            weight_bits: 5,
-        };
-        let advised = advise_bit_budget("t", &bounds);
-        assert_eq!(advised.mult_bits, 5);
-        assert_eq!(advised.partial_bits, 10);
-        assert_eq!(
-            advised.reduce_bits, 19,
-            "max(S1, S2) = 522240 needs 19 bits"
-        );
-        assert!(!advised.is_default());
-        assert_eq!(advised.trimmed_bits(), 3 + 14 + 13);
-    }
-
-    #[test]
-    fn bit_budget_advisor_never_widens_past_defaults() {
-        // Bounds past the default allocation clamp to it: the width
-        // deficit is a hazard the verifier reports (V021/V027), not
-        // something the advisor can provision away.
-        let bounds = ProvenBounds {
-            partial_max: u64::MAX,
-            s1_max: u64::MAX,
-            s2_max: 0,
-            weight_bits: 12,
-        };
-        let advised = advise_bit_budget("t", &bounds);
-        assert!(advised.is_default());
-        assert_eq!(advised.trimmed_bits(), 0);
-        assert_eq!(advised, BitBudget::default_for("t"));
     }
 
     #[test]

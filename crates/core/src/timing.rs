@@ -551,41 +551,6 @@ const OUTPUT_SET_WALK_FACTOR: usize = 4;
 
 use crate::cost::CostModel as CostModelRef;
 
-/// Multiply cycles per live multiplicand bit in the derived cost model: a
-/// `k`-bit multiplicand makes the bit-serial multiply cost `9k + 24` cycles
-/// (8 multiplier rounds of `k + 2` row ops plus the `8 + k` product bits),
-/// so each trimmed bit saves 9 cycles per serial MAC.
-const MUL_CYCLES_PER_MULT_BIT: u64 = 9;
-
-/// Reduction cycles per bit of running-sum width: one tree step moves and
-/// adds two operands across the `S1` and `S2` trees (2 trees x 3 row ops
-/// per bit = 6), so each trimmed reduce bit saves 6 cycles per step.
-const REDUCE_CYCLES_PER_BIT: u64 = 6;
-
-/// Partial-accumulate cycles per bit of partial-sum width (the lane
-/// accumulate is 1 cycle per bit), so each trimmed partial bit saves one
-/// cycle per serial MAC.
-const PARTIAL_CYCLES_PER_BIT: u64 = 1;
-
-/// MAC and reduction cycles one convolution unit saves when executed under
-/// a trimmed [`BitBudget`](crate::mapping::BitBudget) instead of the
-/// default Figure 10 allocation.
-/// Counts only the phases the budget widths govern (lane accumulate,
-/// multiply, in-array reduction steps) — conservative, since cross-array
-/// steps and scratch moves shrink too.
-#[must_use]
-pub fn advised_trim_savings(c: &ConvMapping, budget: &crate::mapping::BitBudget) -> u64 {
-    let rounds = c.rounds as u64;
-    let serial_macs = rounds * c.eff_window as u64;
-    let partial_trim =
-        u64::from((crate::cost::PARTIAL_BITS as u32).saturating_sub(budget.partial_bits));
-    let mult_trim = u64::from((crate::cost::DATA_BITS as u32).saturating_sub(budget.mult_bits));
-    let reduce_trim =
-        u64::from((crate::cost::REDUCE_BITS as u32).saturating_sub(budget.reduce_bits));
-    serial_macs * (PARTIAL_CYCLES_PER_BIT * partial_trim + MUL_CYCLES_PER_MULT_BIT * mult_trim)
-        + rounds * u64::from(c.reduce_steps) * REDUCE_CYCLES_PER_BIT * reduce_trim
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,34 +559,6 @@ mod tests {
 
     fn report() -> InferenceReport {
         time_inference(&SystemConfig::xeon_e5_2697_v3(), &inception_v3())
-    }
-
-    #[test]
-    fn trim_savings_scale_with_proven_widths() {
-        use crate::mapping::{plan_model, BitBudget};
-        use nc_geometry::CacheGeometry;
-        let plans = plan_model(&inception_v3(), &CacheGeometry::xeon_e5_2697_v3());
-        let conv = plans
-            .iter()
-            .flat_map(|p| &p.units)
-            .find_map(|u| match u {
-                UnitPlan::Conv(c) if c.name == "Conv2d_2b_3x3" => Some(c),
-                _ => None,
-            })
-            .expect("Conv2d_2b_3x3 plan");
-        assert_eq!(advised_trim_savings(conv, &BitBudget::default_for("x")), 0);
-        // 43 rounds x 9-tap lanes: 2 partial bits + 2 mult bits save
-        // 387 * (2 + 9*2) cycles; 8 reduce bits save 43 * 5 * 6 * 8.
-        let trimmed = BitBudget {
-            name: "Conv2d_2b_3x3".into(),
-            mult_bits: 6,
-            partial_bits: 22,
-            reduce_bits: 24,
-        };
-        assert_eq!(
-            advised_trim_savings(conv, &trimmed),
-            387 * 20 + 43 * 5 * 6 * 8
-        );
     }
 
     #[test]

@@ -15,28 +15,6 @@ use crate::{
     PoolKind, QTensor, Requantizer, Shape,
 };
 
-/// Trimmed operand widths of one convolution sub-layer, mirroring the
-/// in-cache allocations the bit-budget advisor may shrink. A trimmed
-/// reference run masks every running value to these widths exactly where
-/// the hardware word-line regions would truncate, so an unsound trim wraps
-/// and corrupts the output — the advisor's bit-exactness gate compares
-/// [`run_model_trimmed`] against [`run_model`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccTrim {
-    /// Taps accumulated per lane partial (the mapping's effective window).
-    pub chunk: usize,
-    /// Per-lane partial-sum width in bits (default `PARTIAL_BITS` = 24).
-    pub partial_bits: u32,
-    /// Reduction-tree / running-sum width in bits (default `REDUCE_BITS`
-    /// = 32), shared by the `S1` and `S2` trees.
-    pub reduce_bits: u32,
-    /// Live multiplicand (weight) width in bits (default `DATA_BITS` = 8).
-    pub mult_bits: u32,
-}
-
-/// Per-sublayer trim lookup threaded through a trimmed reference run.
-type Trims<'a> = Option<&'a dyn Fn(&str) -> Option<AccTrim>>;
-
 /// Requantization decisions recorded for one convolution sub-layer.
 ///
 /// The Neural Cache functional executor recomputes the same accumulator
@@ -102,28 +80,6 @@ impl InferenceResult {
 /// sub-layer lacks weights.
 #[must_use]
 pub fn run_model(model: &Model, input: &QTensor) -> InferenceResult {
-    run_model_inner(model, input, None)
-}
-
-/// Runs the whole model with per-sublayer trimmed operand widths (see
-/// [`AccTrim`]). Sound trims — widths at or above the proven value ranges —
-/// are bit-identical to [`run_model`]; under-sized trims wrap exactly where
-/// the hardware would.
-///
-/// # Panics
-///
-/// Panics if the input shape mismatches the model or any convolution
-/// sub-layer lacks weights.
-#[must_use]
-pub fn run_model_trimmed(
-    model: &Model,
-    input: &QTensor,
-    trims: &dyn Fn(&str) -> Option<AccTrim>,
-) -> InferenceResult {
-    run_model_inner(model, input, Some(trims))
-}
-
-fn run_model_inner(model: &Model, input: &QTensor, trims: Trims<'_>) -> InferenceResult {
     assert_eq!(
         input.shape(),
         model.input_shape,
@@ -132,7 +88,7 @@ fn run_model_inner(model: &Model, input: &QTensor, trims: Trims<'_>) -> Inferenc
     let mut cur = input.clone();
     let mut layers = Vec::with_capacity(model.layers.len());
     for layer in &model.layers {
-        let record = run_layer_inner(layer, &cur, trims);
+        let record = run_layer(layer, &cur);
         cur = record.output.clone();
         layers.push(record);
     }
@@ -145,13 +101,9 @@ fn run_model_inner(model: &Model, input: &QTensor, trims: Trims<'_>) -> Inferenc
 /// Runs one top-level layer.
 #[must_use]
 pub fn run_layer(layer: &Layer, input: &QTensor) -> LayerRecord {
-    run_layer_inner(layer, input, None)
-}
-
-fn run_layer_inner(layer: &Layer, input: &QTensor, trims: Trims<'_>) -> LayerRecord {
     match layer {
         Layer::Conv(conv) => {
-            let (out, rec) = run_conv_inner(conv, input, trims);
+            let (out, rec) = run_conv(conv, input);
             LayerRecord {
                 name: conv.spec.name.clone(),
                 sublayers: vec![rec],
@@ -163,7 +115,7 @@ fn run_layer_inner(layer: &Layer, input: &QTensor, trims: Trims<'_>) -> LayerRec
             sublayers: Vec::new(),
             output: run_pool(pool, input),
         },
-        Layer::Mixed(block) => run_mixed_inner(block, input, trims),
+        Layer::Mixed(block) => run_mixed(block, input),
     }
 }
 
@@ -228,121 +180,11 @@ pub fn conv_accumulate(conv: &Conv2d, input: &QTensor) -> AccTensor {
     acc
 }
 
-/// [`conv_accumulate`] with the in-cache operand widths masked to `trim`:
-/// per-lane partials of `chunk` taps wrap at `partial_bits`, the `S1`/`S2`
-/// reduction sums wrap at `reduce_bits`, weight codes truncate to
-/// `mult_bits`, and the assembled accumulator wraps in the 40-bit
-/// two's-complement region. Sound widths reproduce [`conv_accumulate`]
-/// exactly.
-///
-/// # Panics
-///
-/// Panics if the layer is shape-only.
-#[must_use]
-pub fn conv_accumulate_trimmed(conv: &Conv2d, input: &QTensor, trim: AccTrim) -> AccTensor {
-    const ACC_BITS: u32 = 40;
-    let spec = &conv.spec;
-    let in_shape = input.shape();
-    let out_shape = spec.out_shape(in_shape);
-    let zp_a = i64::from(input.params().zero_point);
-    let zp_w = i64::from(conv.w_quant.zero_point);
-    let n = spec.macs_per_output() as i64;
-    let pad_y = pad_before(in_shape.h, spec.r, spec.stride, spec.padding) as isize;
-    let pad_x = pad_before(in_shape.w, spec.s, spec.stride, spec.padding) as isize;
-
-    let chunk = trim.chunk.max(1);
-    let pmask = width_mask(trim.partial_bits);
-    let rmask = width_mask(trim.reduce_bits);
-    let wmask = width_mask(trim.mult_bits);
-    // The dedicated S2 running-sum region is 2 bytes wide (Figure 10a).
-    let s2mask = width_mask(16);
-
-    let w1: Vec<i64> = (0..spec.m).map(|m| conv.filter_code_sum(m)).collect();
-    let mut acc = AccTensor::zeros(out_shape);
-    let mut window = vec![0u8; spec.r * spec.s * spec.c];
-
-    for ey in 0..out_shape.h {
-        for ex in 0..out_shape.w {
-            let oy = (ey * spec.stride) as isize - pad_y;
-            let ox = (ex * spec.stride) as isize - pad_x;
-            let mut idx = 0;
-            for r in 0..spec.r {
-                for s in 0..spec.s {
-                    for c in 0..spec.c {
-                        window[idx] = input.get_padded(oy + r as isize, ox + s as isize, c);
-                        idx += 1;
-                    }
-                }
-            }
-            // S2 tree: per-lane window sums wrap in the 16-bit S2 region,
-            // the reduction wraps at the reduce width.
-            let mut s2 = 0u64;
-            for lane in window.chunks(chunk) {
-                let mut part = 0u64;
-                for &a in lane {
-                    part = (part + u64::from(a)) & s2mask;
-                }
-                s2 = (s2 + part) & rmask;
-            }
-            let weights = conv
-                .weights
-                .as_ref()
-                .expect("functional conv needs weights");
-            let per_filter = spec.r * spec.s * spec.c;
-            for m in 0..spec.m {
-                let wslice = &weights[m * per_filter..(m + 1) * per_filter];
-                // S1 tree: truncated weight products accumulate per lane in
-                // the partial width, then reduce at the reduce width.
-                let mut s1 = 0u64;
-                for (wlane, alane) in wslice.chunks(chunk).zip(window.chunks(chunk)) {
-                    let mut part = 0u64;
-                    for (&w, &a) in wlane.iter().zip(alane) {
-                        part = (part + (u64::from(w) & wmask) * u64::from(a)) & pmask;
-                    }
-                    s1 = (s1 + part) & rmask;
-                }
-                let c0 = -zp_a * w1[m] + n * zp_w * zp_a + conv.bias_of(m);
-                let raw = s1 as i64 - zp_w * (s2 as i64) + c0;
-                acc.set(ey, ex, m, wrap_to_bits(raw, ACC_BITS));
-            }
-        }
-    }
-    acc
-}
-
-/// All-ones mask of the low `bits` bits (full width at 64 and above).
-fn width_mask(bits: u32) -> u64 {
-    if bits >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << bits) - 1
-    }
-}
-
-/// Wraps a value into `bits`-bit two's complement (the word-line region
-/// truncation of the accumulator assembly pass).
-fn wrap_to_bits(v: i64, bits: u32) -> i64 {
-    let shift = 64 - bits;
-    (v << shift) >> shift
-}
-
 /// Runs one standalone convolution sub-layer: accumulate, fused `ReLU`,
 /// dynamic ranging, requantize.
 #[must_use]
 pub fn run_conv(conv: &Conv2d, input: &QTensor) -> (QTensor, SublayerRecord) {
-    run_conv_inner(conv, input, None)
-}
-
-/// Accumulates with the sub-layer's trim applied when one is configured.
-fn accumulate_inner(conv: &Conv2d, input: &QTensor, trims: Trims<'_>) -> AccTensor {
-    match trims.and_then(|t| t(&conv.spec.name)) {
-        Some(trim) => conv_accumulate_trimmed(conv, input, trim),
-        None => conv_accumulate(conv, input),
-    }
-}
-
-fn run_conv_inner(conv: &Conv2d, input: &QTensor, trims: Trims<'_>) -> (QTensor, SublayerRecord) {
-    let mut acc = accumulate_inner(conv, input, trims);
+    let mut acc = conv_accumulate(conv, input);
     if conv.spec.relu {
         acc.relu();
     }
@@ -426,15 +268,11 @@ pub fn run_pool(pool: &Pool2d, input: &QTensor) -> QTensor {
 /// (Section IV-D: min/max "of the entire cache" once per layer).
 #[must_use]
 pub fn run_mixed(block: &MixedBlock, input: &QTensor) -> LayerRecord {
-    run_mixed_inner(block, input, None)
-}
-
-fn run_mixed_inner(block: &MixedBlock, input: &QTensor, trims: Trims<'_>) -> LayerRecord {
     let mut sublayers = Vec::new();
     let mut pending = Vec::with_capacity(block.branches.len());
 
     for branch in &block.branches {
-        let (ps, mut recs) = run_branch(branch, input, trims);
+        let (ps, mut recs) = run_branch(branch, input);
         sublayers.append(&mut recs);
         pending.extend(ps);
     }
@@ -500,11 +338,7 @@ fn run_mixed_inner(block: &MixedBlock, input: &QTensor, trims: Trims<'_>) -> Lay
     }
 }
 
-fn run_branch(
-    branch: &Branch,
-    input: &QTensor,
-    trims: Trims<'_>,
-) -> (Vec<Pending>, Vec<SublayerRecord>) {
+fn run_branch(branch: &Branch, input: &QTensor) -> (Vec<Pending>, Vec<SublayerRecord>) {
     let mut records = Vec::new();
     let mut cur = input.clone();
     let last = branch.ops.len() - 1;
@@ -519,11 +353,11 @@ fn run_branch(
             }
             BranchOp::Conv(c) => {
                 if i == last {
-                    let (p, rec) = pend_conv(c, &cur, trims);
+                    let (p, rec) = pend_conv(c, &cur);
                     records.push(rec);
                     return (vec![p], records);
                 }
-                let (out, rec) = run_conv_inner(c, &cur, trims);
+                let (out, rec) = run_conv(c, &cur);
                 records.push(rec);
                 cur = out;
             }
@@ -532,7 +366,7 @@ fn run_branch(
                 // defers requantization to the block range.
                 let mut pendings = Vec::with_capacity(convs.len());
                 for c in convs {
-                    let (p, rec) = pend_conv(c, &cur, trims);
+                    let (p, rec) = pend_conv(c, &cur);
                     records.push(rec);
                     pendings.push(p);
                 }
@@ -544,8 +378,8 @@ fn run_branch(
 }
 
 /// Runs a conv whose requantization is deferred to the block-shared range.
-fn pend_conv(c: &Conv2d, input: &QTensor, trims: Trims<'_>) -> (Pending, SublayerRecord) {
-    let mut acc = accumulate_inner(c, input, trims);
+fn pend_conv(c: &Conv2d, input: &QTensor) -> (Pending, SublayerRecord) {
+    let mut acc = conv_accumulate(c, input);
     if c.spec.relu {
         acc.relu();
     }
@@ -767,50 +601,6 @@ mod tests {
         // Branch values: 10 vs 3000 -> small lands near 10*255/3000.
         assert!(small <= 2, "small branch compressed, got {small}");
         assert_eq!(rec.sublayers.len(), 2);
-    }
-
-    #[test]
-    fn trimmed_run_with_default_widths_is_bit_identical() {
-        use crate::workload::{random_input, tiny_cnn};
-        let model = tiny_cnn(7);
-        let input = random_input(model.input_shape, model.input_quant, 70);
-        let exact = run_model(&model, &input);
-        // Default in-cache widths: masking at them must never bite.
-        let trims = |_: &str| {
-            Some(AccTrim {
-                chunk: 9,
-                partial_bits: 24,
-                reduce_bits: 32,
-                mult_bits: 8,
-            })
-        };
-        let trimmed = run_model_trimmed(&model, &input, &trims);
-        assert_eq!(trimmed.output.data(), exact.output.data());
-        let exact_recs: Vec<&SublayerRecord> =
-            exact.layers.iter().flat_map(|l| &l.sublayers).collect();
-        let trim_recs: Vec<&SublayerRecord> =
-            trimmed.layers.iter().flat_map(|l| &l.sublayers).collect();
-        assert_eq!(trim_recs, exact_recs);
-    }
-
-    #[test]
-    fn undersized_trim_wraps_and_corrupts() {
-        use crate::workload::{random_input, tiny_cnn};
-        let model = tiny_cnn(7);
-        let input = random_input(model.input_shape, model.input_quant, 70);
-        let exact = run_model(&model, &input);
-        // 6-bit partials wrap on full-range products, so the run must
-        // diverge — that divergence is the advisor's safety net.
-        let trims = |_: &str| {
-            Some(AccTrim {
-                chunk: 9,
-                partial_bits: 6,
-                reduce_bits: 32,
-                mult_bits: 8,
-            })
-        };
-        let trimmed = run_model_trimmed(&model, &input, &trims);
-        assert_ne!(trimmed.output.data(), exact.output.data());
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Every hazard the verifier can detect has a fixed `Vxxx` code so CI
 //! artifacts, tests, and humans can match on the class of failure without
 //! parsing prose. Codes are append-only: existing codes never change
-//! meaning or number. `V013`–`V019` are retired (they flagged races in a
-//! static model of the Threaded engine's shard graph, which the executed
-//! engine-equivalence checks replace) and will not be reused.
+//! meaning or number. Retired codes will not be reused: `V013`–`V019`
+//! flagged races in a static model of the Threaded engine's shard graph,
+//! which the executed engine-equivalence checks replace, and `V024`
+//! flagged over-provisioned operand rows in the narrower widths of a
+//! bit-budget advisor whose trims no plan executed.
 
 use std::fmt;
 
@@ -55,9 +57,6 @@ pub enum ErrorCode {
     /// V023: a proven interval cannot be biased into unsigned order by the
     /// ranging offset (sign-extension mismatch in the min/max trees).
     SignExtensionMismatch,
-    /// V024: an operand allocation carries at least N provably-dead high
-    /// bits (over-provisioned rows the bit-budget advisor should trim).
-    OverProvisionedRows,
     /// V025: a value range is degenerate (statically a single value), so
     /// the layer computes a constant.
     DegenerateRange,
@@ -84,7 +83,7 @@ impl ErrorCode {
     /// Every stable code, in `Vxxx` order. This array is the single source
     /// of truth for the diagnostic table: tests derive the README table
     /// check and uniqueness from it.
-    pub const ALL: [ErrorCode; 20] = [
+    pub const ALL: [ErrorCode; 19] = [
         ErrorCode::OperandOverlap,
         ErrorCode::RowOutOfBounds,
         ErrorCode::ReadPortOverflow,
@@ -101,7 +100,6 @@ impl ErrorCode {
         ErrorCode::AccumulatorOverflow,
         ErrorCode::RequantClippingRange,
         ErrorCode::SignExtensionMismatch,
-        ErrorCode::OverProvisionedRows,
         ErrorCode::DegenerateRange,
         ErrorCode::UnsoundTruncation,
         ErrorCode::ReduceWidthDeficit,
@@ -127,7 +125,6 @@ impl ErrorCode {
             ErrorCode::AccumulatorOverflow => "V021",
             ErrorCode::RequantClippingRange => "V022",
             ErrorCode::SignExtensionMismatch => "V023",
-            ErrorCode::OverProvisionedRows => "V024",
             ErrorCode::DegenerateRange => "V025",
             ErrorCode::UnsoundTruncation => "V026",
             ErrorCode::ReduceWidthDeficit => "V027",
@@ -155,7 +152,6 @@ impl ErrorCode {
             ErrorCode::AccumulatorOverflow => "Accumulator overflow",
             ErrorCode::RequantClippingRange => "Requant clipping range",
             ErrorCode::SignExtensionMismatch => "Sign-extension mismatch",
-            ErrorCode::OverProvisionedRows => "Over-provisioned rows",
             ErrorCode::DegenerateRange => "Degenerate range",
             ErrorCode::UnsoundTruncation => "Unsound live-bit truncation",
             ErrorCode::ReduceWidthDeficit => "Reduce-tree width deficit",
@@ -272,7 +268,8 @@ mod tests {
         assert!(ErrorCode::ALL.iter().all(|c| !c.description().is_empty()));
         // Retired codes leave gaps; every shipped code keeps its number.
         let expected: Vec<String> = (1..=12)
-            .chain(20..=27)
+            .chain(20..=23)
+            .chain(25..=27)
             .map(|n| format!("V{n:03}"))
             .collect();
         assert_eq!(ids, expected);

@@ -44,10 +44,10 @@
 //!    abstract interpretation seeded from each layer's quantization
 //!    parameters, propagated op-by-op through the schedule and across
 //!    layers by a single-pass dataflow fixpoint (the layer graph is a
-//!    DAG). Emits overflow/clipping/provisioning diagnostics V021–V027,
+//!    DAG). Emits overflow/clipping/truncation diagnostics V021–V023 and
+//!    V025–V027 against the shipped Figure 10 operand widths, and
 //!    reconciles executed per-layer min/max against the certified
-//!    intervals, and feeds proven bounds to the bit-budget advisor in
-//!    `neural_cache::mapping`.
+//!    intervals.
 //!
 //! Entry points: [`check_model`] (static + analytical legs, works on
 //! shape-only models) and [`check_executed_model`] (adds the executed legs
@@ -168,15 +168,11 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
 
     report.record("dump-overlap", check_dump_overlap(config, model));
 
-    // Value-range certification (V021-V027): interval x known-bits pass
-    // over the schedule, checked against the default provisioning for
-    // soundness and against the advised (trimmed) budgets for both
-    // soundness and tightness. V024 is only meaningful against advised
-    // budgets — the fixed Figure 10 defaults intentionally over-provision
-    // small layers, and the advisor is the remedy, not a hazard.
+    // Value-range certification (V021-V023, V025-V027): interval x
+    // known-bits pass over the schedule, checked for soundness against the
+    // fixed Figure 10 widths every plan executes.
     let ranges = range::model_ranges(model);
     let mut range_diags = Vec::new();
-    let mut trimmed_bits = 0u64;
     let mut acc_bits_max = 0u32;
     let mut exact = 0u64;
     for conv in &ranges.convs {
@@ -188,18 +184,6 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
             conv,
             &default,
         ));
-        let advised = conv.advise();
-        range_diags.extend(range::check_widths(
-            &format!("{label}/advised"),
-            conv,
-            &advised,
-        ));
-        range_diags.extend(range::check_provisioning(
-            &format!("{label}/advised"),
-            conv,
-            &advised,
-        ));
-        trimmed_bits += advised.trimmed_bits();
         acc_bits_max = acc_bits_max.max(conv.acc_raw.signed_bits());
         exact += u64::from(conv.exact_weights);
     }
@@ -207,7 +191,6 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report.stat("range_convs", ranges.convs.len() as u64);
     report.stat("range_exact_weighted", exact);
     report.stat("range_acc_bits_max", u64::from(acc_bits_max));
-    report.stat("range_trimmed_bits", trimmed_bits);
     report
 }
 

@@ -1,4 +1,5 @@
-//! Value-range abstract interpretation over the conv schedule (V021–V027).
+//! Value-range abstract interpretation over the conv schedule (V021–V023,
+//! V025–V027).
 //!
 //! The pass runs an interval × known-bits domain over every convolution
 //! sub-layer, seeded from the quantization parameters of `nc-dnn::quant`:
@@ -26,15 +27,14 @@
 //! ranges (the executors derive requantization from *measured* min/max);
 //! [`reconcile_executed_ranges`] closes the loop by proving every executed
 //! per-sublayer min/max lies inside its certified interval (V021 on
-//! escape), and the bit-budget advisor (`neural_cache::mapping`) turns the
-//! proven bounds into trimmed operand allocations.
+//! escape). [`check_widths`] certifies the proven running sums and weight
+//! codes against an operand [`BitBudget`]; `check_model` passes it the
+//! shipped Figure 10 widths.
 
 use nc_dnn::reference::SublayerRecord;
 use nc_dnn::{Branch, BranchOp, Conv2d, Layer, Model};
 use neural_cache::cost::DATA_BITS;
-use neural_cache::mapping::{
-    advise_bit_budget, bits_for_unsigned, conv_lane_geometry, BitBudget, ProvenBounds,
-};
+use neural_cache::mapping::{bits_for_unsigned, conv_lane_geometry, BitBudget};
 
 use crate::diag::{Diagnostic, ErrorCode};
 
@@ -55,10 +55,6 @@ pub const REQUANT_OPERAND_BITS: u32 = 32;
 /// Width of the dedicated per-lane `S2` running-sum region (2 bytes,
 /// Figure 10a).
 pub const S2_LANE_BITS: u32 = 16;
-
-/// Provably-dead high bits at or above which an allocation counts as
-/// over-provisioned (V024): one full byte of word lines wasted per operand.
-pub const DEAD_BITS_THRESHOLD: u32 = 8;
 
 /// A closed signed interval `[lo, hi]` of accumulator values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,9 +143,8 @@ pub struct ConvRanges {
     /// must lie inside it.
     pub acc: Interval,
     /// Largest per-lane `S1` partial sum: any `lane_taps` raw-code products
-    /// accumulated into the partial region (grouping-independent bound, so
-    /// it covers both the channel-major in-cache lanes and the trimmed
-    /// reference executor's window-order chunks).
+    /// accumulated into the partial region (the bound holds for any
+    /// grouping of taps into lanes, channel-major in-cache lanes included).
     pub partial_max: u64,
     /// Largest `S1` reduction-tree running sum (`max_m W1(m) * 255` with
     /// weights, `N * 255^2` shape-only).
@@ -163,25 +158,6 @@ pub struct ConvRanges {
     /// Whether the bounds were seeded from actual weights (`false` means
     /// the shape-only full-code-space fallback).
     pub exact_weights: bool,
-}
-
-impl ConvRanges {
-    /// The magnitude bounds the bit-budget advisor consumes.
-    #[must_use]
-    pub fn proven_bounds(&self) -> ProvenBounds {
-        ProvenBounds {
-            partial_max: self.partial_max,
-            s1_max: self.s1_max,
-            s2_max: self.s2_max,
-            weight_bits: self.weight_bits,
-        }
-    }
-
-    /// The advised (trimmed) bit budget for this sub-layer.
-    #[must_use]
-    pub fn advise(&self) -> BitBudget {
-        advise_bit_budget(&self.name, &self.proven_bounds())
-    }
 }
 
 /// Proven ranges of every convolution sub-layer of a model, in
@@ -200,12 +176,6 @@ impl ModelRanges {
     #[must_use]
     pub fn get(&self, name: &str) -> Option<&ConvRanges> {
         self.convs.iter().find(|c| c.name == name)
-    }
-
-    /// Advised bit budgets for every sub-layer.
-    #[must_use]
-    pub fn advice(&self) -> Vec<BitBudget> {
-        self.convs.iter().map(ConvRanges::advise).collect()
     }
 }
 
@@ -481,8 +451,8 @@ pub fn check_pipeline(label: &str, r: &ConvRanges) -> Vec<Diagnostic> {
 
 /// Soundness of an operand bit budget against proven bounds: accumulator /
 /// partial overflow (V021), live-bit truncation (V026), and reduce-tree
-/// width deficit (V027). Clean means a run trimmed to `budget` is
-/// bit-identical to the untrimmed executor.
+/// width deficit (V027). Clean means every proven running sum and weight
+/// code fits its `budget` region without wrapping or truncating.
 #[must_use]
 pub fn check_widths(label: &str, r: &ConvRanges, budget: &BitBudget) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -551,39 +521,6 @@ pub fn check_widths(label: &str, r: &ConvRanges, budget: &BitBudget) -> Vec<Diag
     out
 }
 
-/// Over-provisioning check (V024): fires when `budget` carries at least
-/// [`DEAD_BITS_THRESHOLD`] provably-dead high bits in the partial or
-/// reduce allocation — word lines the bit-budget advisor should trim.
-#[must_use]
-pub fn check_provisioning(label: &str, r: &ConvRanges, budget: &BitBudget) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for (region, allocated, needed) in [
-        (
-            "partial",
-            budget.partial_bits,
-            bits_for_unsigned(r.partial_max),
-        ),
-        (
-            "reduce",
-            budget.reduce_bits,
-            bits_for_unsigned(r.s1_max.max(r.s2_max)),
-        ),
-    ] {
-        let dead = allocated.saturating_sub(needed);
-        if dead >= DEAD_BITS_THRESHOLD {
-            out.push(Diagnostic::new(
-                ErrorCode::OverProvisionedRows,
-                label,
-                format!(
-                    "{region} allocation of {allocated} bits carries {dead} provably-dead high \
-                     bits (proven need: {needed})"
-                ),
-            ));
-        }
-    }
-    out
-}
-
 /// The executed leg of the certification: every per-sublayer `acc_min` /
 /// `acc_max` an execution engine measured must lie inside the certified
 /// static interval (V021 on escape). Records reconcile positionally — both
@@ -638,7 +575,7 @@ pub fn reconcile_executed_ranges(
 mod tests {
     use super::*;
     use nc_dnn::reference::run_model;
-    use nc_dnn::workload::{random_input, relu_sparse_mini, tiny_cnn};
+    use nc_dnn::workload::{pruned_inception, random_input, relu_sparse_mini, tiny_cnn};
     use nc_dnn::{ActQuant, ConvSpec, Padding, WeightQuant};
 
     fn conv(weights: Vec<u8>, c: usize, m: usize, relu: bool) -> Conv2d {
@@ -725,7 +662,7 @@ mod tests {
 
     #[test]
     fn default_widths_certify_clean_on_shipped_models() {
-        for model in [tiny_cnn(1), relu_sparse_mini(3)] {
+        for model in [tiny_cnn(1), relu_sparse_mini(3), pruned_inception(2018)] {
             let ranges = model_ranges(&model);
             assert_eq!(ranges.convs.len(), model.conv_sublayer_count());
             for r in &ranges.convs {
@@ -734,17 +671,6 @@ mod tests {
                 assert!(diags.is_empty(), "{}: {diags:?}", r.name);
                 assert!(check_pipeline(&r.name, r).is_empty(), "{}", r.name);
             }
-        }
-    }
-
-    #[test]
-    fn advised_budgets_are_sound_and_not_over_provisioned() {
-        let model = tiny_cnn(5);
-        for r in &model_ranges(&model).convs {
-            let advised = r.advise();
-            assert!(check_widths(&r.name, r, &advised).is_empty());
-            assert!(check_provisioning(&r.name, r, &advised).is_empty());
-            assert!(advised.partial_bits <= 24 && advised.reduce_bits <= 32);
         }
     }
 
@@ -765,20 +691,6 @@ mod tests {
         assert!(codes.contains(&ErrorCode::AccumulatorOverflow));
         assert!(codes.contains(&ErrorCode::UnsoundTruncation));
         assert!(codes.contains(&ErrorCode::ReduceWidthDeficit));
-    }
-
-    #[test]
-    fn default_budgets_over_provision_small_layers() {
-        // A tiny conv provably needs far fewer than 24/32 bits: V024 fires
-        // against the default allocation and is what the advisor trims.
-        let c = conv(vec![1, 1], 2, 1, true);
-        let r = conv_ranges(&c, Interval::new(0, 255));
-        let default = BitBudget::default_for("t");
-        let diags = check_provisioning("t", &r, &default);
-        assert!(diags
-            .iter()
-            .any(|d| d.code == ErrorCode::OverProvisionedRows));
-        assert!(check_provisioning("t", &r, &r.advise()).is_empty());
     }
 
     #[test]

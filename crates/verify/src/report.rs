@@ -16,7 +16,7 @@ pub struct VerifyReport {
     /// Every diagnostic, in discovery order.
     pub diagnostics: Vec<Diagnostic>,
     /// Named scalar measurements (e.g. the value-range pass's certified
-    /// conv count and advised trimmed bits), serialized into the CI
+    /// conv count and widest accumulator), serialized into the CI
     /// artifact.
     pub stats: Vec<(String, u64)>,
 }

@@ -100,9 +100,9 @@ proptest! {
         }
     }
 
-    /// The advised budget carries a clean certificate, while a budget
-    /// under-sized by one bit in exactly one operand fires exactly the
-    /// matching width code.
+    /// The shipped Figure 10 budget carries a clean certificate, while a
+    /// budget under-sized by one bit in exactly one operand fires exactly
+    /// the matching width code.
     #[test]
     fn undersized_budgets_fire_the_matching_code(
         c in 2usize..=6,
@@ -114,16 +114,16 @@ proptest! {
         let model = random_model(c, m1, 2, relu1, centered, seed);
         let ranges = range::model_ranges(&model);
         for r in &ranges.convs {
-            let advised = r.advise();
+            let shipped = BitBudget::default_for(&r.name);
             prop_assert!(
-                range::check_widths(&r.name, r, &advised).is_empty(),
-                "{}: honest advised budget flagged", r.name
+                range::check_widths(&r.name, r, &shipped).is_empty(),
+                "{}: shipped budget flagged", r.name
             );
 
             // Partial one bit short of the proven max: exactly V021.
             let needed = bits_for_unsigned(r.partial_max);
             prop_assert!(needed > 1);
-            let starved = BitBudget { partial_bits: needed - 1, ..advised.clone() };
+            let starved = BitBudget { partial_bits: needed - 1, ..shipped.clone() };
             let diags = range::check_widths(&r.name, r, &starved);
             prop_assert!(!diags.is_empty());
             prop_assert!(
@@ -133,7 +133,7 @@ proptest! {
 
             // Multiplicand narrower than the proven weight width: V026.
             if r.weight_bits > 1 {
-                let starved = BitBudget { mult_bits: r.weight_bits - 1, ..advised.clone() };
+                let starved = BitBudget { mult_bits: r.weight_bits - 1, ..shipped.clone() };
                 let diags = range::check_widths(&r.name, r, &starved);
                 prop_assert!(
                     diags.iter().any(|d| d.code == ErrorCode::UnsoundTruncation),
@@ -144,7 +144,7 @@ proptest! {
             // Reduce tree one bit short of max(S1, S2): V027.
             let needed = bits_for_unsigned(r.s1_max.max(r.s2_max));
             prop_assert!(needed > 1);
-            let starved = BitBudget { reduce_bits: needed - 1, ..advised.clone() };
+            let starved = BitBudget { reduce_bits: needed - 1, ..shipped.clone() };
             let diags = range::check_widths(&r.name, r, &starved);
             prop_assert!(
                 diags.iter().any(|d| d.code == ErrorCode::ReduceWidthDeficit),
