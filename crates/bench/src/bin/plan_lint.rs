@@ -39,10 +39,11 @@ use nc_dnn::Model;
 use nc_verify::diag::Category;
 use nc_verify::report::VerifyReport;
 use nc_verify::{check_executed_model, check_model};
+use neural_cache::SystemConfig;
 
 /// Runs the static-only or static+executed verification for one workload.
 fn verify(model: &Model, executed: bool) -> VerifyReport {
-    let config = nc_bench::base_config();
+    let config = SystemConfig::xeon_e5_2697_v3();
     if executed {
         let input = random_input(model.input_shape, model.input_quant, 7);
         match check_executed_model(&config, model, &input) {

@@ -1,12 +1,8 @@
 //! Regenerates every table and figure of the paper's evaluation in one run.
 //!
-//! `--threads N` runs the simulators behind the artifacts on the threaded
-//! execution engine (N worker threads); the regenerated numbers are
-//! identical, only host wall-clock changes.
 //! `--trace-out <path>` / `--telemetry-out <path>` additionally write the
 //! Perfetto-loadable timeline and the `TELEMETRY.json` rollup.
 fn main() {
-    nc_bench::threads_flag(1);
     nc_bench::verify_prepass();
     for (title, text) in [
         ("== Table I ==", nc_bench::table1()),

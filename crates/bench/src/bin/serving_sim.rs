@@ -2,10 +2,10 @@
 //! matrix), prints the human-readable table, and optionally writes the
 //! Perfetto-loadable timeline artifacts; exits non-zero when the serving
 //! sanity gate (conservation, monotone latency vs load, goodput bound,
-//! engine byte-identity) fails.
+//! byte-identity against a 4-worker Threaded engine) fails.
 //!
 //! ```bash
-//! cargo run --release -p nc-bench --bin serving_sim -- --threads 4 \
+//! cargo run --release -p nc-bench --bin serving_sim -- \
 //!     --trace-out trace.json --telemetry-out TELEMETRY.json
 //! ```
 //!
@@ -16,10 +16,9 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let threads = nc_bench::threads_flag(4);
     nc_bench::verify_prepass();
 
-    let bench = nc_bench::serving::run_serving_bench(threads);
+    let bench = nc_bench::serving::run_serving_bench(4);
     print!("{}", nc_bench::serving::render_text(&bench));
     nc_bench::telemetry::emit_canary_artifacts();
 

@@ -7,7 +7,7 @@
 //!
 //! ```bash
 //! cargo run --release -p nc-bench --bin trace_viz -- \
-//!     --trace-out trace.json --telemetry-out TELEMETRY.json --threads 4
+//!     --trace-out trace.json --telemetry-out TELEMETRY.json
 //! ```
 //!
 //! Both outputs default on: `trace.json` and `TELEMETRY.json` in the
@@ -17,7 +17,6 @@ use nc_bench::telemetry::TelemetryFlags;
 use nc_telemetry::{Level, Telemetry};
 
 fn main() {
-    let threads = nc_bench::threads_flag(4);
     nc_bench::verify_prepass();
     let mut flags = TelemetryFlags::from_process_args();
     if flags.trace_out.is_none() {
@@ -28,7 +27,7 @@ fn main() {
     }
 
     let tel = Telemetry::enabled(Level::Detail);
-    nc_bench::telemetry::record_showcase(&tel, threads);
+    nc_bench::telemetry::record_showcase(&tel);
 
     println!("recorded showcase timeline:");
     for (cat, what) in [

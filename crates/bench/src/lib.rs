@@ -39,35 +39,13 @@ pub mod serving;
 pub mod telemetry;
 
 use std::fmt::Write as _;
-use std::sync::{Once, OnceLock};
+use std::sync::Once;
 
 use nc_baselines::{cpu_xeon_e5, gpu_titan_xp, PlatformConfig};
 use nc_dnn::inception::inception_v3;
 use nc_sram::area::AreaModel;
 use nc_sram::{ComputeArray, Operand, SramArray};
-use neural_cache::{
-    energy_of, throughput_sweep, time_inference, ExecutionEngine, NeuralCache, Phase, SystemConfig,
-};
-
-/// Engine the artifact functions run their simulators on (host wall-clock
-/// only; regenerated numbers are identical under every engine).
-static ENGINE: OnceLock<ExecutionEngine> = OnceLock::new();
-
-/// Selects the execution engine used by every artifact function's
-/// [`SystemConfig`] (`0`/`1` threads mean sequential). The first call wins;
-/// later calls are ignored. Wired to `run_all --threads N`.
-pub fn set_threads(threads: usize) {
-    let _ = ENGINE.set(ExecutionEngine::from_threads(threads));
-}
-
-/// The system configuration all artifact functions simulate: the paper's
-/// dual-socket Xeon with the engine selected by [`set_threads`].
-#[must_use]
-pub fn base_config() -> SystemConfig {
-    let mut config = SystemConfig::xeon_e5_2697_v3();
-    config.parallelism = *ENGINE.get_or_init(|| ExecutionEngine::Sequential);
-    config
-}
+use neural_cache::{energy_of, throughput_sweep, time_inference, NeuralCache, Phase, SystemConfig};
 
 /// Returns the value following `flag` in `args` (the shared CLI
 /// convention of every artifact binary).
@@ -76,19 +54,6 @@ pub fn parse_flag(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Parses the shared `--threads N` flag from the process arguments, wires
-/// it into [`set_threads`], and returns it (`default` when the flag is
-/// absent). Called for the wiring side effect; the return value is a
-/// convenience for binaries that also pass the count along.
-#[allow(clippy::must_use_candidate)]
-pub fn threads_flag(default: usize) -> usize {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = parse_flag(&args, "--threads")
-        .map_or(default, |v| v.parse().expect("--threads takes an integer"));
-    set_threads(threads);
-    threads
 }
 
 /// Static pre-flight every artifact binary runs before printing numbers:
@@ -104,27 +69,20 @@ pub fn threads_flag(default: usize) -> usize {
 pub fn verify_prepass() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        let report = nc_verify::check_model(&base_config(), &nc_dnn::workload::tiny_cnn(42));
+        let report = nc_verify::check_model(
+            &SystemConfig::xeon_e5_2697_v3(),
+            &nc_dnn::workload::tiny_cnn(42),
+        );
         assert!(report.is_clean(), "verify pre-pass failed:\n{report}");
     });
 }
 
-/// Entry point shared by the single-artifact binaries: parse the shared
-/// `--threads` flag, run the [`verify_prepass`], then print the rendered
-/// artifact.
+/// Entry point shared by the single-artifact binaries: run the
+/// [`verify_prepass`], then print the rendered artifact.
 pub fn emit_artifact(render: fn() -> String) {
-    threads_flag(1);
     verify_prepass();
     print!("{}", render());
     telemetry::emit_canary_artifacts();
-}
-
-/// [`base_config`] with a scaled LLC capacity (Table IV points).
-#[must_use]
-pub fn capacity_config(mb: usize) -> SystemConfig {
-    let mut config = SystemConfig::with_capacity_mb(mb);
-    config.parallelism = *ENGINE.get_or_init(|| ExecutionEngine::Sequential);
-    config
 }
 
 /// Table I — Inception v3 layer parameters, derived from our graph.
@@ -161,7 +119,7 @@ pub fn table2() -> String {
 /// Table III — energy consumption and average power.
 #[must_use]
 pub fn table3() -> String {
-    let config = base_config();
+    let config = SystemConfig::xeon_e5_2697_v3();
     let model = inception_v3();
     let report = time_inference(&config, &model);
     let nc = energy_of(&config, &report);
@@ -206,7 +164,7 @@ pub fn table4() -> String {
     let mut out = String::from("Table IV: Scaling with Cache Capacity (Batch Size = 1)\n");
     let paper = [(35usize, 4.72f64), (45, 4.12), (60, 3.79)];
     for (mb, paper_ms) in paper {
-        let t = time_inference(&capacity_config(mb), &model)
+        let t = time_inference(&SystemConfig::with_capacity_mb(mb), &model)
             .total()
             .as_millis_f64();
         let _ = writeln!(
@@ -360,7 +318,7 @@ pub fn fig12() -> String {
 #[must_use]
 pub fn fig13() -> String {
     let model = inception_v3();
-    let nc = time_inference(&base_config(), &model);
+    let nc = time_inference(&SystemConfig::xeon_e5_2697_v3(), &model);
     let cpu = cpu_xeon_e5().layer_latencies(&model);
     let gpu = gpu_titan_xp().layer_latencies(&model);
     let mut out = String::from("Figure 13: Inference latency by layer of Inception v3 (ms)\n");
@@ -385,7 +343,7 @@ pub fn fig13() -> String {
 /// Figure 14 — Neural Cache inference latency breakdown.
 #[must_use]
 pub fn fig14() -> String {
-    let report = time_inference(&base_config(), &inception_v3());
+    let report = time_inference(&SystemConfig::xeon_e5_2697_v3(), &inception_v3());
     let b = report.breakdown();
     let paper = [
         (Phase::FilterLoad, 46.0),
@@ -413,7 +371,7 @@ pub fn fig14() -> String {
 /// Figure 15 — total Inception v3 inference latency for the three systems.
 #[must_use]
 pub fn fig15() -> String {
-    let nc = time_inference(&base_config(), &inception_v3()).total();
+    let nc = time_inference(&SystemConfig::xeon_e5_2697_v3(), &inception_v3()).total();
     let cpu = cpu_xeon_e5().total_latency();
     let gpu = gpu_titan_xp().total_latency();
     let mut out = String::from("Figure 15: Total latency on Inception v3 inference\n");
@@ -433,7 +391,7 @@ pub fn fig15() -> String {
 #[must_use]
 pub fn fig16() -> String {
     let model = inception_v3();
-    let config = base_config();
+    let config = SystemConfig::xeon_e5_2697_v3();
     let batches = [1usize, 2, 4, 8, 16, 32, 64, 128, 256];
     let nc = throughput_sweep(&config, &model, &batches);
     let cpu = cpu_xeon_e5();
@@ -593,22 +551,18 @@ pub fn activation_sparsity_with(comparisons: &[perf::ActivationComparison]) -> S
 }
 
 /// Serving-under-load artifact: the `nc-serve` discrete-event simulator's
-/// offered-load sweep and trace/policy matrix (see [`serving`]), run on the
-/// engine selected by [`set_threads`].
+/// offered-load sweep and trace/policy matrix (see [`serving`]), with the
+/// engine byte-identity check on 2 Threaded workers.
 #[must_use]
 pub fn serving_under_load() -> String {
-    let threads = ENGINE
-        .get_or_init(|| ExecutionEngine::Sequential)
-        .threads()
-        .max(2);
-    serving::render_text(&serving::run_serving_bench(threads))
+    serving::render_text(&serving::run_serving_bench(2))
 }
 
 /// Section I/III headline numbers: ALU slots, peak TOP/s, area overheads.
 #[must_use]
 pub fn headlines() -> String {
     let g = nc_geometry::CacheGeometry::xeon_e5_2697_v3();
-    let system = NeuralCache::new(base_config());
+    let system = NeuralCache::new(SystemConfig::xeon_e5_2697_v3());
     let mut out = String::from("Headline numbers\n");
     let _ = writeln!(
         out,

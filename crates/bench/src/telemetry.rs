@@ -75,8 +75,8 @@ impl TelemetryFlags {
 /// Records the showcase timeline every artifact-writing binary exports:
 /// the serving request lifecycle, the full Inception v3 simulated-time
 /// layer/phase timeline, and an executed functional proxy with per-op
-/// detail, all on one shared sink.
-pub fn record_showcase(tel: &Telemetry, threads: usize) {
+/// detail (on the Threaded engine with 2 workers), all on one shared sink.
+pub fn record_showcase(tel: &Telemetry) {
     let model = inception_v3();
     let config = ServeConfig::default_two_slice();
     let cost = BatchCostModel::new(&config.system, &model);
@@ -88,7 +88,7 @@ pub fn record_showcase(tel: &Telemetry, threads: usize) {
     let _ = run_model_traced(
         &proxy,
         &input,
-        ExecutionEngine::from_threads(threads.max(2)),
+        ExecutionEngine::from_threads(2),
         SparsityMode::SkipBoth,
         tel,
     )
@@ -105,7 +105,7 @@ pub fn emit_canary_artifacts() {
         return;
     }
     let tel = Telemetry::enabled(Level::Detail);
-    record_showcase(&tel, 2);
+    record_showcase(&tel);
     for path in flags.write_artifacts(&tel) {
         eprintln!("wrote {path}");
     }
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn showcase_produces_a_loadable_trace() {
         let tel = Telemetry::enabled(Level::Detail);
-        record_showcase(&tel, 2);
+        record_showcase(&tel);
         // All three subsystems landed on the one shared timeline.
         assert!(tel.record_count("serving.event") > 0);
         assert!(tel.span_count("timing.layer") > 0);

@@ -24,16 +24,13 @@ use crate::timing::{time_layer, Phase};
 pub const DUMP_OVERLAP_EFFICIENCY: f64 = 0.5;
 
 /// One socket's Section IV-E time split: (one-time filter loading,
-/// per-image streaming + compute). Per-layer timings are sharded through
-/// [`SystemConfig::parallelism`] and folded in layer order, so the split is
-/// engine-independent. Shared by both [`BatchCostModel`] constructors.
+/// per-image streaming + compute), timed layer by layer in layer order.
+/// Shared by both [`BatchCostModel`] constructors.
 fn socket_times(config: &SystemConfig, plans: &[LayerPlan]) -> (SimTime, SimTime) {
-    let layer_times = config
-        .parallelism
-        .run(plans.len(), |i| time_layer(config, &plans[i], i == 0));
     let mut filter_time = SimTime::ZERO;
     let mut per_image_time = SimTime::ZERO;
-    for layer in &layer_times {
+    for (i, plan) in plans.iter().enumerate() {
+        let layer = time_layer(config, plan, i == 0);
         let f = layer.phases.get(Phase::FilterLoad);
         filter_time += f;
         per_image_time += layer.total() - f;
@@ -321,10 +318,8 @@ impl BatchCostModel {
 
 /// Times a batch of `batch` images through `model` (Section IV-E
 /// semantics: per layer, filters load once, then the batch streams
-/// through). Per-layer timings are sharded through
-/// [`SystemConfig::parallelism`] and folded in layer order. Reserved-way
-/// overflow dumps double-buffer behind later images' compute; only the
-/// exposed stall adds latency.
+/// through). Reserved-way overflow dumps double-buffer behind later images'
+/// compute; only the exposed stall adds latency.
 ///
 /// # Panics
 ///

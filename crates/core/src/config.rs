@@ -36,8 +36,8 @@ pub struct SystemConfig {
     /// Host sockets; Neural Cache throughput scales linearly with sockets
     /// (Section VI-B; the paper's platform is dual-socket).
     pub sockets: usize,
-    /// Execution engine used by the simulators themselves (functional
-    /// executor shard jobs, per-layer timing): [`ExecutionEngine::Sequential`]
+    /// Execution engine the functional executor's shard jobs run on
+    /// ([`crate::NeuralCache::run_functional`]): [`ExecutionEngine::Sequential`]
     /// or a threaded backend. Both produce bit-identical results; this knob
     /// only changes host wall-clock time, never simulated time or outputs.
     pub parallelism: ExecutionEngine,
@@ -82,8 +82,8 @@ impl SystemConfig {
         }
     }
 
-    /// Same system with a threaded simulator backend (`0`/`1` threads fall
-    /// back to sequential).
+    /// Same system with a threaded functional-executor backend (`0`/`1`
+    /// threads fall back to sequential).
     #[must_use]
     pub fn with_parallelism(threads: usize) -> Self {
         SystemConfig {

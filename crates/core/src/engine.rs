@@ -1,5 +1,4 @@
-//! The work-sharded execution engine behind the functional and timing
-//! simulators.
+//! The work-sharded execution engine behind the functional executor.
 //!
 //! Neural Cache's defining property is massive data parallelism: thousands
 //! of 8KB compute arrays execute the same bit-serial sequence in lockstep
@@ -18,8 +17,11 @@
 //! reduction over them (summing [`nc_sram::CycleStats`], splicing output
 //! chunks) is independent of thread scheduling. No external dependencies
 //! are used, consistent with the workspace's vendored-offline policy.
+//!
+//! The analytic timing models ([`crate::timing`], [`crate::batching`]) do
+//! not dispatch through the engine: a whole Inception v3 inference prices in
+//! tens of microseconds, less than spawning the workers costs.
 
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -132,13 +134,6 @@ impl ExecutionEngine {
         } else {
             ExecutionEngine::Threaded { threads }
         }
-    }
-
-    /// An engine sized to the host's available parallelism (sequential on
-    /// single-core hosts).
-    #[must_use]
-    pub fn auto() -> Self {
-        ExecutionEngine::from_threads(thread::available_parallelism().map_or(1, NonZeroUsize::get))
     }
 
     /// Number of worker threads this engine uses (1 for sequential).
@@ -295,7 +290,6 @@ mod tests {
         assert_eq!(ExecutionEngine::Threaded { threads: 3 }.threads(), 3);
         assert!(!ExecutionEngine::Sequential.is_parallel());
         assert!(ExecutionEngine::from_threads(2).is_parallel());
-        assert!(ExecutionEngine::auto().threads() >= 1);
     }
 
     #[test]

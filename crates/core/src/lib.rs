@@ -13,9 +13,9 @@
 //! - [`energy`]: the chip-side energy/power model behind Table III;
 //! - [`batching`]: Section IV-E batch scheduling behind Figure 16;
 //! - [`cost`]: paper-published vs micro-op-derived cycle-cost models;
-//! - [`isa`]: the Section IV-F instruction/FSM execution model;
 //! - [`engine`]: the work-sharded execution engine (sequential or threaded
-//!   backends) the simulators dispatch independent shard jobs through;
+//!   backends) the functional executor dispatches independent shard jobs
+//!   through;
 //! - [`layout`]: the named operand-row layouts of every executor shard job,
 //!   shared with the `nc-verify` static plan checker;
 //! - [`functional`]: the bit-accurate executor that runs layers on real
@@ -64,7 +64,6 @@ pub mod cost;
 pub mod energy;
 pub mod engine;
 pub mod functional;
-pub mod isa;
 pub mod layout;
 pub mod mapping;
 pub mod sparsity;
@@ -130,13 +129,6 @@ impl NeuralCache {
         time_batch(&self.config, model, batch)
     }
 
-    /// Plans `model` once and returns the reusable batch costing the
-    /// serving stack (`nc-serve`) prices dynamic batches with.
-    #[must_use]
-    pub fn batch_cost_model(&self, model: &nc_dnn::Model) -> BatchCostModel {
-        BatchCostModel::new(&self.config, model)
-    }
-
     /// Energy/power of a timed inference (Table III).
     #[must_use]
     pub fn energy(&self, report: &InferenceReport) -> EnergyReport {
@@ -184,15 +176,5 @@ mod tests {
         let batch = system.run_batch(&model, 4);
         assert!(batch.throughput_ips > 0.0);
         assert_eq!(system.plan(&model).len(), 20);
-    }
-
-    #[test]
-    fn parallel_config_matches_sequential_reports() {
-        // The parallelism knob changes host wall-clock only: simulated
-        // timing reports must be identical.
-        let model = inception_v3();
-        let seq = NeuralCache::new(SystemConfig::xeon_e5_2697_v3()).run_inference(&model);
-        let par = NeuralCache::new(SystemConfig::with_parallelism(4)).run_inference(&model);
-        assert_eq!(seq, par);
     }
 }

@@ -250,20 +250,8 @@ pub struct ConvMapping {
     pub window: usize,
     /// Stride `U`.
     pub stride: usize,
-    /// Filter bytes per bit line after packing/splitting (`R'*S'`).
-    pub eff_window: usize,
-    /// Channels packed per bit line (1 unless a 1x1 layer).
-    pub packing: usize,
-    /// Filter split factor (1 unless `R*S > 9`).
-    pub split: usize,
-    /// Effective channels before power-of-two round-up (`C'`).
-    pub eff_channels: usize,
-    /// Bit lines per filter: effective channels rounded to a power of two.
-    pub lanes_per_filter: usize,
-    /// Arrays one filter spans (1 or 2 in Inception v3).
-    pub arrays_per_filter: usize,
-    /// Filter instances per 8KB array (when a filter fits one array).
-    pub filters_per_array: usize,
+    /// Lane layout of the sub-layer ([`conv_lane_geometry`] of its spec).
+    pub lanes: LaneGeometry,
     /// Filter instances the whole cache computes per round.
     pub parallel_instances: usize,
     /// Serial rounds (`ceil(total_convs / parallel_instances)`).
@@ -317,28 +305,16 @@ impl ConvMapping {
         self.total_convs as f64 / (self.rounds as f64 * self.parallel_instances as f64)
     }
 
-    /// Output pixels computed in parallel per round (instances / M).
-    #[must_use]
-    pub fn pixels_per_round(&self) -> usize {
-        (self.parallel_instances / self.out_shape.c).max(1)
-    }
-
-    /// Input bytes one output pixel consumes (`R*S*C` of the original
-    /// geometry — packing/splitting rearrange but do not change volume).
-    #[must_use]
-    pub fn input_bytes_per_pixel(&self) -> usize {
-        self.window * self.in_shape.c
-    }
-
     /// Fraction of an active array's bit lines holding live operands
     /// (power-of-two round-up and partial filter packing leave the rest
     /// idle); scales bit-line switching energy.
     #[must_use]
     pub fn lane_occupancy(&self) -> f64 {
-        let busy = if self.arrays_per_filter == 1 {
-            self.filters_per_array * self.eff_channels
+        let g = &self.lanes;
+        let busy = if g.arrays_per_filter == 1 {
+            g.filters_per_array * g.eff_channels
         } else {
-            self.eff_channels.div_ceil(self.arrays_per_filter)
+            g.eff_channels.div_ceil(g.arrays_per_filter)
         };
         (busy as f64 / nc_sram::COLS as f64).min(1.0)
     }
@@ -346,10 +322,11 @@ impl ConvMapping {
     /// Arrays active per round across the cache.
     #[must_use]
     pub fn active_arrays(&self) -> usize {
-        if self.arrays_per_filter == 1 {
-            self.parallel_instances.div_ceil(self.filters_per_array)
+        let g = &self.lanes;
+        if g.arrays_per_filter == 1 {
+            self.parallel_instances.div_ceil(g.filters_per_array)
         } else {
-            self.parallel_instances * self.arrays_per_filter
+            self.parallel_instances * g.arrays_per_filter
         }
     }
 }
@@ -626,13 +603,7 @@ fn plan_conv_unit(
         out_shape,
         window,
         stride,
-        eff_window: geom.eff_window,
-        packing: geom.packing,
-        split: geom.split,
-        eff_channels: geom.eff_channels,
-        lanes_per_filter: geom.lanes_per_filter,
-        arrays_per_filter: geom.arrays_per_filter,
-        filters_per_array: geom.filters_per_array,
+        lanes: geom,
         parallel_instances,
         rounds,
         total_convs,
@@ -757,8 +728,8 @@ mod tests {
         let plans = plan_model(&inception_v3(), &xeon());
         let c = find_conv(&plans, "Conv2d_2b_3x3");
         assert_eq!(c.total_convs, 1_382_976);
-        assert_eq!(c.lanes_per_filter, 32);
-        assert_eq!(c.filters_per_array, 8);
+        assert_eq!(c.lanes.lanes_per_filter, 32);
+        assert_eq!(c.lanes.filters_per_array, 8);
         assert_eq!(c.parallel_instances, 32_256, "~32K parallel convolutions");
         assert_eq!(c.rounds, 43, "43 convolutions in series");
         assert!((c.utilization() - 0.997).abs() < 0.001, "99.7% utilization");
@@ -771,11 +742,11 @@ mod tests {
         let plans = plan_model(&inception_v3(), &xeon());
         // Mixed_7c b0: 1x1 over 2048 channels.
         let c = find_conv(&plans, "Mixed_7c/b0_1x1");
-        assert_eq!(c.packing, 16);
-        assert_eq!(c.eff_window, 16);
-        assert_eq!(c.lanes_per_filter, 128, "2048/16 channels per filter");
+        assert_eq!(c.lanes.packing, 16);
+        assert_eq!(c.lanes.eff_window, 16);
+        assert_eq!(c.lanes.lanes_per_filter, 128, "2048/16 channels per filter");
         assert_eq!(
-            c.arrays_per_filter, 1,
+            c.lanes.arrays_per_filter, 1,
             "packing keeps every filter within one array"
         );
     }
@@ -785,9 +756,9 @@ mod tests {
         let plans = plan_model(&inception_v3(), &xeon());
         let c = find_conv(&plans, "Mixed_5b/b1_5x5");
         assert_eq!(c.window, 25);
-        assert_eq!(c.split, 3, "25 bytes split into <=9-byte pieces");
-        assert_eq!(c.eff_window, 9);
-        assert_eq!(c.lanes_per_filter, (48 * 3usize).next_power_of_two());
+        assert_eq!(c.lanes.split, 3, "25 bytes split into <=9-byte pieces");
+        assert_eq!(c.lanes.eff_window, 9);
+        assert_eq!(c.lanes.lanes_per_filter, (48 * 3usize).next_power_of_two());
     }
 
     #[test]
@@ -799,10 +770,10 @@ mod tests {
             for unit in &plan.units {
                 if let UnitPlan::Conv(c) = unit {
                     assert!(
-                        c.arrays_per_filter <= 2,
+                        c.lanes.arrays_per_filter <= 2,
                         "{}: filter spans {} arrays",
                         c.name,
-                        c.arrays_per_filter
+                        c.lanes.arrays_per_filter
                     );
                 }
             }

@@ -212,13 +212,6 @@ impl InferenceReport {
         self.layers.iter().find(|l| l.name == name)
     }
 
-    /// Time not spent loading filters (the per-image marginal cost under
-    /// batching, Section IV-E).
-    #[must_use]
-    pub fn non_filter_time(&self) -> SimTime {
-        self.total() - self.breakdown().get(Phase::FilterLoad)
-    }
-
     /// Renders the report as CSV (`layer,phase...,total_ms`), one row per
     /// layer plus a totals row — convenient for external plotting of
     /// Figures 13/14.
@@ -272,11 +265,8 @@ impl fmt::Display for InferenceReport {
     }
 }
 
-/// Computes the timing of one inference (batch size 1) of `model`.
-///
-/// Layer timings are independent of one another, so they are dispatched as
-/// shard jobs through [`SystemConfig::parallelism`]; the report is
-/// identical under every engine (results fold in layer order).
+/// Computes the timing of one inference (batch size 1) of `model`, one
+/// layer after another in layer order on the calling thread.
 ///
 /// Under the dynamic sparsity modes this prices the detect overhead but no
 /// skips (activation densities are per-input and unknown here); use
@@ -305,9 +295,11 @@ pub fn time_inference_with_profile(
 }
 
 fn time_plans(config: &SystemConfig, model: &Model, plans: &[LayerPlan]) -> InferenceReport {
-    let layers = config
-        .parallelism
-        .run(plans.len(), |i| time_layer(config, &plans[i], i == 0));
+    let layers = plans
+        .iter()
+        .enumerate()
+        .map(|(i, plan)| time_layer(config, plan, i == 0))
+        .collect();
     InferenceReport {
         model: model.name.clone(),
         cost_model: config.cost.model().name(),
@@ -375,7 +367,7 @@ pub fn time_layer(config: &SystemConfig, plan: &LayerPlan, first_layer: bool) ->
                     .clamp(1, config.geometry.compute_ways());
                 let row_bytes = nc_sram::COLS / 8;
                 let bytes_per_round = ways_active as f64
-                    * (c.eff_window * crate::cost::DATA_BITS * row_bytes) as f64
+                    * (c.lanes.eff_window * crate::cost::DATA_BITS * row_bytes) as f64
                     * c.fresh_input_fraction
                     * INPUT_DELIVERY_SERIALIZATION;
                 let in_bytes = (c.rounds as f64 * bytes_per_round).ceil() as usize;
@@ -490,7 +482,7 @@ struct ConvCycles {
 /// lockstep column mirrors the per-bank value.
 fn conv_cycles(cost: &dyn CostModelRef, c: &ConvMapping) -> ConvCycles {
     let rounds = c.rounds as u64;
-    let serial_macs = rounds * c.eff_window as u64;
+    let serial_macs = rounds * c.lanes.eff_window as u64;
     let mac_dense = serial_macs * cost.mac_cycles();
     let (mac, mac_lockstep, detect) = if c.dynamic_detect {
         let mac = (serial_macs as f64
@@ -633,14 +625,6 @@ mod tests {
             (2.5..7.0).contains(&total),
             "derived model total {total:.2} ms"
         );
-    }
-
-    #[test]
-    fn threaded_timing_is_identical_to_sequential() {
-        let model = inception_v3();
-        let seq = time_inference(&SystemConfig::xeon_e5_2697_v3(), &model);
-        let thr = time_inference(&SystemConfig::with_parallelism(4), &model);
-        assert_eq!(seq, thr, "parallelism must not change simulated timing");
     }
 
     #[test]

@@ -188,13 +188,6 @@ impl Requantizer {
         let q = (d * u128::from(self.multiplier)) >> self.shift;
         q.min(255) as u8
     }
-
-    /// The accumulator step one output code represents
-    /// (`~range/255`, used to derive the next layer's activation scale).
-    #[must_use]
-    pub fn acc_per_code(&self) -> f64 {
-        f64::from(self.multiplier).recip() * (1u64 << self.shift) as f64
-    }
 }
 
 impl fmt::Display for Requantizer {

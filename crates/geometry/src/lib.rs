@@ -16,8 +16,6 @@
 //!   (4 x 64-bit quadrant buses, per-bank 64-bit input latches);
 //! - [`DramModel`]: the effective-bandwidth stream model substituted for the
 //!   paper's measured C micro-benchmark (Section V);
-//! - [`decode_address`]: a set-decode model in the spirit of the paper's
-//!   reverse-engineered Xeon addressing;
 //! - [`SimTime`]: seconds newtype shared by all timing results.
 //!
 //! # Example
@@ -45,13 +43,11 @@
     clippy::float_cmp
 )]
 
-mod address;
 mod dram;
 mod geometry;
 mod interconnect;
 mod time;
 
-pub use address::{decode_address, CacheLocation};
 pub use dram::DramModel;
 pub use geometry::CacheGeometry;
 pub use interconnect::InterconnectModel;

@@ -45,12 +45,6 @@ impl AreaModel {
         self.compute_extra_height_um / self.array_height_um
     }
 
-    /// Base area of one 8KB array, mm².
-    #[must_use]
-    pub fn array_base_area_mm2(&self) -> f64 {
-        self.array_width_um * self.array_height_um * 1e-6
-    }
-
     /// Added compute area of one 8KB array, mm².
     #[must_use]
     pub fn array_compute_area_mm2(&self) -> f64 {

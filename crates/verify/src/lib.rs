@@ -79,7 +79,6 @@ pub mod report;
 use std::collections::BTreeSet;
 
 use nc_dnn::{Model, QTensor};
-use nc_sram::COLS;
 use neural_cache::batching::{BatchCostModel, DUMP_OVERLAP_EFFICIENCY};
 use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::{
@@ -461,16 +460,11 @@ pub fn predicted_mul_rounds(config: &SystemConfig, model: &Model) -> u64 {
             if let UnitPlan::Conv(c) = unit {
                 let positions = (c.out_shape.h * c.out_shape.w) as u64;
                 let m = c.out_shape.c;
-                let groups = if c.arrays_per_filter == 1 {
-                    (COLS / c.lanes_per_filter).min(m).max(1)
-                } else {
-                    1
-                };
-                let passes = m.div_ceil(groups) as u64;
+                let passes = m.div_ceil(c.lanes.groups_per_array(m)) as u64;
                 rounds += positions
                     * passes
-                    * c.arrays_per_filter as u64
-                    * c.eff_window as u64
+                    * c.lanes.arrays_per_filter as u64
+                    * c.lanes.eff_window as u64
                     * DATA_BITS as u64;
             }
         }
@@ -533,7 +527,33 @@ mod tests {
 
     #[test]
     fn predicted_rounds_are_positive_for_conv_models() {
+        use nc_dnn::workload::{random_conv, single_conv_model};
+        use nc_dnn::{Padding, Shape};
+        use neural_cache::functional::run_model;
         let config = SystemConfig::default();
-        assert!(predicted_mul_rounds(&config, &tiny_cnn(1)) > 0);
+        let executed_rounds = |model: &Model| {
+            let input = random_input(model.input_shape, model.input_quant, 5);
+            run_model(model, &input)
+                .expect("dense run")
+                .cycles
+                .mul_rounds
+        };
+        let tiny = tiny_cnn(1);
+        let predicted = predicted_mul_rounds(&config, &tiny);
+        assert!(predicted > 0);
+        assert_eq!(predicted, executed_rounds(&tiny));
+        // One single-conv model per lane layout `tiny_cnn` lacks:
+        // (name, window side, C, M, padding, input side, MAC rounds).
+        for (name, k, c, m, padding, side, rounds) in [
+            ("packed_1x1", 1, 40, 4, Padding::Same, 3, 1_152),
+            ("split_5x5", 5, 3, 2, Padding::Same, 7, 3_528),
+            ("cross_array_3x3", 3, 300, 2, Padding::Valid, 3, 288),
+            ("many_groups_3x3", 3, 3, 32, Padding::Same, 5, 1_800),
+        ] {
+            let conv = random_conv(name, (k, k), c, m, 1, padding, true, 11);
+            let model = single_conv_model(conv, Shape::new(side, side, c));
+            assert_eq!(predicted_mul_rounds(&config, &model), rounds, "{name}");
+            assert_eq!(executed_rounds(&model), rounds, "{name}: executed");
+        }
     }
 }
