@@ -1,6 +1,6 @@
 //! Static plan lint gate: runs the `nc-verify` hazard checks, cycle
 //! reconciliation, and the value-range overflow certification over every
-//! shipped workload under all four sparsity modes, writes the diagnostics
+//! shipped workload under all three sparsity modes, writes the diagnostics
 //! (and per-workload value-range stats) as a JSON artifact, and exits
 //! non-zero on *any* diagnostic — so CI fails the moment a plan, schedule,
 //! cost model, executor, or execution engine drifts out of agreement.
@@ -90,7 +90,7 @@ fn main() -> ExitCode {
     let out = nc_bench::parse_flag(&args, "--out").unwrap_or_else(|| "PLAN_LINT.json".into());
 
     // (workload, run the executed leg too). Inception v3 proper is
-    // shape-only; every weighted workload executes under all four modes
+    // shape-only; every weighted workload executes under all three modes
     // on both engines.
     let workloads: [(Model, bool); 6] = [
         (inception_v3(), false),

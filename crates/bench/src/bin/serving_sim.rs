@@ -1,8 +1,8 @@
 //! Runs the `nc-serve` serving bench (offered-load sweep + trace/policy
 //! matrix), prints the human-readable table, and optionally writes the
 //! Perfetto-loadable timeline artifacts; exits non-zero when the serving
-//! sanity gate (conservation, monotone latency vs load, goodput bound,
-//! byte-identity against a 4-worker Threaded engine) fails.
+//! sanity gate (conservation, monotone latency vs load, goodput bound)
+//! fails.
 //!
 //! ```bash
 //! cargo run --release -p nc-bench --bin serving_sim -- \
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     nc_bench::verify_prepass();
 
-    let bench = nc_bench::serving::run_serving_bench(4);
+    let bench = nc_bench::serving::run_serving_bench();
     print!("{}", nc_bench::serving::render_text(&bench));
     nc_bench::telemetry::emit_canary_artifacts();
 

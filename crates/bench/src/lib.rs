@@ -470,52 +470,22 @@ pub fn sparsity_with(comparisons: &[perf::SparsityComparison]) -> String {
         let _ = writeln!(
             out,
             "{:<24} executed skip {:>5.1}% (predicted {:>5.1}%) | compute cycles {:.2}x | \
-             simulated MAC {:.2}x | lockstep spread {:.1}% | bit-identical: {}",
+             simulated MAC {:.2}x | bit-identical: {}",
             s.name,
             100.0 * s.executed_skip_fraction,
             100.0 * s.predicted_skip_fraction,
             s.cycle_speedup(),
             s.mac_speedup(),
-            100.0 * s.lockstep_spread(),
             s.bit_identical
         );
     }
-
-    // Per-array skip-time variants: uniformly bit-pruned workloads skip the
-    // same rounds in every array (zero spread); near-total magnitude
-    // pruning differentiates arrays, so lockstep banks forfeit skips.
-    use nc_dnn::workload::{prune_conv, random_conv};
-    let demo = prune_conv(
-        random_conv(
-            "spread_demo",
-            (3, 3),
-            16,
-            64,
-            1,
-            nc_dnn::Padding::Same,
-            true,
-            9,
-        ),
-        2,
-        0.99,
-        9,
-    );
-    let v = neural_cache::sparsity::conv_skip_variants(&demo);
-    let _ = writeln!(
-        out,
-        "\nskip-time variants (99%-magnitude-pruned 3x3x16x64 conv): per-bank mean {:.1}% | \
-         lockstep (max-over-arrays) {:.1}% | spread {:.1} pts",
-        100.0 * v.mean,
-        100.0 * v.lockstep,
-        100.0 * v.spread()
-    );
     out
 }
 
 /// Activation-sparsity artifact: dynamic input-bit round skipping
 /// (ROADMAP's input-activation item) — dense vs ReLU-sparse executed
-/// cycles under `SkipZeroInputs`/`SkipBoth`, the per-round wired-NOR
-/// detect charge, and the break-even on dense activations.
+/// cycles under `SkipBoth`, the per-round wired-NOR detect charge, and the
+/// break-even on dense activations.
 #[must_use]
 pub fn activation_sparsity() -> String {
     activation_sparsity_with(&perf::compare_activation_sparsity())
@@ -531,13 +501,12 @@ pub fn activation_sparsity_with(comparisons: &[perf::ActivationComparison]) -> S
         let _ = writeln!(
             out,
             "{:<24} input skip {:>5.1}% (predicted {:>5.1}%) | compute cycles {:.2}x | \
-             net MAC {:.2}x (SkipBoth {:.2}x) | detects {} | bit-identical: {}",
+             net MAC {:.2}x | detects {} | bit-identical: {}",
             a.name,
             100.0 * a.executed_input_skip_fraction,
             100.0 * a.predicted_input_skip_fraction,
             a.cycle_speedup(),
             a.mac_speedup(),
-            a.mac_speedup_both(),
             a.detect_cycles,
             a.bit_identical
         );
@@ -551,11 +520,10 @@ pub fn activation_sparsity_with(comparisons: &[perf::ActivationComparison]) -> S
 }
 
 /// Serving-under-load artifact: the `nc-serve` discrete-event simulator's
-/// offered-load sweep and trace/policy matrix (see [`serving`]), with the
-/// engine byte-identity check on 2 Threaded workers.
+/// offered-load sweep and trace/policy matrix (see [`serving`]).
 #[must_use]
 pub fn serving_under_load() -> String {
-    serving::render_text(&serving::run_serving_bench(2))
+    serving::render_text(&serving::run_serving_bench())
 }
 
 /// Section I/III headline numbers: ALU slots, peak TOP/s, area overheads.

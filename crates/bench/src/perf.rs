@@ -1,6 +1,6 @@
 //! The executed sparsity comparisons behind the `run_all` sparsity and
 //! activation-sparsity artifacts: dense vs `SkipZeroRows` on the pruned
-//! workloads, and dense vs the dynamic input-skip modes on ReLU-sparse
+//! workloads, and dense vs the dynamic `SkipBoth` mode on ReLU-sparse
 //! inputs. Every comparison also *verifies* its invariant: the skipping
 //! runs must be bit-identical to dense with their executed skip fractions
 //! agreeing with the `sparsity::analyze` / `activation_profile`
@@ -31,12 +31,8 @@ pub struct SparsityComparison {
     /// Simulated MAC-phase cycles of the timing model, dense mode.
     pub timing_mac_cycles_dense: u64,
     /// Simulated MAC-phase cycles of the timing model, skipping mode
-    /// (per-bank FSMs: each array skips independently — the mean variant).
+    /// (each array skips its own all-lanes-zero rounds).
     pub timing_mac_cycles_sparse: u64,
-    /// Simulated MAC cycles under the lockstep-bank skip variant (one FSM
-    /// steps every bank, so only globally-zero rounds skip; the MAC phase
-    /// is the max over arrays). Always `>= timing_mac_cycles_sparse`.
-    pub timing_mac_cycles_lockstep: u64,
     /// Multiplier-bit rounds scheduled by the skipping run.
     pub mul_rounds: u64,
     /// Rounds the skipping run elided.
@@ -62,24 +58,10 @@ impl SparsityComparison {
         self.dense_compute_cycles as f64 / self.sparse_compute_cycles as f64
     }
 
-    /// Simulated MAC-phase speedup of skipping (timing model, per-bank
-    /// variant).
+    /// Simulated MAC-phase speedup of skipping (timing model).
     #[must_use]
     pub fn mac_speedup(&self) -> f64 {
         self.timing_mac_cycles_dense as f64 / self.timing_mac_cycles_sparse as f64
-    }
-
-    /// Relative MAC-time spread between the skip variants:
-    /// `(lockstep - per_bank) / per_bank` — the extra MAC time lockstep
-    /// banks pay over per-bank FSMs.
-    #[must_use]
-    pub fn lockstep_spread(&self) -> f64 {
-        if self.timing_mac_cycles_sparse == 0 {
-            0.0
-        } else {
-            (self.timing_mac_cycles_lockstep as f64 - self.timing_mac_cycles_sparse as f64)
-                / self.timing_mac_cycles_sparse as f64
-        }
     }
 
     /// The acceptance gate: bit identity plus skip-fraction agreement.
@@ -102,14 +84,11 @@ fn pruned_workloads() -> Vec<(String, Model, QTensor)> {
     ]
 }
 
-/// `(per-bank, lockstep)` MAC cycles of the deterministic timing model
-/// under `mode` (identical under dense execution).
-fn timing_mac_cycles(model: &Model, mode: SparsityMode) -> (u64, u64) {
+/// MAC cycles of the deterministic timing model under `mode`.
+fn timing_mac_cycles(model: &Model, mode: SparsityMode) -> u64 {
     let config = SystemConfig::with_sparsity(mode);
     let report = time_inference(&config, model);
-    let per_bank = report.layers.iter().map(|l| l.mac_cycles).sum();
-    let lockstep = report.layers.iter().map(|l| l.mac_cycles_lockstep).sum();
-    (per_bank, lockstep)
+    report.layers.iter().map(|l| l.mac_cycles).sum()
 }
 
 /// One sequential functional run of `model` under `mode`.
@@ -128,15 +107,12 @@ pub fn compare_sparsity() -> Vec<SparsityComparison> {
             let dense = run_mode(&model, &input, SparsityMode::Dense);
             let sparse = run_mode(&model, &input, SparsityMode::SkipZeroRows);
             let predicted = neural_cache::sparsity::analyze(&model).simd_skip();
-            let (dense_mac, _) = timing_mac_cycles(&model, SparsityMode::Dense);
-            let (sparse_mac, lockstep_mac) = timing_mac_cycles(&model, SparsityMode::SkipZeroRows);
             SparsityComparison {
                 name,
                 dense_compute_cycles: dense.cycles.compute_cycles,
                 sparse_compute_cycles: sparse.cycles.compute_cycles,
-                timing_mac_cycles_dense: dense_mac,
-                timing_mac_cycles_sparse: sparse_mac,
-                timing_mac_cycles_lockstep: lockstep_mac,
+                timing_mac_cycles_dense: timing_mac_cycles(&model, SparsityMode::Dense),
+                timing_mac_cycles_sparse: timing_mac_cycles(&model, SparsityMode::SkipZeroRows),
                 mul_rounds: sparse.cycles.mul_rounds,
                 skipped_rounds: sparse.cycles.skipped_rounds,
                 executed_skip_fraction: sparse.cycles.skip_fraction(),
@@ -160,10 +136,9 @@ pub enum ActivationExpectation {
     Overhead,
 }
 
-/// Dense-vs-dynamic comparison of one workload under the input-activation
-/// skip modes: functional cycles and counters for `SkipZeroInputs` and
-/// `SkipBoth`, the `activation_profile` cross-check, and the timing-model
-/// MAC phase priced with the measured profile.
+/// Dense-vs-dynamic comparison of one workload under `SkipBoth`:
+/// functional cycles and counters, the `activation_profile` cross-check,
+/// and the timing-model MAC phase priced with the measured profile.
 #[derive(Debug, Clone)]
 pub struct ActivationComparison {
     /// Workload name.
@@ -172,11 +147,9 @@ pub struct ActivationComparison {
     pub expectation: ActivationExpectation,
     /// Simulated compute cycles of the dense functional run.
     pub dense_compute_cycles: u64,
-    /// Simulated compute cycles under `SkipZeroInputs` (detects included).
-    pub input_compute_cycles: u64,
-    /// Simulated compute cycles under `SkipBoth`.
+    /// Simulated compute cycles under `SkipBoth` (detects included).
     pub both_compute_cycles: u64,
-    /// Wired-NOR detect cycles the `SkipZeroInputs` run charged.
+    /// Wired-NOR detect cycles the `SkipBoth` run charged.
     pub detect_cycles: u64,
     /// Multiplier-bit rounds scheduled.
     pub mul_rounds: u64,
@@ -188,33 +161,25 @@ pub struct ActivationComparison {
     pub predicted_input_skip_fraction: f64,
     /// Timing-model MAC cycles, dense mode.
     pub timing_mac_cycles_dense: u64,
-    /// Timing-model MAC cycles, `SkipZeroInputs` with the measured profile
+    /// Timing-model MAC cycles, `SkipBoth` with the measured profile
     /// applied (detect overhead charged).
-    pub timing_mac_cycles_input: u64,
-    /// Timing-model MAC cycles, `SkipBoth` with the measured profile.
     pub timing_mac_cycles_both: u64,
-    /// Whether both dynamic modes reproduced the dense bytes and records.
+    /// Whether `SkipBoth` reproduced the dense bytes and records.
     pub bit_identical: bool,
 }
 
 impl ActivationComparison {
-    /// Simulated compute-cycle speedup of `SkipZeroInputs` over dense in
-    /// the functional executor (below 1.0 when detects outweigh skips).
+    /// Simulated compute-cycle speedup of `SkipBoth` over dense in the
+    /// functional executor (below 1.0 when detects outweigh skips).
     #[must_use]
     pub fn cycle_speedup(&self) -> f64 {
-        self.dense_compute_cycles as f64 / self.input_compute_cycles as f64
+        self.dense_compute_cycles as f64 / self.both_compute_cycles as f64
     }
 
-    /// Net timing-model MAC-phase speedup of `SkipZeroInputs`, detect
-    /// overhead included.
+    /// Net timing-model MAC-phase speedup of `SkipBoth`, detect overhead
+    /// included.
     #[must_use]
     pub fn mac_speedup(&self) -> f64 {
-        self.timing_mac_cycles_dense as f64 / self.timing_mac_cycles_input as f64
-    }
-
-    /// Net timing-model MAC-phase speedup of `SkipBoth`.
-    #[must_use]
-    pub fn mac_speedup_both(&self) -> f64 {
         self.timing_mac_cycles_dense as f64 / self.timing_mac_cycles_both as f64
     }
 
@@ -228,11 +193,9 @@ impl ActivationComparison {
             <= SparsityComparison::SKIP_FRACTION_TOLERANCE;
         let detect_per_round = self.detect_cycles == self.mul_rounds;
         let expectation = match self.expectation {
-            ActivationExpectation::NetSpeedup => {
-                self.mac_speedup() > 1.0 && self.mac_speedup_both() >= self.mac_speedup() - 1e-12
-            }
+            ActivationExpectation::NetSpeedup => self.mac_speedup() > 1.0,
             ActivationExpectation::Overhead => {
-                self.timing_mac_cycles_input > self.timing_mac_cycles_dense
+                self.timing_mac_cycles_both > self.timing_mac_cycles_dense
             }
         };
         self.bit_identical && exact && detect_per_round && expectation
@@ -273,20 +236,16 @@ fn activation_workloads() -> Vec<(String, ActivationExpectation, Model, QTensor)
     ]
 }
 
-/// Timing-model MAC cycles of `model` under `mode`, priced for the
+/// Timing-model MAC cycles of `model` under `SkipBoth`, priced for the
 /// measured activation `profile` of one input.
-fn timing_mac_cycles_profiled(
-    model: &Model,
-    mode: SparsityMode,
-    profile: &neural_cache::ActivationProfile,
-) -> u64 {
-    let config = SystemConfig::with_sparsity(mode);
+fn timing_mac_cycles_profiled(model: &Model, profile: &neural_cache::ActivationProfile) -> u64 {
+    let config = SystemConfig::with_sparsity(SparsityMode::SkipBoth);
     let report = time_inference_with_profile(&config, model, profile);
     report.layers.iter().map(|l| l.mac_cycles).sum()
 }
 
-/// Runs the dynamic-sparsity workloads densely and under both input-skip
-/// modes, verifying bit identity, the per-round detect charge, and the
+/// Runs the dynamic-sparsity workloads densely and under `SkipBoth`,
+/// verifying bit identity, the per-round detect charge, and the
 /// `activation_profile` prediction against the executed counters.
 #[must_use]
 pub fn compare_activation_sparsity() -> Vec<ActivationComparison> {
@@ -294,35 +253,21 @@ pub fn compare_activation_sparsity() -> Vec<ActivationComparison> {
         .into_iter()
         .map(|(name, expectation, model, input)| {
             let dense = run_mode(&model, &input, SparsityMode::Dense);
-            let inputs = run_mode(&model, &input, SparsityMode::SkipZeroInputs);
             let both = run_mode(&model, &input, SparsityMode::SkipBoth);
             let profile = activation_profile(&model, &input);
-            let (dense_mac, _) = timing_mac_cycles(&model, SparsityMode::Dense);
             ActivationComparison {
                 name,
                 expectation,
                 dense_compute_cycles: dense.cycles.compute_cycles,
-                input_compute_cycles: inputs.cycles.compute_cycles,
                 both_compute_cycles: both.cycles.compute_cycles,
-                detect_cycles: inputs.cycles.detect_cycles,
-                mul_rounds: inputs.cycles.mul_rounds,
-                input_rounds_skipped: inputs.cycles.input_rounds_skipped,
-                executed_input_skip_fraction: inputs.cycles.input_skip_fraction(),
+                detect_cycles: both.cycles.detect_cycles,
+                mul_rounds: both.cycles.mul_rounds,
+                input_rounds_skipped: both.cycles.input_rounds_skipped,
+                executed_input_skip_fraction: both.cycles.input_skip_fraction(),
                 predicted_input_skip_fraction: profile.input_skip(),
-                timing_mac_cycles_dense: dense_mac,
-                timing_mac_cycles_input: timing_mac_cycles_profiled(
-                    &model,
-                    SparsityMode::SkipZeroInputs,
-                    &profile,
-                ),
-                timing_mac_cycles_both: timing_mac_cycles_profiled(
-                    &model,
-                    SparsityMode::SkipBoth,
-                    &profile,
-                ),
-                bit_identical: dense.output.data() == inputs.output.data()
-                    && dense.sublayers == inputs.sublayers
-                    && dense.output.data() == both.output.data()
+                timing_mac_cycles_dense: timing_mac_cycles(&model, SparsityMode::Dense),
+                timing_mac_cycles_both: timing_mac_cycles_profiled(&model, &profile),
+                bit_identical: dense.output.data() == both.output.data()
                     && dense.sublayers == both.sublayers,
             }
         })

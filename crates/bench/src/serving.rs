@@ -2,15 +2,13 @@
 //! over an offered-load sweep and a trace/policy matrix, rendering the
 //! `serving_sim` / `run_all` serving table and enforcing its sanity gate
 //! (request conservation, latency monotone in offered load, goodput bounded
-//! by offered load, engine byte-identity).
+//! by offered load).
 
 use std::fmt::Write as _;
 
 use nc_dnn::inception::inception_v3;
 use nc_geometry::SimTime;
-use nc_serve::{
-    simulate, simulate_with_cost, BatchPolicy, ServeConfig, ServingSummary, TraceConfig,
-};
+use nc_serve::{simulate_with_cost, BatchPolicy, ServeConfig, ServingSummary, TraceConfig};
 use neural_cache::{BatchCostModel, SystemConfig};
 
 /// Slices the serving bench schedules onto (>= 2 per the acceptance gate).
@@ -39,17 +37,14 @@ pub struct ServingPoint {
     pub summary: ServingSummary,
 }
 
-/// The whole serving bench: the monotonicity sweep, the trace/policy
-/// matrix, and the engine byte-identity check.
+/// The whole serving bench: the monotonicity sweep and the trace/policy
+/// matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServingBench {
     /// Poisson + SLO-adaptive points at [`LOAD_SWEEP_RPS`], in load order.
     pub load_sweep: Vec<ServingPoint>,
     /// Bursty and closed-loop traces through the other policies.
     pub matrix: Vec<ServingPoint>,
-    /// Whether the Sequential and Threaded engines produced byte-identical
-    /// serving traces on the check workload.
-    pub engine_identical: bool,
 }
 
 impl ServingBench {
@@ -89,9 +84,6 @@ impl ServingBench {
                 ));
             }
         }
-        if !self.engine_identical {
-            failures.push("Sequential and Threaded engines diverged on the serving trace".into());
-        }
         failures
     }
 
@@ -102,9 +94,9 @@ impl ServingBench {
     }
 }
 
-fn serve_config(policy: BatchPolicy, system: SystemConfig) -> ServeConfig {
+fn serve_config(policy: BatchPolicy) -> ServeConfig {
     ServeConfig {
-        system,
+        system: SystemConfig::xeon_e5_2697_v3(),
         slices: SLICES,
         policy,
         queue_capacity: 512,
@@ -116,13 +108,11 @@ fn adaptive() -> BatchPolicy {
     BatchPolicy::SloAdaptive { max_batch: 32 }
 }
 
-/// Runs the full serving bench. `threads` sizes the Threaded engine of the
-/// byte-identity check.
+/// Runs the full serving bench.
 #[must_use]
-pub fn run_serving_bench(threads: usize) -> ServingBench {
-    let model = inception_v3();
+pub fn run_serving_bench() -> ServingBench {
     // Every sweep/matrix point shares one plan (same system, same model).
-    let cost = BatchCostModel::new(&SystemConfig::xeon_e5_2697_v3(), &model);
+    let cost = BatchCostModel::new(&SystemConfig::xeon_e5_2697_v3(), &inception_v3());
 
     // Offered-load sweep: Poisson through the work-conserving SLO-adaptive
     // policy (the latency-monotonicity gate rides on this sweep).
@@ -130,11 +120,7 @@ pub fn run_serving_bench(threads: usize) -> ServingBench {
         .iter()
         .map(|&rps| {
             let trace = TraceConfig::poisson(rps, REQUESTS_PER_POINT, 2018);
-            let out = simulate_with_cost(
-                &serve_config(adaptive(), SystemConfig::xeon_e5_2697_v3()),
-                &cost,
-                &trace,
-            );
+            let out = simulate_with_cost(&serve_config(adaptive()), &cost, &trace);
             ServingPoint {
                 trace: "poisson",
                 policy: adaptive().label(),
@@ -155,11 +141,7 @@ pub fn run_serving_bench(threads: usize) -> ServingBench {
             max_wait: SimTime::from_millis(10.0),
         },
     ] {
-        let out = simulate_with_cost(
-            &serve_config(policy, SystemConfig::xeon_e5_2697_v3()),
-            &cost,
-            &bursty,
-        );
+        let out = simulate_with_cost(&serve_config(policy), &cost, &bursty);
         matrix.push(ServingPoint {
             trace: "bursty",
             policy: policy.label(),
@@ -175,11 +157,7 @@ pub fn run_serving_bench(threads: usize) -> ServingBench {
         },
         adaptive(),
     ] {
-        let out = simulate_with_cost(
-            &serve_config(policy, SystemConfig::xeon_e5_2697_v3()),
-            &cost,
-            &closed,
-        );
+        let out = simulate_with_cost(&serve_config(policy), &cost, &closed);
         matrix.push(ServingPoint {
             trace: "closed-loop",
             policy: policy.label(),
@@ -188,26 +166,7 @@ pub fn run_serving_bench(threads: usize) -> ServingBench {
         });
     }
 
-    // Engine byte-identity: the same seeded bursty workload through both
-    // engines must give byte-identical serving traces.
-    let check_trace = TraceConfig::bursty(150.0, 1200.0, 0.04, 150, 77);
-    let seq = simulate(
-        &serve_config(adaptive(), SystemConfig::xeon_e5_2697_v3()),
-        &model,
-        &check_trace,
-    );
-    let thr = simulate(
-        &serve_config(adaptive(), SystemConfig::with_parallelism(threads.max(2))),
-        &model,
-        &check_trace,
-    );
-    let engine_identical = seq.trace.to_log() == thr.trace.to_log() && seq.summary == thr.summary;
-
-    ServingBench {
-        load_sweep,
-        matrix,
-        engine_identical,
-    }
+    ServingBench { load_sweep, matrix }
 }
 
 /// Renders the bench as human-readable text (the `serving_sim` binary and
@@ -255,8 +214,7 @@ pub fn render_text(bench: &ServingBench) -> String {
     }
     let _ = writeln!(
         out,
-        "engine byte-identity: {} | sanity gate: {}",
-        bench.engine_identical,
+        "sanity gate: {}",
         if bench.verified() { "ok" } else { "FAILED" }
     );
     for f in bench.gate_failures() {
@@ -271,7 +229,7 @@ mod tests {
 
     #[test]
     fn serving_bench_verifies_and_renders() {
-        let bench = run_serving_bench(2);
+        let bench = run_serving_bench();
         assert_eq!(bench.load_sweep.len(), LOAD_SWEEP_RPS.len());
         assert_eq!(bench.matrix.len(), 4);
         assert!(
@@ -279,7 +237,6 @@ mod tests {
             "gate failures: {:?}",
             bench.gate_failures()
         );
-        assert!(bench.engine_identical);
         // Overload shows up as rising latency across the sweep ends.
         let first = &bench.load_sweep.first().unwrap().summary;
         let last = &bench.load_sweep.last().unwrap().summary;
@@ -296,7 +253,7 @@ mod tests {
 
     #[test]
     fn gate_catches_a_broken_sweep() {
-        let mut bench = run_serving_bench(2);
+        let mut bench = run_serving_bench();
         // Corrupt the sweep: swap the extreme points so latency "falls".
         let n = bench.load_sweep.len();
         bench.load_sweep.swap(0, n - 1);
@@ -306,7 +263,7 @@ mod tests {
             .iter()
             .any(|f| f.contains("not monotone")));
         // And a conservation break trips it too.
-        let mut bench2 = run_serving_bench(2);
+        let mut bench2 = run_serving_bench();
         bench2.matrix[0].summary.completed += 1;
         assert!(!bench2.verified());
     }

@@ -75,7 +75,9 @@ impl TelemetryFlags {
 /// Records the showcase timeline every artifact-writing binary exports:
 /// the serving request lifecycle, the full Inception v3 simulated-time
 /// layer/phase timeline, and an executed functional proxy with per-op
-/// detail (on the Threaded engine with 2 workers), all on one shared sink.
+/// detail, all on one shared sink. The proxy runs on the sequential
+/// engine: `tiny_cnn` is too small to spread over workers, so it records
+/// no `engine.*` metrics (perfbench's engine probe measures sharding).
 pub fn record_showcase(tel: &Telemetry) {
     let model = inception_v3();
     let config = ServeConfig::default_two_slice();
@@ -88,7 +90,7 @@ pub fn record_showcase(tel: &Telemetry) {
     let _ = run_model_traced(
         &proxy,
         &input,
-        ExecutionEngine::from_threads(2),
+        ExecutionEngine::Sequential,
         SparsityMode::SkipBoth,
         tel,
     )

@@ -140,11 +140,11 @@ impl BatchCostModel {
     }
 
     /// [`BatchCostModel::new`] priced for a **measured activation
-    /// profile**: under [`crate::SparsityMode::SkipZeroInputs`] /
-    /// `SkipBoth`, `per_image_time()` reflects the profile's input-bit
-    /// skip fractions, and [`BatchCostModel::image_time_spread`] captures
-    /// how much slower a fully-dense-activation image runs (the same
-    /// plans with zero measured skip — detect overhead still charged).
+    /// profile**: under [`crate::SparsityMode::SkipBoth`],
+    /// `per_image_time()` reflects the profile's input-bit skip fractions,
+    /// and [`BatchCostModel::image_time_spread`] captures how much slower a
+    /// fully-dense-activation image runs (the same plans with zero measured
+    /// skip — detect overhead still charged).
     /// This is what makes serving latency activation-dependent: images are
     /// no longer interchangeable units of work. Under static modes the
     /// profile changes nothing and the spread is zero.
@@ -586,7 +586,7 @@ mod tests {
         let model = relu_sparse_conv_model(2);
         let input = relu_sparse_input(model.input_shape, 0.7, 2, 5);
         let profile = activation_profile(&model, &input);
-        let dynamic = SystemConfig::with_sparsity(SparsityMode::SkipZeroInputs);
+        let dynamic = SystemConfig::with_sparsity(SparsityMode::SkipBoth);
         let cost = BatchCostModel::with_profile(&dynamic, &model, &profile);
         assert!(
             cost.image_time_spread() > SimTime::ZERO,

@@ -43,11 +43,12 @@ pub struct SystemConfig {
     pub parallelism: ExecutionEngine,
     /// Sparsity execution mode: [`SparsityMode::SkipZeroRows`] elides
     /// all-lanes-zero **weight**-bit rounds for free (stationary filters);
-    /// [`SparsityMode::SkipZeroInputs`] / [`SparsityMode::SkipBoth`] elide
-    /// **input**-bit rounds behind a 1-cycle wired-NOR zero-detect per
-    /// round (activations are dynamic, so skips must be re-measured per
-    /// input — see `sparsity::activation_profile`). Outputs stay
-    /// bit-identical to [`SparsityMode::Dense`] under every mode.
+    /// [`SparsityMode::SkipBoth`] elides **input**-bit rounds behind a
+    /// 1-cycle wired-NOR zero-detect per round (activations are dynamic,
+    /// so skips must be re-measured per input — see
+    /// `sparsity::activation_profile`) and truncates executed rounds to the
+    /// live weight width. Outputs stay bit-identical to
+    /// [`SparsityMode::Dense`] under every mode.
     pub sparsity: SparsityMode,
 }
 

@@ -82,8 +82,8 @@ pub trait CostModel: fmt::Debug + Send + Sync {
     /// [`CostModel::detect_cycle`] (the FSM cannot precompute activation
     /// zeros), `skip_fraction` of the rounds is elided by the detect, and
     /// executed rounds run only `live_bits` of the [`DATA_BITS`]
-    /// multiplicand adds (static weight truncation under `SkipBoth`; pass
-    /// `DATA_BITS as f64` when only inputs skip). Saturated into
+    /// multiplicand adds (static weight truncation under `SkipBoth`;
+    /// `DATA_BITS as f64` on full-width weights). Saturated into
     /// `(0, mac_cycles() + detect overhead]`.
     fn mac_cycles_dynamic(&self, skip_fraction: f64, live_bits: f64) -> f64 {
         let rounds = DATA_BITS as f64;

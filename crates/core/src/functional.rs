@@ -193,10 +193,10 @@ pub fn run_model_with(
 /// Runs the whole model bit-accurately with an explicit execution engine
 /// **and** sparsity mode. [`SparsityMode::SkipZeroRows`] elides
 /// all-lanes-zero weight-bit rounds in the MACs;
-/// [`SparsityMode::SkipZeroInputs`] makes the streamed input byte the
-/// multiplier and elides all-lanes-zero input-bit rounds behind a 1-cycle
-/// wired-NOR detect per round; [`SparsityMode::SkipBoth`] adds static
-/// weight-side multiplicand truncation on top. Outputs and sub-layer
+/// [`SparsityMode::SkipBoth`] makes the streamed input byte the multiplier,
+/// elides all-lanes-zero input-bit rounds behind a 1-cycle wired-NOR detect
+/// per round, and truncates executed rounds to the live weight width
+/// (static, known at filter-load time). Outputs and sub-layer
 /// records are **bit-identical** to dense under every mode (the
 /// proptest/bench gates enforce it, like the engine-equivalence gate),
 /// while [`CycleStats::skipped_rounds`] /
@@ -1172,62 +1172,54 @@ mod tests {
         assert_eq!(both.output.data(), skipping.output.data());
         assert_eq!(both.cycles, skipping.cycles);
 
-        // The dynamic modes are likewise bit-identical to dense; their
+        // The dynamic mode is likewise bit-identical to dense; its
         // reconciliation accounts the per-round detect overhead:
         // executed = dense - saved + detect.
-        for mode in [SparsityMode::SkipZeroInputs, SparsityMode::SkipBoth] {
-            let dynamic = run_model_configured(model, &input, ExecutionEngine::Sequential, mode)
-                .expect("dynamic-mode functional run");
-            assert_eq!(
-                dynamic.output.data(),
-                ours.output.data(),
-                "{mode:?} output differs from Dense"
-            );
-            assert_eq!(dynamic.sublayers, ours.sublayers);
-            assert_eq!(dynamic.cycles.mul_rounds, ours.cycles.mul_rounds);
-            assert_eq!(dynamic.cycles.access_cycles, ours.cycles.access_cycles);
-            assert_eq!(
-                dynamic.cycles.skipped_rounds, 0,
-                "dynamic modes skip input rounds, not weight rounds"
-            );
-            assert_eq!(
-                dynamic.cycles.detect_cycles, dynamic.cycles.mul_rounds,
-                "every scheduled round pays exactly one detect"
-            );
-            assert_eq!(
-                dynamic.cycles.compute_cycles + dynamic.cycles.skipped_cycles
-                    - dynamic.cycles.detect_cycles,
-                ours.cycles.compute_cycles,
-                "{mode:?}: detect-aware cycle reconciliation"
-            );
-            // Threaded execution reproduces the dynamic counters exactly.
-            let thr_dyn =
-                run_model_configured(model, &input, ExecutionEngine::from_threads(4), mode)
-                    .expect("threaded dynamic-mode run");
-            assert_eq!(thr_dyn.output.data(), dynamic.output.data());
-            assert_eq!(thr_dyn.cycles, dynamic.cycles);
-        }
-        // SkipBoth elides at least as many cycles as SkipZeroInputs (the
-        // truncation only adds savings) on identical round schedules.
-        let inputs_only = run_model_configured(
-            model,
-            &input,
-            ExecutionEngine::Sequential,
-            SparsityMode::SkipZeroInputs,
-        )
-        .expect("input-skip run");
-        let both_modes = run_model_configured(
+        let dynamic = run_model_configured(
             model,
             &input,
             ExecutionEngine::Sequential,
             SparsityMode::SkipBoth,
         )
-        .expect("skip-both run");
+        .expect("dynamic-mode functional run");
         assert_eq!(
-            both_modes.cycles.input_rounds_skipped, inputs_only.cycles.input_rounds_skipped,
-            "input-side elision is identical; truncation is extra"
+            dynamic.output.data(),
+            ours.output.data(),
+            "SkipBoth output differs from Dense"
         );
-        assert!(both_modes.cycles.skipped_cycles >= inputs_only.cycles.skipped_cycles);
+        assert_eq!(dynamic.sublayers, ours.sublayers);
+        assert_eq!(dynamic.cycles.mul_rounds, ours.cycles.mul_rounds);
+        assert_eq!(dynamic.cycles.access_cycles, ours.cycles.access_cycles);
+        assert_eq!(
+            dynamic.cycles.skipped_rounds, 0,
+            "the dynamic mode skips input rounds, not weight rounds"
+        );
+        assert_eq!(
+            dynamic.cycles.detect_cycles, dynamic.cycles.mul_rounds,
+            "every scheduled round pays exactly one detect"
+        );
+        assert_eq!(
+            dynamic.cycles.compute_cycles + dynamic.cycles.skipped_cycles
+                - dynamic.cycles.detect_cycles,
+            ours.cycles.compute_cycles,
+            "detect-aware cycle reconciliation"
+        );
+        // Every elided input round saves a full dense round; truncation
+        // only adds savings on top.
+        assert!(
+            dynamic.cycles.skipped_cycles
+                >= dynamic.cycles.input_rounds_skipped * (DATA_BITS as u64 + 2)
+        );
+        // Threaded execution reproduces the dynamic counters exactly.
+        let thr_dyn = run_model_configured(
+            model,
+            &input,
+            ExecutionEngine::from_threads(4),
+            SparsityMode::SkipBoth,
+        )
+        .expect("threaded dynamic-mode run");
+        assert_eq!(thr_dyn.output.data(), dynamic.output.data());
+        assert_eq!(thr_dyn.cycles, dynamic.cycles);
     }
 
     #[test]
@@ -1332,25 +1324,28 @@ mod tests {
         for seed in [3u64, 14] {
             let model = relu_sparse_mini(seed);
             let input = relu_sparse_input(model.input_shape, 0.6, 3, seed + 50);
-            for mode in [SparsityMode::SkipZeroInputs, SparsityMode::SkipBoth] {
-                let run = run_model_configured(&model, &input, ExecutionEngine::Sequential, mode)
-                    .expect("dynamic run");
-                let profile = crate::sparsity::activation_profile(&model, &input);
-                assert_eq!(
-                    run.cycles.input_rounds_skipped,
-                    profile.skippable_rounds(),
-                    "seed {seed} {mode:?}: executed vs predicted skip count"
-                );
-                assert_eq!(
-                    run.cycles.mul_rounds,
-                    profile.total_rounds(),
-                    "seed {seed} {mode:?}: scheduled round count"
-                );
-                assert!(
-                    run.cycles.input_rounds_skipped > 0,
-                    "ReLU-sparse input must elide rounds"
-                );
-            }
+            let run = run_model_configured(
+                &model,
+                &input,
+                ExecutionEngine::Sequential,
+                SparsityMode::SkipBoth,
+            )
+            .expect("dynamic run");
+            let profile = crate::sparsity::activation_profile(&model, &input);
+            assert_eq!(
+                run.cycles.input_rounds_skipped,
+                profile.skippable_rounds(),
+                "seed {seed}: executed vs predicted skip count"
+            );
+            assert_eq!(
+                run.cycles.mul_rounds,
+                profile.total_rounds(),
+                "seed {seed}: scheduled round count"
+            );
+            assert!(
+                run.cycles.input_rounds_skipped > 0,
+                "ReLU-sparse input must elide rounds"
+            );
         }
     }
 
@@ -1365,7 +1360,6 @@ mod tests {
             for mode in [
                 SparsityMode::Dense,
                 SparsityMode::SkipZeroRows,
-                SparsityMode::SkipZeroInputs,
                 SparsityMode::SkipBoth,
             ] {
                 let case = format!("{engine:?}/{mode:?}");

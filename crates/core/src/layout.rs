@@ -100,10 +100,12 @@ impl MacReduceLayout {
     ///
     /// Under [`SparsityMode::SkipZeroRows`] the stationary filter byte is
     /// the multiplier, so its bit-slice rows are what the FSM elides for
-    /// free; the dynamic modes flip the roles — the streamed input byte
-    /// becomes the multiplier so the per-round wired-NOR detect can elide
-    /// all-lanes-zero input-bit rounds (the 8x8 multiply cost is symmetric
-    /// in the operand order, and the product is identical either way).
+    /// free; [`SparsityMode::SkipBoth`] flips the roles — the streamed
+    /// input byte becomes the multiplier so the per-round wired-NOR detect
+    /// can elide all-lanes-zero input-bit rounds, and the stationary filter
+    /// byte the multiplicand its live width truncates (the 8x8 multiply
+    /// cost is symmetric in the operand order, and the product is identical
+    /// either way).
     ///
     /// # Errors
     ///
@@ -113,7 +115,6 @@ impl MacReduceLayout {
         let mut cycles = match mode {
             SparsityMode::Dense => arr.mul(x, w, p)?,
             SparsityMode::SkipZeroRows => arr.mul_skip_zero_rows(x, w, p)?,
-            SparsityMode::SkipZeroInputs => arr.mul_skip_zero_input_bits(w, x, p)?,
             SparsityMode::SkipBoth => arr.mul_skip_both(w, x, p)?,
         };
         cycles += arr.add_assign(self.partial, p)?;

@@ -268,19 +268,15 @@ pub struct ConvMapping {
     /// Fraction of multiplier-bit rounds elided under
     /// [`SparsityMode::SkipZeroRows`], computed from the sub-layer's real
     /// weights on this mapping's lane packing (0 when planning densely or
-    /// without weights). This is the per-bank-FSM (mean over arrays)
-    /// variant the executors realize.
+    /// without weights). Each array skips its own all-lanes-zero rounds,
+    /// as the executors do, so this is the rounds-weighted mean over
+    /// arrays.
     pub simd_skip_fraction: f64,
-    /// Skip fraction under lockstep banks (all banks share one FSM): a
-    /// round is elidable only when zero across **every** array, so the MAC
-    /// phase is the max over arrays. Always `<= simd_skip_fraction`; 0 when
-    /// planning densely or without weights.
-    pub lockstep_skip_fraction: f64,
-    /// Whether this plan executes under a dynamic sparsity mode
-    /// ([`SparsityMode::SkipZeroInputs`] / [`SparsityMode::SkipBoth`]):
-    /// the input byte is the multiplier, every scheduled round pays the
-    /// 1-cycle wired-NOR zero-detect, and the MAC phase shrinks by
-    /// `input_skip_fraction` (which the planner cannot know — see below).
+    /// Whether this plan executes under the dynamic sparsity mode
+    /// ([`SparsityMode::SkipBoth`]): the input byte is the multiplier,
+    /// every scheduled round pays the 1-cycle wired-NOR zero-detect, and
+    /// the MAC phase shrinks by `input_skip_fraction` (which the planner
+    /// cannot know — see below).
     pub dynamic_detect: bool,
     /// Fraction of multiplier-bit rounds the dynamic input-bit detect
     /// elides. Activations are not stationary, so this is **0 at plan
@@ -571,17 +567,12 @@ fn plan_conv_unit(
         ROWS
     );
 
-    // Weight-sparsity round elision: both hardware variants measured on
-    // this exact lane packing (per-bank mean, lockstep max-over-arrays).
-    let (simd_skip_fraction, lockstep_skip_fraction) = match mode {
+    // Weight-sparsity round elision, measured on this exact lane packing.
+    let simd_skip_fraction = match mode {
         SparsityMode::SkipZeroRows if conv.weights.is_some() => {
-            let v = crate::sparsity::conv_skip_variants(conv);
-            (v.mean, v.lockstep)
+            crate::sparsity::conv_skip_profile(conv).fraction()
         }
-        SparsityMode::Dense
-        | SparsityMode::SkipZeroRows
-        | SparsityMode::SkipZeroInputs
-        | SparsityMode::SkipBoth => (0.0, 0.0),
+        SparsityMode::Dense | SparsityMode::SkipZeroRows | SparsityMode::SkipBoth => 0.0,
     };
     // Dynamic input-bit elision: the skip fraction itself is per-input
     // (filled by ActivationProfile::apply_to_plans); the weight-side
@@ -591,10 +582,9 @@ fn plan_conv_unit(
         SparsityMode::SkipBoth if conv.weights.is_some() => {
             crate::sparsity::conv_live_mult_bits(conv)
         }
-        SparsityMode::Dense
-        | SparsityMode::SkipZeroRows
-        | SparsityMode::SkipZeroInputs
-        | SparsityMode::SkipBoth => DATA_BITS as f64,
+        SparsityMode::Dense | SparsityMode::SkipZeroRows | SparsityMode::SkipBoth => {
+            DATA_BITS as f64
+        }
     };
 
     ConvMapping {
@@ -611,7 +601,6 @@ fn plan_conv_unit(
         cross_array_steps,
         fresh_input_fraction: fresh_fraction(spec.r, stride),
         simd_skip_fraction,
-        lockstep_skip_fraction,
         dynamic_detect,
         input_skip_fraction: 0.0,
         live_mult_bits,

@@ -22,6 +22,11 @@
 //!   exactly with the executed [`nc_sram::CycleStats::skipped_rounds`]
 //!   counters.
 //!
+//! Activations are not stationary, so the one dynamic mode,
+//! [`SparsityMode::SkipBoth`], pays a wired-NOR detect per round; its
+//! input-side opportunity is measured per input by [`activation_profile`],
+//! and its static multiplicand truncation by [`conv_live_mult_bits`].
+//!
 //! All cycle arithmetic derives from the [`CostModel`] trait — the analysis
 //! can no longer drift from `cost.rs`.
 
@@ -34,9 +39,9 @@ use crate::mapping::{gather_window, LaneMap, LayerPlan, UnitPlan};
 ///
 /// The knob lives on [`crate::SystemConfig`]; every mode produces
 /// **bit-identical outputs** (an elided round is a functional no-op by
-/// construction), only cycle counts change. The weight-side modes skip for
+/// construction), only cycle counts change. The weight-side mode skips for
 /// free (the FSM learns all-zero filter bit-slices at load time); the
-/// input-side modes pay a 1-cycle tag-latch wired-NOR zero-detect on every
+/// input-side mode pays a 1-cycle tag-latch wired-NOR zero-detect on every
 /// scheduled round, because activations are not stationary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SparsityMode {
@@ -49,15 +54,12 @@ pub enum SparsityMode {
     SkipZeroRows,
     /// Elide rounds whose **input** bit-slice row is zero on every lane,
     /// detected at run time by the tag-latch wired-NOR (1 cycle per
-    /// scheduled round). The streamed input byte serves as the multiplier;
-    /// ReLU-sparse activations make most rounds elidable, dense ones make
-    /// the detect pure overhead.
-    SkipZeroInputs,
-    /// [`SparsityMode::SkipZeroInputs`] composed with static weight-side
-    /// **multiplicand truncation**: executed rounds schedule adds only up
-    /// to the highest live weight bit-slice (known at filter-load time),
-    /// capturing contiguous top weight-bit sparsity on top of the dynamic
-    /// input skips.
+    /// scheduled round), and truncate executed rounds to the highest live
+    /// weight bit-slice (known at filter-load time). The streamed input
+    /// byte serves as the multiplier; ReLU-sparse activations make most
+    /// rounds elidable, dense ones make the detect pure overhead.
+    /// Truncation is free and exact, and on full-width weights it leaves
+    /// the input-skip schedule unchanged.
     SkipBoth,
 }
 
@@ -66,7 +68,7 @@ impl SparsityMode {
     /// side of the skip machinery).
     #[must_use]
     pub fn dynamic_detect(&self) -> bool {
-        matches!(self, SparsityMode::SkipZeroInputs | SparsityMode::SkipBoth)
+        matches!(self, SparsityMode::SkipBoth)
     }
 }
 
@@ -93,43 +95,11 @@ impl SkipProfile {
     }
 }
 
-/// The two hardware realizations of round skipping, measured on one
-/// convolution's real lane packing:
-///
-/// - **mean (per-bank FSMs)**: every bank advances through its own round
-///   schedule between reduction barriers, so each array skips its own
-///   all-lanes-zero rounds independently; the MAC phase shrinks by the
-///   rounds-weighted *mean* skip fraction (the execution model PR 3 wired
-///   in).
-/// - **lockstep (max-over-arrays)**: all banks share one FSM and step the
-///   same `(tap, bit)` schedule together, so a round is elidable only when
-///   it is zero on every live lane of **every** array — the MAC phase is
-///   the *max* over arrays, i.e. the global-OR skip fraction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SkipVariants {
-    /// Per-bank-FSM (independent arrays) skip fraction: the rounds-weighted
-    /// mean over `(m-block, array)` groups. Equals
-    /// [`SkipProfile::fraction`].
-    pub mean: f64,
-    /// Lockstep-bank skip fraction: rounds elidable across **all** arrays
-    /// simultaneously (always `<= mean`).
-    pub lockstep: f64,
-}
-
-impl SkipVariants {
-    /// Absolute spread between the variants (mean minus lockstep): how much
-    /// skip opportunity lockstep banking forfeits.
-    #[must_use]
-    pub fn spread(&self) -> f64 {
-        self.mean - self.lockstep
-    }
-}
-
 /// The `(m-block, array, tap)` OR masks of a convolution's filter bytes on
-/// the executor's lane map, in execution order, and the taps per array:
-/// bit `j` of a mask is set exactly when round `(tap, j)` has a live 1 bit
-/// on some lane of that array.
-fn filter_or_masks(conv: &Conv2d) -> (Vec<u8>, usize) {
+/// the executor's lane map, in execution order: bit `j` of a mask is set
+/// exactly when round `(tap, j)` has a live 1 bit on some lane of that
+/// array.
+fn filter_or_masks(conv: &Conv2d) -> Vec<u8> {
     let spec = &conv.spec;
     let weights = conv
         .weights
@@ -153,36 +123,7 @@ fn filter_or_masks(conv: &Conv2d) -> (Vec<u8>, usize) {
             }
         }
     }
-    (masks, geom.eff_window)
-}
-
-/// The per-array skip totals plus the global (lockstep) OR per tap, from
-/// [`filter_or_masks`].
-fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
-    let (masks, taps) = filter_or_masks(conv);
-    // DATA_BITS = 8 = u8::BITS: every zero bit of a mask is one elidable
-    // round.
-    let profile = SkipProfile {
-        skippable_rounds: masks.iter().map(|m| u64::from(m.count_zeros())).sum(),
-        total_rounds: (masks.len() * DATA_BITS) as u64,
-    };
-    // Lockstep banks share one FSM: a round (tap, bit) is elidable only if
-    // zero across every array of every m-block, i.e. in the global OR.
-    let mut global_or = vec![0u8; taps];
-    for (i, &mask) in masks.iter().enumerate() {
-        global_or[i % taps] |= mask;
-    }
-    let lockstep_zeros: u64 = global_or.iter().map(|&m| u64::from(m.count_zeros())).sum();
-    let lockstep_total = (taps * DATA_BITS) as u64;
-    let variants = SkipVariants {
-        mean: profile.fraction(),
-        lockstep: if lockstep_total == 0 {
-            0.0
-        } else {
-            lockstep_zeros as f64 / lockstep_total as f64
-        },
-    };
-    (profile, variants)
+    masks
 }
 
 /// Measures the SIMD skip profile of one convolution on the exact lane
@@ -196,18 +137,13 @@ fn skip_masks(conv: &Conv2d) -> (SkipProfile, SkipVariants) {
 /// Panics if the sub-layer is shape-only.
 #[must_use]
 pub fn conv_skip_profile(conv: &Conv2d) -> SkipProfile {
-    skip_masks(conv).0
-}
-
-/// Measures both skip-time variants (per-bank mean and lockstep
-/// max-over-arrays) of one convolution on its real lane packing.
-///
-/// # Panics
-///
-/// Panics if the sub-layer is shape-only.
-#[must_use]
-pub fn conv_skip_variants(conv: &Conv2d) -> SkipVariants {
-    skip_masks(conv).1
+    let masks = filter_or_masks(conv);
+    // DATA_BITS = 8 = u8::BITS: every zero bit of a mask is one elidable
+    // round.
+    SkipProfile {
+        skippable_rounds: masks.iter().map(|m| u64::from(m.count_zeros())).sum(),
+        total_rounds: (masks.len() * DATA_BITS) as u64,
+    }
 }
 
 /// Sparsity statistics of one convolution sub-layer's weights.
@@ -360,7 +296,7 @@ pub fn analyze(model: &Model) -> SparsityReport {
 /// Panics if the sub-layer is shape-only.
 #[must_use]
 pub fn conv_live_mult_bits(conv: &Conv2d) -> f64 {
-    let (masks, _) = filter_or_masks(conv);
+    let masks = filter_or_masks(conv);
     if masks.is_empty() {
         DATA_BITS as f64
     } else {
@@ -428,8 +364,8 @@ impl ActivationProfile {
 
     /// Model-level input-skip fraction; equals the functional executor's
     /// `input_rounds_skipped / mul_rounds` **exactly** under
-    /// [`SparsityMode::SkipZeroInputs`] / [`SparsityMode::SkipBoth`] on the
-    /// same input (both walk the identical lane packing).
+    /// [`SparsityMode::SkipBoth`] on the same input (both walk the
+    /// identical lane packing).
     #[must_use]
     pub fn input_skip(&self) -> f64 {
         let total = self.total_rounds();
@@ -674,68 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_variant_never_beats_the_per_bank_mean() {
-        for seed in [1u64, 5, 11] {
-            let conv = prune_conv(
-                random_conv("v", (3, 3), 8, 4, 1, Padding::Same, true, seed),
-                3,
-                0.5,
-                seed,
-            );
-            let v = conv_skip_variants(&conv);
-            assert!(
-                v.lockstep <= v.mean + 1e-12,
-                "lockstep {} > mean {}",
-                v.lockstep,
-                v.mean
-            );
-            assert!(v.spread() >= -1e-12);
-            assert!((v.mean - conv_skip_profile(&conv).fraction()).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn uniform_bit_pruning_gives_zero_spread() {
-        // keep_bits = 2 with no magnitude pruning: every lane's top six
-        // bit-slices are zero, so per-bank and lockstep agree exactly.
-        let conv = prune_conv(
-            random_conv("u", (3, 3), 8, 4, 1, Padding::Same, true, 3),
-            2,
-            0.0,
-            7,
-        );
-        let v = conv_skip_variants(&conv);
-        assert!((v.mean - 0.75).abs() < 1e-9);
-        assert!((v.lockstep - 0.75).abs() < 1e-9);
-        assert!(v.spread().abs() < 1e-9);
-    }
-
-    #[test]
-    fn magnitude_pruning_opens_a_spread_on_multi_array_layers() {
-        // Near-total magnitude pruning leaves some arrays with an all-zero
-        // low bit-slice while others keep a survivor: those arrays can skip
-        // rounds the global OR cannot, so mean > lockstep. (Each array ORs
-        // ~256 lanes, so moderate pruning saturates every array alike.)
-        let conv = prune_conv(
-            random_conv("s", (3, 3), 16, 64, 1, Padding::Same, true, 9),
-            2,
-            0.99,
-            9,
-        );
-        let v = conv_skip_variants(&conv);
-        assert!(
-            v.mean > v.lockstep,
-            "aggressive pruning must differentiate arrays: mean {} lockstep {}",
-            v.mean,
-            v.lockstep
-        );
-        assert!(
-            v.lockstep >= 0.75 - 1e-9,
-            "bit pruning still skips globally"
-        );
-    }
-
-    #[test]
     fn activation_profile_tracks_input_density() {
         use nc_dnn::workload::{relu_sparse_conv_model, relu_sparse_input};
         let model = relu_sparse_conv_model(5);
@@ -776,15 +650,14 @@ mod tests {
         let input = relu_sparse_input(model.input_shape, 0.6, 3, 4);
         let profile = activation_profile(&model, &input);
         let geometry = CacheGeometry::xeon_e5_2697_v3();
-        let mut plans =
-            crate::mapping::plan_model_with(&model, &geometry, SparsityMode::SkipZeroInputs);
+        let mut plans = crate::mapping::plan_model_with(&model, &geometry, SparsityMode::SkipBoth);
         // Plan time cannot know activations: fraction starts at 0.
         for plan in &plans {
             for unit in &plan.units {
                 if let UnitPlan::Conv(c) = unit {
                     assert!(c.dynamic_detect);
                     assert_eq!(c.input_skip_fraction, 0.0);
-                    assert_eq!(c.live_mult_bits, DATA_BITS as f64, "inputs-only mode");
+                    assert_eq!(c.live_mult_bits, DATA_BITS as f64, "full-width weights");
                 }
             }
         }
@@ -832,7 +705,6 @@ mod tests {
     fn dynamic_modes_report_detection() {
         assert!(!SparsityMode::Dense.dynamic_detect());
         assert!(!SparsityMode::SkipZeroRows.dynamic_detect());
-        assert!(SparsityMode::SkipZeroInputs.dynamic_detect());
         assert!(SparsityMode::SkipBoth.dynamic_detect());
     }
 

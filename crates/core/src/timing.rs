@@ -131,22 +131,17 @@ pub struct LayerTiming {
     /// Per-array compute cycles (serial view, summed over units).
     pub compute_cycles: u64,
     /// MAC cycles elided by round skipping (0 under dense execution);
-    /// already excluded from `compute_cycles`. Under the dynamic modes this
+    /// already excluded from `compute_cycles`. Under the dynamic mode this
     /// is the **net** saving (dense minus detect-charged sparse MAC
     /// cycles), saturated at 0 when the detect overhead exceeds the
     /// savings.
     pub mac_saved_cycles: u64,
-    /// Tag-latch wired-NOR zero-detect cycles the dynamic sparsity modes
-    /// charge (one per scheduled multiplier-bit round; 0 under `Dense` and
+    /// Tag-latch wired-NOR zero-detect cycles the dynamic sparsity mode
+    /// charges (one per scheduled multiplier-bit round; 0 under `Dense` and
     /// `SkipZeroRows`). Included in `mac_cycles`/`compute_cycles`.
     pub mac_detect_cycles: u64,
-    /// MAC cycles of the layer under the per-bank-FSM skip variant (what
-    /// the phase breakdown charges): the mean skip fraction over arrays.
+    /// MAC cycles of the layer (what the phase breakdown charges).
     pub mac_cycles: u64,
-    /// MAC cycles under the lockstep-bank skip variant (all banks share
-    /// one FSM, so the MAC phase is the max over arrays). Equal to
-    /// `mac_cycles` under dense execution; otherwise `>= mac_cycles`.
-    pub mac_cycles_lockstep: u64,
     /// Average fraction of compute arrays active during compute phases.
     pub active_fraction: f64,
     /// Bytes streamed over the interconnect (inputs + outputs).
@@ -160,19 +155,6 @@ impl LayerTiming {
     #[must_use]
     pub fn total(&self) -> SimTime {
         self.phases.total()
-    }
-
-    /// Relative MAC-phase spread between the skip-time variants:
-    /// `(lockstep - mean) / mean` — the extra MAC time lockstep banks pay
-    /// over per-bank FSMs (0 under dense execution or when the layer has no
-    /// MAC work).
-    #[must_use]
-    pub fn skip_time_spread(&self) -> f64 {
-        if self.mac_cycles == 0 {
-            0.0
-        } else {
-            (self.mac_cycles_lockstep as f64 - self.mac_cycles as f64) / self.mac_cycles as f64
-        }
     }
 }
 
@@ -280,8 +262,8 @@ pub fn time_inference(config: &SystemConfig, model: &Model) -> InferenceReport {
 /// [`time_inference`] with the MAC phase priced for one **measured input**:
 /// the [`crate::sparsity::ActivationProfile`]'s per-sub-layer input-bit
 /// skip fractions are written into the plans before timing, so under
-/// [`crate::SparsityMode::SkipZeroInputs`] / `SkipBoth` the report reflects
-/// that input's activation sparsity (detect overhead charged per round).
+/// [`crate::SparsityMode::SkipBoth`] the report reflects that input's
+/// activation sparsity (detect overhead charged per round).
 /// Under the static modes the profile changes nothing.
 #[must_use]
 pub fn time_inference_with_profile(
@@ -321,7 +303,6 @@ pub fn time_layer(config: &SystemConfig, plan: &LayerPlan, first_layer: bool) ->
     let mut mac_saved_cycles = 0u64;
     let mut mac_detect_cycles = 0u64;
     let mut mac_cycles = 0u64;
-    let mut mac_cycles_lockstep = 0u64;
     let mut active_weighted = 0.0f64;
     let mut streamed_bytes = 0usize;
     let mut dram_bytes = 0usize;
@@ -345,7 +326,6 @@ pub fn time_layer(config: &SystemConfig, plan: &LayerPlan, first_layer: bool) ->
                 mac_saved_cycles += cycles_saved;
                 mac_detect_cycles += cycles.detect;
                 mac_cycles += cycles_mac;
-                mac_cycles_lockstep += cycles.mac_lockstep;
                 phases.add(Phase::Mac, SimTime::from_cycles(cycles_mac, freq));
                 phases.add(Phase::Reduce, SimTime::from_cycles(cycles_red, freq));
                 phases.add(Phase::Quantize, SimTime::from_cycles(cycles_quant, freq));
@@ -439,24 +419,20 @@ pub fn time_layer(config: &SystemConfig, plan: &LayerPlan, first_layer: bool) ->
         mac_saved_cycles,
         mac_detect_cycles,
         mac_cycles,
-        mac_cycles_lockstep,
         active_fraction,
         streamed_bytes,
         dram_bytes,
     }
 }
 
-/// Cycle costs of one convolution unit under both skip-time variants.
+/// Cycle costs of one convolution unit.
 struct ConvCycles {
-    /// MAC cycles under the per-bank-FSM (mean skip) variant — what the
-    /// phase breakdown charges.
+    /// MAC cycles — what the phase breakdown charges.
     mac: u64,
-    /// MAC cycles under the lockstep-bank (max-over-arrays) variant.
-    mac_lockstep: u64,
-    /// Dense-minus-mean MAC cycles elided by round skipping (net of the
-    /// detect overhead under the dynamic modes; saturated at 0).
+    /// Dense-minus-charged MAC cycles elided by round skipping (net of the
+    /// detect overhead under the dynamic mode; saturated at 0).
     saved: u64,
-    /// Wired-NOR zero-detect cycles charged (dynamic modes only).
+    /// Wired-NOR zero-detect cycles charged (dynamic mode only).
     detect: u64,
     /// Reduction cycles.
     reduce: u64,
@@ -465,37 +441,30 @@ struct ConvCycles {
 }
 
 /// Cycles of one convolution unit. Under `SkipZeroRows` the MAC phase
-/// shrinks by the mapping's measured skip fraction. The phase-level model
-/// is the **per-bank-FSM** variant (banks advance through their own round
-/// schedules between reduction barriers, and filters of one sub-layer are
-/// pruned uniformly, so the mean skip fraction applies); the
-/// **lockstep-bank** variant (one FSM steps every bank, so only globally
-/// zero rounds skip) is computed alongside to quantify the spread.
+/// shrinks by the mapping's measured skip fraction: banks advance through
+/// their own round schedules between reduction barriers, and filters of
+/// one sub-layer are pruned uniformly, so the rounds-weighted mean skip
+/// fraction over arrays applies.
 ///
-/// Under the dynamic modes (`SkipZeroInputs`/`SkipBoth`) the MAC phase is
-/// priced by [`CostModelRef::mac_cycles_dynamic`]: every scheduled round
-/// pays the 1-cycle wired-NOR detect, the mapping's (profile-measured)
+/// Under the dynamic mode (`SkipBoth`) the MAC phase is priced by
+/// [`CostModelRef::mac_cycles_dynamic`]: every scheduled round pays the
+/// 1-cycle wired-NOR detect, the mapping's (profile-measured)
 /// `input_skip_fraction` of rounds is elided, and executed rounds run only
-/// `live_mult_bits` adds. No lockstep variant exists here — the dynamic
-/// detect is inherently per-array (a single-cycle wired-NOR cannot span
-/// thousands of arrays), so per-bank FSMs are a prerequisite and the
-/// lockstep column mirrors the per-bank value.
+/// `live_mult_bits` adds.
 fn conv_cycles(cost: &dyn CostModelRef, c: &ConvMapping) -> ConvCycles {
     let rounds = c.rounds as u64;
     let serial_macs = rounds * c.lanes.eff_window as u64;
     let mac_dense = serial_macs * cost.mac_cycles();
-    let (mac, mac_lockstep, detect) = if c.dynamic_detect {
+    let (mac, detect) = if c.dynamic_detect {
         let mac = (serial_macs as f64
             * cost.mac_cycles_dynamic(c.input_skip_fraction, c.live_mult_bits))
         .round() as u64;
         let detect = serial_macs * crate::cost::DATA_BITS as u64 * cost.detect_cycle();
-        (mac, mac, detect)
+        (mac, detect)
     } else {
         let mac =
             (serial_macs as f64 * cost.mac_cycles_sparse(c.simd_skip_fraction)).round() as u64;
-        let lockstep =
-            (serial_macs as f64 * cost.mac_cycles_sparse(c.lockstep_skip_fraction)).round() as u64;
-        (mac, lockstep, 0)
+        (mac, 0)
     };
     let saved = mac_dense.saturating_sub(mac);
     let reduce = rounds
@@ -507,7 +476,6 @@ fn conv_cycles(cost: &dyn CostModelRef, c: &ConvMapping) -> ConvCycles {
         + CROSS_SLICE_MINMAX_CYCLES;
     ConvCycles {
         mac,
-        mac_lockstep,
         saved,
         detect,
         reduce,
@@ -647,6 +615,13 @@ mod tests {
         // Savings are reported per layer and only the MAC phase changes.
         assert!(sparse.layers.iter().any(|l| l.mac_saved_cycles > 0));
         assert!(dense.layers.iter().all(|l| l.mac_saved_cycles == 0));
+        // The MAC phase charges each layer's `mac_cycles` at the compute
+        // clock.
+        let freq = SystemConfig::xeon_e5_2697_v3().timings.compute_freq_hz;
+        for l in dense.layers.iter().chain(&sparse.layers) {
+            let phase_cycles = (l.phases.get(Phase::Mac).as_secs_f64() * freq).round() as u64;
+            assert_eq!(phase_cycles, l.mac_cycles, "{}", l.name);
+        }
         for (d, s) in dense.layers.iter().zip(&sparse.layers) {
             for phase in Phase::ALL {
                 if phase != Phase::Mac {
@@ -655,61 +630,6 @@ mod tests {
             }
         }
         assert!(sparse.total() < dense.total());
-    }
-
-    #[test]
-    fn lockstep_variant_reports_per_layer_spread() {
-        use crate::sparsity::SparsityMode;
-        use nc_dnn::workload::{prune_conv, random_conv, single_conv_model};
-        use nc_dnn::{Padding, Shape};
-        // Near-total magnitude pruning differentiates arrays (moderate
-        // pruning saturates every ~256-lane OR alike, giving zero spread).
-        let conv = prune_conv(
-            random_conv("spread", (3, 3), 16, 64, 1, Padding::Same, true, 9),
-            2,
-            0.99,
-            9,
-        );
-        let model = single_conv_model(conv, Shape::new(12, 12, 16));
-        // Dense: both variants degenerate to the same dense MAC cycles.
-        let dense = time_inference(&SystemConfig::xeon_e5_2697_v3(), &model);
-        for l in &dense.layers {
-            assert_eq!(l.mac_cycles, l.mac_cycles_lockstep, "{}", l.name);
-            assert_eq!(l.skip_time_spread(), 0.0, "{}", l.name);
-        }
-        // Skipping: lockstep pays at least the per-bank mean, and the MAC
-        // phase charged in the breakdown is the per-bank variant.
-        let sparse = time_inference(
-            &SystemConfig::with_sparsity(SparsityMode::SkipZeroRows),
-            &model,
-        );
-        let freq = SystemConfig::xeon_e5_2697_v3().timings.compute_freq_hz;
-        let mut any_spread = false;
-        for l in &sparse.layers {
-            assert!(
-                l.mac_cycles_lockstep >= l.mac_cycles,
-                "{}: lockstep {} < mean {}",
-                l.name,
-                l.mac_cycles_lockstep,
-                l.mac_cycles
-            );
-            assert!(l.skip_time_spread() >= 0.0);
-            any_spread |= l.skip_time_spread() > 0.0;
-            let phase_cycles = (l.phases.get(Phase::Mac).as_secs_f64() * freq).round() as u64;
-            assert_eq!(
-                phase_cycles, l.mac_cycles,
-                "{}: phase charges the mean",
-                l.name
-            );
-        }
-        assert!(
-            any_spread,
-            "magnitude-pruned inception must show a lockstep spread somewhere"
-        );
-        // Lockstep still beats dense (uniform bit pruning skips globally).
-        let dense_mac: u64 = dense.layers.iter().map(|l| l.mac_cycles).sum();
-        let lockstep_mac: u64 = sparse.layers.iter().map(|l| l.mac_cycles_lockstep).sum();
-        assert!(lockstep_mac < dense_mac, "lockstep skipping still helps");
     }
 
     #[test]
@@ -723,8 +643,9 @@ mod tests {
             assert_eq!(l.mac_detect_cycles, 0, "static modes charge no detect");
         }
 
-        let config = SystemConfig::with_sparsity(SparsityMode::SkipZeroInputs);
-        // Without a profile the planner knows no skips: the dynamic mode is
+        let config = SystemConfig::with_sparsity(SparsityMode::SkipBoth);
+        // Without a profile the planner knows no skips, and full-width
+        // random weights leave nothing to truncate: the dynamic mode is
         // pure detect overhead over dense.
         let unprofiled = time_inference(&config, &model);
         let unprofiled_mac: u64 = unprofiled.layers.iter().map(|l| l.mac_cycles).sum();
@@ -763,20 +684,6 @@ mod tests {
                     assert_eq!(d.phases.get(phase), s.phases.get(phase), "{phase:?}");
                 }
             }
-        }
-        // SkipBoth composes the static weight truncation on top: never
-        // slower than inputs-only on the same profile.
-        let both = time_inference_with_profile(
-            &SystemConfig::with_sparsity(SparsityMode::SkipBoth),
-            &model,
-            &profile,
-        );
-        let both_mac: u64 = both.layers.iter().map(|l| l.mac_cycles).sum();
-        assert!(both_mac <= profiled_mac);
-        // The lockstep column mirrors the per-bank value under dynamic
-        // modes (no lockstep wired-NOR across arrays is modeled).
-        for l in &profiled.layers {
-            assert_eq!(l.mac_cycles, l.mac_cycles_lockstep);
         }
     }
 

@@ -125,7 +125,6 @@ mod tests {
         for mode in [
             SparsityMode::Dense,
             SparsityMode::SkipZeroRows,
-            SparsityMode::SkipZeroInputs,
             SparsityMode::SkipBoth,
         ] {
             let report = time_inference(&SystemConfig::with_sparsity(mode), &model);

@@ -2,16 +2,16 @@
 //! pruned weights, `SkipZeroRows` must be byte-identical to dense execution
 //! with exactly reconciled cycle accounting, and on single-conv models the
 //! executed skip counters must match the `sparsity::analyze` prediction
-//! computed on the mapper's real lane packing. The dynamic modes
-//! (`SkipZeroInputs`/`SkipBoth`) get the same treatment against ReLU-sparse
-//! activations: byte identity with detect-aware reconciliation, and executed
-//! input-skip counters equal to the `sparsity::activation_profile`
-//! prediction exactly.
+//! computed on the mapper's real lane packing. The dynamic mode
+//! (`SkipBoth`) gets the same treatment against ReLU-sparse activations:
+//! byte identity with detect-aware reconciliation, and executed input-skip
+//! counters equal to the `sparsity::activation_profile` prediction exactly.
 
 use nc_dnn::workload::{
     prune_conv, random_conv, random_input, relu_act_quant, relu_sparse_input, single_conv_model,
 };
 use nc_dnn::{Padding, Shape};
+use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::run_model_configured;
 use neural_cache::{ExecutionEngine, SparsityMode};
 use proptest::prelude::*;
@@ -95,11 +95,11 @@ proptest! {
         );
     }
 
-    /// `SkipZeroInputs` and `SkipBoth` outputs are byte-identical to
-    /// `Dense` across kernel shapes, channels, strides, paddings,
-    /// activation densities and weight pruning; the detect-aware counters
-    /// reconcile the cycle difference exactly
-    /// (`sparse + saved - detect = dense`).
+    /// `SkipBoth` output is byte-identical to `Dense` across kernel
+    /// shapes, channels, strides, paddings, activation densities and
+    /// weight pruning; the detect-aware counters reconcile the cycle
+    /// difference exactly (`sparse + saved - detect = dense`), and every
+    /// elided input round saves at least a full dense round.
     #[test]
     fn dynamic_skipping_is_byte_identical_to_dense(
         r in 1usize..4,
@@ -128,34 +128,36 @@ proptest! {
         let dense = run_model_configured(
             &model, &input, ExecutionEngine::Sequential, SparsityMode::Dense,
         ).expect("dense run");
-        for mode in [SparsityMode::SkipZeroInputs, SparsityMode::SkipBoth] {
-            let dynamic = run_model_configured(
-                &model, &input, ExecutionEngine::Sequential, mode,
-            ).expect("dynamic run");
-            prop_assert_eq!(dense.output.data(), dynamic.output.data(), "{:?}", mode);
-            prop_assert_eq!(&dense.sublayers, &dynamic.sublayers);
-            prop_assert_eq!(dense.cycles.mul_rounds, dynamic.cycles.mul_rounds);
-            prop_assert_eq!(dense.cycles.access_cycles, dynamic.cycles.access_cycles);
-            prop_assert_eq!(
-                dynamic.cycles.detect_cycles, dynamic.cycles.mul_rounds,
-                "one detect per scheduled round"
-            );
-            prop_assert!(dynamic.cycles.input_rounds_skipped <= dynamic.cycles.mul_rounds);
-            prop_assert_eq!(dynamic.cycles.skipped_rounds, 0, "no weight-round counter");
-            prop_assert_eq!(
-                dynamic.cycles.compute_cycles + dynamic.cycles.skipped_cycles
-                    - dynamic.cycles.detect_cycles,
-                dense.cycles.compute_cycles,
-                "detect-aware reconciliation under {:?}", mode
-            );
-        }
+        let dynamic = run_model_configured(
+            &model, &input, ExecutionEngine::Sequential, SparsityMode::SkipBoth,
+        ).expect("dynamic run");
+        prop_assert_eq!(dense.output.data(), dynamic.output.data());
+        prop_assert_eq!(&dense.sublayers, &dynamic.sublayers);
+        prop_assert_eq!(dense.cycles.mul_rounds, dynamic.cycles.mul_rounds);
+        prop_assert_eq!(dense.cycles.access_cycles, dynamic.cycles.access_cycles);
+        prop_assert_eq!(
+            dynamic.cycles.detect_cycles, dynamic.cycles.mul_rounds,
+            "one detect per scheduled round"
+        );
+        prop_assert!(dynamic.cycles.input_rounds_skipped <= dynamic.cycles.mul_rounds);
+        prop_assert_eq!(dynamic.cycles.skipped_rounds, 0, "no weight-round counter");
+        prop_assert_eq!(
+            dynamic.cycles.compute_cycles + dynamic.cycles.skipped_cycles
+                - dynamic.cycles.detect_cycles,
+            dense.cycles.compute_cycles,
+            "detect-aware reconciliation"
+        );
+        // Truncation only adds savings on top of the elided rounds.
+        prop_assert!(
+            dynamic.cycles.skipped_cycles
+                >= dynamic.cycles.input_rounds_skipped * (DATA_BITS as u64 + 2)
+        );
     }
 
     /// The executed input-skip counters equal the
     /// `sparsity::activation_profile` prediction **exactly** — the profile
     /// replays the mapper's real lane packing on the actual input, so the
-    /// counts (not just the fractions) must agree, under both dynamic
-    /// modes and regardless of weight pruning.
+    /// counts (not just the fractions) must agree.
     #[test]
     fn executed_input_skip_counters_match_activation_profile(
         r in 1usize..4,
@@ -175,22 +177,20 @@ proptest! {
             model.input_shape, f64::from(zero_pct) / 10.0, act_bits, seed + 5,
         );
         let profile = neural_cache::sparsity::activation_profile(&model, &input);
-        for mode in [SparsityMode::SkipZeroInputs, SparsityMode::SkipBoth] {
-            let run = run_model_configured(
-                &model, &input, ExecutionEngine::Sequential, mode,
-            ).expect("dynamic run");
-            prop_assert_eq!(
-                run.cycles.input_rounds_skipped,
-                profile.skippable_rounds(),
-                "executed vs predicted input skips under {:?}", mode
-            );
-            prop_assert_eq!(run.cycles.mul_rounds, profile.total_rounds());
-            let executed = run.cycles.input_skip_fraction();
-            let predicted = profile.input_skip();
-            prop_assert!(
-                (executed - predicted).abs() < 1e-12,
-                "executed {} vs predicted {}", executed, predicted
-            );
-        }
+        let run = run_model_configured(
+            &model, &input, ExecutionEngine::Sequential, SparsityMode::SkipBoth,
+        ).expect("dynamic run");
+        prop_assert_eq!(
+            run.cycles.input_rounds_skipped,
+            profile.skippable_rounds(),
+            "executed vs predicted input skips"
+        );
+        prop_assert_eq!(run.cycles.mul_rounds, profile.total_rounds());
+        let executed = run.cycles.input_skip_fraction();
+        let predicted = profile.input_skip();
+        prop_assert!(
+            (executed - predicted).abs() < 1e-12,
+            "executed {} vs predicted {}", executed, predicted
+        );
     }
 }

@@ -16,10 +16,9 @@ use proptest::prelude::*;
 
 /// Decodes a sparsity mode from a random draw.
 fn mode_from(sel: u8) -> SparsityMode {
-    match sel % 4 {
+    match sel % 3 {
         0 => SparsityMode::Dense,
         1 => SparsityMode::SkipZeroRows,
-        2 => SparsityMode::SkipZeroInputs,
         _ => SparsityMode::SkipBoth,
     }
 }
@@ -53,7 +52,7 @@ proptest! {
         s in 1usize..4,
         c in 1usize..16,
         m in 1usize..5,
-        mode_sel in 0u8..4,
+        mode_sel in 0u8..3,
         threaded in any::<bool>(),
         keep_bits in 1u32..9,
         zero_pct in 0u32..11,
@@ -112,7 +111,7 @@ proptest! {
     fn summary_level_records_counters_without_spans(
         c in 1usize..12,
         m in 1usize..4,
-        mode_sel in 0u8..4,
+        mode_sel in 0u8..3,
         seed in 0u64..1000,
     ) {
         let conv = random_conv("prop", (3, 3), c, m, 1, Padding::Same, true, seed);

@@ -23,7 +23,9 @@
 //!    goodput ≤ offered load) the bench gate enforces.
 //!
 //! Everything is deterministic: identical seeds give byte-identical
-//! [`ServingTrace`] logs under every [`neural_cache::ExecutionEngine`].
+//! [`ServingTrace`] logs. The simulator runs on the calling thread and
+//! reads no [`neural_cache::ExecutionEngine`]; that knob selects the engine
+//! of the functional executor only.
 //!
 //! # Quickstart
 //!

@@ -5,9 +5,10 @@
 //!
 //! Determinism: events order by `(time, sequence number)` with a total
 //! order on time, every RNG draw happens in event-pop order, and the
-//! timing substrate is engine-independent (the `SystemConfig::parallelism`
-//! knob changes host wall-clock only), so identical seeds produce
-//! byte-identical [`ServingTrace`] logs under every execution engine.
+//! batch cost model times its layers in order on the calling thread, so
+//! identical seeds produce byte-identical [`ServingTrace`] logs. No serving
+//! path reads `SystemConfig::parallelism`, which selects the engine of the
+//! functional executor only.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -24,7 +25,7 @@ use crate::trace::{ArrivalProcess, Request, TraceConfig};
 /// policy, admission bound, and the latency SLO.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Timing substrate (geometry, cost model, engine, sparsity).
+    /// Timing substrate (geometry, cost model, sparsity).
     pub system: SystemConfig,
     /// Independent cache slices batches dispatch onto. Each slice holds its
     /// own stationary copy of the weights (Section IV-E), pays the filter
@@ -705,7 +706,7 @@ mod tests {
         let model = relu_sparse_conv_model(4);
         let input = relu_sparse_input(model.input_shape, 0.7, 2, 6);
         let profile = activation_profile(&model, &input);
-        let system = SystemConfig::with_sparsity(SparsityMode::SkipZeroInputs);
+        let system = SystemConfig::with_sparsity(SparsityMode::SkipBoth);
         let cost = BatchCostModel::with_profile(&system, &model, &profile);
         assert!(cost.image_time_spread() > nc_geometry::SimTime::ZERO);
 

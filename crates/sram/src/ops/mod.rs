@@ -132,9 +132,6 @@ mod tests {
             ("mul_skip_zero_rows/zero row", |a, x, y, _| {
                 a.mul_skip_zero_rows(x, y, op(240, 16))
             }),
-            ("mul_skip_zero_input_bits/zero row", |a, x, y, _| {
-                a.mul_skip_zero_input_bits(x, y, op(240, 16))
-            }),
             ("mul_skip_both/zero row", |a, x, y, _| {
                 a.mul_skip_both(x, y, op(240, 16))
             }),

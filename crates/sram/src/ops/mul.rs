@@ -80,59 +80,25 @@ impl ComputeArray {
         Ok(self.stats() - before)
     }
 
-    /// Vector multiplication with **dynamic input-bit round elision**: the
-    /// multiplier `b` holds streamed input activations, so the control FSM
-    /// cannot precompute which bit-slice rows are all-zero (unlike the
-    /// stationary weights of [`ComputeArray::mul_skip_zero_rows`]). Instead
-    /// every scheduled round pays a **1-cycle tag-latch wired-NOR
-    /// zero-detect** ([`ComputeArray::op_detect_zero`]): the multiplier
-    /// bit-slice is sensed into the tags and the wired-NOR reports whether
-    /// any lane holds a `1`. A round whose slice is zero on every lane is
-    /// then elided (the tag-gated adds and carry write could not change any
-    /// cell); a live round executes the normal Figure 6 schedule.
+    /// Vector multiplication composing **both** sparsity mechanisms.
     ///
-    /// The products are **bit-identical** to [`ComputeArray::mul`]. Cycle
-    /// accounting: every round adds one cycle to
-    /// [`CycleStats::detect_cycles`] (also counted in `compute_cycles` —
-    /// the model conservatively does not fuse the detect with the live
-    /// round's tag load), elided rounds are counted in
-    /// [`CycleStats::input_rounds_skipped`] and save `n + 2` cycles in
-    /// [`CycleStats::skipped_cycles`]. Skipping therefore nets a gain only
-    /// when more than ~1/(n+2) of the rounds are elidable — ReLU-sparse
-    /// activations clear that bar easily; dense ones do not.
+    /// **Dynamic input-bit round elision** on the multiplier `b`: it holds
+    /// streamed input activations, so the control FSM cannot precompute
+    /// which bit-slice rows are all-zero (unlike the stationary weights of
+    /// [`ComputeArray::mul_skip_zero_rows`]). Instead every scheduled round
+    /// pays a **1-cycle tag-latch wired-NOR zero-detect**
+    /// ([`ComputeArray::op_detect_zero`]): the multiplier bit-slice is
+    /// sensed into the tags and the wired-NOR reports whether any lane
+    /// holds a `1`. A round whose slice is zero on every lane is then
+    /// elided (the tag-gated adds and carry write could not change any
+    /// cell); a live round executes the Figure 6 schedule.
     ///
-    /// # Errors
-    ///
-    /// Same operand constraints as [`ComputeArray::mul`].
-    pub fn mul_skip_zero_input_bits(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        prod: Operand,
-    ) -> Result<CycleStats> {
-        self.validate_mul(a, b, prod)?;
-        let (n, m) = (a.bits(), b.bits());
-        let before = self.stats();
-        self.zero_steps(prod);
-        for j in 0..m {
-            self.note_mul_round();
-            if self.step_detect_zero(b.row(j)) {
-                self.note_input_round_skipped(n as u64 + 2);
-                continue;
-            }
-            self.mul_round(a, b, prod, j, n);
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Vector multiplication composing **both** sparsity mechanisms: the
-    /// dynamic input-bit zero-detect of
-    /// [`ComputeArray::mul_skip_zero_input_bits`] on the multiplier `b`
-    /// (streamed activations), plus **static multiplicand truncation** on
-    /// `a` (stationary weights): the FSM knows from filter-load time the
-    /// highest weight bit-slice row that is live on *any* lane, and
-    /// schedules only `live` predicated adds per executed round instead of
-    /// `n`, committing the carry directly at `prod[j + live]`.
+    /// **Static multiplicand truncation** on `a` (stationary weights): the
+    /// FSM knows from filter-load time the highest weight bit-slice row
+    /// that is live on *any* lane, and schedules only `live` predicated
+    /// adds per executed round instead of `n`, committing the carry
+    /// directly at `prod[j + live]`. On full-width weights `live = n` and
+    /// the schedule is the input-skip one alone.
     ///
     /// Truncation is bit-exact: rows of `a` at and above `live` are zero on
     /// every lane, so the dense schedule's upper adds only ripple the
@@ -145,10 +111,17 @@ impl ComputeArray {
     /// those requires the weights to be the multiplier, which is exactly
     /// [`ComputeArray::mul_skip_zero_rows`]'s regime.
     ///
-    /// Cycle accounting: as `mul_skip_zero_input_bits`, plus
-    /// `n - live` cycles per executed round are recorded in
-    /// [`CycleStats::skipped_cycles`] (no round counter — the round runs,
-    /// shortened).
+    /// The products are **bit-identical** to [`ComputeArray::mul`]. Cycle
+    /// accounting: every round adds one cycle to
+    /// [`CycleStats::detect_cycles`] (also counted in `compute_cycles` —
+    /// the model conservatively does not fuse the detect with the live
+    /// round's tag load), elided rounds are counted in
+    /// [`CycleStats::input_rounds_skipped`] and save `n + 2` cycles in
+    /// [`CycleStats::skipped_cycles`], and each executed round records its
+    /// `n - live` truncated adds there too (no round counter — the round
+    /// runs, shortened). Input skipping nets a gain only when more than
+    /// ~1/(n+2) of the rounds are elidable — ReLU-sparse activations clear
+    /// that bar easily; dense ones do not.
     ///
     /// # Errors
     ///
@@ -422,7 +395,7 @@ mod tests {
             sparse.poke_lane(lane, b, *y);
         }
         let d = dense.mul(a, b, p).unwrap();
-        let s = sparse.mul_skip_zero_input_bits(a, b, p).unwrap();
+        let s = sparse.mul_skip_both(a, b, p).unwrap();
         for (lane, (x, y)) in values.iter().enumerate() {
             assert_eq!(sparse.peek_lane(lane, p), x * y, "lane {lane}");
         }
@@ -445,10 +418,11 @@ mod tests {
         let a = Operand::new(0, 8).unwrap();
         let b = Operand::new(8, 8).unwrap();
         let p = Operand::new(16, 16).unwrap();
-        arr.poke_lane(0, a, 7);
+        // Multiplicand 135 reaches bit 7, so `live = 8`: no truncation.
+        arr.poke_lane(0, a, 135);
         arr.poke_lane(0, b, 255);
-        let s = arr.mul_skip_zero_input_bits(a, b, p).unwrap();
-        assert_eq!(arr.peek_lane(0, p), 7 * 255);
+        let s = arr.mul_skip_both(a, b, p).unwrap();
+        assert_eq!(arr.peek_lane(0, p), 135 * 255);
         assert_eq!(s.input_rounds_skipped, 0);
         assert_eq!(s.detect_cycles, 8);
         assert_eq!(s.compute_cycles, 96 + 8, "full dense cost plus detects");
@@ -533,10 +507,6 @@ mod tests {
                 arr.poke_lane(lane, a, x);
                 arr.poke_lane(lane, b, y);
             }
-            arr.mul_skip_zero_input_bits(a, b, p).unwrap();
-            for (lane, &y) in interesting.iter().enumerate() {
-                assert_eq!(arr.peek_lane(lane, p), x * y, "input-skip {x} * {y}");
-            }
             arr.mul_skip_both(a, b, p).unwrap();
             for (lane, &y) in interesting.iter().enumerate() {
                 assert_eq!(arr.peek_lane(lane, p), x * y, "skip-both {x} * {y}");
@@ -550,10 +520,6 @@ mod tests {
         let a = Operand::new(0, 8).unwrap();
         let b = Operand::new(8, 8).unwrap();
         let narrow = Operand::new(16, 15).unwrap();
-        assert!(matches!(
-            arr.mul_skip_zero_input_bits(a, b, narrow),
-            Err(SramError::DestinationTooNarrow { .. })
-        ));
         assert!(matches!(
             arr.mul_skip_both(a, b, narrow),
             Err(SramError::DestinationTooNarrow { .. })

@@ -156,9 +156,6 @@ mod tests {
             ("mul_skip_zero_rows", |a, x, y, _| {
                 a.mul_skip_zero_rows(x, y, op(16, 16))
             }),
-            ("mul_skip_zero_input_bits", |a, x, y, _| {
-                a.mul_skip_zero_input_bits(x, y, op(16, 16))
-            }),
             ("mul_skip_both", |a, x, y, _| {
                 a.mul_skip_both(x, y, op(16, 16))
             }),

@@ -32,8 +32,8 @@ pub struct CycleStats {
     /// `compute_cycles`, which only counts cycles actually executed.
     pub skipped_cycles: u64,
     /// Tag-latch wired-NOR zero-detect cycles spent probing dynamic
-    /// (input) multiplier bit-slices — one per scheduled round of the
-    /// [`crate::ComputeArray::mul_skip_zero_input_bits`] family. These are
+    /// (input) multiplier bit-slices — one per scheduled round of
+    /// [`crate::ComputeArray::mul_skip_both`]. These are
     /// real executed cycles (also counted in `compute_cycles`): the dense
     /// schedule never pays them, so they offset the input-skip savings.
     pub detect_cycles: u64,

@@ -34,7 +34,7 @@
 //!    and engines (V010). Both report structured [`diag::Diagnostic`]s
 //!    with stable `Vxxx` codes.
 //! 4. **Executed pool events** ([`reconcile_pool_events`]): every executed
-//!    run — four sparsity modes on both engines — must check out exactly
+//!    run — three sparsity modes on both engines — must check out exactly
 //!    the `ArrayPool` arrays the sequential dense run does and return every
 //!    one of them (V020). The Threaded engine needs no static model of its
 //!    own: the workspace forbids `unsafe`, shard jobs are
@@ -51,7 +51,7 @@
 //!
 //! Entry points: [`check_model`] (static + analytical legs, works on
 //! shape-only models) and [`check_executed_model`] (adds the executed legs
-//! by running the functional executor under all four sparsity modes on
+//! by running the functional executor under all three sparsity modes on
 //! both engines). The `plan_lint` bench bin sweeps every shipped workload ×
 //! sparsity mode × engine and fails CI on any diagnostic.
 
@@ -90,20 +90,19 @@ use neural_cache::{ExecutionEngine, SparsityMode, SystemConfig, UnitPlan};
 use crate::diag::{Diagnostic, ErrorCode};
 use crate::report::VerifyReport;
 
-/// The four sparsity modes every sweep covers.
-pub const ALL_MODES: [SparsityMode; 4] = [
+/// The three sparsity modes every sweep covers.
+pub const ALL_MODES: [SparsityMode; 3] = [
     SparsityMode::Dense,
     SparsityMode::SkipZeroRows,
-    SparsityMode::SkipZeroInputs,
     SparsityMode::SkipBoth,
 ];
 
 /// Diagnostic labels of [`ALL_MODES`], in the same order.
-const MODE_LABELS: [&str; 4] = ["dense", "skip_rows", "skip_inputs", "skip_both"];
+const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 
 /// Statically verifies a model's plan under `config`: executor operand
 /// layouts, per-mode MAC-tap schedules, cost-model anchor points, every
-/// layer's lane geometry and row budget under all four sparsity modes, one
+/// layer's lane geometry and row budget under all three sparsity modes, one
 /// reduce schedule per distinct group span, and the batching model's
 /// reserved-way dump-overlap window invariants.
 ///
@@ -308,7 +307,7 @@ pub fn check_executed_model(
     let mut report = check_model(config, model);
     let mut diags = Vec::new();
 
-    // The eight executed runs, labelled once and shared by every leg below:
+    // The six executed runs, labelled once and shared by every leg below:
     // each sparsity mode on the sequential engine, then on the threaded one.
     let mut runs: Vec<(String, FunctionalResult)> = Vec::with_capacity(2 * ALL_MODES.len());
     for (engine_label, engine) in [
@@ -321,7 +320,7 @@ pub fn check_executed_model(
         }
     }
     let (seq, threaded) = runs.split_at(ALL_MODES.len());
-    let [dense, skipping, dynamic, both] = [0, 1, 2, 3].map(|i| &seq[i].1);
+    let [dense, skipping, both] = [0, 1, 2].map(|i| &seq[i].1);
 
     let predicted_rounds = predicted_mul_rounds(config, model);
     let mut expect = |cond: bool, op: &str, msg: String| {
@@ -383,34 +382,21 @@ pub fn check_executed_model(
         ),
     );
 
-    for (name, r) in [("skip_inputs", dynamic), ("skip_both", both)] {
-        let c = r.cycles;
-        expect(
-            c.compute_cycles + c.skipped_cycles - c.detect_cycles == d.compute_cycles,
-            name,
-            format!(
-                "executed {} + saved {} - detect {} != dense {}",
-                c.compute_cycles, c.skipped_cycles, c.detect_cycles, d.compute_cycles
-            ),
-        );
-        expect(
-            c.detect_cycles == c.mul_rounds,
-            name,
-            format!(
-                "every scheduled round pays one detect: {} rounds, {} detects",
-                c.mul_rounds, c.detect_cycles
-            ),
-        );
-    }
+    let c = both.cycles;
     expect(
-        dynamic.cycles.skipped_cycles
-            == dynamic.cycles.input_rounds_skipped * (DATA_BITS as u64 + 2),
-        "skip_inputs/rounds",
+        c.compute_cycles + c.skipped_cycles - c.detect_cycles == d.compute_cycles,
+        "skip_both",
         format!(
-            "{} elided input rounds should save {} cycles, recorded {}",
-            dynamic.cycles.input_rounds_skipped,
-            dynamic.cycles.input_rounds_skipped * (DATA_BITS as u64 + 2),
-            dynamic.cycles.skipped_cycles
+            "executed {} + saved {} - detect {} != dense {}",
+            c.compute_cycles, c.skipped_cycles, c.detect_cycles, d.compute_cycles
+        ),
+    );
+    expect(
+        c.detect_cycles == c.mul_rounds,
+        "skip_both",
+        format!(
+            "every scheduled round pays one detect: {} rounds, {} detects",
+            c.mul_rounds, c.detect_cycles
         ),
     );
 
@@ -436,7 +422,7 @@ pub fn check_executed_model(
     report.record("pool-reconciliation", pool_diags);
 
     // V021 executed leg: every per-sublayer accumulator min/max measured
-    // by any of the eight runs must lie inside the statically certified
+    // by any of the six runs must lie inside the statically certified
     // interval — the empirical soundness gate of the range analysis.
     let ranges = range::model_ranges(model);
     let range_diags = runs
