@@ -18,7 +18,6 @@ fn main() {
         ("== Figure 16 ==", nc_bench::fig16()),
         ("== Sparsity ==", nc_bench::sparsity()),
         ("== Activation sparsity ==", nc_bench::activation_sparsity()),
-        ("== Serving ==", nc_bench::serving_under_load()),
         ("== Headlines ==", nc_bench::headlines()),
     ] {
         println!("{title}");

@@ -35,7 +35,6 @@
 )]
 
 pub mod perf;
-pub mod serving;
 pub mod telemetry;
 
 use std::fmt::Write as _;
@@ -519,13 +518,6 @@ pub fn activation_sparsity_with(comparisons: &[perf::ActivationComparison]) -> S
     out
 }
 
-/// Serving-under-load artifact: the `nc-serve` discrete-event simulator's
-/// offered-load sweep and trace/policy matrix (see [`serving`]).
-#[must_use]
-pub fn serving_under_load() -> String {
-    serving::render_text(&serving::run_serving_bench())
-}
-
 /// Section I/III headline numbers: ALU slots, peak TOP/s, area overheads.
 #[must_use]
 pub fn headlines() -> String {
@@ -579,7 +571,6 @@ mod tests {
             ("fig16", fig16()),
             ("headlines", headlines()),
             ("activation_sparsity", activation_sparsity()),
-            ("serving", serving_under_load()),
         ] {
             assert!(text.lines().count() >= 3, "{name} too short:\n{text}");
         }

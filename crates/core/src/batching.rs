@@ -11,7 +11,7 @@
 use nc_geometry::{DramModel, SimTime};
 
 use crate::config::SystemConfig;
-use crate::mapping::{plan_model_with, LayerPlan};
+use crate::mapping::plan_model_with;
 use crate::timing::{time_layer, Phase};
 
 /// Fraction of the double-buffered dump traffic that actually drains in the
@@ -22,21 +22,6 @@ use crate::timing::{time_layer, Phase};
 /// fully-serialized ~588 and the fully-overlapped ~945, on the optimistic
 /// side of the paper's 604 (which models no overlap at all).
 pub const DUMP_OVERLAP_EFFICIENCY: f64 = 0.5;
-
-/// One socket's Section IV-E time split: (one-time filter loading,
-/// per-image streaming + compute), timed layer by layer in layer order.
-/// Shared by both [`BatchCostModel`] constructors.
-fn socket_times(config: &SystemConfig, plans: &[LayerPlan]) -> (SimTime, SimTime) {
-    let mut filter_time = SimTime::ZERO;
-    let mut per_image_time = SimTime::ZERO;
-    for (i, plan) in plans.iter().enumerate() {
-        let layer = time_layer(config, plan, i == 0);
-        let f = layer.phases.get(Phase::FilterLoad);
-        filter_time += f;
-        per_image_time += layer.total() - f;
-    }
-    (filter_time, per_image_time)
-}
 
 /// Timing result of a batch of inferences.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,13 +76,6 @@ impl BatchReport {
 pub struct BatchCostModel {
     filter_time: SimTime,
     per_image_time: SimTime,
-    /// How much *slower* a fully-dense-activation image is than the
-    /// profile-measured `per_image_time` under a dynamic sparsity mode
-    /// (zero for static modes and unprofiled models): the activation
-    /// sparsity of each image decides where in
-    /// `[per_image_time, per_image_time + image_time_spread]` its marginal
-    /// cost lands.
-    image_time_spread: SimTime,
     io_capacity: usize,
     dram: DramModel,
     sockets: usize,
@@ -107,28 +85,23 @@ pub struct BatchCostModel {
 
 impl BatchCostModel {
     /// Plans `model` once under `config` and captures everything needed to
-    /// cost batches of any size.
+    /// cost batches of any size: one socket's Section IV-E split into
+    /// one-time filter loading and per-image streaming + compute, timed
+    /// layer by layer in layer order.
     #[must_use]
     pub fn new(config: &SystemConfig, model: &nc_dnn::Model) -> Self {
         let plans = plan_model_with(model, &config.geometry, config.sparsity);
-        let (filter_time, per_image_time) = socket_times(config, &plans);
-        BatchCostModel::from_plans(config, &plans, filter_time, per_image_time, SimTime::ZERO)
-    }
-
-    /// Shared constructor tail of [`BatchCostModel::new`] /
-    /// [`BatchCostModel::with_profile`]: captures the config-derived fields
-    /// and the per-layer output profile from a set of plans.
-    fn from_plans(
-        config: &SystemConfig,
-        plans: &[LayerPlan],
-        filter_time: SimTime,
-        per_image_time: SimTime,
-        image_time_spread: SimTime,
-    ) -> Self {
+        let mut filter_time = SimTime::ZERO;
+        let mut per_image_time = SimTime::ZERO;
+        for (i, plan) in plans.iter().enumerate() {
+            let layer = time_layer(config, plan, i == 0);
+            let f = layer.phases.get(Phase::FilterLoad);
+            filter_time += f;
+            per_image_time += layer.total() - f;
+        }
         BatchCostModel {
             filter_time,
             per_image_time,
-            image_time_spread,
             io_capacity: config.geometry.io_way_bytes(),
             dram: config.dram,
             sockets: config.sockets,
@@ -137,43 +110,6 @@ impl BatchCostModel {
                 .map(|p| (p.name.clone(), p.output_bytes))
                 .collect(),
         }
-    }
-
-    /// [`BatchCostModel::new`] priced for a **measured activation
-    /// profile**: under [`crate::SparsityMode::SkipBoth`],
-    /// `per_image_time()` reflects the profile's input-bit skip fractions,
-    /// and [`BatchCostModel::image_time_spread`] captures how much slower a
-    /// fully-dense-activation image runs (the same plans with zero measured
-    /// skip — detect overhead still charged).
-    /// This is what makes serving latency activation-dependent: images are
-    /// no longer interchangeable units of work. Under static modes the
-    /// profile changes nothing and the spread is zero.
-    #[must_use]
-    pub fn with_profile(
-        config: &SystemConfig,
-        model: &nc_dnn::Model,
-        profile: &crate::sparsity::ActivationProfile,
-    ) -> Self {
-        let mut plans = plan_model_with(model, &config.geometry, config.sparsity);
-        // Zero-skip pricing first (plans carry no measured fractions yet):
-        // the worst-case per-image time of a fully dense activation tensor.
-        let (_, per_image_dense) = socket_times(config, &plans);
-        profile.apply_to_plans(&mut plans);
-        let (filter_time, per_image_time) = socket_times(config, &plans);
-        let spread = if per_image_dense > per_image_time {
-            per_image_dense - per_image_time
-        } else {
-            SimTime::ZERO
-        };
-        BatchCostModel::from_plans(config, &plans, filter_time, per_image_time, spread)
-    }
-
-    /// Extra marginal time of a fully-dense-activation image over the
-    /// profiled `per_image_time()` (zero unless built by
-    /// [`BatchCostModel::with_profile`] under a dynamic sparsity mode).
-    #[must_use]
-    pub fn image_time_spread(&self) -> SimTime {
-        self.image_time_spread
     }
 
     /// One-time filter-loading cost (paid once while weights become
@@ -262,31 +198,6 @@ impl BatchCostModel {
             SimTime::ZERO
         };
         filter + self.per_image_time * batch as f64 + stall
-    }
-
-    /// [`BatchCostModel::service_time`] with **per-image activation
-    /// densities**: each image contributes `per_image_time() + act *
-    /// image_time_spread()`, where `act` in `[0, 1]` is its activation
-    /// density relative to the measured profile (0 = as sparse as the
-    /// profile, 1 = fully dense activations). With a zero spread (static
-    /// modes / unprofiled models) this is exactly
-    /// `service_time(acts.len(), cold)` — the serving simulator calls this
-    /// unconditionally and degenerates to the classic cost when
-    /// activation pricing is off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `acts` is empty.
-    #[must_use]
-    pub fn service_time_acts(&self, acts: &[f64], cold: bool) -> SimTime {
-        assert!(!acts.is_empty(), "batch must be at least 1");
-        let mut t = self.service_time(acts.len(), cold);
-        if self.image_time_spread > SimTime::ZERO {
-            for &act in acts {
-                t += self.image_time_spread * act.clamp(0.0, 1.0);
-            }
-        }
-        t
     }
 
     /// Full Section IV-E batch report (cold start: includes filter load).
@@ -570,59 +481,6 @@ mod tests {
     fn report_rejects_empty_batches() {
         let cost = BatchCostModel::new(&config(), &inception_v3());
         let _ = cost.report(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch must be at least 1")]
-    fn activation_service_time_rejects_empty_batches() {
-        let cost = BatchCostModel::new(&config(), &inception_v3());
-        let _ = cost.service_time_acts(&[], false);
-    }
-
-    #[test]
-    fn profiled_cost_model_prices_activation_density() {
-        use crate::sparsity::{activation_profile, SparsityMode};
-        use nc_dnn::workload::{relu_sparse_conv_model, relu_sparse_input};
-        let model = relu_sparse_conv_model(2);
-        let input = relu_sparse_input(model.input_shape, 0.7, 2, 5);
-        let profile = activation_profile(&model, &input);
-        let dynamic = SystemConfig::with_sparsity(SparsityMode::SkipBoth);
-        let cost = BatchCostModel::with_profile(&dynamic, &model, &profile);
-        assert!(
-            cost.image_time_spread() > SimTime::ZERO,
-            "a sparse profile must open a dense-vs-sparse image spread"
-        );
-        // Dense images cost more than profile-sparse ones; the batch total
-        // interpolates per image.
-        let sparse_batch = cost.service_time_acts(&[0.0, 0.0], false);
-        let dense_batch = cost.service_time_acts(&[1.0, 1.0], false);
-        let mixed = cost.service_time_acts(&[0.0, 1.0], false);
-        assert!(dense_batch > sparse_batch);
-        assert!(sparse_batch < mixed && mixed < dense_batch);
-        assert_eq!(
-            sparse_batch,
-            cost.service_time(2, false),
-            "act = 0 images cost the profiled per-image time"
-        );
-        let spread2 = cost.image_time_spread() * 2.0;
-        assert!((dense_batch.as_secs_f64() - (sparse_batch + spread2).as_secs_f64()).abs() < 1e-15);
-        // Out-of-range densities clamp.
-        assert_eq!(
-            cost.service_time_acts(&[7.0], false),
-            cost.service_time_acts(&[1.0], false)
-        );
-
-        // Static modes: no spread, and the acts path degenerates exactly.
-        let static_cost = BatchCostModel::new(&SystemConfig::xeon_e5_2697_v3(), &model);
-        assert_eq!(static_cost.image_time_spread(), SimTime::ZERO);
-        assert_eq!(
-            static_cost.service_time_acts(&[0.3, 0.9, 1.0], true),
-            static_cost.service_time(3, true)
-        );
-        // The profiled dynamic per-image time beats the unprofiled one
-        // (which charges detects but knows no skips).
-        let unprofiled = BatchCostModel::new(&dynamic, &model);
-        assert!(cost.per_image_time() < unprofiled.per_image_time());
     }
 
     #[test]

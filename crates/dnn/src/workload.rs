@@ -415,59 +415,6 @@ pub fn mini_inception(seed: u64) -> Model {
     model
 }
 
-/// One traffic class of a serving workload mix: a named share of the
-/// request stream with an admission priority (lower = served first) and a
-/// latency-SLO scale relative to the mix's base SLO (interactive traffic
-/// gets a tight budget, best-effort a loose one).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrafficClass {
-    /// Class name (e.g. `"interactive"`).
-    pub name: &'static str,
-    /// Share of the request stream in `[0, 1]`; a mix's shares sum to 1.
-    pub share: f64,
-    /// Admission priority: lower values dequeue first.
-    pub priority: u8,
-    /// Latency-SLO multiplier relative to the mix's base SLO.
-    pub slo_scale: f64,
-}
-
-/// The default two-class serving mix: 70% latency-sensitive interactive
-/// requests served ahead of 30% best-effort batch requests with a 4x looser
-/// latency budget. Serving simulators draw each request's class from these
-/// shares.
-#[must_use]
-pub fn default_traffic_mix() -> Vec<TrafficClass> {
-    vec![
-        TrafficClass {
-            name: "interactive",
-            share: 0.7,
-            priority: 0,
-            slo_scale: 1.0,
-        },
-        TrafficClass {
-            name: "best-effort",
-            share: 0.3,
-            priority: 1,
-            slo_scale: 4.0,
-        },
-    ]
-}
-
-/// Draws a class index from `mix` shares using one uniform draw in
-/// `[0, 1)` (requests map deterministically from the trace RNG stream).
-/// Falls back to the last class when rounding leaves a sliver.
-#[must_use]
-pub fn draw_class(mix: &[TrafficClass], uniform: f64) -> usize {
-    let mut acc = 0.0;
-    for (i, class) in mix.iter().enumerate() {
-        acc += class.share;
-        if uniform < acc {
-            return i;
-        }
-    }
-    mix.len().saturating_sub(1)
-}
-
 /// A single-conv model, handy for focused equivalence tests.
 #[must_use]
 pub fn single_conv_model(conv: Conv2d, input_shape: Shape) -> Model {
@@ -622,20 +569,6 @@ mod tests {
         assert_eq!(single.layers.len(), 1);
         let input = relu_sparse_input(single.input_shape, 0.5, 4, 9);
         let _ = run_model(&single, &input);
-    }
-
-    #[test]
-    fn traffic_mix_shares_sum_to_one_and_draw_covers_classes() {
-        let mix = default_traffic_mix();
-        let total: f64 = mix.iter().map(|c| c.share).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!(mix.windows(2).all(|w| w[0].priority <= w[1].priority));
-        assert_eq!(draw_class(&mix, 0.0), 0);
-        assert_eq!(draw_class(&mix, 0.699), 0);
-        assert_eq!(draw_class(&mix, 0.701), 1);
-        assert_eq!(draw_class(&mix, 0.9999), 1);
-        // Degenerate draws clamp to the last class.
-        assert_eq!(draw_class(&mix, 1.0), 1);
     }
 
     #[test]

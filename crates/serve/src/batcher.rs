@@ -1,153 +1,58 @@
-//! Dynamic batching policies: how the admission queue turns waiting
-//! requests into dispatched batches, costed through the plan-once
+//! SLO-adaptive dynamic batching: how many waiting requests the admission
+//! queue hands a free slice, costed through the plan-once
 //! [`BatchCostModel`].
 
 use nc_geometry::SimTime;
 use neural_cache::BatchCostModel;
 
-/// A batch-formation policy evaluated whenever a slice is free and the
-/// queue is non-empty (and re-evaluated at its own requested deadlines).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchPolicy {
-    /// Wait until exactly `size` requests queue, then dispatch them
-    /// (classic fixed-size batching; the tail of a draining trace
-    /// dispatches short).
-    Fixed {
-        /// Batch size to accumulate.
-        size: usize,
-    },
-    /// Dispatch `max_batch` as soon as they queue, or whatever has queued
-    /// once the oldest request has waited `max_wait` (timeout batching).
-    MaxWait {
-        /// Largest batch to form.
-        max_batch: usize,
-        /// Longest the oldest request may wait before a forced dispatch.
-        max_wait: SimTime,
-    },
-    /// Work-conserving SLO-aware adaptive sizing: dispatch immediately
-    /// whenever a slice is free, choosing the largest batch (up to
-    /// `max_batch`) whose estimated completion still meets the oldest
-    /// request's latency SLO (the `ServeConfig::slo` budget handed to
-    /// [`BatchPolicy::decide`] — one SLO, no duplicated copy to drift);
-    /// when even a single-image batch would miss, salvage throughput with
-    /// a full batch. Batch sizes grow with load and shrink back when the
-    /// queue drains.
-    SloAdaptive {
-        /// Largest batch to form.
-        max_batch: usize,
-    },
-}
-
-/// What the policy wants done at this evaluation point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BatchDecision {
-    /// Dispatch the first `n` queued requests now.
-    Dispatch(usize),
-    /// Hold, and re-evaluate no later than the given time (a timer event).
-    WaitUntil(SimTime),
-    /// Hold until the next arrival or completion.
-    Wait,
-}
-
-impl BatchPolicy {
-    /// Largest batch this policy ever forms.
-    #[must_use]
-    pub fn max_batch(&self) -> usize {
-        match *self {
-            BatchPolicy::Fixed { size } => size,
-            BatchPolicy::MaxWait { max_batch, .. } | BatchPolicy::SloAdaptive { max_batch, .. } => {
-                max_batch
-            }
+/// Work-conserving SLO-aware adaptive sizing, evaluated whenever a slice is
+/// free and the queue is non-empty: dispatch immediately, choosing the
+/// largest batch (up to `max_batch`) whose estimated completion on this
+/// slice (a `cold` slice pays the one-time filter load) still meets the
+/// oldest request's latency `slo`; when even a single-image batch would
+/// miss, salvage throughput with a full batch. Batch sizes grow with load
+/// and shrink back when the queue drains.
+///
+/// `queued` requests are waiting, the overall-oldest of them arrived at
+/// `oldest_arrival`, and the returned size lies in `1..=min(max_batch,
+/// queued)`.
+///
+/// # Panics
+///
+/// Panics if called with an empty queue.
+#[must_use]
+pub fn adaptive_batch(
+    now: SimTime,
+    queued: usize,
+    oldest_arrival: SimTime,
+    cold: bool,
+    slo: SimTime,
+    max_batch: usize,
+    cost: &BatchCostModel,
+) -> usize {
+    assert!(queued > 0, "policy evaluated on an empty queue");
+    let cap = max_batch.max(1).min(queued);
+    let wait = now - oldest_arrival.min(now);
+    // Largest batch whose service on *this* slice (cold pays the filter
+    // load) still meets the oldest request's SLO; service time is monotone
+    // in batch size, so binary-search the feasibility boundary.
+    let feasible = |b: usize| wait + cost.service_time(b, cold) <= slo;
+    let mut pick = 0;
+    let (mut lo, mut hi) = (1, cap);
+    while lo <= hi {
+        let mid = lo + (hi - lo) / 2;
+        if feasible(mid) {
+            pick = mid;
+            lo = mid + 1;
+        } else {
+            hi = mid - 1;
         }
     }
-
-    /// Short label for reports.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            BatchPolicy::Fixed { .. } => "fixed",
-            BatchPolicy::MaxWait { .. } => "max-wait",
-            BatchPolicy::SloAdaptive { .. } => "slo-adaptive",
-        }
+    if pick == 0 {
+        // Even a single image misses: salvage throughput.
+        pick = cap;
     }
-
-    /// Policy decision given the queue state: `queued` requests waiting,
-    /// the overall-oldest arrival among them, whether the trace is
-    /// draining (no further arrivals can ever come, so holding out for a
-    /// fuller batch is pointless), whether the candidate slice is `cold`
-    /// (its first batch pays the one-time filter load, which the SLO-aware
-    /// policy must price into feasibility), and the base latency `slo`
-    /// budget from `ServeConfig` (only [`BatchPolicy::SloAdaptive`]
-    /// consults it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with an empty queue.
-    #[must_use]
-    #[allow(clippy::too_many_arguments)] // one flat scheduler-state snapshot
-    pub fn decide(
-        &self,
-        now: SimTime,
-        queued: usize,
-        oldest_arrival: SimTime,
-        draining: bool,
-        cold: bool,
-        slo: SimTime,
-        cost: &BatchCostModel,
-    ) -> BatchDecision {
-        assert!(queued > 0, "policy evaluated on an empty queue");
-        match *self {
-            BatchPolicy::Fixed { size } => {
-                let size = size.max(1);
-                if queued >= size {
-                    BatchDecision::Dispatch(size)
-                } else if draining {
-                    BatchDecision::Dispatch(queued)
-                } else {
-                    BatchDecision::Wait
-                }
-            }
-            BatchPolicy::MaxWait {
-                max_batch,
-                max_wait,
-            } => {
-                let max_batch = max_batch.max(1);
-                let deadline = oldest_arrival + max_wait;
-                if queued >= max_batch {
-                    BatchDecision::Dispatch(max_batch)
-                } else if now >= deadline || draining {
-                    BatchDecision::Dispatch(queued)
-                } else {
-                    BatchDecision::WaitUntil(deadline)
-                }
-            }
-            BatchPolicy::SloAdaptive { max_batch } => {
-                let cap = max_batch.max(1).min(queued);
-                let wait = now - oldest_arrival.min(now);
-                // Largest batch whose service on *this* slice (cold pays
-                // the filter load) still meets the oldest request's SLO;
-                // service time is monotone in batch size, so binary-search
-                // the feasibility boundary.
-                let feasible = |b: usize| wait + cost.service_time(b, cold) <= slo;
-                let mut pick = 0;
-                let (mut lo, mut hi) = (1, cap);
-                while lo <= hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if feasible(mid) {
-                        pick = mid;
-                        lo = mid + 1;
-                    } else {
-                        hi = mid - 1;
-                    }
-                }
-                if pick == 0 {
-                    // Even a single image misses: salvage throughput.
-                    pick = cap;
-                }
-                BatchDecision::Dispatch(pick)
-            }
-        }
-    }
+    pick
 }
 
 #[cfg(test)]
@@ -160,96 +65,17 @@ mod tests {
         BatchCostModel::new(&SystemConfig::xeon_e5_2697_v3(), &inception_v3())
     }
 
-    /// Base latency budget handed to every `decide` call (the
+    /// Base latency budget handed to every `adaptive_batch` call (the
     /// `ServeConfig::slo` stand-in).
     fn base_slo() -> SimTime {
         SimTime::from_millis(100.0)
     }
 
     #[test]
-    fn fixed_waits_for_a_full_batch_unless_draining() {
-        let p = BatchPolicy::Fixed { size: 8 };
-        let c = cost();
-        let t = SimTime::from_secs(1.0);
-        assert_eq!(
-            p.decide(t, 3, t, false, false, base_slo(), &c),
-            BatchDecision::Wait
-        );
-        assert_eq!(
-            p.decide(t, 8, t, false, false, base_slo(), &c),
-            BatchDecision::Dispatch(8)
-        );
-        assert_eq!(
-            p.decide(t, 12, t, false, false, base_slo(), &c),
-            BatchDecision::Dispatch(8)
-        );
-        assert_eq!(
-            p.decide(t, 3, t, true, false, base_slo(), &c),
-            BatchDecision::Dispatch(3)
-        );
-        assert_eq!(p.max_batch(), 8);
-    }
-
-    #[test]
-    fn max_wait_times_out_the_oldest_request() {
-        let p = BatchPolicy::MaxWait {
-            max_batch: 16,
-            max_wait: SimTime::from_millis(5.0),
-        };
-        let c = cost();
-        let arrived = SimTime::from_secs(1.0);
-        let deadline = arrived + SimTime::from_millis(5.0);
-        assert_eq!(
-            p.decide(
-                SimTime::from_secs(1.001),
-                4,
-                arrived,
-                false,
-                false,
-                base_slo(),
-                &c
-            ),
-            BatchDecision::WaitUntil(deadline)
-        );
-        assert_eq!(
-            p.decide(deadline, 4, arrived, false, false, base_slo(), &c),
-            BatchDecision::Dispatch(4)
-        );
-        assert_eq!(
-            p.decide(
-                SimTime::from_secs(1.001),
-                16,
-                arrived,
-                false,
-                false,
-                base_slo(),
-                &c
-            ),
-            BatchDecision::Dispatch(16)
-        );
-        assert_eq!(
-            p.decide(
-                SimTime::from_secs(1.001),
-                2,
-                arrived,
-                true,
-                false,
-                base_slo(),
-                &c
-            ),
-            BatchDecision::Dispatch(2)
-        );
-    }
-
-    #[test]
     fn slo_adaptive_prices_the_cold_filter_load() {
         let c = cost();
-        let p = BatchPolicy::SloAdaptive { max_batch: 64 };
         let now = SimTime::from_secs(2.0);
-        let pick = |cold: bool| match p.decide(now, 64, now, false, cold, base_slo(), &c) {
-            BatchDecision::Dispatch(n) => n,
-            other => panic!("adaptive policy always dispatches, got {other:?}"),
-        };
+        let pick = |cold: bool| adaptive_batch(now, 64, now, cold, base_slo(), 64, &c);
         let (warm, cold) = (pick(false), pick(true));
         assert!(
             cold < warm,
@@ -264,13 +90,9 @@ mod tests {
     #[test]
     fn slo_adaptive_grows_batches_within_the_budget() {
         let c = cost();
-        let p = BatchPolicy::SloAdaptive { max_batch: 64 };
         let now = SimTime::from_secs(2.0);
         // Fresh queue: pick the largest batch meeting the SLO from now.
-        let BatchDecision::Dispatch(fresh) = p.decide(now, 64, now, false, false, base_slo(), &c)
-        else {
-            panic!("adaptive policy always dispatches");
-        };
+        let fresh = adaptive_batch(now, 64, now, false, base_slo(), 64, &c);
         assert!(fresh >= 1);
         assert!(c.service_time(fresh, false) <= base_slo());
         if fresh < 64 {
@@ -281,22 +103,12 @@ mod tests {
         }
         // An old queue shrinks the pick.
         let aged = now - SimTime::from_millis(60.0);
-        let BatchDecision::Dispatch(old_pick) =
-            p.decide(now, 64, aged, false, false, base_slo(), &c)
-        else {
-            panic!("adaptive policy always dispatches");
-        };
+        let old_pick = adaptive_batch(now, 64, aged, false, base_slo(), 64, &c);
         assert!(old_pick <= fresh);
         // A hopeless SLO salvages throughput with the full cap.
-        let p_tight = BatchPolicy::SloAdaptive { max_batch: 4 };
-        assert_eq!(
-            p_tight.decide(now, 10, aged, false, false, SimTime::from_millis(0.001), &c),
-            BatchDecision::Dispatch(4)
-        );
+        let tight = SimTime::from_millis(0.001);
+        assert_eq!(adaptive_batch(now, 10, aged, false, tight, 4, &c), 4);
         // Queue shorter than the cap bounds the pick.
-        let BatchDecision::Dispatch(n) = p.decide(now, 2, now, false, false, base_slo(), &c) else {
-            panic!("adaptive policy always dispatches");
-        };
-        assert!(n <= 2);
+        assert!(adaptive_batch(now, 2, now, false, base_slo(), 64, &c) <= 2);
     }
 }

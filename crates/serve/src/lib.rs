@@ -1,18 +1,15 @@
 //! **nc-serve**: a deterministic discrete-event serving simulator that
-//! drives the Neural Cache timing/batching stack under realistic load —
-//! the systems layer the paper's headline *throughput* result (604
-//! inferences/s on Inception v3, Section VII / Figure 16) turns into once
+//! drives the Neural Cache batch-timing model under Poisson load. It asks
+//! how the paper's fixed-batch *throughput* result (604 inferences/s on
+//! Inception v3 at batch 256, Section IV-E / Figure 16) behaves once
 //! requests arrive over time instead of as one fixed batch.
 //!
 //! The pipeline:
 //!
-//! 1. [`trace`]: seeded request **arrival traces** — open-loop Poisson,
-//!    bursty (two-state Markov-modulated Poisson), and closed-loop client
-//!    populations, each request carrying a traffic class drawn from an
-//!    [`nc_dnn::workload::TrafficClass`] mix;
-//! 2. [`batcher`]: an admission queue feeding pluggable **dynamic batching
-//!    policies** (fixed-size, max-wait timeout, SLO-aware adaptive
-//!    sizing), costed through the plan-once
+//! 1. [`trace`]: seeded open-loop **Poisson arrival traces**, each request
+//!    carrying a traffic class drawn from a [`TrafficClass`] mix;
+//! 2. [`batcher`]: an admission queue feeding the **SLO-adaptive batcher**
+//!    ([`adaptive_batch`]), costed through the plan-once
 //!    [`neural_cache::BatchCostModel`];
 //! 3. [`sim`]: a **multi-slice scheduler** dispatching formed batches onto
 //!    independent cache slices (each pays the one-time filter load on its
@@ -20,7 +17,7 @@
 //! 4. [`metrics`]: p50/p95/p99 latency, queue depth over time, goodput vs
 //!    offered load, and per-class SLO violation rates, plus the
 //!    conservation invariants (`admitted = completed + dropped + pending`,
-//!    goodput ≤ offered load) the bench gate enforces.
+//!    goodput ≤ offered load) the simulator's tests check.
 //!
 //! Everything is deterministic: identical seeds give byte-identical
 //! [`ServingTrace`] logs. The simulator runs on the calling thread and
@@ -30,7 +27,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use nc_serve::{simulate, BatchPolicy, ServeConfig, TraceConfig};
+//! use nc_serve::{simulate, ServeConfig, TraceConfig};
 //! use nc_dnn::inception::inception_v3;
 //!
 //! let config = ServeConfig::default_two_slice();
@@ -62,10 +59,7 @@ pub mod metrics;
 pub mod sim;
 pub mod trace;
 
-pub use batcher::{BatchDecision, BatchPolicy};
+pub use batcher::adaptive_batch;
 pub use metrics::{percentile, Completion, MetricsCollector, ServingSummary};
-pub use sim::{
-    simulate, simulate_traced, simulate_with_cost, ServeConfig, ServingOutcome, ServingTrace,
-    TraceEvent,
-};
-pub use trace::{ArrivalProcess, Request, TraceConfig, TraceKind};
+pub use sim::{simulate, simulate_traced, ServeConfig, ServingOutcome, ServingTrace, TraceEvent};
+pub use trace::{default_traffic_mix, draw_class, Request, TraceConfig, TrafficClass};

@@ -1,13 +1,12 @@
 //! Serving metrics: latency percentiles, queue-depth statistics, goodput
 //! vs offered load, SLO violation rates, and the conservation invariants
-//! the bench gate enforces.
+//! the simulator's tests check.
 
-use nc_dnn::workload::TrafficClass;
 use nc_geometry::SimTime;
 use nc_telemetry::TimeWeightedHistogram;
 
 use crate::sim::ServeConfig;
-use crate::trace::{Request, TraceConfig};
+use crate::trace::{Request, TraceConfig, TrafficClass};
 
 /// One completed request as seen by the collector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,14 +72,14 @@ pub struct ServingSummary {
 }
 
 impl ServingSummary {
-    /// The request-conservation invariant the bench gate enforces.
+    /// The request-conservation invariant.
     #[must_use]
     pub fn conservation_holds(&self) -> bool {
         self.admitted == self.completed + self.dropped + self.pending
     }
 
-    /// The goodput bound the bench gate enforces (goodput can never exceed
-    /// offered load; tolerance covers the division).
+    /// The goodput bound (goodput can never exceed offered load; tolerance
+    /// covers the division).
     #[must_use]
     pub fn goodput_bounded(&self) -> bool {
         self.goodput_rps <= self.offered_load_rps * (1.0 + 1e-9) + 1e-9
@@ -236,10 +235,9 @@ impl MetricsCollector {
             } else {
                 self.slo_violations as f64 / completed as f64
             },
-            // The queue is provably empty after the last real event (a
+            // The queue is provably empty after the last event (a
             // non-empty queue would schedule more work), so the integral
-            // over the whole horizon divided by the makespan is exact even
-            // when stale timers popped past it.
+            // over the whole horizon divided by the makespan is exact.
             mean_queue_depth: if makespan_s > 0.0 {
                 self.depth_integral / makespan_s
             } else {
@@ -356,7 +354,6 @@ mod tests {
                 id,
                 arrival: SimTime::from_millis(id as f64),
                 class: 0,
-                act: 0.5,
             });
         }
         m.observe_queue_depth(4, SimTime::from_millis(10.0));
@@ -372,7 +369,6 @@ mod tests {
             id: 99,
             arrival: SimTime::from_millis(1.0),
             class: 0,
-            act: 0.5,
         });
         let s = m.finish(SimTime::from_millis(50.0), 3, &[SimTime::from_millis(25.0)]);
         assert_eq!(s.admitted, 10);

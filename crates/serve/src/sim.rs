@@ -1,11 +1,11 @@
 //! The deterministic discrete-event serving simulator: an admission queue
-//! with priority classes, a dynamic batcher, and a multi-slice scheduler
-//! dispatching batches onto independent cache slices, all costed through
-//! the calibrated [`BatchCostModel`].
+//! with priority classes, the SLO-adaptive batcher, and a multi-slice
+//! scheduler dispatching batches onto independent cache slices, all costed
+//! through the calibrated [`BatchCostModel`].
 //!
 //! Determinism: events order by `(time, sequence number)` with a total
-//! order on time, every RNG draw happens in event-pop order, and the
-//! batch cost model times its layers in order on the calling thread, so
+//! order on time, the arrivals are drawn before the first event pops, and
+//! the batch cost model times its layers in order on the calling thread, so
 //! identical seeds produce byte-identical [`ServingTrace`] logs. No serving
 //! path reads `SystemConfig::parallelism`, which selects the engine of the
 //! functional executor only.
@@ -17,12 +17,13 @@ use nc_geometry::SimTime;
 use nc_telemetry::{Level, Telemetry, Value};
 use neural_cache::{BatchCostModel, SystemConfig};
 
-use crate::batcher::{BatchDecision, BatchPolicy};
+use crate::batcher::adaptive_batch;
 use crate::metrics::{Completion, MetricsCollector, ServingSummary};
-use crate::trace::{ArrivalProcess, Request, TraceConfig};
+use crate::trace::{Request, TraceConfig};
 
-/// Serving-side configuration: the timing substrate, replica count, batch
-/// policy, admission bound, and the latency SLO.
+/// Serving-side configuration: the timing substrate, replica count, the
+/// SLO-adaptive batcher's largest batch, admission bound, and the latency
+/// SLO.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Timing substrate (geometry, cost model, sparsity).
@@ -31,8 +32,8 @@ pub struct ServeConfig {
     /// own stationary copy of the weights (Section IV-E), pays the filter
     /// load on its first batch, and serves warm batches thereafter.
     pub slices: usize,
-    /// Batch-formation policy.
-    pub policy: BatchPolicy,
+    /// Largest batch [`adaptive_batch`] forms.
+    pub max_batch: usize,
     /// Admission-queue bound: arrivals beyond this many waiting requests
     /// are dropped.
     pub queue_capacity: usize,
@@ -48,7 +49,7 @@ impl ServeConfig {
         ServeConfig {
             system: SystemConfig::xeon_e5_2697_v3(),
             slices: 2,
-            policy: BatchPolicy::SloAdaptive { max_batch: 32 },
+            max_batch: 32,
             queue_capacity: 512,
             slo: SimTime::from_millis(100.0),
         }
@@ -162,7 +163,6 @@ pub struct ServingOutcome {
 enum EventKind {
     Arrival(Request),
     BatchDone { slice: usize },
-    Timer,
 }
 
 #[derive(Debug)]
@@ -206,14 +206,12 @@ struct SliceState {
     inflight: Vec<Request>,
 }
 
-/// Runs one deterministic serving simulation to completion: every issued
-/// request either completes or is dropped before the simulator returns
-/// (open-loop arrivals are pre-scheduled; closed-loop clients re-issue on
-/// completion until the trace budget is spent).
+/// Runs one deterministic serving simulation to completion: every arrival
+/// of the trace either completes or is dropped before the simulator
+/// returns.
 ///
-/// Plans `model` once via [`BatchCostModel`]; callers simulating many
-/// points against the same `(system, model)` pair should build the cost
-/// model themselves and use [`simulate_with_cost`].
+/// Plans `model` once via [`BatchCostModel`] and runs [`simulate_traced`]
+/// with telemetry off.
 ///
 /// # Panics
 ///
@@ -225,37 +223,22 @@ pub fn simulate(
     model: &nc_dnn::Model,
     trace_config: &TraceConfig,
 ) -> ServingOutcome {
-    simulate_with_cost(
+    simulate_traced(
         config,
         &BatchCostModel::new(&config.system, model),
         trace_config,
+        &Telemetry::disabled(),
     )
 }
 
-/// [`simulate`] against a prebuilt [`BatchCostModel`], so sweeps over many
-/// traces/policies plan the model once instead of once per point.
+/// [`simulate`] against a prebuilt [`BatchCostModel`] with a telemetry sink
+/// attached: the simulation itself is **identical** (same trajectory, same
+/// summary, byte-identical [`ServingTrace`]) — the sink only observes it.
 ///
 /// The cost model is the sole timing authority here: `config.system` is
 /// **not** consulted (only [`simulate`] reads it, to build the cost
 /// model), so pass a cost model built from the same system you report the
 /// results under.
-///
-/// # Panics
-///
-/// Panics on a zero-slice or zero-capacity configuration, or an empty
-/// trace.
-#[must_use]
-pub fn simulate_with_cost(
-    config: &ServeConfig,
-    cost: &BatchCostModel,
-    trace_config: &TraceConfig,
-) -> ServingOutcome {
-    simulate_traced(config, cost, trace_config, &Telemetry::disabled())
-}
-
-/// [`simulate_with_cost`] with a telemetry sink attached: the simulation
-/// itself is **identical** (same trajectory, same summary, byte-identical
-/// [`ServingTrace`]) — the sink only observes it.
 ///
 /// At [`Level::Spans`] and above, every [`TraceEvent`] the log records is
 /// mirrored by **exactly one** telemetry record in category
@@ -286,7 +269,6 @@ pub fn simulate_traced(
     let slice_tracks: Vec<_> = (0..config.slices)
         .map(|i| tel.track("serving", &format!("slice {i}")))
         .collect();
-    let (mut source, initial) = ArrivalProcess::new(trace_config);
 
     let classes = trace_config.mix.len();
     // Dequeue order: classes sorted by admission priority, stable on index.
@@ -295,18 +277,12 @@ pub fn simulate_traced(
 
     let mut events = BinaryHeap::new();
     let mut seq = 0u64;
-    let push = |events: &mut BinaryHeap<Event>, seq: &mut u64, time: SimTime, kind: EventKind| {
-        *seq += 1;
-        events.push(Event {
-            time,
-            seq: *seq,
-            kind,
-        });
+    let mut push = |events: &mut BinaryHeap<Event>, time: SimTime, kind: EventKind| {
+        seq += 1;
+        events.push(Event { time, seq, kind });
     };
-    let mut arrivals_outstanding = 0usize;
-    for r in initial {
-        push(&mut events, &mut seq, r.arrival, EventKind::Arrival(r));
-        arrivals_outstanding += 1;
+    for r in trace_config.arrivals() {
+        push(&mut events, r.arrival, EventKind::Arrival(r));
     }
 
     let mut queues: Vec<VecDeque<Request>> = (0..classes).map(|_| VecDeque::new()).collect();
@@ -325,13 +301,6 @@ pub fn simulate_traced(
     let mut metrics = MetricsCollector::new(config, trace_config);
     let mut log = ServingTrace::default();
     let mut now = SimTime::ZERO;
-    // Makespan is the last *real* event (arrival/completion/dispatch): a
-    // timer whose batch already dispatched is a no-op and must not stretch
-    // the horizon goodput and utilization divide by.
-    let mut last_activity = SimTime::ZERO;
-    // Earliest pending timer, to avoid piling up duplicate timer events
-    // (one per re-evaluation while holding).
-    let mut pending_timer: Option<SimTime> = None;
 
     while let Some(event) = events.pop() {
         debug_assert!(event.time >= now, "time must not run backwards");
@@ -340,8 +309,6 @@ pub fn simulate_traced(
 
         match event.kind {
             EventKind::Arrival(r) => {
-                last_activity = now;
-                arrivals_outstanding -= 1;
                 metrics.on_arrival(&r);
                 log.events.push(TraceEvent::Arrive {
                     t: now,
@@ -374,23 +341,12 @@ pub fn simulate_traced(
                         );
                     }
                     tel.counter_add("serving.drops", 1);
-                    // A dropped closed-loop request still frees its client.
-                    if let Some(next) = source.on_completion(now) {
-                        arrivals_outstanding += 1;
-                        push(
-                            &mut events,
-                            &mut seq,
-                            next.arrival,
-                            EventKind::Arrival(next),
-                        );
-                    }
                 } else {
                     queued_total += 1;
                     queues[r.class as usize].push_back(r);
                 }
             }
             EventKind::BatchDone { slice } => {
-                last_activity = now;
                 let s = &mut slices[slice];
                 s.busy = false;
                 let batch = std::mem::take(&mut s.inflight);
@@ -418,29 +374,13 @@ pub fn simulate_traced(
                         class: r.class,
                         latency: now - r.arrival,
                     });
-                    if let Some(next) = source.on_completion(now) {
-                        arrivals_outstanding += 1;
-                        push(
-                            &mut events,
-                            &mut seq,
-                            next.arrival,
-                            EventKind::Arrival(next),
-                        );
-                    }
-                }
-            }
-            EventKind::Timer => {
-                if pending_timer.is_some_and(|t| t <= now) {
-                    pending_timer = None;
                 }
             }
         }
 
-        // Scheduler: fill free slices while the policy dispatches.
-        loop {
-            if queued_total == 0 {
-                break;
-            }
+        // Scheduler: the SLO-adaptive batcher never waits, so every free
+        // slice takes a batch while requests queue.
+        while queued_total > 0 {
             let Some(slice_idx) = slices.iter().position(|s| !s.busy) else {
                 break;
             };
@@ -452,110 +392,76 @@ pub fn simulate_traced(
                     Some(acc.map_or(t, |a| if t < a { t } else { a }))
                 })
                 .expect("non-empty queue has an oldest request");
-            // No future arrivals can come when none are scheduled and the
-            // source either spent its budget or is a closed loop with no
-            // in-flight batch to complete (closed-loop arrivals spawn only
-            // from completions): holding out for a fuller batch would
-            // deadlock, so policies flush.
-            let any_busy = slices.iter().any(|s| s.busy);
-            let draining = arrivals_outstanding == 0
-                && (source.exhausted() || (source.is_closed_loop() && !any_busy));
-            match config.policy.decide(
+            let n = adaptive_batch(
                 now,
                 queued_total,
                 oldest,
-                draining,
                 slices[slice_idx].cold,
                 config.slo,
+                config.max_batch,
                 cost,
-            ) {
-                BatchDecision::Dispatch(n) => {
-                    last_activity = now;
-                    let n = n.min(queued_total).max(1);
-                    let mut batch = Vec::with_capacity(n);
-                    'take: for &c in &class_order {
-                        while let Some(r) = queues[c].pop_front() {
-                            batch.push(r);
-                            queued_total -= 1;
-                            if batch.len() == n {
-                                break 'take;
-                            }
-                        }
+            );
+            let mut batch = Vec::with_capacity(n);
+            'take: for &c in &class_order {
+                while let Some(r) = queues[c].pop_front() {
+                    batch.push(r);
+                    queued_total -= 1;
+                    if batch.len() == n {
+                        break 'take;
                     }
-                    let s = &mut slices[slice_idx];
-                    // Activation-dependent pricing: each request carries
-                    // its input's activation density, and a dynamic-mode
-                    // cost model charges dense-activation images more.
-                    // Static cost models (zero spread) take the classic
-                    // batch-size path without collecting the densities.
-                    let service = if cost.image_time_spread() > SimTime::ZERO {
-                        let acts: Vec<f64> = batch.iter().map(|r| r.act).collect();
-                        cost.service_time_acts(&acts, s.cold)
-                    } else {
-                        cost.service_time(batch.len(), s.cold)
-                    };
-                    let cold = s.cold;
-                    s.cold = false;
-                    s.busy = true;
-                    s.busy_until = now + service;
-                    s.busy_time += service;
-                    s.dispatched_at = now;
-                    s.inflight = batch;
-                    metrics.on_dispatch(s.inflight.len());
-                    log.events.push(TraceEvent::Dispatch {
-                        t: now,
-                        slice: slice_idx,
-                        cold,
-                        ids: s.inflight.iter().map(|r| r.id).collect(),
-                    });
-                    if spans_on {
-                        tel.instant(
-                            slice_tracks[slice_idx],
-                            "serving.event",
-                            "dispatch",
-                            now.as_secs_f64(),
+                }
+            }
+            let s = &mut slices[slice_idx];
+            let service = cost.service_time(batch.len(), s.cold);
+            let cold = s.cold;
+            s.cold = false;
+            s.busy = true;
+            s.busy_until = now + service;
+            s.busy_time += service;
+            s.dispatched_at = now;
+            s.inflight = batch;
+            metrics.on_dispatch(s.inflight.len());
+            log.events.push(TraceEvent::Dispatch {
+                t: now,
+                slice: slice_idx,
+                cold,
+                ids: s.inflight.iter().map(|r| r.id).collect(),
+            });
+            if spans_on {
+                tel.instant(
+                    slice_tracks[slice_idx],
+                    "serving.event",
+                    "dispatch",
+                    now.as_secs_f64(),
+                    vec![
+                        ("slice", Value::U64(slice_idx as u64)),
+                        ("n", Value::U64(s.inflight.len() as u64)),
+                        ("cold", Value::U64(u64::from(cold))),
+                    ],
+                );
+                if tel.at(Level::Detail) {
+                    for r in &s.inflight {
+                        tel.span(
+                            queue_track,
+                            "serving.request",
+                            "queue-wait",
+                            r.arrival.as_secs_f64(),
+                            (now - r.arrival).as_secs_f64(),
                             vec![
-                                ("slice", Value::U64(slice_idx as u64)),
-                                ("n", Value::U64(s.inflight.len() as u64)),
-                                ("cold", Value::U64(u64::from(cold))),
+                                ("id", Value::U64(r.id)),
+                                ("class", Value::U64(u64::from(r.class))),
                             ],
                         );
-                        if tel.at(Level::Detail) {
-                            for r in &s.inflight {
-                                tel.span(
-                                    queue_track,
-                                    "serving.request",
-                                    "queue-wait",
-                                    r.arrival.as_secs_f64(),
-                                    (now - r.arrival).as_secs_f64(),
-                                    vec![
-                                        ("id", Value::U64(r.id)),
-                                        ("class", Value::U64(u64::from(r.class))),
-                                    ],
-                                );
-                            }
-                        }
                     }
-                    tel.counter_add("serving.dispatches", 1);
-                    tel.histogram_record("serving.batch_size", s.inflight.len() as f64);
-                    push(
-                        &mut events,
-                        &mut seq,
-                        s.busy_until,
-                        EventKind::BatchDone { slice: slice_idx },
-                    );
                 }
-                BatchDecision::WaitUntil(deadline) => {
-                    // One pending timer suffices: re-evaluations while
-                    // holding would otherwise push a duplicate per event.
-                    if deadline > now && pending_timer.is_none_or(|t| deadline < t) {
-                        pending_timer = Some(deadline);
-                        push(&mut events, &mut seq, deadline, EventKind::Timer);
-                    }
-                    break;
-                }
-                BatchDecision::Wait => break,
             }
+            tel.counter_add("serving.dispatches", 1);
+            tel.histogram_record("serving.batch_size", s.inflight.len() as f64);
+            push(
+                &mut events,
+                s.busy_until,
+                EventKind::BatchDone { slice: slice_idx },
+            );
         }
     }
 
@@ -564,8 +470,10 @@ pub fn simulate_traced(
     // (queued + in-flight), not derived from the other counters, so the
     // conservation gate can genuinely catch a lost request.
     let pending = queued_total + slices.iter().map(|s| s.inflight.len()).sum::<usize>();
+    // Every event is an arrival or a completion, so the last one popped
+    // ends the makespan.
     let summary = metrics.finish(
-        last_activity,
+        now,
         pending,
         &slices.iter().map(|s| s.busy_time).collect::<Vec<_>>(),
     );
@@ -584,22 +492,11 @@ mod tests {
     use super::*;
     use nc_dnn::inception::inception_v3;
 
-    fn quick_config(policy: BatchPolicy) -> ServeConfig {
-        ServeConfig {
-            policy,
-            ..ServeConfig::default_two_slice()
-        }
-    }
-
     #[test]
     fn simulation_drains_and_conserves_requests() {
         let model = inception_v3();
         let trace = TraceConfig::poisson(300.0, 120, 9);
-        let out = simulate(
-            &quick_config(BatchPolicy::SloAdaptive { max_batch: 32 }),
-            &model,
-            &trace,
-        );
+        let out = simulate(&ServeConfig::default_two_slice(), &model, &trace);
         let s = &out.summary;
         assert_eq!(s.admitted, 120);
         assert_eq!(s.admitted, s.completed + s.dropped + s.pending);
@@ -613,11 +510,11 @@ mod tests {
     #[test]
     fn identical_seeds_are_byte_identical_and_seeds_matter() {
         let model = inception_v3();
-        let trace = TraceConfig::bursty(100.0, 1200.0, 0.05, 150, 21);
-        let config = quick_config(BatchPolicy::MaxWait {
+        let trace = TraceConfig::poisson(1200.0, 150, 21);
+        let config = ServeConfig {
             max_batch: 16,
-            max_wait: SimTime::from_millis(10.0),
-        });
+            ..ServeConfig::default_two_slice()
+        };
         let a = simulate(&config, &model, &trace);
         let b = simulate(&config, &model, &trace);
         assert_eq!(a.trace.to_log(), b.trace.to_log());
@@ -631,35 +528,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_loop_traces_complete_their_budget() {
-        let model = inception_v3();
-        let trace = TraceConfig::closed_loop(6, 0.002, 60, 3);
-        let out = simulate(
-            &quick_config(BatchPolicy::Fixed { size: 4 }),
-            &model,
-            &trace,
-        );
-        assert_eq!(out.summary.admitted, 60);
-        assert_eq!(out.summary.completed, 60);
-        assert_eq!(out.summary.dropped, 0);
-        // Every dispatch in the log has a matching completion.
-        let dispatched: usize = out
-            .trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Dispatch { .. }))
-            .count();
-        let completed_batches: usize = out
-            .trace
-            .events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Complete { .. }))
-            .count();
-        assert_eq!(dispatched, completed_batches);
-        assert_eq!(out.summary.batches, dispatched);
-    }
-
-    #[test]
     fn tiny_queue_drops_under_overload() {
         let model = inception_v3();
         // 5000 rps >> capacity; queue of 8.
@@ -667,7 +535,7 @@ mod tests {
         let config = ServeConfig {
             queue_capacity: 8,
             slices: 1,
-            ..quick_config(BatchPolicy::Fixed { size: 8 })
+            ..ServeConfig::default_two_slice()
         };
         let out = simulate(&config, &model, &trace);
         let s = &out.summary;
@@ -680,11 +548,7 @@ mod tests {
     fn first_batch_per_slice_is_cold_the_rest_warm() {
         let model = inception_v3();
         let trace = TraceConfig::poisson(800.0, 100, 13);
-        let out = simulate(
-            &quick_config(BatchPolicy::Fixed { size: 8 }),
-            &model,
-            &trace,
-        );
+        let out = simulate(&ServeConfig::default_two_slice(), &model, &trace);
         let mut cold_seen = [false; 2];
         for e in &out.trace.events {
             if let TraceEvent::Dispatch { slice, cold, .. } = e {
@@ -698,50 +562,52 @@ mod tests {
     }
 
     #[test]
-    fn activation_profiled_cost_makes_latency_input_dependent() {
-        use nc_dnn::workload::{relu_sparse_conv_model, relu_sparse_input};
-        use neural_cache::sparsity::activation_profile;
-        use neural_cache::SparsityMode;
-
-        let model = relu_sparse_conv_model(4);
-        let input = relu_sparse_input(model.input_shape, 0.7, 2, 6);
-        let profile = activation_profile(&model, &input);
-        let system = SystemConfig::with_sparsity(SparsityMode::SkipBoth);
-        let cost = BatchCostModel::with_profile(&system, &model, &profile);
-        assert!(cost.image_time_spread() > nc_geometry::SimTime::ZERO);
-
-        let config = ServeConfig {
-            system,
-            ..quick_config(BatchPolicy::Fixed { size: 1 })
-        };
-        let trace = TraceConfig::poisson(50.0, 60, 31);
-        let out = simulate_with_cost(&config, &cost, &trace);
-        assert_eq!(out.summary.completed, 60);
-        assert!(out.summary.conservation_holds());
-        // Single-request batches at low load: service time varies with the
-        // per-request activation density, so completions are NOT all equal
-        // — the first time the serving simulator sees input-dependent
-        // latency. (With a zero-spread model every uncontended batch-1
-        // service is identical.)
-        assert!(
-            out.summary.max_ms > out.summary.p50_ms,
-            "activation spread must differentiate request latencies: max {} vs p50 {}",
-            out.summary.max_ms,
-            out.summary.p50_ms
-        );
-        // Deterministic: same seed, same activation-priced trajectory.
-        let again = simulate_with_cost(&config, &cost, &trace);
-        assert_eq!(out.trace.to_log(), again.trace.to_log());
-        assert_eq!(out.summary, again.summary);
+    fn latency_grows_with_offered_load() {
+        // From underload to overload of the two-slice capacity (~800 rps
+        // warm): every point conserves and drains its requests, goodput
+        // never exceeds offered load, and mean latency never falls by more
+        // than the 2% that percentile granularity can explain.
+        let config = ServeConfig::default_two_slice();
+        let cost = BatchCostModel::new(&config.system, &inception_v3());
+        let sweep: Vec<(f64, ServingSummary)> = [100.0, 300.0, 600.0, 1200.0]
+            .into_iter()
+            .map(|rps| {
+                let trace = TraceConfig::poisson(rps, 300, 2018);
+                let out = simulate_traced(&config, &cost, &trace, &Telemetry::disabled());
+                (rps, out.summary)
+            })
+            .collect();
+        for (rps, s) in &sweep {
+            assert!(s.conservation_holds(), "{rps} rps: conservation broken");
+            assert_eq!(s.pending, 0, "{rps} rps: requests left pending");
+            assert!(
+                s.goodput_bounded(),
+                "{rps} rps: goodput {:.1} exceeds offered load {:.1}",
+                s.goodput_rps,
+                s.offered_load_rps
+            );
+        }
+        for pair in sweep.windows(2) {
+            let ((lo_rps, lo), (hi_rps, hi)) = (&pair[0], &pair[1]);
+            assert!(
+                hi.mean_ms >= lo.mean_ms * 0.98,
+                "mean latency fell from {:.2} ms at {lo_rps} rps to {:.2} ms at {hi_rps} rps",
+                lo.mean_ms,
+                hi.mean_ms
+            );
+        }
+        // Goodput saturates below the overloaded offered load.
+        let (_, overloaded) = sweep.last().expect("four load points");
+        assert!(overloaded.goodput_rps < 1200.0);
     }
 
     #[test]
     fn traced_run_mirrors_every_log_event_and_changes_nothing() {
         let model = inception_v3();
-        let config = quick_config(BatchPolicy::SloAdaptive { max_batch: 32 });
+        let config = ServeConfig::default_two_slice();
         let cost = BatchCostModel::new(&config.system, &model);
         let trace = TraceConfig::poisson(400.0, 80, 7);
-        let plain = simulate_with_cost(&config, &cost, &trace);
+        let plain = simulate(&config, &model, &trace);
 
         let tel = Telemetry::enabled(Level::Detail);
         let traced = simulate_traced(&config, &cost, &trace, &tel);
@@ -810,11 +676,7 @@ mod tests {
     fn utilization_and_batches_are_tracked_per_slice() {
         let model = inception_v3();
         let trace = TraceConfig::poisson(600.0, 150, 17);
-        let out = simulate(
-            &quick_config(BatchPolicy::SloAdaptive { max_batch: 32 }),
-            &model,
-            &trace,
-        );
+        let out = simulate(&ServeConfig::default_two_slice(), &model, &trace);
         let s = &out.summary;
         assert_eq!(s.slice_utilization.len(), 2);
         for &u in &s.slice_utilization {

@@ -1,11 +1,58 @@
-//! Request arrival traces: open-loop Poisson, bursty (Markov-modulated
-//! Poisson), and closed-loop client populations, all generated from an
-//! explicitly seeded RNG so every simulation is reproducible bit-for-bit.
+//! Request arrival traces: open-loop Poisson arrivals generated from an
+//! explicitly seeded RNG, so every simulation is reproducible bit-for-bit,
+//! and the traffic-class mix each request's class is drawn from.
 
-use nc_dnn::workload::{default_traffic_mix, draw_class, TrafficClass};
 use nc_geometry::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+
+/// One traffic class of a serving workload mix: a share of the request
+/// stream with an admission priority (lower = served first) and a
+/// latency-SLO scale relative to the mix's base SLO (interactive traffic
+/// gets a tight budget, best-effort a loose one).
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrafficClass {
+    /// Share of the request stream in `[0, 1]`; a mix's shares sum to 1.
+    pub share: f64,
+    /// Admission priority: lower values dequeue first.
+    pub priority: u8,
+    /// Latency-SLO multiplier relative to the mix's base SLO.
+    pub slo_scale: f64,
+}
+
+/// The default two-class serving mix: 70% latency-sensitive interactive
+/// requests served ahead of 30% best-effort batch requests with a 4x looser
+/// latency budget.
+#[must_use]
+pub fn default_traffic_mix() -> Vec<TrafficClass> {
+    vec![
+        TrafficClass {
+            share: 0.7,
+            priority: 0,
+            slo_scale: 1.0,
+        },
+        TrafficClass {
+            share: 0.3,
+            priority: 1,
+            slo_scale: 4.0,
+        },
+    ]
+}
+
+/// Draws a class index from `mix` shares using one uniform draw in
+/// `[0, 1)` (requests map deterministically from the trace RNG stream).
+/// Falls back to the last class when rounding leaves a sliver.
+#[must_use]
+pub fn draw_class(mix: &[TrafficClass], uniform: f64) -> usize {
+    let mut acc = 0.0;
+    for (i, class) in mix.iter().enumerate() {
+        acc += class.share;
+        if uniform < acc {
+            return i;
+        }
+    }
+    mix.len().saturating_sub(1)
+}
 
 /// One inference request presented to the admission queue.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,56 +63,14 @@ pub struct Request {
     pub arrival: SimTime,
     /// Traffic-class index into the trace's [`TrafficClass`] mix.
     pub class: u8,
-    /// Activation density of this request's input in `[0, 1)`: 0 means
-    /// activations as sparse as the serving cost model's measured profile,
-    /// 1 means fully dense. Under a dynamic-sparsity
-    /// `neural_cache::BatchCostModel` the request's marginal service time
-    /// scales with it (activation-dependent latency); static cost models
-    /// ignore it. Derived deterministically from `(trace seed, id)` by a
-    /// hash — **not** drawn from the arrival RNG, so activation pricing
-    /// never perturbs arrival times of existing seeded traces.
-    pub act: f64,
 }
 
-/// The arrival process shape.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TraceKind {
-    /// Open-loop Poisson arrivals at a constant rate (requests/second).
-    Poisson {
-        /// Mean arrival rate in requests per second.
-        rate_rps: f64,
-    },
-    /// Bursty arrivals: a two-state Markov-modulated Poisson process that
-    /// alternates between a low and a high rate with exponentially
-    /// distributed dwell times (exploits the memorylessness of the
-    /// exponential: draws restart exactly at state switches).
-    Bursty {
-        /// Arrival rate in the quiet state (requests/second).
-        low_rps: f64,
-        /// Arrival rate in the burst state (requests/second).
-        high_rps: f64,
-        /// Mean dwell time in each state, seconds.
-        mean_dwell_s: f64,
-    },
-    /// Closed-loop clients: each client issues one request, waits for its
-    /// completion, thinks for an exponential time, and issues the next.
-    /// Arrivals beyond the initial wave are generated *inside* the
-    /// simulator, driven by completions.
-    ClosedLoop {
-        /// Concurrent client count.
-        clients: usize,
-        /// Mean think time between a completion and the next issue,
-        /// seconds.
-        think_s: f64,
-    },
-}
-
-/// A fully specified trace: process shape, request budget, seed, and the
-/// traffic-class mix each request's class is drawn from.
+/// A fully specified Poisson trace: arrival rate, request budget, seed, and
+/// the traffic-class mix each request's class is drawn from.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
-    /// Arrival process.
-    pub kind: TraceKind,
+    /// Mean arrival rate in requests per second.
+    pub rate_rps: f64,
     /// Total requests the trace issues.
     pub requests: usize,
     /// RNG seed; identical seeds give identical traces.
@@ -79,250 +84,52 @@ impl TraceConfig {
     #[must_use]
     pub fn poisson(rate_rps: f64, requests: usize, seed: u64) -> Self {
         TraceConfig {
-            kind: TraceKind::Poisson { rate_rps },
+            rate_rps,
             requests,
             seed,
             mix: default_traffic_mix(),
         }
     }
 
-    /// Bursty (MMPP-2) trace with the default traffic mix.
+    /// Every arrival of the trace, sorted by time: for each request, one
+    /// uniform draw gives its exponential inter-arrival time and the next
+    /// its traffic class.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty trace (`requests == 0`), an empty mix, or a
+    /// non-positive rate.
     #[must_use]
-    pub fn bursty(
-        low_rps: f64,
-        high_rps: f64,
-        mean_dwell_s: f64,
-        requests: usize,
-        seed: u64,
-    ) -> Self {
-        TraceConfig {
-            kind: TraceKind::Bursty {
-                low_rps,
-                high_rps,
-                mean_dwell_s,
-            },
-            requests,
-            seed,
-            mix: default_traffic_mix(),
-        }
+    pub fn arrivals(&self) -> Vec<Request> {
+        assert!(self.requests > 0, "trace must issue at least one request");
+        assert!(!self.mix.is_empty(), "traffic mix must not be empty");
+        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut t = 0.0f64;
+        (0..self.requests as u64)
+            .map(|id| {
+                t += exp_from_uniform(rng.gen_range(0.0..1.0), self.rate_rps);
+                let class = draw_class(&self.mix, rng.gen_range(0.0..1.0)) as u8;
+                Request {
+                    id,
+                    arrival: SimTime::from_secs(t),
+                    class,
+                }
+            })
+            .collect()
     }
-
-    /// Closed-loop trace with the default traffic mix.
-    #[must_use]
-    pub fn closed_loop(clients: usize, think_s: f64, requests: usize, seed: u64) -> Self {
-        TraceConfig {
-            kind: TraceKind::ClosedLoop { clients, think_s },
-            requests,
-            seed,
-            mix: default_traffic_mix(),
-        }
-    }
-
-    /// Nominal offered load of the open-loop kinds (requests/second);
-    /// `None` for closed-loop traces, whose rate emerges from service
-    /// times.
-    #[must_use]
-    pub fn nominal_rate_rps(&self) -> Option<f64> {
-        match self.kind {
-            TraceKind::Poisson { rate_rps } => Some(rate_rps),
-            // Equal mean dwell in both states: the long-run rate is the
-            // plain average.
-            TraceKind::Bursty {
-                low_rps, high_rps, ..
-            } => Some(0.5 * (low_rps + high_rps)),
-            TraceKind::ClosedLoop { .. } => None,
-        }
-    }
-}
-
-/// Draws an exponential inter-event time with the given rate (events per
-/// second) from one uniform draw.
-fn exp_draw(rng: &mut SmallRng, rate: f64) -> f64 {
-    exp_from_uniform(rng.gen_range(0.0..1.0), rate)
 }
 
 /// Maps one uniform draw to an exponential inter-event time via inverse
 /// transform sampling, guarding the logarithm's pole: a draw at (or
 /// rounded to) exactly 1.0 would take `ln(0) = -inf` and produce an
-/// **infinite** inter-arrival or think time, silently stalling closed-loop
-/// clients and MMPP dwell switches forever. The survival term is clamped
-/// away from zero, capping the draw at a large-but-finite multiple of the
-/// mean (`-ln(MIN_POSITIVE)/rate` ~ 708 means).
+/// **infinite** inter-arrival time, pushing every later arrival past any
+/// horizon. The survival term is clamped away from zero, capping the draw
+/// at a large-but-finite multiple of the mean (`-ln(MIN_POSITIVE)/rate`
+/// ~ 708 means).
 fn exp_from_uniform(u: f64, rate: f64) -> f64 {
     assert!(rate > 0.0, "exponential rate must be positive");
     let survival = (1.0 - u).max(f64::MIN_POSITIVE);
     -survival.ln() / rate
-}
-
-/// Deterministic per-request activation density in `[0, 1)`: a splitmix64
-/// hash of `(trace seed, request id)`. Deliberately independent of the
-/// arrival RNG stream (see [`Request::act`]).
-fn act_density(seed: u64, id: u64) -> f64 {
-    let mut z = seed
-        .wrapping_add(0x41_4354)
-        .wrapping_add(id.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// The stateful arrival process a simulation consumes: open-loop kinds
-/// pre-generate their whole arrival sequence; closed-loop traces issue an
-/// initial wave and then one request per completion, drawn from the same
-/// seeded RNG in completion order (so the full trace stays deterministic).
-#[derive(Debug)]
-pub struct ArrivalProcess {
-    rng: SmallRng,
-    mix: Vec<TrafficClass>,
-    seed: u64,
-    issued: u64,
-    budget: u64,
-    closed: Option<f64>, // think_s when closed-loop
-}
-
-impl ArrivalProcess {
-    /// Builds the process and returns `(process, initial arrivals sorted by
-    /// time)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty trace (`requests == 0`), an empty mix, or
-    /// non-positive rates/think times/client counts.
-    #[must_use]
-    pub fn new(config: &TraceConfig) -> (Self, Vec<Request>) {
-        assert!(config.requests > 0, "trace must issue at least one request");
-        assert!(!config.mix.is_empty(), "traffic mix must not be empty");
-        let mut process = ArrivalProcess {
-            rng: SmallRng::seed_from_u64(config.seed),
-            mix: config.mix.clone(),
-            seed: config.seed,
-            issued: 0,
-            budget: config.requests as u64,
-            closed: None,
-        };
-        let initial = match config.kind {
-            TraceKind::Poisson { rate_rps } => {
-                process.gen_open_loop(|rng, _| exp_draw(rng, rate_rps))
-            }
-            TraceKind::Bursty {
-                low_rps,
-                high_rps,
-                mean_dwell_s,
-            } => {
-                assert!(mean_dwell_s > 0.0, "dwell time must be positive");
-                process.gen_bursty(low_rps, high_rps, mean_dwell_s)
-            }
-            TraceKind::ClosedLoop { clients, think_s } => {
-                assert!(clients > 0, "closed loop needs at least one client");
-                assert!(think_s > 0.0, "think time must be positive");
-                process.closed = Some(think_s);
-                let wave = clients.min(config.requests);
-                let mut initial: Vec<Request> = (0..wave)
-                    .map(|_| {
-                        let t = exp_draw(&mut process.rng, 1.0 / think_s);
-                        let r = process.make_request(SimTime::from_secs(t));
-                        r.expect("initial wave within budget")
-                    })
-                    .collect();
-                initial.sort_by(|a, b| {
-                    a.arrival
-                        .as_secs_f64()
-                        .total_cmp(&b.arrival.as_secs_f64())
-                        .then(a.id.cmp(&b.id))
-                });
-                initial
-            }
-        };
-        (process, initial)
-    }
-
-    /// Whether completions generate further arrivals (closed-loop only).
-    #[must_use]
-    pub fn is_closed_loop(&self) -> bool {
-        self.closed.is_some()
-    }
-
-    /// Requests issued so far.
-    #[must_use]
-    pub fn issued(&self) -> u64 {
-        self.issued
-    }
-
-    /// Whether the process can still issue requests.
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.issued >= self.budget
-    }
-
-    /// Closed-loop reaction to one completed request at `now`: the client
-    /// thinks, then issues the next request (while budget remains).
-    /// Open-loop processes never react to completions.
-    pub fn on_completion(&mut self, now: SimTime) -> Option<Request> {
-        let think_s = self.closed?;
-        if self.exhausted() {
-            return None;
-        }
-        let think = exp_draw(&mut self.rng, 1.0 / think_s);
-        self.make_request(now + SimTime::from_secs(think))
-    }
-
-    fn make_request(&mut self, arrival: SimTime) -> Option<Request> {
-        if self.exhausted() {
-            return None;
-        }
-        let id = self.issued;
-        self.issued += 1;
-        let u: f64 = self.rng.gen_range(0.0..1.0);
-        let class = draw_class(&self.mix, u) as u8;
-        Some(Request {
-            id,
-            arrival,
-            class,
-            act: act_density(self.seed, id),
-        })
-    }
-
-    fn gen_open_loop(&mut self, mut inter: impl FnMut(&mut SmallRng, f64) -> f64) -> Vec<Request> {
-        let mut t = 0.0f64;
-        let mut out = Vec::with_capacity(self.budget as usize);
-        while !self.exhausted() {
-            t += inter(&mut self.rng, t);
-            let r = self
-                .make_request(SimTime::from_secs(t))
-                .expect("budget checked");
-            out.push(r);
-        }
-        out
-    }
-
-    fn gen_bursty(&mut self, low_rps: f64, high_rps: f64, mean_dwell_s: f64) -> Vec<Request> {
-        let mut t = 0.0f64;
-        let mut high = false;
-        let mut switch = exp_draw(&mut self.rng, 1.0 / mean_dwell_s);
-        let mut out = Vec::with_capacity(self.budget as usize);
-        while !self.exhausted() {
-            // Memorylessness: a draw that crosses the modulation switch is
-            // discarded and redrawn from the switch point at the new rate —
-            // exactly the MMPP semantics.
-            loop {
-                let rate = if high { high_rps } else { low_rps };
-                let dt = exp_draw(&mut self.rng, rate);
-                if t + dt <= switch {
-                    t += dt;
-                    break;
-                }
-                t = switch;
-                high = !high;
-                switch = t + exp_draw(&mut self.rng, 1.0 / mean_dwell_s);
-            }
-            let r = self
-                .make_request(SimTime::from_secs(t))
-                .expect("budget checked");
-            out.push(r);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -332,13 +139,13 @@ mod tests {
     #[test]
     fn poisson_traces_are_seeded_and_sorted() {
         let config = TraceConfig::poisson(500.0, 200, 42);
-        let (_, a) = ArrivalProcess::new(&config);
-        let (_, b) = ArrivalProcess::new(&config);
+        let a = config.arrivals();
+        let b = config.arrivals();
         assert_eq!(a, b, "same seed, same trace");
         assert_eq!(a.len(), 200);
         assert!(a.windows(2).all(|w| w[0].arrival <= w[1].arrival));
         assert!(a.windows(2).all(|w| w[0].id < w[1].id));
-        let (_, c) = ArrivalProcess::new(&TraceConfig::poisson(500.0, 200, 43));
+        let c = TraceConfig::poisson(500.0, 200, 43).arrivals();
         assert_ne!(a, c, "different seed, different trace");
         // Mean inter-arrival within 20% of 1/rate over 200 draws.
         let span = a.last().unwrap().arrival.as_secs_f64();
@@ -347,49 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn bursty_traces_modulate_the_rate() {
-        let config = TraceConfig::bursty(50.0, 2000.0, 0.05, 400, 7);
-        let (_, reqs) = ArrivalProcess::new(&config);
-        assert_eq!(reqs.len(), 400);
-        assert!(reqs.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        // Coefficient of variation of inter-arrivals must exceed a plain
-        // Poisson's (~1): burstiness shows up as dispersion.
-        let gaps: Vec<f64> = reqs
-            .windows(2)
-            .map(|w| (w[1].arrival - w[0].arrival).as_secs_f64())
-            .collect();
-        let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
-        let cv = var.sqrt() / mean;
-        assert!(cv > 1.2, "bursty CV {cv:.2} should exceed Poisson's 1.0");
-        assert_eq!(config.nominal_rate_rps(), Some(1025.0));
-    }
-
-    #[test]
-    fn closed_loop_issues_a_wave_then_one_per_completion() {
-        let config = TraceConfig::closed_loop(8, 0.01, 20, 11);
-        let (mut p, initial) = ArrivalProcess::new(&config);
-        assert_eq!(initial.len(), 8, "one in-flight request per client");
-        assert!(p.is_closed_loop());
-        assert_eq!(p.issued(), 8);
-        let mut now = SimTime::from_secs(1.0);
-        let mut issued = initial.len();
-        while let Some(r) = p.on_completion(now) {
-            assert!(r.arrival > now, "next issue after think time");
-            issued += 1;
-            now = r.arrival;
-        }
-        assert_eq!(issued, 20, "budget exhausts the loop");
-        assert!(p.exhausted());
-        // Open-loop processes never spawn on completion.
-        let (mut open, _) = ArrivalProcess::new(&TraceConfig::poisson(100.0, 5, 3));
-        assert!(open.on_completion(SimTime::from_secs(1.0)).is_none());
-    }
-
-    #[test]
     fn classes_follow_the_mix() {
         let config = TraceConfig::poisson(1000.0, 2000, 5);
-        let (_, reqs) = ArrivalProcess::new(&config);
+        let reqs = config.arrivals();
         let interactive = reqs.iter().filter(|r| r.class == 0).count();
         let share = interactive as f64 / reqs.len() as f64;
         assert!((share - 0.7).abs() < 0.05, "interactive share {share:.2}");
@@ -397,17 +164,30 @@ mod tests {
     }
 
     #[test]
+    fn traffic_mix_shares_sum_to_one_and_draw_covers_classes() {
+        let mix = default_traffic_mix();
+        let total: f64 = mix.iter().map(|c| c.share).sum();
+        assert!((total - 1.0).abs() < 1e-12);
+        assert!(mix.windows(2).all(|w| w[0].priority <= w[1].priority));
+        assert_eq!(draw_class(&mix, 0.0), 0);
+        assert_eq!(draw_class(&mix, 0.699), 0);
+        assert_eq!(draw_class(&mix, 0.701), 1);
+        assert_eq!(draw_class(&mix, 0.9999), 1);
+        // Degenerate draws clamp to the last class.
+        assert_eq!(draw_class(&mix, 1.0), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "at least one request")]
     fn empty_traces_are_rejected() {
-        let _ = ArrivalProcess::new(&TraceConfig::poisson(10.0, 0, 1));
+        let _ = TraceConfig::poisson(10.0, 0, 1).arrivals();
     }
 
     #[test]
     fn exp_draw_survives_a_boundary_uniform() {
         // Regression: a uniform draw at (or rounded to) exactly 1.0 hits
-        // ln(0) = -inf — an infinite inter-arrival/think time that would
-        // stall closed-loop clients and MMPP dwell switches forever. The
-        // clamp caps it at a finite multiple of the mean.
+        // ln(0) = -inf, an infinite inter-arrival time. The clamp caps it
+        // at a finite multiple of the mean.
         let worst = exp_from_uniform(1.0, 100.0);
         assert!(worst.is_finite(), "boundary draw must stay finite");
         assert!(worst > 0.0);
@@ -418,20 +198,5 @@ mod tests {
         // Ordinary draws are untouched by the guard.
         assert!((exp_from_uniform(0.5, 2.0) - 0.5f64.ln().abs() / 2.0).abs() < 1e-12);
         assert_eq!(exp_from_uniform(0.0, 5.0), 0.0, "u = 0 is a zero wait");
-    }
-
-    #[test]
-    fn act_densities_are_deterministic_and_uniform_ish() {
-        let config = TraceConfig::poisson(500.0, 400, 42);
-        let (_, a) = ArrivalProcess::new(&config);
-        let (_, b) = ArrivalProcess::new(&config);
-        assert_eq!(a, b, "same seed, same densities");
-        assert!(a.iter().all(|r| (0.0..1.0).contains(&r.act)));
-        let mean = a.iter().map(|r| r.act).sum::<f64>() / a.len() as f64;
-        assert!((mean - 0.5).abs() < 0.08, "act mean {mean:.3}");
-        // Density is a function of (seed, id), not of the arrival RNG:
-        // a different seed changes it.
-        let (_, c) = ArrivalProcess::new(&TraceConfig::poisson(500.0, 400, 43));
-        assert!(a.iter().zip(&c).any(|(x, y)| x.act != y.act));
     }
 }

@@ -5,66 +5,37 @@
 use nc_dnn::inception::inception_v3;
 use nc_dnn::Model;
 use nc_geometry::SimTime;
-use nc_serve::{
-    simulate, simulate_traced, simulate_with_cost, BatchPolicy, ServeConfig, ServingOutcome,
-    TraceConfig, TraceEvent,
-};
+use nc_serve::{simulate, simulate_traced, ServeConfig, ServingOutcome, TraceConfig, TraceEvent};
 use nc_telemetry::{Level, Telemetry};
 use neural_cache::{BatchCostModel, SystemConfig};
 use proptest::prelude::*;
 
-/// Decodes a policy from two random draws.
-fn policy_from(kind: usize, size: usize) -> BatchPolicy {
-    let size = size.max(1);
-    match kind % 3 {
-        0 => BatchPolicy::Fixed { size },
-        1 => BatchPolicy::MaxWait {
-            max_batch: size,
-            max_wait: SimTime::from_millis(5.0 + size as f64),
-        },
-        _ => BatchPolicy::SloAdaptive { max_batch: size },
+/// Decodes a Poisson trace from random draws.
+fn trace_from(rate: usize, requests: usize, seed: u64) -> TraceConfig {
+    TraceConfig::poisson(rate.clamp(50, 3000) as f64, requests.clamp(10, 160), seed)
+}
+
+/// Decodes a serving configuration from random draws.
+fn config_from(max_batch: usize, slices: usize, queue_capacity: usize) -> ServeConfig {
+    ServeConfig {
+        system: SystemConfig::xeon_e5_2697_v3(),
+        slices: slices.clamp(1, 4),
+        max_batch: max_batch.max(1),
+        queue_capacity: queue_capacity.clamp(4, 512),
+        slo: SimTime::from_millis(80.0),
     }
 }
 
-/// Decodes a trace from random draws (open-loop kinds only when
-/// `open_only`; closed-loop arrival order is think-time dependent, so the
-/// FIFO property keys on open-loop traces).
-fn trace_from(
-    kind: usize,
-    rate: usize,
-    requests: usize,
-    seed: u64,
-    open_only: bool,
-) -> TraceConfig {
-    let requests = requests.clamp(10, 160);
-    let rate = rate.clamp(50, 3000) as f64;
-    match if open_only { kind % 2 } else { kind % 3 } {
-        0 => TraceConfig::poisson(rate, requests, seed),
-        1 => TraceConfig::bursty(rate * 0.2, rate * 2.0, 0.03, requests, seed),
-        _ => TraceConfig::closed_loop(1 + requests / 16, 0.004, requests, seed),
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // flat proptest inputs, decoded here
 fn run(
-    policy_kind: usize,
-    size: usize,
-    trace_kind: usize,
+    max_batch: usize,
     rate: usize,
     requests: usize,
     seed: u64,
     slices: usize,
     queue_capacity: usize,
-    open_only: bool,
 ) -> (ServingOutcome, TraceConfig) {
-    let config = ServeConfig {
-        system: SystemConfig::xeon_e5_2697_v3(),
-        slices: slices.clamp(1, 4),
-        policy: policy_from(policy_kind, size),
-        queue_capacity: queue_capacity.clamp(4, 512),
-        slo: SimTime::from_millis(80.0),
-    };
-    let trace = trace_from(trace_kind, rate, requests, seed, open_only);
+    let config = config_from(max_batch, slices, queue_capacity);
+    let trace = trace_from(rate, requests, seed);
     (simulate(&config, &model(), &trace), trace)
 }
 
@@ -77,19 +48,14 @@ proptest! {
 
     #[test]
     fn conservation_holds_for_any_queue_shape(
-        policy_kind in 0usize..3,
-        size in 1usize..32,
-        trace_kind in 0usize..3,
+        max_batch in 1usize..32,
         rate in 50usize..3000,
         requests in 10usize..160,
         seed in 0u64..10_000,
         slices in 1usize..4,
         queue_capacity in 4usize..64,
     ) {
-        let (out, _) = run(
-            policy_kind, size, trace_kind, rate, requests, seed, slices,
-            queue_capacity, false,
-        );
+        let (out, _) = run(max_batch, rate, requests, seed, slices, queue_capacity);
         let s = &out.summary;
         prop_assert!(s.conservation_holds(),
             "admitted {} != completed {} + dropped {} + pending {}",
@@ -108,18 +74,14 @@ proptest! {
 
     #[test]
     fn completions_are_fifo_within_a_priority_class_on_one_slice(
-        policy_kind in 0usize..3,
-        size in 1usize..24,
-        trace_kind in 0usize..2,
+        max_batch in 1usize..24,
         rate in 100usize..2500,
         requests in 10usize..120,
         seed in 0u64..10_000,
     ) {
-        // Open-loop traces (arrival order == id order), one slice: within
-        // each priority class completions must preserve arrival order.
-        let (out, _) = run(
-            policy_kind, size, trace_kind, rate, requests, seed, 1, 512, true,
-        );
+        // Arrival order == id order, one slice: within each priority class
+        // completions must preserve arrival order.
+        let (out, _) = run(max_batch, rate, requests, seed, 1, 512);
         let mut arrived: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
         let mut last_completed: Vec<Option<u64>> = vec![None; 8];
         for e in &out.trace.events {
@@ -144,17 +106,13 @@ proptest! {
 
     #[test]
     fn dispatch_is_fifo_within_a_priority_class_on_any_slices(
-        policy_kind in 0usize..3,
-        size in 1usize..24,
-        trace_kind in 0usize..2,
+        max_batch in 1usize..24,
         rate in 100usize..2500,
         requests in 10usize..120,
         seed in 0u64..10_000,
         slices in 1usize..4,
     ) {
-        let (out, trace) = run(
-            policy_kind, size, trace_kind, rate, requests, seed, slices, 512, true,
-        );
+        let (out, trace) = run(max_batch, rate, requests, seed, slices, 512);
         // Multi-slice completions may reorder across slices, but batches
         // must leave the queue FIFO within each class.
         let mut arrived: std::collections::HashMap<u64, u8> = std::collections::HashMap::new();
@@ -181,21 +139,13 @@ proptest! {
 
     #[test]
     fn identical_seeds_are_byte_identical(
-        policy_kind in 0usize..3,
-        size in 1usize..24,
-        trace_kind in 0usize..3,
+        max_batch in 1usize..24,
         rate in 100usize..2000,
         requests in 10usize..100,
         seed in 0u64..10_000,
     ) {
-        let trace = trace_from(trace_kind, rate, requests, seed, false);
-        let config = ServeConfig {
-            system: SystemConfig::xeon_e5_2697_v3(),
-            slices: 2,
-            policy: policy_from(policy_kind, size),
-            queue_capacity: 128,
-            slo: SimTime::from_millis(80.0),
-        };
+        let trace = trace_from(rate, requests, seed);
+        let config = config_from(max_batch, 2, 128);
         let first = simulate(&config, &model(), &trace);
         let again = simulate(&config, &model(), &trace);
         prop_assert_eq!(
@@ -215,26 +165,18 @@ proptest! {
     /// record, with the lifecycle counters matching the summary's books.
     #[test]
     fn traced_simulation_mirrors_every_event(
-        policy_kind in 0usize..3,
-        size in 1usize..32,
-        trace_kind in 0usize..3,
+        max_batch in 1usize..32,
         rate in 50usize..3000,
         requests in 10usize..120,
         seed in 0u64..10_000,
         slices in 1usize..4,
         queue_capacity in 4usize..64,
     ) {
-        let config = ServeConfig {
-            system: SystemConfig::xeon_e5_2697_v3(),
-            slices: slices.clamp(1, 4),
-            policy: policy_from(policy_kind, size),
-            queue_capacity: queue_capacity.clamp(4, 512),
-            slo: SimTime::from_millis(80.0),
-        };
+        let config = config_from(max_batch, slices, queue_capacity);
         let cost = BatchCostModel::new(&config.system, &model());
-        let trace = trace_from(trace_kind, rate, requests, seed, false);
+        let trace = trace_from(rate, requests, seed);
 
-        let plain = simulate_with_cost(&config, &cost, &trace);
+        let plain = simulate_traced(&config, &cost, &trace, &Telemetry::disabled());
         let tel = Telemetry::enabled(Level::Detail);
         let traced = simulate_traced(&config, &cost, &trace, &tel);
 

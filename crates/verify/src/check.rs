@@ -300,11 +300,13 @@ pub fn reduce_schedule(group_span: usize) -> nc_sram::Result<Schedule> {
 /// Proves the derived cost model's skip-aware MAC costs
 /// ([`CostModel::mac_cycles_sparse`], [`CostModel::mac_cycles_dynamic`])
 /// equal the recorded MAC-tap schedules at every integer skip/live anchor
-/// point (V009 on any disagreement).
+/// point (V009 on any disagreement). Returns the diagnostics and the
+/// number of anchor schedules compared.
 #[must_use]
-pub fn check_cost_model() -> Vec<Diagnostic> {
+pub fn check_cost_model() -> (Vec<Diagnostic>, u64) {
     let cost = &DerivedCostModel;
     let mut out = Vec::new();
+    let mut anchors = 0u64;
     for k in 0..=DATA_BITS {
         let mut flags = [false; DATA_BITS];
         for f in flags.iter_mut().take(k) {
@@ -314,6 +316,7 @@ pub fn check_cost_model() -> Vec<Diagnostic> {
 
         let s = mac_tap_schedule(SparsityMode::SkipZeroRows, &flags, DATA_BITS);
         let analytical = cost.mac_cycles_sparse(skip);
+        anchors += 1;
         if s.compute_cycles() as f64 != analytical {
             out.push(Diagnostic::new(
                 ErrorCode::CycleMismatchAnalytical,
@@ -328,6 +331,7 @@ pub fn check_cost_model() -> Vec<Diagnostic> {
         for live in 0..=DATA_BITS {
             let s = mac_tap_schedule(SparsityMode::SkipBoth, &flags, live);
             let analytical = cost.mac_cycles_dynamic(skip, live as f64);
+            anchors += 1;
             if s.compute_cycles() as f64 != analytical {
                 out.push(Diagnostic::new(
                     ErrorCode::CycleMismatchAnalytical,
@@ -341,7 +345,7 @@ pub fn check_cost_model() -> Vec<Diagnostic> {
             }
         }
     }
-    out
+    (out, anchors)
 }
 
 #[cfg(test)]
@@ -433,7 +437,9 @@ mod tests {
 
     #[test]
     fn schedule_constants_match_the_derived_cost_model() {
-        assert_eq!(check_cost_model(), Vec::new());
+        // 9 skip anchors (0..=8 rounds elided), each under SkipZeroRows
+        // and under SkipBoth at 0..=8 live bits.
+        assert_eq!(check_cost_model(), (Vec::new(), 90));
     }
 
     #[test]

@@ -116,17 +116,24 @@ const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     let mut report = VerifyReport::new(model.name.clone());
 
+    // Each sweep below also records how much it covered, so a sweep that
+    // shrinks changes the artifact.
     report.record("layouts", check::check_layouts());
-    report.record("cost-model", check::check_cost_model());
+    let (cost_diags, anchors) = check::check_cost_model();
+    report.record("cost-model", cost_diags);
+    report.stat("cost_model_anchors", anchors);
 
     // Per-mode MAC-tap schedules must be hazard-free.
     let mut hazards = Vec::new();
+    let mut mac_tap_modes = 0u64;
     let flags = [false, true, false, true, false, true, false, true];
     for mode in ALL_MODES {
         let s = check::mac_tap_schedule(mode, &flags, 5);
         hazards.extend(check::check_schedule(&format!("mac_tap/{mode:?}"), &s));
+        mac_tap_modes += 1;
     }
     report.record("mac-tap-hazards", hazards);
+    report.stat("mac_tap_modes", mac_tap_modes);
 
     // Per-layer lane geometry; the reduce schedule depends only on the
     // group span, so each distinct span is recorded and checked once. A
@@ -144,27 +151,35 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
             spans.insert(geom.group_span);
         }
     }
+    let mut reduce_spans = 0u64;
     for span in spans {
         if let Ok(s) = check::reduce_schedule(span) {
             geometry_diags.extend(check::check_schedule(&format!("reduce/span{span}"), &s));
+            reduce_spans += 1;
         }
     }
     report.record("lane-geometry", geometry_diags);
+    report.stat("reduce_spans", reduce_spans);
 
     let mut budget_diags = Vec::new();
+    let mut row_budgets = 0u64;
     for mode in ALL_MODES {
         for plan in plan_model_with(model, &config.geometry, mode) {
             for unit in &plan.units {
                 if let UnitPlan::Conv(c) = unit {
                     let label = format!("{}/{mode:?}", c.name);
                     budget_diags.extend(check::check_row_budget(&label, c));
+                    row_budgets += 1;
                 }
             }
         }
     }
     report.record("row-budget", budget_diags);
+    report.stat("row_budgets", row_budgets);
 
-    report.record("dump-overlap", check_dump_overlap(config, model));
+    let (dump_diags, dump_batches) = check_dump_overlap(config, model);
+    report.record("dump-overlap", dump_diags);
+    report.stat("dump_overlap_batches", dump_batches);
 
     // Value-range certification (V021-V023, V025-V027): interval x
     // known-bits pass over the schedule, checked for soundness against the
@@ -232,13 +247,16 @@ pub fn reconcile_pool_events(
 /// Checks the reserved-way dump-overlap window invariants of the batching
 /// model (V011): overlap savings can never exceed the efficiency-scaled
 /// conflict window, the last image's dump share can never hide, and the
-/// residual stall can never go negative.
+/// residual stall can never go negative. Returns the diagnostics and the
+/// number of batch sizes checked.
 #[must_use]
-pub fn check_dump_overlap(config: &SystemConfig, model: &Model) -> Vec<Diagnostic> {
+pub fn check_dump_overlap(config: &SystemConfig, model: &Model) -> (Vec<Diagnostic>, u64) {
     let cost = BatchCostModel::new(config, model);
     let mut out = Vec::new();
+    let mut batches = 0u64;
     let tol = 1e-9;
     for batch in [1usize, 2, 3, 4, 8, 16, 32] {
+        batches += 1;
         let r = cost.report(batch);
         let saved = r.dump_overlap_saved.as_secs_f64();
         let dump = r.dump_time.as_secs_f64();
@@ -282,7 +300,7 @@ pub fn check_dump_overlap(config: &SystemConfig, model: &Model) -> Vec<Diagnosti
             ));
         }
     }
-    out
+    (out, batches)
 }
 
 /// Everything [`check_model`] proves, plus the executed legs: runs the
@@ -319,6 +337,7 @@ pub fn check_executed_model(
             runs.push((format!("{mode_label}/{engine_label}"), result));
         }
     }
+    report.stat("executed_runs", runs.len() as u64);
     let (seq, threaded) = runs.split_at(ALL_MODES.len());
     let [dense, skipping, both] = [0, 1, 2].map(|i| &seq[i].1);
 
@@ -467,6 +486,14 @@ mod tests {
     use super::*;
     use nc_dnn::workload::{random_input, tiny_cnn};
 
+    fn stat(report: &VerifyReport, name: &str) -> Option<u64> {
+        report
+            .stats
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, v)| *v)
+    }
+
     #[test]
     fn shape_only_inception_verifies_clean() {
         let config = SystemConfig::default();
@@ -475,10 +502,12 @@ mod tests {
         assert!(report.is_clean(), "{report}");
         assert!(report.checks.iter().any(|c| c == "value-ranges"));
         let expected = model.conv_sublayer_count() as u64;
-        assert!(report
-            .stats
-            .iter()
-            .any(|(name, value)| name == "range_convs" && *value == expected));
+        assert_eq!(stat(&report, "range_convs"), Some(expected));
+        // Six distinct reduce spans; every conv sub-layer's row budget under
+        // each of the three modes.
+        assert_eq!(stat(&report, "reduce_spans"), Some(6));
+        assert_eq!(stat(&report, "row_budgets"), Some(3 * expected));
+        assert_eq!(expected, 95);
     }
 
     #[test]
@@ -509,6 +538,21 @@ mod tests {
         assert!(report.checks.iter().any(|c| c == "executed-reconciliation"));
         assert!(report.checks.iter().any(|c| c == "pool-reconciliation"));
         assert!(report.checks.iter().any(|c| c == "executed-ranges"));
+        // What each sweep covered: 90 cost-model anchors, the three modes'
+        // MAC taps, tiny_cnn's 4 distinct reduce spans, its 7 conv
+        // sub-layers' row budgets under each mode, seven dump-overlap batch
+        // sizes, and three modes on each of two engines.
+        assert_eq!(model.conv_sublayer_count(), 7);
+        for (name, value) in [
+            ("cost_model_anchors", 90),
+            ("mac_tap_modes", 3),
+            ("reduce_spans", 4),
+            ("row_budgets", 21),
+            ("dump_overlap_batches", 7),
+            ("executed_runs", 6),
+        ] {
+            assert_eq!(stat(&report, name), Some(value), "{name}");
+        }
     }
 
     #[test]

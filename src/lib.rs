@@ -9,8 +9,8 @@
 //! - [`geometry`] (`nc-geometry`): cache geometry, interconnect and DRAM models,
 //! - [`dnn`] (`nc-dnn`): quantized DNN layers, reference executor, Inception v3,
 //! - [`cache`] (`neural-cache`): the Neural Cache mapping + execution engine,
-//! - [`serve`] (`nc-serve`): the discrete-event serving simulator (arrival
-//!   traces, dynamic batching, latency SLOs),
+//! - [`serve`] (`nc-serve`): the discrete-event serving simulator (Poisson
+//!   traces, SLO-adaptive batching, latency SLOs),
 //! - [`baselines`] (`nc-baselines`): calibrated CPU/GPU comparison models,
 //! - [`verify`] (`nc-verify`): the static plan verifier (hazard checks,
 //!   operand-layout lints, three-way cycle reconciliation),

@@ -103,12 +103,9 @@ fn table3_energy_ordering_holds() {
 
 #[test]
 fn discrete_event_serving_simulator_end_to_end() {
-    use neural_cache_repro::serve::{simulate, BatchPolicy, ServeConfig, TraceConfig};
+    use neural_cache_repro::serve::{simulate, ServeConfig, TraceConfig};
     let model = inception_v3();
-    let config = ServeConfig {
-        policy: BatchPolicy::SloAdaptive { max_batch: 32 },
-        ..ServeConfig::default_two_slice()
-    };
+    let config = ServeConfig::default_two_slice();
     // Underloaded Poisson traffic: everything completes within the SLO.
     let calm = simulate(&config, &model, &TraceConfig::poisson(150.0, 100, 2018));
     assert!(calm.summary.conservation_holds());
