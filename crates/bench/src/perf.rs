@@ -4,7 +4,8 @@
 //! inputs. Every comparison also *verifies* its invariant: the skipping
 //! runs must be bit-identical to dense with their executed skip fractions
 //! agreeing with the `sparsity::analyze` / `activation_profile`
-//! predictions. Host wall time is measured by the `perfbench` benchmark,
+//! predictions, and `run_all` fails when one does not ([`crate::gate`]).
+//! Host wall time is measured by the `perfbench` benchmark,
 //! not here.
 
 use nc_dnn::workload::{
@@ -307,7 +308,7 @@ mod tests {
             );
         }
 
-        let text = crate::sparsity_with(&comps);
+        let text = crate::sparsity(&comps);
         assert!(text.contains("SkipZeroRows execution"));
         for s in &comps {
             assert!(
@@ -353,7 +354,7 @@ mod tests {
             "dense activations barely skip"
         );
 
-        let text = crate::activation_sparsity_with(&comps);
+        let text = crate::activation_sparsity(&comps);
         assert!(text.contains("relu_sparse_conv"));
         assert!(text.contains("dense_acts_break_even"));
         assert!(text.contains("net MAC"));

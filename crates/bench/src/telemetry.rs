@@ -99,8 +99,8 @@ pub fn record_showcase(tel: &Telemetry) {
 
 /// Honors the shared telemetry flags from the process arguments: when an
 /// artifact path is requested, records the showcase timeline and writes
-/// the files, reporting each path on stderr. The shared tail of every
-/// artifact binary.
+/// the files, reporting each path on stderr. The shared tail of `run_all`
+/// and `plan_lint`.
 pub fn emit_canary_artifacts() {
     let flags = TelemetryFlags::from_process_args();
     if !flags.wants_artifacts() {

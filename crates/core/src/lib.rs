@@ -13,6 +13,8 @@
 //! - [`energy`]: the chip-side energy/power model behind Table III;
 //! - [`batching`]: Section IV-E batch scheduling behind Figure 16;
 //! - [`cost`]: paper-published vs micro-op-derived cycle-cost models;
+//! - [`paper`]: the paper's published numbers the artifacts are checked
+//!   against, with a tolerance per anchor, and the CPU/GPU measurements;
 //! - [`engine`]: the work-sharded execution engine (sequential or threaded
 //!   backends) the functional executor dispatches independent shard jobs
 //!   through;
@@ -66,6 +68,7 @@ pub mod engine;
 pub mod functional;
 pub mod layout;
 pub mod mapping;
+pub mod paper;
 pub mod sparsity;
 pub mod timing;
 pub mod trace;

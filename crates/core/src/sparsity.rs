@@ -11,16 +11,11 @@
 //! turns that on across the SRAM ops, the functional executor, and the
 //! timing simulator (see `nc_sram::ComputeArray::mul_skip_zero_rows`).
 //!
-//! This module quantifies two optimization levels for a weight
-//! distribution:
-//!
-//! - **oracle (per-lane)**: the lower bound if each lane could skip its own
-//!   zero multiplier bits (what a non-SIMD bit-serial machine gets);
-//! - **simd (all-lanes-zero rows)**: the rounds actually removable in
-//!   Neural Cache, measured on the **executor's lane map**
-//!   ([`crate::mapping::LaneMap`]), so the analytical skip fraction agrees
-//!   exactly with the executed [`nc_sram::CycleStats::skipped_rounds`]
-//!   counters.
+//! This module measures, for a weight distribution, the rounds actually
+//! removable in Neural Cache (all-lanes-zero rows) on the **executor's
+//! lane map** ([`crate::mapping::LaneMap`]), so the analytical skip
+//! fraction agrees exactly with the executed
+//! [`nc_sram::CycleStats::skipped_rounds`] counters.
 //!
 //! Activations are not stationary, so the one dynamic mode,
 //! [`SparsityMode::SkipBoth`], pays a wired-NOR detect per round; its
@@ -158,11 +153,6 @@ pub struct SparsityStats {
     pub weights: usize,
     /// Codes equal to the weight zero point (exactly-zero real weights).
     pub zero_codes: usize,
-    /// Mean set-bit density of the weight codes (bits/8).
-    pub bit_density: f64,
-    /// Fraction of multiplier-bit rounds an oracle per-lane skipper
-    /// removes.
-    pub oracle_skip_fraction: f64,
     /// Round-skip profile on the mapper's actual lane packing.
     pub profile: SkipProfile,
     /// Fraction of rounds removable under the SIMD all-lanes-zero
@@ -178,25 +168,6 @@ pub struct SparsityReport {
 }
 
 impl SparsityReport {
-    /// Mean oracle skip fraction, weighted by executed (weight, bit)
-    /// rounds — weight codes times output windows.
-    #[must_use]
-    pub fn oracle_skip(&self) -> f64 {
-        let total: f64 = self
-            .sublayers
-            .iter()
-            .map(|s| (s.weights * s.positions) as f64)
-            .sum();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.sublayers
-            .iter()
-            .map(|s| s.oracle_skip_fraction * (s.weights * s.positions) as f64)
-            .sum::<f64>()
-            / total
-    }
-
     /// Mean SIMD-feasible skip fraction, weighted by executed rounds
     /// (per-window rounds times output windows). Every window re-runs the
     /// same round schedule, so this equals the functional executor's
@@ -216,13 +187,6 @@ impl SparsityReport {
             .map(|s| s.positions as u64 * s.profile.skippable_rounds)
             .sum::<u64>() as f64
             / total as f64
-    }
-
-    /// Idealized MAC speedup under `cost` if each lane could skip its own
-    /// zero multiplier bits (oracle).
-    #[must_use]
-    pub fn oracle_mac_speedup(&self, cost: &dyn CostModel) -> f64 {
-        mac_speedup(cost, self.oracle_skip())
     }
 
     /// Realizable MAC speedup under `cost` with the SIMD all-lanes-zero
@@ -496,12 +460,6 @@ fn analyze_conv(conv: &Conv2d, out_shape: nc_dnn::Shape) -> SparsityStats {
     let weights = conv.weights.as_ref().expect("weights present");
     let zp = conv.w_quant.zero_point.clamp(0, 255) as u8;
     let zero_codes = weights.iter().filter(|&&w| w == zp).count();
-    let set_bits: u64 = weights.iter().map(|&w| u64::from(w.count_ones())).sum();
-    let bit_density = set_bits as f64 / (weights.len() * DATA_BITS) as f64;
-
-    // Oracle: fraction of (weight, bit) rounds with a zero multiplier bit.
-    let oracle_skip_fraction = 1.0 - bit_density;
-
     // SIMD: the real lane packing, exactly as executed.
     let profile = conv_skip_profile(conv);
     SparsityStats {
@@ -509,8 +467,6 @@ fn analyze_conv(conv: &Conv2d, out_shape: nc_dnn::Shape) -> SparsityStats {
         positions: out_shape.h * out_shape.w,
         weights: weights.len(),
         zero_codes,
-        bit_density,
-        oracle_skip_fraction,
         profile,
         simd_skip_fraction: profile.fraction(),
     }
@@ -526,12 +482,10 @@ mod tests {
     #[test]
     fn dense_random_weights_offer_no_simd_skips() {
         let report = analyze(&tiny_cnn(1));
-        // Uniform random codes: ~50% oracle skip, essentially zero SIMD
-        // skip (an all-zero bit-slice across a whole array's live lanes is
-        // vanishingly unlikely).
-        assert!((report.oracle_skip() - 0.5).abs() < 0.05);
+        // Uniform random codes: essentially zero SIMD skip (an all-zero
+        // bit-slice across a whole array's live lanes is vanishingly
+        // unlikely).
         assert!(report.simd_skip() < 0.05);
-        assert!(report.oracle_mac_speedup(&DerivedCostModel) > 1.3);
         assert!(report.simd_mac_speedup(&DerivedCostModel) < 1.1);
     }
 
@@ -557,10 +511,6 @@ mod tests {
             report.simd_skip()
         );
         assert!(report.simd_mac_speedup(&DerivedCostModel) > 1.4);
-        assert!(
-            report.oracle_mac_speedup(&DerivedCostModel)
-                >= report.simd_mac_speedup(&DerivedCostModel)
-        );
     }
 
     #[test]

@@ -196,8 +196,8 @@ impl RangeAcc {
     }
 }
 
-/// Renders the rows as an aligned text table (the `table1_layers` bench
-/// binary prints this).
+/// Renders the rows as an aligned text table (`run_all`'s Table I
+/// section prints this).
 #[must_use]
 pub fn render_table1(rows: &[LayerSummary]) -> String {
     let mut out = String::new();

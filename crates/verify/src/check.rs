@@ -8,6 +8,8 @@
 //! Every check returns structured [`Diagnostic`]s; an empty vector means
 //! the artifact is provably hazard-free under the modeled port semantics.
 
+use std::sync::OnceLock;
+
 use nc_sram::{ComputeArray, CycleStats, Schedule, StepKind, COLS, ROWS};
 use neural_cache::cost::{CostModel, DerivedCostModel, DATA_BITS};
 use neural_cache::layout::{
@@ -301,9 +303,15 @@ pub fn reduce_schedule(group_span: usize) -> nc_sram::Result<Schedule> {
 /// ([`CostModel::mac_cycles_sparse`], [`CostModel::mac_cycles_dynamic`])
 /// equal the recorded MAC-tap schedules at every integer skip/live anchor
 /// point (V009 on any disagreement). Returns the diagnostics and the
-/// number of anchor schedules compared.
+/// number of anchor schedules compared. The sweep depends on no model, so
+/// it runs once per process, like the [`DerivedCostModel`] costs it checks.
 #[must_use]
 pub fn check_cost_model() -> (Vec<Diagnostic>, u64) {
+    static SWEEP: OnceLock<(Vec<Diagnostic>, u64)> = OnceLock::new();
+    SWEEP.get_or_init(sweep_cost_model).clone()
+}
+
+fn sweep_cost_model() -> (Vec<Diagnostic>, u64) {
     let cost = &DerivedCostModel;
     let mut out = Vec::new();
     let mut anchors = 0u64;

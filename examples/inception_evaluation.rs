@@ -1,10 +1,11 @@
-//! The paper's evaluation in miniature: per-layer latency against the
-//! calibrated CPU/GPU baselines (Figure 13), throughput vs batch size
+//! The paper's evaluation in miniature: per-layer latency (Figure 13),
+//! total latency against the paper's measured CPU/GPU latencies
+//! (Figure 15), throughput vs batch size against their published peaks
 //! (Figure 16), and cache-capacity scaling (Table IV).
 //!
 //! Run with: `cargo run --release --example inception_evaluation`
 
-use neural_cache_repro::baselines::{cpu_xeon_e5, gpu_titan_xp};
+use neural_cache_repro::cache::paper::{CPU, GPU};
 use neural_cache_repro::cache::{throughput_sweep, time_inference, SystemConfig};
 use neural_cache_repro::dnn::inception::inception_v3;
 
@@ -12,50 +13,32 @@ fn main() {
     let model = inception_v3();
     let config = SystemConfig::xeon_e5_2697_v3();
     let nc = time_inference(&config, &model);
-    let cpu = cpu_xeon_e5();
-    let gpu = gpu_titan_xp();
 
     println!("== Per-layer latency (ms) ==");
-    println!(
-        "{:<18} {:>9} {:>9} {:>13}",
-        "layer", "CPU", "GPU", "Neural Cache"
-    );
-    let cpu_layers = cpu.layer_latencies(&model);
-    let gpu_layers = gpu.layer_latencies(&model);
-    for ((layer, (_, c)), (_, g)) in nc.layers.iter().zip(&cpu_layers).zip(&gpu_layers) {
-        println!(
-            "{:<18} {:>9.3} {:>9.3} {:>13.4}",
-            layer.name,
-            c.as_millis_f64(),
-            g.as_millis_f64(),
-            layer.total().as_millis_f64()
-        );
+    println!("{:<18} {:>13}", "layer", "Neural Cache");
+    for layer in &nc.layers {
+        println!("{:<18} {:>13.4}", layer.name, layer.total().as_millis_f64());
     }
+    let nc_ms = nc.total().as_millis_f64();
     println!(
-        "\ntotal: CPU {:.1} ms | GPU {:.1} ms | Neural Cache {:.2} ms  ({:.1}x / {:.1}x)",
-        cpu.total_latency().as_millis_f64(),
-        gpu.total_latency().as_millis_f64(),
-        nc.total().as_millis_f64(),
-        cpu.total_latency() / nc.total(),
-        gpu.total_latency() / nc.total(),
+        "\ntotal: Neural Cache {nc_ms:.2} ms | paper: CPU {:.1} ms, GPU {:.1} ms  ({:.1}x / {:.1}x)",
+        CPU.latency_ms,
+        GPU.latency_ms,
+        CPU.latency_ms / nc_ms,
+        GPU.latency_ms / nc_ms,
     );
 
     println!("\n== Throughput vs batch size (inferences/sec) ==");
     let batches = [1usize, 4, 16, 64, 256];
-    let sweep = throughput_sweep(&config, &model, &batches);
-    println!(
-        "{:>6} {:>9} {:>9} {:>13}",
-        "batch", "CPU", "GPU", "Neural Cache"
-    );
-    for (i, &b) in batches.iter().enumerate() {
-        println!(
-            "{:>6} {:>9.1} {:>9.1} {:>13.1}",
-            b,
-            cpu.throughput(b),
-            gpu.throughput(b),
-            sweep[i].throughput_ips
-        );
+    println!("{:>6} {:>13}", "batch", "Neural Cache");
+    for r in throughput_sweep(&config, &model, &batches) {
+        println!("{:>6} {:>13.1}", r.batch, r.throughput_ips);
     }
+    println!(
+        "paper peaks: CPU {:.1}, GPU {:.1}",
+        CPU.peak_ips(),
+        GPU.peak_ips()
+    );
 
     println!("\n== Capacity scaling (batch 1) ==");
     for mb in [35usize, 45, 60] {

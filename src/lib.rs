@@ -9,9 +9,9 @@
 //! - [`geometry`] (`nc-geometry`): cache geometry, interconnect and DRAM models,
 //! - [`dnn`] (`nc-dnn`): quantized DNN layers, reference executor, Inception v3,
 //! - [`cache`] (`neural-cache`): the Neural Cache mapping + execution engine,
+//!   and the table of the paper's published numbers (`cache::paper`),
 //! - [`serve`] (`nc-serve`): the discrete-event serving simulator (Poisson
 //!   traces, SLO-adaptive batching, latency SLOs),
-//! - [`baselines`] (`nc-baselines`): calibrated CPU/GPU comparison models,
 //! - [`verify`] (`nc-verify`): the static plan verifier (hazard checks,
 //!   operand-layout lints, three-way cycle reconciliation),
 //! - [`telemetry`] (`nc-telemetry`): simulated-time tracing, the metrics
@@ -31,7 +31,6 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::pedantic)]
 
-pub use nc_baselines as baselines;
 pub use nc_dnn as dnn;
 pub use nc_geometry as geometry;
 pub use nc_serve as serve;

