@@ -451,29 +451,13 @@ pub fn fig16() -> String {
     out
 }
 
-/// Sparsity extension (Section VII future work): the SIMD-feasible
-/// weight-round skip of Inception v3 with its MAC speedup, and the
-/// executed dense-vs-pruned comparisons of `SparsityMode::SkipZeroRows`
-/// (skip fractions computed on the mapper's real lane packing, so the
+/// Sparsity extension (Section VII future work): the executed
+/// dense-vs-pruned comparisons of `SparsityMode::SkipZeroRows` (skip
+/// fractions computed on the mapper's real lane packing, so the
 /// analytical and executed numbers agree).
 #[must_use]
 pub fn sparsity(comparisons: &[perf::SparsityComparison]) -> String {
-    use nc_dnn::inception::inception_v3_with_weights;
-    use neural_cache::{CostModel as _, DerivedCostModel};
-    let cost = &DerivedCostModel;
-    let report = neural_cache::sparsity::analyze(&inception_v3_with_weights(1));
     let mut out = String::from("Sparsity analysis (paper Section VII future work)\n");
-    let _ = writeln!(
-        out,
-        "SIMD-feasible (all-lanes-zero rows) skip: {:.1}% | MAC speedup ({} cost model): {:.2}x",
-        100.0 * report.simd_skip(),
-        cost.name(),
-        report.simd_mac_speedup(cost)
-    );
-    let _ = writeln!(
-        out,
-        "(synthetic dense weights: pruned/quantized-sparse models raise the SIMD number)"
-    );
 
     // Executed dense-vs-pruned comparison: SkipZeroRows on the pruned
     // workloads, bit-identical to dense by construction.

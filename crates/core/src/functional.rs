@@ -4,6 +4,11 @@
 //! executor **bit for bit** (the paper's trace-matching validation,
 //! Section V).
 //!
+//! The executor is a [`reference::Backend`]: [`reference::run_layer_on`]
+//! walks each layer and derives every requantization constant from the
+//! ranges the executor measures in-cache, exactly as for the golden model,
+//! and this module supplies only the in-cache arithmetic.
+//!
 //! ## Staging
 //!
 //! One layer executes as three in-cache passes, each of which fits the
@@ -49,11 +54,10 @@
 use std::error::Error;
 use std::fmt;
 
-use nc_dnn::quant::{branch_requantizer, conv_requant_plan, shared_out_quant, CodeRequant};
-use nc_dnn::reference::SublayerRecord;
+use nc_dnn::quant::CodeRequant;
+use nc_dnn::reference::{self, Backend, SublayerRecord};
 use nc_dnn::{
-    pad_before, ActQuant, Branch, BranchOp, Conv2d, Layer, MixedBlock, Model, PoolKind, QTensor,
-    Requantizer, Shape,
+    pad_before, AccTensor, ActQuant, Conv2d, Model, Pool2d, PoolKind, QTensor, Requantizer, Shape,
 };
 use nc_sram::{
     pack_lanes, ArrayPool, ArrayTimings, BitRow, ComputeArray, CycleStats, Operand, SramError, COLS,
@@ -266,8 +270,9 @@ pub fn run_model_traced(
     let mut sublayers = Vec::new();
     for layer in &model.layers {
         let before = exec.cycles;
-        let out = exec.run_layer(layer, &cur, &mut sublayers)?;
-        cur = out;
+        let record = reference::run_layer_on(&mut exec, layer, &cur)?;
+        sublayers.extend(record.sublayers);
+        cur = record.output;
         if tel.at(Level::Spans) {
             let start_s = before.seconds(&timings);
             let dur_s = exec.cycles.seconds(&timings) - start_s;
@@ -336,37 +341,8 @@ struct Exec {
     observer: Option<ShardObserver>,
 }
 
-/// A branch's final output awaiting the block-shared range.
-enum Pending {
-    Acc(AccChunk, f64, String),
-    Codes(QTensor),
-}
-
-/// Host-side staging of a sub-layer's in-cache accumulators between passes,
-/// with the layer range already computed by the in-cache min/max trees.
-struct AccChunk {
-    shape: Shape,
-    values: Vec<i64>,
-    min: i64,
-    max: i64,
-}
-
-impl AccChunk {
-    fn min_max(&self) -> (i64, i64) {
-        (self.min, self.max)
-    }
-}
-
 impl Exec {
     fn new(engine: ExecutionEngine, mode: SparsityMode, tel: Telemetry) -> Result<Self> {
-        // Debug-mode pre-pass: prove every shard-job row layout hazard-free
-        // before the first array is touched (`nc-verify` runs the same
-        // descriptors statically with structured diagnostics).
-        #[cfg(debug_assertions)]
-        {
-            let hazards = layout::validate_plan();
-            assert!(hazards.is_empty(), "executor plan hazards: {hazards:?}");
-        }
         let observer = (tel.is_enabled() && engine.is_parallel()).then(ShardObserver::new);
         let layer_track = tel.track("functional", "layers");
         let op_track = tel.track("functional", "ops");
@@ -450,216 +426,6 @@ impl Exec {
         }
     }
 
-    fn run_layer(
-        &mut self,
-        layer: &Layer,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-    ) -> Result<QTensor> {
-        match layer {
-            Layer::Conv(conv) => {
-                let acc = self.conv_accumulate(conv, input)?;
-                let scale = conv.w_quant.scale * input.params().scale;
-                let (acc_min, acc_max) = acc.min_max();
-                let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-                let out = self.requantize(&acc, requant, out_quant)?;
-                records.push(SublayerRecord {
-                    name: conv.spec.name.clone(),
-                    acc_min,
-                    acc_max,
-                    requant,
-                    out_quant,
-                });
-                Ok(out)
-            }
-            Layer::Pool(pool) => self.pool(pool, input),
-            Layer::Mixed(block) => self.mixed(block, input, records),
-        }
-    }
-
-    fn mixed(
-        &mut self,
-        block: &MixedBlock,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-    ) -> Result<QTensor> {
-        let mut pending = Vec::new();
-        for branch in &block.branches {
-            self.run_branch(branch, input, records, &mut pending)?;
-        }
-
-        // Block-wide real range (in hardware: per-array min/max trees plus
-        // a bus/ring reduction; the CPU then derives the scalars).
-        let mut r_min = f64::INFINITY;
-        let mut r_max = f64::NEG_INFINITY;
-        for p in &pending {
-            match p {
-                Pending::Acc(acc, scale, _) => {
-                    let (lo, hi) = acc.min_max();
-                    r_min = r_min.min(lo as f64 * scale);
-                    r_max = r_max.max(hi as f64 * scale);
-                }
-                Pending::Codes(t) => {
-                    let (mut lo, mut hi) = (u8::MAX, u8::MIN);
-                    for &q in t.data() {
-                        lo = lo.min(q);
-                        hi = hi.max(q);
-                    }
-                    r_min = r_min.min(t.params().dequantize(lo));
-                    r_max = r_max.max(t.params().dequantize(hi));
-                }
-            }
-        }
-        let out_quant = shared_out_quant(r_min, r_max);
-
-        let mut parts = Vec::with_capacity(pending.len());
-        for p in pending {
-            match p {
-                Pending::Acc(acc, scale, name) => {
-                    let requant = branch_requantizer(r_min, r_max, scale);
-                    let (acc_min, acc_max) = acc.min_max();
-                    let out = self.requantize(&acc, requant, out_quant)?;
-                    if let Some(rec) = records.iter_mut().rev().find(|r| r.name == name) {
-                        rec.requant = requant;
-                        rec.out_quant = out_quant;
-                        rec.acc_min = acc_min;
-                        rec.acc_max = acc_max;
-                    }
-                    parts.push(out);
-                }
-                Pending::Codes(t) => {
-                    let map = CodeRequant::between(t.params(), out_quant);
-                    parts.push(self.code_requant(&t, map, out_quant)?);
-                }
-            }
-        }
-        Ok(concat_channels(&parts, out_quant))
-    }
-
-    fn run_branch(
-        &mut self,
-        branch: &Branch,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-        pending: &mut Vec<Pending>,
-    ) -> Result<()> {
-        let mut cur = input.clone();
-        let last = branch.ops.len() - 1;
-        for (i, op) in branch.ops.iter().enumerate() {
-            match op {
-                BranchOp::Pool(p) => {
-                    let out = self.pool(p, &cur)?;
-                    if i == last {
-                        pending.push(Pending::Codes(out));
-                        return Ok(());
-                    }
-                    cur = out;
-                }
-                BranchOp::Conv(c) => {
-                    if i == last {
-                        self.pend_conv(c, &cur, records, pending)?;
-                        return Ok(());
-                    }
-                    let acc = self.conv_accumulate(c, &cur)?;
-                    let scale = c.w_quant.scale * cur.params().scale;
-                    let (acc_min, acc_max) = acc.min_max();
-                    let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-                    let out = self.requantize(&acc, requant, out_quant)?;
-                    records.push(SublayerRecord {
-                        name: c.spec.name.clone(),
-                        acc_min,
-                        acc_max,
-                        requant,
-                        out_quant,
-                    });
-                    cur = out;
-                }
-                BranchOp::Split(convs) => {
-                    for c in convs {
-                        self.pend_conv(c, &cur, records, pending)?;
-                    }
-                    return Ok(());
-                }
-            }
-        }
-        unreachable!("branch has at least one op");
-    }
-
-    fn pend_conv(
-        &mut self,
-        c: &Conv2d,
-        input: &QTensor,
-        records: &mut Vec<SublayerRecord>,
-        pending: &mut Vec<Pending>,
-    ) -> Result<()> {
-        let acc = self.conv_accumulate(c, input)?;
-        let scale = c.w_quant.scale * input.params().scale;
-        let (acc_min, acc_max) = acc.min_max();
-        let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-        records.push(SublayerRecord {
-            name: c.spec.name.clone(),
-            acc_min,
-            acc_max,
-            requant,
-            out_quant,
-        });
-        pending.push(Pending::Acc(acc, scale, c.spec.name.clone()));
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Passes 1 and 2: MACs, grouped channel reduction, assembly
-    // ------------------------------------------------------------------
-
-    /// Computes the (`ReLU`'d, when fused) integer accumulators of one
-    /// convolution sub-layer entirely with bit-serial array operations.
-    ///
-    /// Every output window is an independent shard job (it owns its arrays
-    /// for the MAC/reduce and assembly passes); the shards meet only at the
-    /// ranging barrier below.
-    fn conv_accumulate(&mut self, conv: &Conv2d, input: &QTensor) -> Result<AccChunk> {
-        let spec = &conv.spec;
-        let out_shape = spec.out_shape(input.shape());
-        let layer = ConvLayer::new(conv, input.params().zero_point, self.mode)?;
-
-        // Passes 1+2, sharded per output window.
-        let layer = &layer;
-        let per_window = self.dispatch("mac-reduce", out_shape.h * out_shape.w, |pool, pos| {
-            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-            let mut window = vec![0u8; spec.macs_per_output()];
-            gather_window(input, spec, ey, ex, &mut window);
-            layer.run_window(pool, &window)
-        })?;
-
-        let mut acc_values = vec![0i64; out_shape.len()];
-        for (pos, vals) in per_window.into_iter().enumerate() {
-            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-            for (m, v) in vals.into_iter().enumerate() {
-                acc_values[out_shape.index(ey, ex, m)] = v;
-            }
-        }
-
-        // Inter-array reduce barrier — dynamic ranging (Section IV-D) needs
-        // every shard's accumulators: per-array min/max trees, combined
-        // across arrays and slices by bus+ring transfers (host-combined
-        // here, exactly like the paper's per-array results).
-        let (min, max) = self.min_max_in_cache(&acc_values)?;
-        debug_assert_eq!(
-            (min, max),
-            (
-                acc_values.iter().copied().min().unwrap_or(0),
-                acc_values.iter().copied().max().unwrap_or(0)
-            ),
-            "in-cache ranging must agree with a host scan"
-        );
-        Ok(AccChunk {
-            shape: out_shape,
-            values: acc_values,
-            min,
-            max,
-        })
-    }
-
     /// In-cache dynamic ranging: accumulator values are loaded with a 2^38
     /// offset (so two's-complement order matches unsigned order) and
     /// reduced by the in-array min/max trees of Section IV-D; per-chunk
@@ -683,25 +449,75 @@ impl Exec {
         }
         Ok((range.min, range.max))
     }
+}
+
+impl Backend for Exec {
+    type Error = FunctionalError;
+
+    // ------------------------------------------------------------------
+    // Passes 1 and 2: MACs, grouped channel reduction, assembly
+    // ------------------------------------------------------------------
+
+    /// Computes the (`ReLU`'d, when fused) integer accumulators of one
+    /// convolution sub-layer entirely with bit-serial array operations,
+    /// and their range with the in-cache min/max trees.
+    ///
+    /// Every output window is an independent shard job (it owns its arrays
+    /// for the MAC/reduce and assembly passes); the shards meet only at the
+    /// ranging barrier below.
+    fn accumulate(&mut self, conv: &Conv2d, input: &QTensor) -> Result<(AccTensor, (i64, i64))> {
+        let spec = &conv.spec;
+        let out_shape = spec.out_shape(input.shape());
+        let layer = ConvLayer::new(conv, input.params().zero_point, self.mode)?;
+
+        // Passes 1+2, sharded per output window.
+        let layer = &layer;
+        let per_window = self.dispatch("mac-reduce", out_shape.h * out_shape.w, |pool, pos| {
+            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
+            let mut window = vec![0u8; spec.macs_per_output()];
+            gather_window(input, spec, ey, ex, &mut window);
+            layer.run_window(pool, &window)
+        })?;
+
+        let mut acc = AccTensor::zeros(out_shape);
+        for (pos, vals) in per_window.into_iter().enumerate() {
+            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
+            for (m, v) in vals.into_iter().enumerate() {
+                acc.set(ey, ex, m, v);
+            }
+        }
+
+        // Inter-array reduce barrier — dynamic ranging (Section IV-D) needs
+        // every shard's accumulators: per-array min/max trees, combined
+        // across arrays and slices by bus+ring transfers (host-combined
+        // here, exactly like the paper's per-array results).
+        let range = self.min_max_in_cache(acc.data())?;
+        debug_assert_eq!(
+            range,
+            acc.min_max(),
+            "in-cache ranging must agree with a host scan"
+        );
+        Ok((acc, range))
+    }
 
     // ------------------------------------------------------------------
     // Pass 3: requantization
     // ------------------------------------------------------------------
 
-    /// Requantizes a chunk of accumulators in-cache: subtract the layer
+    /// Requantizes a layer's accumulators in-cache: subtract the layer
     /// minimum, ReLU-clamp, scalar multiply, shift by row re-addressing,
     /// saturate at 255. Each 256-output array run is one shard job.
     fn requantize(
         &mut self,
-        acc: &AccChunk,
+        acc: &AccTensor,
         requant: Requantizer,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let chunks: Vec<&[i64]> = acc.values.chunks(COLS).collect();
+        let chunks: Vec<&[i64]> = acc.data().chunks(COLS).collect();
         let out = self.dispatch("requantize", chunks.len(), |pool, i| {
             requant_chunk(pool, chunks[i], requant)
         })?;
-        Ok(QTensor::from_vec(acc.shape, out_quant, out.concat()))
+        Ok(QTensor::from_vec(acc.shape(), out_quant, out.concat()))
     }
 
     /// In-cache code-to-code requantization of a pool-final branch
@@ -709,22 +525,22 @@ impl Exec {
     /// multiply/add/shift), sharded per 256-lane array run.
     fn code_requant(
         &mut self,
-        t: &QTensor,
+        codes: &QTensor,
         map: CodeRequant,
         out_quant: ActQuant,
     ) -> Result<QTensor> {
-        let chunks: Vec<&[u8]> = t.data().chunks(COLS).collect();
+        let chunks: Vec<&[u8]> = codes.data().chunks(COLS).collect();
         let out = self.dispatch("code-requant", chunks.len(), |pool, i| {
             code_requant_chunk(pool, chunks[i], map)
         })?;
-        Ok(QTensor::from_vec(t.shape(), out_quant, out.concat()))
+        Ok(QTensor::from_vec(codes.shape(), out_quant, out.concat()))
     }
 
     // ------------------------------------------------------------------
     // Pooling (Section IV-D)
     // ------------------------------------------------------------------
 
-    fn pool(&mut self, pool: &nc_dnn::Pool2d, input: &QTensor) -> Result<QTensor> {
+    fn pool(&mut self, pool: &Pool2d, input: &QTensor) -> Result<QTensor> {
         let in_shape = input.shape();
         let out_shape = pool.out_shape(in_shape);
         let pad_y = pad_before(in_shape.h, pool.k, pool.stride, pool.padding) as isize;
@@ -1074,28 +890,12 @@ fn accumulator_code(op: Operand, value: i64) -> Result<u64> {
         })
 }
 
-fn concat_channels(parts: &[QTensor], params: ActQuant) -> QTensor {
-    let (h, w) = (parts[0].shape().h, parts[0].shape().w);
-    let total_c: usize = parts.iter().map(|p| p.shape().c).sum();
-    QTensor::from_fn(Shape::new(h, w, total_c), params, |y, x, c| {
-        let mut offset = 0;
-        for p in parts {
-            let pc = p.shape().c;
-            if c < offset + pc {
-                return p.get(y, x, c - offset);
-            }
-            offset += pc;
-        }
-        unreachable!("channel {c} out of range");
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nc_dnn::reference;
     use nc_dnn::workload::{random_conv, random_input, single_conv_model, tiny_cnn};
-    use nc_dnn::Padding;
+    use nc_dnn::{Layer, Padding};
 
     /// A fresh array to measure a layout method on.
     fn scratch() -> ComputeArray {
@@ -1460,7 +1260,7 @@ mod tests {
             name: "avg16".into(),
             input_shape: Shape::new(16, 16, 1),
             input_quant: ActQuant::from_range(0.0, 1.0),
-            layers: vec![Layer::Pool(nc_dnn::Pool2d {
+            layers: vec![Layer::Pool(Pool2d {
                 name: "avg16/pool".into(),
                 kind: PoolKind::Avg,
                 k: 16,
@@ -1656,5 +1456,32 @@ mod tests {
         // The threaded backend reports the same error.
         let err = run_model_with(&model, &input, ExecutionEngine::from_threads(2)).unwrap_err();
         assert!(matches!(err, FunctionalError::MissingWeights { .. }));
+    }
+
+    #[test]
+    fn missing_weights_inside_a_mixed_block_is_an_error() {
+        // The second conv of mini_c's terminal split runs after two whole
+        // blocks and three convs of its own block; the walk must stop there
+        // with that conv's name, on either engine.
+        let mut model = nc_dnn::workload::mini_inception(3);
+        let conv = model
+            .layers
+            .iter_mut()
+            .flat_map(Layer::conv_sublayers_mut)
+            .find(|c| c.spec.name == "mini_c/b1_3x1")
+            .expect("mini_inception has the split conv");
+        conv.weights = None;
+        let input = random_input(model.input_shape, model.input_quant, 4);
+        for engine in [
+            ExecutionEngine::Sequential,
+            ExecutionEngine::from_threads(2),
+        ] {
+            assert_eq!(
+                run_model_with(&model, &input, engine).unwrap_err(),
+                FunctionalError::MissingWeights {
+                    name: "mini_c/b1_3x1".into()
+                }
+            );
+        }
     }
 }

@@ -7,10 +7,9 @@
 //! once, so:
 //!
 //! - the executor builds its operands from here (no drift possible),
-//! - [`validate_plan`] proves the whole plan hazard-free before the first
-//!   row is touched (debug-mode pre-pass in the executor), including the
-//!   in-place hand-off from pass 1 to pass 2 ([`handoff_violations`]),
-//! - the `nc-verify` static checker lints the same descriptors, and
+//! - the `nc-verify` static checker lints the same descriptors
+//!   ([`all_layouts`]), including the in-place hand-off from pass 1 to
+//!   pass 2 ([`handoff_violations`]), and
 //! - every pass's op sequence is a method here: pass 1's MAC tap, reduce
 //!   tail and cross-array fold ([`MacReduceLayout`]), pass 2's assembly
 //!   ([`AssembleLayout::assemble`]), the ranging trees
@@ -24,7 +23,7 @@
 use nc_dnn::quant::CodeRequant;
 use nc_dnn::Requantizer;
 use nc_sram::ops::copy_lanes_between;
-use nc_sram::{ComputeArray, CycleStats, Operand, Result, ROWS};
+use nc_sram::{ComputeArray, CycleStats, Operand, Result};
 
 use crate::sparsity::SparsityMode;
 
@@ -546,8 +545,8 @@ impl Default for PoolAvgLayout {
     }
 }
 
-/// Every shard-job layout with its name, for exhaustive checking by
-/// [`validate_plan`] and the `nc-verify` layout lints.
+/// Every shard-job layout with its name, for exhaustive checking by the
+/// `nc-verify` layout lints.
 #[must_use]
 pub fn all_layouts() -> Vec<(&'static str, Vec<NamedOperand>)> {
     vec![
@@ -589,49 +588,9 @@ pub fn handoff_violations(mac: &MacReduceLayout, asm: &AssembleLayout) -> Vec<St
     violations
 }
 
-/// Statically validates every shard-job layout: all regions in bounds,
-/// pairwise disjoint, and clear of the reserved zero and dump rows; and
-/// the in-place pass-1 to pass-2 hand-off ([`handoff_violations`]).
-///
-/// Returns one human-readable violation per hazard (empty = clean). The
-/// functional executor runs this as a debug-mode pre-pass before touching
-/// any array; `nc-verify` re-runs the same descriptors with structured
-/// error codes.
-#[must_use]
-pub fn validate_plan() -> Vec<String> {
-    let mut violations = Vec::new();
-    for (job, operands) in all_layouts() {
-        for (i, (name, o)) in operands.iter().enumerate() {
-            if o.rows().end > ROWS {
-                violations.push(format!("{job}: {name} {o} exceeds {ROWS} word lines"));
-            }
-            for reserved in [ZERO_ROW, DUMP_ROW] {
-                if o.contains_row(reserved) {
-                    violations.push(format!("{job}: {name} {o} claims reserved row {reserved}"));
-                }
-            }
-            for (other_name, other) in &operands[i + 1..] {
-                if o.overlaps(other) {
-                    violations.push(format!("{job}: {name} {o} overlaps {other_name} {other}"));
-                }
-            }
-        }
-    }
-    violations.extend(handoff_violations(
-        &MacReduceLayout::new(),
-        &AssembleLayout::new(),
-    ));
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shipped_layouts_are_hazard_free() {
-        assert_eq!(validate_plan(), Vec::<String>::new());
-    }
 
     #[test]
     fn layouts_expose_every_field() {

@@ -20,14 +20,17 @@
 //! Activations are not stationary, so the one dynamic mode,
 //! [`SparsityMode::SkipBoth`], pays a wired-NOR detect per round; its
 //! input-side opportunity is measured per input by [`activation_profile`],
-//! and its static multiplicand truncation by [`conv_live_mult_bits`].
-//!
-//! All cycle arithmetic derives from the [`CostModel`] trait — the analysis
-//! can no longer drift from `cost.rs`.
+//! inside the golden model's run of the shared layer walk
+//! ([`nc_dnn::reference::run_layer_on`]), and its static multiplicand
+//! truncation by [`conv_live_mult_bits`].
 
-use nc_dnn::{reference, BranchOp, Conv2d, Layer, Model, QTensor};
+use std::convert::Infallible;
 
-use crate::cost::{CostModel, DATA_BITS};
+use nc_dnn::quant::CodeRequant;
+use nc_dnn::reference::{self, Backend, Golden};
+use nc_dnn::{AccTensor, ActQuant, Conv2d, Layer, Model, Pool2d, QTensor, Requantizer};
+
+use crate::cost::DATA_BITS;
 use crate::mapping::{gather_window, LaneMap, LayerPlan, UnitPlan};
 
 /// Which multiplier-bit rounds the executors elide.
@@ -144,20 +147,11 @@ pub fn conv_skip_profile(conv: &Conv2d) -> SkipProfile {
 /// Sparsity statistics of one convolution sub-layer's weights.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparsityStats {
-    /// Sub-layer name.
-    pub name: String,
     /// Output windows (`E_h * E_w`): every window re-executes the same
     /// round schedule, so model-level fractions weight by this count.
     pub positions: usize,
-    /// Total weight codes.
-    pub weights: usize,
-    /// Codes equal to the weight zero point (exactly-zero real weights).
-    pub zero_codes: usize,
     /// Round-skip profile on the mapper's actual lane packing.
     pub profile: SkipProfile,
-    /// Fraction of rounds removable under the SIMD all-lanes-zero
-    /// constraint (`profile.fraction()`).
-    pub simd_skip_fraction: f64,
 }
 
 /// Sparsity report over a whole model.
@@ -188,20 +182,6 @@ impl SparsityReport {
             .sum::<u64>() as f64
             / total as f64
     }
-
-    /// Realizable MAC speedup under `cost` with the SIMD all-lanes-zero
-    /// constraint on the real lane packing.
-    #[must_use]
-    pub fn simd_mac_speedup(&self, cost: &dyn CostModel) -> f64 {
-        mac_speedup(cost, self.simd_skip())
-    }
-}
-
-/// MAC-phase speedup of eliding `skip` of the multiplier-bit rounds,
-/// derived entirely from the [`CostModel`] (dense MAC cycles over
-/// skip-aware MAC cycles).
-fn mac_speedup(cost: &dyn CostModel, skip: f64) -> f64 {
-    cost.mac_cycles() as f64 / cost.mac_cycles_sparse(skip)
 }
 
 /// Analyzes the weight sparsity of every convolution sub-layer. Shapes
@@ -284,11 +264,6 @@ pub struct ActivationStats {
     /// Multiplier-bit rounds scheduled across the whole sub-layer
     /// execution.
     pub total_rounds: u64,
-    /// Input codes equal to the input zero point (exactly-zero real
-    /// activations — the `ReLU` footprint).
-    pub zero_codes: usize,
-    /// Total input codes of the sub-layer's input tensor.
-    pub codes: usize,
 }
 
 impl ActivationStats {
@@ -369,10 +344,10 @@ impl ActivationProfile {
 
 /// Measures the dynamic input-bit skip opportunity of every convolution
 /// sub-layer of `model` on one actual `input`, walking the executor's lane
-/// map ([`LaneMap`] over the executor's window gathering) on every
-/// intermediate activation tensor. Intermediates come from the
-/// [`nc_dnn::reference`] golden executor, which the functional
-/// executor matches bit for bit — so the profile predicts the executed
+/// map ([`LaneMap`] over the executor's window gathering) on each conv's
+/// actual input tensor. The model runs once, on the golden model through
+/// the layer walk the functional executor shares, which it matches bit
+/// for bit — so the profile predicts the executed
 /// [`nc_sram::CycleStats::input_rounds_skipped`] counters **exactly**.
 ///
 /// # Panics
@@ -382,41 +357,53 @@ impl ActivationProfile {
 pub fn activation_profile(model: &Model, input: &QTensor) -> ActivationProfile {
     assert!(model.has_weights(), "activation profiling needs weights");
     assert_eq!(input.shape(), model.input_shape, "input shape mismatch");
-    let mut sublayers = Vec::new();
+    let mut profiler = Profiler(Vec::new());
     let mut cur = input.clone();
     for layer in &model.layers {
-        match layer {
-            Layer::Conv(conv) => {
-                sublayers.push(profile_conv(conv, &cur));
-                cur = reference::run_conv(conv, &cur).0;
-            }
-            Layer::Pool(pool) => cur = reference::run_pool(pool, &cur),
-            Layer::Mixed(block) => {
-                for branch in &block.branches {
-                    let mut bcur = cur.clone();
-                    let last = branch.ops.len() - 1;
-                    for (i, op) in branch.ops.iter().enumerate() {
-                        match op {
-                            BranchOp::Conv(c) => {
-                                sublayers.push(profile_conv(c, &bcur));
-                                if i != last {
-                                    bcur = reference::run_conv(c, &bcur).0;
-                                }
-                            }
-                            BranchOp::Pool(p) => bcur = reference::run_pool(p, &bcur),
-                            BranchOp::Split(convs) => {
-                                for c in convs {
-                                    sublayers.push(profile_conv(c, &bcur));
-                                }
-                            }
-                        }
-                    }
-                }
-                cur = reference::run_layer(layer, &cur).output;
-            }
-        }
+        let Ok(record) = reference::run_layer_on(&mut profiler, layer, &cur);
+        cur = record.output;
     }
-    ActivationProfile { sublayers }
+    ActivationProfile {
+        sublayers: profiler.0,
+    }
+}
+
+/// The golden model's arithmetic, profiling each conv's input first.
+struct Profiler(Vec<ActivationStats>);
+
+impl Backend for Profiler {
+    type Error = Infallible;
+
+    fn accumulate(
+        &mut self,
+        conv: &Conv2d,
+        input: &QTensor,
+    ) -> Result<(AccTensor, (i64, i64)), Infallible> {
+        self.0.push(profile_conv(conv, input));
+        Golden.accumulate(conv, input)
+    }
+
+    fn requantize(
+        &mut self,
+        acc: &AccTensor,
+        requant: Requantizer,
+        out_quant: ActQuant,
+    ) -> Result<QTensor, Infallible> {
+        Golden.requantize(acc, requant, out_quant)
+    }
+
+    fn pool(&mut self, pool: &Pool2d, input: &QTensor) -> Result<QTensor, Infallible> {
+        Golden.pool(pool, input)
+    }
+
+    fn code_requant(
+        &mut self,
+        codes: &QTensor,
+        map: CodeRequant,
+        out_quant: ActQuant,
+    ) -> Result<QTensor, Infallible> {
+        Golden.code_requant(codes, map, out_quant)
+    }
 }
 
 /// One sub-layer's input-bit skip measurement: for every output window,
@@ -446,36 +433,24 @@ fn profile_conv(conv: &Conv2d, input: &QTensor) -> ActivationStats {
             }
         }
     }
-    let zp = input.params().zero_point.clamp(0, 255) as u8;
     ActivationStats {
         name: spec.name.clone(),
         skippable_rounds: skippable * m_blocks,
         total_rounds: total * m_blocks,
-        zero_codes: input.data().iter().filter(|&&q| q == zp).count(),
-        codes: input.data().len(),
     }
 }
 
 fn analyze_conv(conv: &Conv2d, out_shape: nc_dnn::Shape) -> SparsityStats {
-    let weights = conv.weights.as_ref().expect("weights present");
-    let zp = conv.w_quant.zero_point.clamp(0, 255) as u8;
-    let zero_codes = weights.iter().filter(|&&w| w == zp).count();
-    // SIMD: the real lane packing, exactly as executed.
-    let profile = conv_skip_profile(conv);
     SparsityStats {
-        name: conv.spec.name.clone(),
         positions: out_shape.h * out_shape.w,
-        weights: weights.len(),
-        zero_codes,
-        profile,
-        simd_skip_fraction: profile.fraction(),
+        // SIMD: the real lane packing, exactly as executed.
+        profile: conv_skip_profile(conv),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::DerivedCostModel;
     use nc_dnn::workload::{prune_conv, random_conv, single_conv_model, tiny_cnn};
     use nc_dnn::{Padding, Shape, WeightQuant};
 
@@ -486,7 +461,6 @@ mod tests {
         // bit-slice across a whole array's live lanes is vanishingly
         // unlikely).
         assert!(report.simd_skip() < 0.05);
-        assert!(report.simd_mac_speedup(&DerivedCostModel) < 1.1);
     }
 
     #[test]
@@ -510,21 +484,6 @@ mod tests {
             "top nibble rounds skippable, got {}",
             report.simd_skip()
         );
-        assert!(report.simd_mac_speedup(&DerivedCostModel) > 1.4);
-    }
-
-    #[test]
-    fn speedups_derive_from_the_cost_model() {
-        // The analysis must agree with CostModel::mac_cycles_sparse for any
-        // model — no hardcoded cycle constants.
-        let report = analyze(&tiny_cnn(3));
-        for cost in [
-            &crate::cost::PaperCostModel as &dyn CostModel,
-            &DerivedCostModel,
-        ] {
-            let expected = cost.mac_cycles() as f64 / cost.mac_cycles_sparse(report.simd_skip());
-            assert!((report.simd_mac_speedup(cost) - expected).abs() < 1e-12);
-        }
     }
 
     #[test]
@@ -580,8 +539,6 @@ mod tests {
             "single-conv model: layer skip is the model skip"
         );
         assert!(profile.skip_of("nope").is_none());
-        let s = &profile.sublayers[0];
-        assert!(s.zero_codes as f64 / s.codes as f64 > 0.6);
 
         // Full-width dense activations: essentially nothing skips (an
         // all-zero bit-slice over a whole array of lanes is vanishingly
@@ -656,22 +613,6 @@ mod tests {
         assert!(!SparsityMode::Dense.dynamic_detect());
         assert!(!SparsityMode::SkipZeroRows.dynamic_detect());
         assert!(SparsityMode::SkipBoth.dynamic_detect());
-    }
-
-    #[test]
-    fn stats_count_zero_codes() {
-        let mut conv = random_conv("z", (1, 1), 4, 1, 1, Padding::Valid, true, 9);
-        conv.w_quant = WeightQuant {
-            scale: 0.01,
-            zero_point: 7,
-        };
-        if let Some(w) = conv.weights.as_mut() {
-            w.copy_from_slice(&[7, 7, 9, 7]);
-        }
-        let model = single_conv_model(conv, Shape::new(1, 1, 4));
-        let report = analyze(&model);
-        assert_eq!(report.sublayers[0].zero_codes, 3);
-        assert_eq!(report.sublayers[0].weights, 4);
     }
 
     #[test]

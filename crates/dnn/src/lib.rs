@@ -12,9 +12,10 @@
 //!   multiplier/shift requantization pipeline of Section IV-D;
 //! - [`layer`]: convolution / pooling / fully-connected / Inception mixed
 //!   blocks, assembled into a [`Model`];
-//! - [`reference`](mod@crate::reference): a plain-Rust integer executor (the golden
-//!   model — our substitute for the instrumented TensorFlow traces of
-//!   Section V);
+//! - [`reference`](mod@crate::reference): the layer walk and requantization
+//!   policy every executor shares, and a plain-Rust integer executor on it
+//!   (the golden model — our substitute for the instrumented TensorFlow
+//!   traces of Section V);
 //! - [`inception`]: the complete Inception v3 graph (20 top-level layers,
 //!   94 convolution sub-layers) with seeded synthetic weights;
 //! - [`summary`]: Table I derivation (layer parameters, convolution counts,

@@ -1,4 +1,5 @@
-//! The golden model: a plain-Rust integer executor for quantized inference.
+//! The golden model: a plain-Rust integer executor for quantized inference,
+//! and the layer walk every executor shares.
 //!
 //! The paper verifies its cycle-accurate simulator "by running data traces
 //! on it and matching the results with traces obtained from instrumenting
@@ -6,6 +7,16 @@
 //! plays that role: it implements the *exact* integer
 //! arithmetic of [`crate::quant`], and the in-cache functional executor must
 //! reproduce its outputs bit-for-bit.
+//!
+//! The CPU-side policy of Section IV-D is written once, in
+//! [`run_layer_on`]: it walks one layer (a conv, a pool, or a mixed block's
+//! serial branches), derives every requantizer from the measured ranges
+//! (per conv, then block-wide for the branch outputs), records them, and
+//! concatenates the branches. The arithmetic is a [`Backend`]'s: [`Golden`]
+//! runs this module's integer loops, and the in-cache executor
+//! (`neural_cache::functional`) runs `nc-sram` micro-ops.
+
+use std::convert::Infallible;
 
 use crate::quant::{
     acc_add, acc_mul, branch_requantizer, conv_requant_plan, shared_out_quant, CodeRequant,
@@ -71,6 +82,108 @@ impl InferenceResult {
     }
 }
 
+/// The arithmetic of one executor. [`run_layer_on`] decides what runs and
+/// with which requantization constants; the backend computes the tensors.
+///
+/// No method has a default: a backend that inherited the golden arithmetic
+/// would still match the golden model bit for bit, and no test could tell.
+pub trait Backend {
+    /// Why a step failed.
+    type Error;
+
+    /// The accumulators of `conv` on `input`, with the fused `ReLU` applied
+    /// when the layer has one, and their `(min, max)`. The range is part of
+    /// the result because the in-cache executor measures it with its
+    /// min/max trees, which cost cycles.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the backend cannot run the convolution.
+    fn accumulate(
+        &mut self,
+        conv: &Conv2d,
+        input: &QTensor,
+    ) -> Result<(AccTensor, (i64, i64)), Self::Error>;
+
+    /// Requantizes accumulators with `requant` into codes of `out_quant`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the backend cannot run the requantization.
+    fn requantize(
+        &mut self,
+        acc: &AccTensor,
+        requant: Requantizer,
+        out_quant: ActQuant,
+    ) -> Result<QTensor, Self::Error>;
+
+    /// Runs a pooling layer; quantization parameters pass through.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the backend cannot run the pooling.
+    fn pool(&mut self, pool: &Pool2d, input: &QTensor) -> Result<QTensor, Self::Error>;
+
+    /// Maps codes into another affine domain with `map`, giving codes of
+    /// `out_quant`.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the backend cannot run the mapping.
+    fn code_requant(
+        &mut self,
+        codes: &QTensor,
+        map: CodeRequant,
+        out_quant: ActQuant,
+    ) -> Result<QTensor, Self::Error>;
+}
+
+/// The golden model's arithmetic: the integer loops of [`conv_accumulate`]
+/// and [`run_pool`], and the [`crate::quant`] pipelines applied per value.
+#[derive(Debug, Clone, Copy)]
+pub struct Golden;
+
+impl Backend for Golden {
+    type Error = Infallible;
+
+    fn accumulate(
+        &mut self,
+        conv: &Conv2d,
+        input: &QTensor,
+    ) -> Result<(AccTensor, (i64, i64)), Infallible> {
+        let mut acc = conv_accumulate(conv, input);
+        if conv.spec.relu {
+            acc.relu();
+        }
+        let range = acc.min_max();
+        Ok((acc, range))
+    }
+
+    fn requantize(
+        &mut self,
+        acc: &AccTensor,
+        requant: Requantizer,
+        out_quant: ActQuant,
+    ) -> Result<QTensor, Infallible> {
+        let codes = acc.data().iter().map(|&v| requant.apply(v)).collect();
+        Ok(QTensor::from_vec(acc.shape(), out_quant, codes))
+    }
+
+    fn pool(&mut self, pool: &Pool2d, input: &QTensor) -> Result<QTensor, Infallible> {
+        Ok(run_pool(pool, input))
+    }
+
+    fn code_requant(
+        &mut self,
+        codes: &QTensor,
+        map: CodeRequant,
+        out_quant: ActQuant,
+    ) -> Result<QTensor, Infallible> {
+        let mapped = codes.data().iter().map(|&q| map.apply(q)).collect();
+        Ok(QTensor::from_vec(codes.shape(), out_quant, mapped))
+    }
+}
+
 /// Runs the whole model on `input`, recording per-layer requantization
 /// decisions.
 ///
@@ -98,25 +211,54 @@ pub fn run_model(model: &Model, input: &QTensor) -> InferenceResult {
     }
 }
 
-/// Runs one top-level layer.
+/// Runs one top-level layer on the golden model.
+///
+/// # Panics
+///
+/// Panics if a convolution sub-layer lacks weights.
 #[must_use]
 pub fn run_layer(layer: &Layer, input: &QTensor) -> LayerRecord {
-    match layer {
+    let Ok(record) = run_layer_on(&mut Golden, layer, input);
+    record
+}
+
+/// Runs one top-level layer on `backend`, with the requantization policy
+/// of Section IV-D:
+///
+/// - a conv requantizes with the range of its own accumulators;
+/// - a mixed block runs its branches serially; a conv inside a branch
+///   requantizes like a standalone one, and the branch outputs (the last
+///   conv's accumulators, the last pool's codes) share one block-wide real
+///   range, the min/max "of the entire cache" taken once per layer, before
+///   they concatenate along channels.
+///
+/// The record holds one [`SublayerRecord`] per conv, in execution order; a
+/// branch-final conv's record carries the shared-range requantizer it was
+/// actually requantized with.
+///
+/// # Errors
+///
+/// Returns the first error of `backend`, and runs nothing after it.
+pub fn run_layer_on<B: Backend>(
+    backend: &mut B,
+    layer: &Layer,
+    input: &QTensor,
+) -> Result<LayerRecord, B::Error> {
+    let mut sublayers = Vec::new();
+    let output = match layer {
         Layer::Conv(conv) => {
-            let (out, rec) = run_conv(conv, input);
-            LayerRecord {
-                name: conv.spec.name.clone(),
-                sublayers: vec![rec],
-                output: out,
-            }
+            let (out, rec) = conv_on(backend, conv, input)?;
+            sublayers.push(rec);
+            out
         }
-        Layer::Pool(pool) => LayerRecord {
-            name: pool.name.clone(),
-            sublayers: Vec::new(),
-            output: run_pool(pool, input),
-        },
-        Layer::Mixed(block) => run_mixed(block, input),
-    }
+        Layer::Pool(pool) => backend.pool(pool, input)?,
+        Layer::Mixed(block) => mixed_on(backend, block, input, &mut sublayers)?,
+    };
+    Ok(LayerRecord {
+        name: layer.name().to_owned(),
+        sublayers,
+        output,
+    })
 }
 
 /// Computes the zero-point-corrected integer accumulators of a convolution
@@ -180,33 +322,16 @@ pub fn conv_accumulate(conv: &Conv2d, input: &QTensor) -> AccTensor {
     acc
 }
 
-/// Runs one standalone convolution sub-layer: accumulate, fused `ReLU`,
-/// dynamic ranging, requantize.
+/// Runs one standalone convolution sub-layer on the golden model:
+/// accumulate, fused `ReLU`, dynamic ranging, requantize.
+///
+/// # Panics
+///
+/// Panics if the layer is shape-only.
 #[must_use]
 pub fn run_conv(conv: &Conv2d, input: &QTensor) -> (QTensor, SublayerRecord) {
-    let mut acc = conv_accumulate(conv, input);
-    if conv.spec.relu {
-        acc.relu();
-    }
-    let (acc_min, acc_max) = acc.min_max();
-    let acc_scale = conv.w_quant.scale * input.params().scale;
-    let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, acc_scale);
-    let out = requantize_acc(&acc, requant, out_quant);
-    (
-        out,
-        SublayerRecord {
-            name: conv.spec.name.clone(),
-            acc_min,
-            acc_max,
-            requant,
-            out_quant,
-        },
-    )
-}
-
-fn requantize_acc(acc: &AccTensor, requant: Requantizer, out_quant: ActQuant) -> QTensor {
-    let s = acc.shape();
-    QTensor::from_fn(s, out_quant, |y, x, c| requant.apply(acc.get(y, x, c)))
+    let Ok(result) = conv_on(&mut Golden, conv, input);
+    result
 }
 
 /// Runs a pooling layer (max or average) on quantized codes; quantization
@@ -262,155 +387,151 @@ pub fn run_pool(pool: &Pool2d, input: &QTensor) -> QTensor {
     })
 }
 
-/// Runs an Inception mixed block: branches execute serially; intermediate
-/// tensors requantize with their own dynamic range; the branch outputs
-/// share the block-wide real range and concatenate along channels
-/// (Section IV-D: min/max "of the entire cache" once per layer).
-#[must_use]
-pub fn run_mixed(block: &MixedBlock, input: &QTensor) -> LayerRecord {
-    let mut sublayers = Vec::new();
-    let mut pending = Vec::with_capacity(block.branches.len());
-
-    for branch in &block.branches {
-        let (ps, mut recs) = run_branch(branch, input);
-        sublayers.append(&mut recs);
-        pending.extend(ps);
-    }
-
-    // Block-wide real output range.
-    let mut r_min = f64::INFINITY;
-    let mut r_max = f64::NEG_INFINITY;
-    for p in &pending {
-        match p {
-            Pending::Acc(acc, scale, _) => {
-                let (lo, hi) = acc.min_max();
-                r_min = r_min.min(lo as f64 * scale);
-                r_max = r_max.max(hi as f64 * scale);
-            }
-            Pending::Codes(t) => {
-                let (mut lo, mut hi) = (u8::MAX, u8::MIN);
-                for &q in t.data() {
-                    lo = lo.min(q);
-                    hi = hi.max(q);
-                }
-                r_min = r_min.min(t.params().dequantize(lo));
-                r_max = r_max.max(t.params().dequantize(hi));
-            }
-        }
-    }
-    let out_quant = shared_out_quant(r_min, r_max);
-
-    // Requantize every branch into the shared domain and concatenate.
-    let mut parts: Vec<QTensor> = Vec::with_capacity(pending.len());
-    for p in pending {
-        match p {
-            Pending::Acc(acc, scale, name) => {
-                let requant = branch_requantizer(r_min, r_max, scale);
-                let (acc_min, acc_max) = acc.min_max();
-                parts.push(requantize_acc(&acc, requant, out_quant));
-                // Update the record of this final sub-layer with the shared
-                // requant actually applied.
-                if let Some(rec) = sublayers.iter_mut().rev().find(|r| r.name == name) {
-                    rec.requant = requant;
-                    rec.out_quant = out_quant;
-                    rec.acc_min = acc_min;
-                    rec.acc_max = acc_max;
-                }
-            }
-            Pending::Codes(t) => {
-                let map = CodeRequant::between(t.params(), out_quant);
-                let mut re = t.clone();
-                for (i, &q) in t.data().iter().enumerate() {
-                    let (y, x, c) = unflatten(t.shape(), i);
-                    re.set(y, x, c, map.apply(q));
-                }
-                re.set_params(out_quant);
-                parts.push(re);
-            }
-        }
-    }
-
-    let concat = concat_channels(&parts, out_quant);
-    LayerRecord {
-        name: block.name.clone(),
-        sublayers,
-        output: concat,
-    }
-}
-
-fn run_branch(branch: &Branch, input: &QTensor) -> (Vec<Pending>, Vec<SublayerRecord>) {
-    let mut records = Vec::new();
-    let mut cur = input.clone();
-    let last = branch.ops.len() - 1;
-    for (i, op) in branch.ops.iter().enumerate() {
-        match op {
-            BranchOp::Pool(p) => {
-                let out = run_pool(p, &cur);
-                if i == last {
-                    return (vec![Pending::Codes(out)], records);
-                }
-                cur = out;
-            }
-            BranchOp::Conv(c) => {
-                if i == last {
-                    let (p, rec) = pend_conv(c, &cur);
-                    records.push(rec);
-                    return (vec![p], records);
-                }
-                let (out, rec) = run_conv(c, &cur);
-                records.push(rec);
-                cur = out;
-            }
-            BranchOp::Split(convs) => {
-                // Terminal fan-out: every split conv consumes `cur` and
-                // defers requantization to the block range.
-                let mut pendings = Vec::with_capacity(convs.len());
-                for c in convs {
-                    let (p, rec) = pend_conv(c, &cur);
-                    records.push(rec);
-                    pendings.push(p);
-                }
-                return (pendings, records);
-            }
-        }
-    }
-    unreachable!("branch has at least one op");
-}
-
-/// Runs a conv whose requantization is deferred to the block-shared range.
-fn pend_conv(c: &Conv2d, input: &QTensor) -> (Pending, SublayerRecord) {
-    let mut acc = conv_accumulate(c, input);
-    if c.spec.relu {
-        acc.relu();
-    }
-    let scale = c.w_quant.scale * input.params().scale;
-    let (acc_min, acc_max) = acc.min_max();
-    // Placeholder record; run_mixed overwrites requant/out_quant with the
-    // shared-range version once the block range is known.
+/// Accumulates `conv` on `backend` and records the requantization a
+/// standalone conv derives from the measured range. Returns the
+/// accumulators, their real scale (`s_w * s_a`) and the record.
+fn accumulate_on<B: Backend>(
+    backend: &mut B,
+    conv: &Conv2d,
+    input: &QTensor,
+) -> Result<(AccTensor, f64, SublayerRecord), B::Error> {
+    let (acc, (acc_min, acc_max)) = backend.accumulate(conv, input)?;
+    let scale = conv.w_quant.scale * input.params().scale;
     let (requant, out_quant) = conv_requant_plan(acc_min, acc_max, scale);
-    let rec = SublayerRecord {
-        name: c.spec.name.clone(),
+    let record = SublayerRecord {
+        name: conv.spec.name.clone(),
         acc_min,
         acc_max,
         requant,
         out_quant,
     };
-    (Pending::Acc(acc, scale, c.spec.name.clone()), rec)
+    Ok((acc, scale, record))
 }
 
-/// A branch's final output awaiting the block-wide shared range: either raw
-/// accumulators (conv-final branch, with their real scale and name) or
-/// already-coded values (pool-final branch).
+/// Accumulates and requantizes one conv with its own range.
+fn conv_on<B: Backend>(
+    backend: &mut B,
+    conv: &Conv2d,
+    input: &QTensor,
+) -> Result<(QTensor, SublayerRecord), B::Error> {
+    let (acc, _, record) = accumulate_on(backend, conv, input)?;
+    let out = backend.requantize(&acc, record.requant, record.out_quant)?;
+    Ok((out, record))
+}
+
+/// A branch's output awaiting the block-wide range: a conv-final branch's
+/// accumulators with their real scale and the index of their record in the
+/// layer's records, or a pool-final branch's codes.
 enum Pending {
-    Acc(AccTensor, f64, String),
+    Acc {
+        acc: AccTensor,
+        scale: f64,
+        record: usize,
+    },
     Codes(QTensor),
 }
 
-fn unflatten(shape: Shape, idx: usize) -> (usize, usize, usize) {
-    let c = idx % shape.c;
-    let x = (idx / shape.c) % shape.w;
-    let y = idx / (shape.c * shape.w);
-    (y, x, c)
+fn mixed_on<B: Backend>(
+    backend: &mut B,
+    block: &MixedBlock,
+    input: &QTensor,
+    records: &mut Vec<SublayerRecord>,
+) -> Result<QTensor, B::Error> {
+    let mut pending = Vec::with_capacity(block.branches.len());
+    for branch in &block.branches {
+        branch_on(backend, branch, input, records, &mut pending)?;
+    }
+
+    // Block-wide real range (in hardware: per-array min/max trees plus a
+    // bus/ring reduction; the CPU then derives the scalars).
+    let mut r_min = f64::INFINITY;
+    let mut r_max = f64::NEG_INFINITY;
+    for p in &pending {
+        let (lo, hi) = match p {
+            Pending::Acc { scale, record, .. } => {
+                let rec = &records[*record];
+                (rec.acc_min as f64 * scale, rec.acc_max as f64 * scale)
+            }
+            Pending::Codes(t) => {
+                let lo = t.data().iter().copied().fold(u8::MAX, u8::min);
+                let hi = t.data().iter().copied().fold(u8::MIN, u8::max);
+                (t.params().dequantize(lo), t.params().dequantize(hi))
+            }
+        };
+        r_min = r_min.min(lo);
+        r_max = r_max.max(hi);
+    }
+    let out_quant = shared_out_quant(r_min, r_max);
+
+    // Requantize every branch output into the shared domain and
+    // concatenate.
+    let mut parts = Vec::with_capacity(pending.len());
+    for p in pending {
+        parts.push(match p {
+            Pending::Acc { acc, scale, record } => {
+                let requant = branch_requantizer(r_min, r_max, scale);
+                records[record].requant = requant;
+                records[record].out_quant = out_quant;
+                backend.requantize(&acc, requant, out_quant)?
+            }
+            Pending::Codes(t) => {
+                let map = CodeRequant::between(t.params(), out_quant);
+                backend.code_requant(&t, map, out_quant)?
+            }
+        });
+    }
+    Ok(concat_channels(&parts, out_quant))
+}
+
+/// Runs one branch on the block input. Every op but the last feeds the
+/// next; the last op's output (each conv's, for a terminal split) waits in
+/// `pending` for the block-wide range.
+fn branch_on<B: Backend>(
+    backend: &mut B,
+    branch: &Branch,
+    input: &QTensor,
+    records: &mut Vec<SublayerRecord>,
+    pending: &mut Vec<Pending>,
+) -> Result<(), B::Error> {
+    let mut cur = input.clone();
+    let last = branch.ops.len() - 1;
+    for (i, op) in branch.ops.iter().enumerate() {
+        match op {
+            BranchOp::Conv(c) if i < last => {
+                let (out, rec) = conv_on(backend, c, &cur)?;
+                records.push(rec);
+                cur = out;
+            }
+            BranchOp::Pool(p) if i < last => cur = backend.pool(p, &cur)?,
+            BranchOp::Pool(p) => pending.push(Pending::Codes(backend.pool(p, &cur)?)),
+            BranchOp::Conv(c) => pend(backend, c, &cur, records, pending)?,
+            BranchOp::Split(convs) => {
+                for c in convs {
+                    pend(backend, c, &cur, records, pending)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Accumulates a branch-final conv. Its record holds the standalone plan
+/// until [`mixed_on`] overwrites it with the shared-range one.
+fn pend<B: Backend>(
+    backend: &mut B,
+    conv: &Conv2d,
+    input: &QTensor,
+    records: &mut Vec<SublayerRecord>,
+    pending: &mut Vec<Pending>,
+) -> Result<(), B::Error> {
+    let (acc, scale, rec) = accumulate_on(backend, conv, input)?;
+    pending.push(Pending::Acc {
+        acc,
+        scale,
+        record: records.len(),
+    });
+    records.push(rec);
+    Ok(())
 }
 
 fn concat_channels(parts: &[QTensor], params: ActQuant) -> QTensor {
@@ -589,11 +710,11 @@ mod tests {
         let input = QTensor::from_vec(Shape::new(1, 1, 2), identity_quant(), vec![10, 20]);
         let b_small = Branch::new(vec![BranchOp::Conv(tiny_conv(2, 1, vec![1, 0], true))]);
         let b_large = Branch::new(vec![BranchOp::Conv(tiny_conv(2, 1, vec![100, 100], true))]);
-        let block = MixedBlock {
+        let block = Layer::Mixed(MixedBlock {
             name: "m".into(),
             branches: vec![b_small, b_large],
-        };
-        let rec = run_mixed(&block, &input);
+        });
+        let rec = run_layer(&block, &input);
         assert_eq!(rec.output.shape(), Shape::new(1, 1, 2));
         let small = rec.output.get(0, 0, 0);
         let large = rec.output.get(0, 0, 1);
@@ -601,6 +722,11 @@ mod tests {
         // Branch values: 10 vs 3000 -> small lands near 10*255/3000.
         assert!(small <= 2, "small branch compressed, got {small}");
         assert_eq!(rec.sublayers.len(), 2);
+        // Both sub-layers are named "tiny"; each record still carries the
+        // shared domain its own branch was requantized into.
+        for sub in &rec.sublayers {
+            assert_eq!(sub.out_quant, rec.output.params());
+        }
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl QTensor {
     pub fn real(&self, y: usize, x: usize, c: usize) -> f64 {
         self.params.dequantize(self.get(y, x, c))
     }
-
-    /// Replaces the quantization parameters without touching the codes
-    /// (used after in-place code requantization).
-    pub fn set_params(&mut self, params: ActQuant) {
-        self.params = params;
-    }
 }
 
 impl fmt::Debug for QTensor {

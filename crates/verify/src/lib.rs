@@ -84,7 +84,7 @@ use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::{
     run_model_configured, FunctionalError, FunctionalResult, PoolEvents,
 };
-use neural_cache::mapping::{conv_lane_geometry, plan_model_with, BitBudget};
+use neural_cache::mapping::{conv_lane_geometry, plan_model, BitBudget};
 use neural_cache::{ExecutionEngine, SparsityMode, SystemConfig, UnitPlan};
 
 use crate::diag::{Diagnostic, ErrorCode};
@@ -102,9 +102,10 @@ const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 
 /// Statically verifies a model's plan under `config`: executor operand
 /// layouts, per-mode MAC-tap schedules, cost-model anchor points, every
-/// layer's lane geometry and row budget under all three sparsity modes, one
-/// reduce schedule per distinct group span, and the batching model's
-/// reserved-way dump-overlap window invariants.
+/// layer's lane geometry and row budget (the budget follows from the lane
+/// geometry alone, so one plan covers every sparsity mode), one reduce
+/// schedule per distinct group span, and the batching model's reserved-way
+/// dump-overlap window invariants.
 ///
 /// Works on shape-only models (no weights needed — the only arrays that
 /// run are scratch arrays recording the executor's op sequences).
@@ -163,14 +164,11 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
 
     let mut budget_diags = Vec::new();
     let mut row_budgets = 0u64;
-    for mode in ALL_MODES {
-        for plan in plan_model_with(model, &config.geometry, mode) {
-            for unit in &plan.units {
-                if let UnitPlan::Conv(c) = unit {
-                    let label = format!("{}/{mode:?}", c.name);
-                    budget_diags.extend(check::check_row_budget(&label, c));
-                    row_budgets += 1;
-                }
+    for plan in plan_model(model, &config.geometry) {
+        for unit in &plan.units {
+            if let UnitPlan::Conv(c) = unit {
+                budget_diags.extend(check::check_row_budget(&c.name, c));
+                row_budgets += 1;
             }
         }
     }
@@ -460,7 +458,7 @@ pub fn check_executed_model(
 #[must_use]
 pub fn predicted_mul_rounds(config: &SystemConfig, model: &Model) -> u64 {
     let mut rounds = 0u64;
-    for plan in plan_model_with(model, &config.geometry, SparsityMode::Dense) {
+    for plan in plan_model(model, &config.geometry) {
         for unit in &plan.units {
             if let UnitPlan::Conv(c) = unit {
                 let positions = (c.out_shape.h * c.out_shape.w) as u64;
@@ -503,10 +501,10 @@ mod tests {
         assert!(report.checks.iter().any(|c| c == "value-ranges"));
         let expected = model.conv_sublayer_count() as u64;
         assert_eq!(stat(&report, "range_convs"), Some(expected));
-        // Six distinct reduce spans; every conv sub-layer's row budget under
-        // each of the three modes.
+        // Six distinct reduce spans; every conv sub-layer's row budget,
+        // once.
         assert_eq!(stat(&report, "reduce_spans"), Some(6));
-        assert_eq!(stat(&report, "row_budgets"), Some(3 * expected));
+        assert_eq!(stat(&report, "row_budgets"), Some(expected));
         assert_eq!(expected, 95);
     }
 
@@ -540,14 +538,14 @@ mod tests {
         assert!(report.checks.iter().any(|c| c == "executed-ranges"));
         // What each sweep covered: 90 cost-model anchors, the three modes'
         // MAC taps, tiny_cnn's 4 distinct reduce spans, its 7 conv
-        // sub-layers' row budgets under each mode, seven dump-overlap batch
-        // sizes, and three modes on each of two engines.
+        // sub-layers' row budgets, seven dump-overlap batch sizes, and
+        // three modes on each of two engines.
         assert_eq!(model.conv_sublayer_count(), 7);
         for (name, value) in [
             ("cost_model_anchors", 90),
             ("mac_tap_modes", 3),
             ("reduce_spans", 4),
-            ("row_budgets", 21),
+            ("row_budgets", 7),
             ("dump_overlap_batches", 7),
             ("executed_runs", 6),
         ] {
