@@ -154,7 +154,9 @@ impl ComputeArray {
     /// lines it reads and writes. Discards any recording in progress.
     ///
     /// While recording is off (the default) no step is built and nothing is
-    /// allocated.
+    /// allocated. While it is on, a cycle appends one step whose word-line
+    /// sets ([`WordLines`](crate::WordLines)) are held inline, so the only
+    /// allocations are the step vector's amortized growth.
     pub fn start_recording(&mut self) {
         self.recording = Some(Box::new((self.stats, Schedule::default())));
     }

@@ -95,7 +95,7 @@ pub use compute::{ComputeArray, Predicate};
 pub use error::SramError;
 pub use operand::Operand;
 pub use pool::{ArrayPool, PoolStats, PooledArray};
-pub use schedule::{Schedule, Step, StepKind};
+pub use schedule::{Schedule, Step, StepKind, WordLines};
 pub use sram::SramArray;
 pub use stats::{ArrayEnergy, ArrayTimings, CycleStats, ValueStats};
 pub use transpose::{pack_lanes, TransposeUnit, TMU_TILE_DIM};

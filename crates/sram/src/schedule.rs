@@ -8,6 +8,15 @@
 //! ([`ComputeArray::start_recording`](crate::ComputeArray::start_recording)),
 //! so a schedule is exactly the micro-op stream that ran. Static checkers
 //! (`nc-verify`) prove port-safety properties over it.
+//!
+//! Recording a step allocates nothing: a micro-op senses at most two word
+//! lines and drives at most one, and a [`WordLines`] set holds up to two
+//! rows inline. The only heap traffic is the step vector's own amortized
+//! growth. A longer set, which no micro-op issues, spills to a `Vec`; only
+//! a hand-injected hazard builds one.
+
+use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 use crate::CycleStats;
 
@@ -22,6 +31,87 @@ pub enum StepKind {
     Access,
 }
 
+/// Rows a [`WordLines`] set holds without touching the heap: the read-port
+/// budget of one compute cycle, the most any micro-op issues.
+const INLINE_ROWS: usize = 2;
+
+/// The word lines one cycle activates, in issue order.
+///
+/// Derefs to `[usize]`. Up to two rows live inline, so every set a
+/// micro-op records is built without allocating. A longer set spills to a
+/// `Vec`: no micro-op issues one, but a checker must still be able to see
+/// a three-row sense. Two sets are equal when their rows are, and `{:?}`
+/// prints them as a list, as a `Vec` does.
+#[derive(Clone)]
+pub struct WordLines(Rows);
+
+#[derive(Clone)]
+enum Rows {
+    Inline {
+        len: usize,
+        rows: [usize; INLINE_ROWS],
+    },
+    Spilled(Vec<usize>),
+}
+
+impl From<&[usize]> for WordLines {
+    #[inline]
+    fn from(rows: &[usize]) -> Self {
+        if rows.len() > INLINE_ROWS {
+            return WordLines(Rows::Spilled(rows.to_vec()));
+        }
+        let mut inline = [0; INLINE_ROWS];
+        inline[..rows.len()].copy_from_slice(rows);
+        WordLines(Rows::Inline {
+            len: rows.len(),
+            rows: inline,
+        })
+    }
+}
+
+impl From<Vec<usize>> for WordLines {
+    fn from(rows: Vec<usize>) -> Self {
+        WordLines::from(rows.as_slice())
+    }
+}
+
+impl Deref for WordLines {
+    type Target = [usize];
+
+    // Inlined across the crate boundary: checkers read every step's sets.
+    #[inline]
+    fn deref(&self) -> &[usize] {
+        match &self.0 {
+            Rows::Inline { len, rows } => &rows[..*len],
+            Rows::Spilled(rows) => rows,
+        }
+    }
+}
+
+impl DerefMut for WordLines {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [usize] {
+        match &mut self.0 {
+            Rows::Inline { len, rows } => &mut rows[..*len],
+            Rows::Spilled(rows) => rows,
+        }
+    }
+}
+
+impl PartialEq for WordLines {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for WordLines {}
+
+impl fmt::Debug for WordLines {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
+    }
+}
+
 /// One array cycle: the word lines it senses and the word lines it drives
 /// for write-back.
 ///
@@ -29,16 +119,17 @@ pub enum StepKind {
 /// cycle (the two-row sense of Figure 7) and commits at most **one** write
 /// word line. Reading and writing the *same* row in one cycle is legal —
 /// the sense phase completes before write-back (this is how in-place adds
-/// work) — but sensing one row twice is not.
+/// work) — but sensing one row twice is not. Both sets are [`WordLines`],
+/// so a recorded step owns no heap memory.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Step {
     /// Compute or access path.
     pub kind: StepKind,
     /// Word lines sensed this cycle (hardware port budget: 2).
-    pub reads: Vec<usize>,
+    pub reads: WordLines,
     /// Word lines driven for write-back this cycle (hardware port
     /// budget: 1).
-    pub writes: Vec<usize>,
+    pub writes: WordLines,
     /// Micro-op that issued the cycle, for diagnostics.
     pub label: &'static str,
 }
@@ -83,8 +174,8 @@ impl Schedule {
     ) {
         self.steps.push(Step {
             kind,
-            reads: reads.to_vec(),
-            writes: writes.to_vec(),
+            reads: reads.into(),
+            writes: writes.into(),
             label,
         });
     }
@@ -93,7 +184,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use crate::ops::{copy_lanes_between, LogicOp};
-    use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, Schedule};
+    use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, Schedule, WordLines};
 
     const DUMP: usize = 250;
 
@@ -223,9 +314,28 @@ mod tests {
         a.add(op(0, 8), op(8, 8), op(16, 9)).unwrap();
         let s = a.take_recording().unwrap();
         assert_eq!(s.steps.len(), 9);
-        assert_eq!(s.steps[0].reads, vec![0, 8]);
-        assert_eq!(s.steps[0].writes, vec![16]);
+        assert_eq!(*s.steps[0].reads, [0, 8]);
+        assert_eq!(*s.steps[0].writes, [16]);
         assert_eq!(s.steps[8].label, "op_write_carry");
         assert_eq!(a.take_recording(), None);
+    }
+
+    /// Sets of up to two rows stay inline and longer ones spill; both
+    /// read, edit, compare and print as the rows they hold.
+    #[test]
+    fn word_line_sets_behave_as_their_rows() {
+        let rows = [3, 1, 4, 1, 5];
+        for len in 0..=4 {
+            let set = WordLines::from(&rows[..len]);
+            assert_eq!(*set, rows[..len], "length {len}");
+            assert_eq!(set, WordLines::from(rows[..len].to_vec()), "length {len}");
+        }
+        let (mut inline, mut spilled) = (WordLines::from(&rows[..2]), WordLines::from(&rows[..3]));
+        inline[1] = 9;
+        spilled[2] = 9;
+        assert_eq!(*inline, [3, 9]);
+        assert_eq!(*spilled, [3, 1, 9]);
+        assert_ne!(inline, WordLines::from(&rows[..2]));
+        assert_eq!(format!("{:?}", WordLines::from(vec![0, 8])), "[0, 8]");
     }
 }

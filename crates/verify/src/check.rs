@@ -33,7 +33,7 @@ pub const WRITE_PORTS: usize = 1;
 pub fn check_schedule(label: &str, s: &Schedule) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (cycle, step) in s.steps.iter().enumerate() {
-        for &row in step.reads.iter().chain(&step.writes) {
+        for &row in step.reads.iter().chain(step.writes.iter()) {
             if row >= ROWS {
                 out.push(
                     Diagnostic::new(
@@ -374,8 +374,8 @@ mod tests {
         Schedule {
             steps: vec![nc_sram::Step {
                 kind: StepKind::Compute,
-                reads,
-                writes,
+                reads: reads.into(),
+                writes: writes.into(),
                 label: "injected",
             }],
             ..Schedule::default()
@@ -461,7 +461,21 @@ mod tests {
             let s = mac_tap_schedule(mode, &flags, 6);
             assert!(check_schedule("mac_tap", &s).is_empty(), "{mode:?}");
         }
-        assert!(check_schedule("reduce", &reduce_schedule(64).unwrap()).is_empty());
+    }
+
+    /// At every span a lane group can have, the recorded reduce schedule
+    /// holds one step per cycle the unrecorded layout method charges, and
+    /// is hazard-free.
+    #[test]
+    fn reduce_schedules_record_every_cycle_at_every_span() {
+        for span in (0..=8).map(|k| 1usize << k) {
+            let s = reduce_schedule(span).unwrap();
+            let mut arr = ComputeArray::with_zero_row(ZERO_ROW).unwrap();
+            let charged = MacReduceLayout::new().reduce(&mut arr, span, 1).unwrap();
+            assert_eq!(s.compute_cycles(), charged.compute_cycles, "span {span}");
+            assert_eq!(s.access_cycles(), charged.access_cycles, "span {span}");
+            assert_eq!(check_schedule("reduce", &s), Vec::new(), "span {span}");
+        }
         assert!(reduce_schedule(3).is_err(), "the array rejects odd spans");
     }
 

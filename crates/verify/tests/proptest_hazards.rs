@@ -91,7 +91,12 @@ proptest! {
     fn injected_read_port_overflow_is_v003(row in 0usize..RESERVED_FLOOR, dup in 0usize..2) {
         let reads = if dup == 0 { vec![row, row] } else { vec![row, (row + 1) % RESERVED_FLOOR, (row + 2) % RESERVED_FLOOR] };
         let mut s = record(|arr| arr.add(op(0, 4), op(8, 4), op(16, 5)));
-        s.steps.push(Step { kind: StepKind::Compute, reads, writes: vec![], label: "injected" });
+        s.steps.push(Step {
+            kind: StepKind::Compute,
+            reads: reads.into(),
+            writes: Vec::new().into(),
+            label: "injected",
+        });
         let diags = check_schedule("inject", &s);
         prop_assert!(diags.iter().any(|d| d.code == ErrorCode::ReadPortOverflow), "{diags:?}");
         prop_assert!(diags.iter().all(|d| d.code == ErrorCode::ReadPortOverflow), "{diags:?}");
@@ -103,8 +108,8 @@ proptest! {
         let mut s = record(|arr| arr.copy(op(0, 4), op(8, 4), nc_sram::Predicate::Always));
         s.steps.push(Step {
             kind: StepKind::Compute,
-            reads: vec![row],
-            writes: vec![row, row + 1],
+            reads: vec![row].into(),
+            writes: vec![row, row + 1].into(),
             label: "injected",
         });
         let diags = check_schedule("inject", &s);
