@@ -11,7 +11,7 @@
 use nc_geometry::{DramModel, SimTime};
 
 use crate::config::SystemConfig;
-use crate::mapping::plan_model_with;
+use crate::mapping::{plan_model_with, LayerPlan};
 use crate::timing::{time_layer, Phase};
 
 /// Fraction of the double-buffered dump traffic that actually drains in the
@@ -90,7 +90,18 @@ impl BatchCostModel {
     /// layer by layer in layer order.
     #[must_use]
     pub fn new(config: &SystemConfig, model: &nc_dnn::Model) -> Self {
-        let plans = plan_model_with(model, &config.geometry, config.sparsity);
+        Self::from_plans(
+            config,
+            &plan_model_with(model, &config.geometry, config.sparsity),
+        )
+    }
+
+    /// [`BatchCostModel::new`] for a caller that already holds the plan:
+    /// `plans` must come from
+    /// [`plan_model_with`]`(model, &config.geometry, config.sparsity)`,
+    /// and then the result equals `new(config, model)`.
+    #[must_use]
+    pub fn from_plans(config: &SystemConfig, plans: &[LayerPlan]) -> Self {
         let mut filter_time = SimTime::ZERO;
         let mut per_image_time = SimTime::ZERO;
         for (i, plan) in plans.iter().enumerate() {
@@ -261,6 +272,38 @@ mod tests {
 
     fn config() -> SystemConfig {
         SystemConfig::xeon_e5_2697_v3()
+    }
+
+    /// `check_model` costs its dump-overlap checks from the one plan it
+    /// makes, so the plan-taking constructor must equal the model-taking
+    /// one, including under a mode whose plans carry measured skips.
+    #[test]
+    fn cost_model_from_the_plan_equals_the_model_taking_form() {
+        use crate::{SparsityMode, UnitPlan};
+        use nc_dnn::workload::tiny_cnn;
+        let dense = config();
+        let skipping = SystemConfig {
+            sparsity: SparsityMode::SkipZeroRows,
+            ..dense.clone()
+        };
+        for (config, model) in [(dense, inception_v3()), (skipping, tiny_cnn(42))] {
+            let plans = plan_model_with(&model, &config.geometry, config.sparsity);
+            let skips = plans
+                .iter()
+                .flat_map(|p| &p.units)
+                .any(|u| matches!(u, UnitPlan::Conv(c) if c.simd_skip_fraction > 0.0));
+            let name = &model.name;
+            assert_eq!(
+                skips,
+                config.sparsity == SparsityMode::SkipZeroRows,
+                "{name}"
+            );
+            assert_eq!(
+                BatchCostModel::from_plans(&config, &plans),
+                BatchCostModel::new(&config, &model),
+                "{name}"
+            );
+        }
     }
 
     #[test]

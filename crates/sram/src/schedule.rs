@@ -9,11 +9,12 @@
 //! so a schedule is exactly the micro-op stream that ran. Static checkers
 //! (`nc-verify`) prove port-safety properties over it.
 //!
-//! Recording a step allocates nothing: a micro-op senses at most two word
-//! lines and drives at most one, and a [`WordLines`] set holds up to two
-//! rows inline. The only heap traffic is the step vector's own amortized
-//! growth. A longer set, which no micro-op issues, spills to a `Vec`; only
-//! a hand-injected hazard builds one.
+//! A recorded step is a small `Copy` value (at most 40 bytes) that owns no
+//! heap memory: a micro-op senses at most two word lines and drives at
+//! most one, and a [`WordLines`] set holds up to three rows inline, as
+//! `u16`s. Recording a step is one push onto the step vector, whose
+//! amortized growth is the only heap traffic, and dropping a schedule frees
+//! that one buffer.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -31,41 +32,48 @@ pub enum StepKind {
     Access,
 }
 
-/// Rows a [`WordLines`] set holds without touching the heap: the read-port
-/// budget of one compute cycle, the most any micro-op issues.
-const INLINE_ROWS: usize = 2;
+/// Rows a [`WordLines`] set holds: one past the read-port budget of a
+/// compute cycle, so a checker can still see a three-row sense.
+const CAPACITY: usize = 3;
 
 /// The word lines one cycle activates, in issue order.
 ///
-/// Derefs to `[usize]`. Up to two rows live inline, so every set a
-/// micro-op records is built without allocating. A longer set spills to a
-/// `Vec`: no micro-op issues one, but a checker must still be able to see
-/// a three-row sense. Two sets are equal when their rows are, and `{:?}`
-/// prints them as a list, as a `Vec` does.
-#[derive(Clone)]
-pub struct WordLines(Rows);
-
-#[derive(Clone)]
-enum Rows {
-    Inline {
-        len: usize,
-        rows: [usize; INLINE_ROWS],
-    },
-    Spilled(Vec<usize>),
+/// Derefs to `[u16]`. A set holds up to three rows inline, one past the
+/// two-row read-port budget, so every set a micro-op records and every
+/// hazard a checker must see (a three-row sense, a two-row write) fits
+/// without allocating. Building a longer set, or one with a row past
+/// `u16::MAX`, panics: nothing is truncated. Two sets are equal when their
+/// rows are, and `{:?}` prints them as a list, as a `Vec` does.
+#[derive(Clone, Copy)]
+pub struct WordLines {
+    len: u8,
+    rows: [u16; CAPACITY],
 }
 
 impl From<&[usize]> for WordLines {
+    /// # Panics
+    ///
+    /// Panics if `rows` holds more than three rows or a row past
+    /// `u16::MAX`.
     #[inline]
     fn from(rows: &[usize]) -> Self {
-        if rows.len() > INLINE_ROWS {
-            return WordLines(Rows::Spilled(rows.to_vec()));
+        assert!(
+            rows.len() <= CAPACITY,
+            "a word-line set holds at most {CAPACITY} rows, not {rows:?}"
+        );
+        let mut set = WordLines {
+            len: rows.len() as u8,
+            rows: [0; CAPACITY],
+        };
+        for (slot, &row) in set.rows.iter_mut().zip(rows) {
+            *slot = u16::try_from(row).unwrap_or_else(|_| {
+                panic!(
+                    "word line {row} is past the largest row a set holds, {}",
+                    u16::MAX
+                )
+            });
         }
-        let mut inline = [0; INLINE_ROWS];
-        inline[..rows.len()].copy_from_slice(rows);
-        WordLines(Rows::Inline {
-            len: rows.len(),
-            rows: inline,
-        })
+        set
     }
 }
 
@@ -76,25 +84,19 @@ impl From<Vec<usize>> for WordLines {
 }
 
 impl Deref for WordLines {
-    type Target = [usize];
+    type Target = [u16];
 
     // Inlined across the crate boundary: checkers read every step's sets.
     #[inline]
-    fn deref(&self) -> &[usize] {
-        match &self.0 {
-            Rows::Inline { len, rows } => &rows[..*len],
-            Rows::Spilled(rows) => rows,
-        }
+    fn deref(&self) -> &[u16] {
+        &self.rows[..usize::from(self.len)]
     }
 }
 
 impl DerefMut for WordLines {
     #[inline]
-    fn deref_mut(&mut self) -> &mut [usize] {
-        match &mut self.0 {
-            Rows::Inline { len, rows } => &mut rows[..*len],
-            Rows::Spilled(rows) => rows,
-        }
+    fn deref_mut(&mut self) -> &mut [u16] {
+        &mut self.rows[..usize::from(self.len)]
     }
 }
 
@@ -120,8 +122,9 @@ impl fmt::Debug for WordLines {
 /// word line. Reading and writing the *same* row in one cycle is legal —
 /// the sense phase completes before write-back (this is how in-place adds
 /// work) — but sensing one row twice is not. Both sets are [`WordLines`],
-/// so a recorded step owns no heap memory.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// so a step is a `Copy` value of at most 40 bytes that owns no heap
+/// memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Step {
     /// Compute or access path.
     pub kind: StepKind,
@@ -184,7 +187,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use crate::ops::{copy_lanes_between, LogicOp};
-    use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, Schedule, WordLines};
+    use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, Schedule, Step, WordLines};
 
     const DUMP: usize = 250;
 
@@ -320,22 +323,44 @@ mod tests {
         assert_eq!(a.take_recording(), None);
     }
 
-    /// Sets of up to two rows stay inline and longer ones spill; both
-    /// read, edit, compare and print as the rows they hold.
+    /// Sets of every length up to three read, edit, compare and print as
+    /// the rows they hold.
     #[test]
     fn word_line_sets_behave_as_their_rows() {
-        let rows = [3, 1, 4, 1, 5];
-        for len in 0..=4 {
+        let rows = [3, 1, 4];
+        for len in 0..=3 {
             let set = WordLines::from(&rows[..len]);
-            assert_eq!(*set, rows[..len], "length {len}");
+            let held: Vec<usize> = set.iter().map(|&row| usize::from(row)).collect();
+            assert_eq!(held, rows[..len], "length {len}");
             assert_eq!(set, WordLines::from(rows[..len].to_vec()), "length {len}");
         }
-        let (mut inline, mut spilled) = (WordLines::from(&rows[..2]), WordLines::from(&rows[..3]));
-        inline[1] = 9;
-        spilled[2] = 9;
-        assert_eq!(*inline, [3, 9]);
-        assert_eq!(*spilled, [3, 1, 9]);
-        assert_ne!(inline, WordLines::from(&rows[..2]));
+        let (mut pair, mut triple) = (WordLines::from(&rows[..2]), WordLines::from(&rows[..3]));
+        pair[1] = 9;
+        triple[2] = 9;
+        assert_eq!(*pair, [3, 9]);
+        assert_eq!(*triple, [3, 1, 9]);
+        assert_ne!(pair, WordLines::from(&rows[..2]));
         assert_eq!(format!("{:?}", WordLines::from(vec![0, 8])), "[0, 8]");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 rows, not [0, 1, 2, 3]")]
+    fn word_line_sets_reject_a_fourth_row() {
+        let _ = WordLines::from(vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "word line 65536 is past")]
+    fn word_line_sets_reject_rows_past_u16() {
+        let _ = WordLines::from(vec![0, 65_536]);
+    }
+
+    /// A step stays a small `Copy` value: a field that re-inflates it, or
+    /// gives it drop glue, fails here.
+    #[test]
+    fn steps_are_small_copy_values() {
+        fn copy<T: Copy>() {}
+        copy::<Step>();
+        assert!(std::mem::size_of::<Step>() <= 40);
     }
 }

@@ -33,7 +33,7 @@ pub const WRITE_PORTS: usize = 1;
 pub fn check_schedule(label: &str, s: &Schedule) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (cycle, step) in s.steps.iter().enumerate() {
-        for &row in step.reads.iter().chain(step.writes.iter()) {
+        for row in row_indices(&step.reads).chain(row_indices(&step.writes)) {
             if row >= ROWS {
                 out.push(
                     Diagnostic::new(
@@ -62,8 +62,8 @@ pub fn check_schedule(label: &str, s: &Schedule) -> Vec<Diagnostic> {
                         ),
                     )
                     .with_rows(
-                        step.reads.iter().copied().min().unwrap_or(0),
-                        step.reads.iter().copied().max().unwrap_or(0) + 1,
+                        row_indices(&step.reads).min().unwrap_or(0),
+                        row_indices(&step.reads).max().unwrap_or(0) + 1,
                     ),
                 );
             }
@@ -80,13 +80,13 @@ pub fn check_schedule(label: &str, s: &Schedule) -> Vec<Diagnostic> {
                         ),
                     )
                     .with_rows(
-                        step.writes.iter().copied().min().unwrap_or(0),
-                        step.writes.iter().copied().max().unwrap_or(0) + 1,
+                        row_indices(&step.writes).min().unwrap_or(0),
+                        row_indices(&step.writes).max().unwrap_or(0) + 1,
                     ),
                 );
             }
         }
-        if step.writes.contains(&ZERO_ROW) {
+        if row_indices(&step.writes).any(|row| row == ZERO_ROW) {
             out.push(
                 Diagnostic::new(
                     ErrorCode::ZeroRowClobbered,
@@ -101,6 +101,11 @@ pub fn check_schedule(label: &str, s: &Schedule) -> Vec<Diagnostic> {
         }
     }
     out
+}
+
+/// A recorded word-line set as array row indices.
+fn row_indices(set: &[u16]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().map(|&row| usize::from(row))
 }
 
 /// Lints a named operand set: pairwise overlap (V001), out-of-bounds rows

@@ -84,7 +84,7 @@ use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::{
     run_model_configured, FunctionalError, FunctionalResult, PoolEvents,
 };
-use neural_cache::mapping::{conv_lane_geometry, plan_model, BitBudget};
+use neural_cache::mapping::{conv_lane_geometry, plan_model, plan_model_with, BitBudget};
 use neural_cache::{ExecutionEngine, SparsityMode, SystemConfig, UnitPlan};
 
 use crate::diag::{Diagnostic, ErrorCode};
@@ -106,6 +106,9 @@ const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 /// geometry alone, so one plan covers every sparsity mode), one reduce
 /// schedule per distinct group span, and the batching model's reserved-way
 /// dump-overlap window invariants.
+///
+/// Plans the model once per call, under `config.sparsity`: the row budgets
+/// and the dump-overlap cost model both read that one plan.
 ///
 /// Works on shape-only models (no weights needed — the only arrays that
 /// run are scratch arrays recording the executor's op sequences).
@@ -162,9 +165,10 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report.record("lane-geometry", geometry_diags);
     report.stat("reduce_spans", reduce_spans);
 
+    let plans = plan_model_with(model, &config.geometry, config.sparsity);
     let mut budget_diags = Vec::new();
     let mut row_budgets = 0u64;
-    for plan in plan_model(model, &config.geometry) {
+    for plan in &plans {
         for unit in &plan.units {
             if let UnitPlan::Conv(c) = unit {
                 budget_diags.extend(check::check_row_budget(&c.name, c));
@@ -175,7 +179,8 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report.record("row-budget", budget_diags);
     report.stat("row_budgets", row_budgets);
 
-    let (dump_diags, dump_batches) = check_dump_overlap(config, model);
+    let cost = BatchCostModel::from_plans(config, &plans);
+    let (dump_diags, dump_batches) = check_dump_overlap(&cost);
     report.record("dump-overlap", dump_diags);
     report.stat("dump_overlap_batches", dump_batches);
 
@@ -247,9 +252,12 @@ pub fn reconcile_pool_events(
 /// conflict window, the last image's dump share can never hide, and the
 /// residual stall can never go negative. Returns the diagnostics and the
 /// number of batch sizes checked.
+///
+/// Takes the cost model rather than planning one, so [`check_model`]
+/// builds it from the one plan it makes per call
+/// ([`BatchCostModel::from_plans`]).
 #[must_use]
-pub fn check_dump_overlap(config: &SystemConfig, model: &Model) -> (Vec<Diagnostic>, u64) {
-    let cost = BatchCostModel::new(config, model);
+pub fn check_dump_overlap(cost: &BatchCostModel) -> (Vec<Diagnostic>, u64) {
     let mut out = Vec::new();
     let mut batches = 0u64;
     let tol = 1e-9;

@@ -75,10 +75,11 @@ proptest! {
         prop_assert_eq!(check_schedule("pre", &s), vec![]);
         let idx = step_pick % s.steps.len();
         let step = &mut s.steps[idx];
+        let row = (ROWS + excess) as u16;
         if step.reads.is_empty() {
-            step.writes[0] = ROWS + excess;
+            step.writes[0] = row;
         } else {
-            step.reads[0] = ROWS + excess;
+            step.reads[0] = row;
         }
         let diags = check_schedule("inject", &s);
         let v002: Vec<_> = diags.iter().filter(|d| d.code == ErrorCode::RowOutOfBounds).collect();
