@@ -203,13 +203,10 @@ impl BitRow {
     pub(crate) fn shift_down(&self, cols: usize) -> BitRow {
         let (skip, bits) = (cols / 64, cols % 64);
         let word = |i: usize| self.words.get(i).copied().unwrap_or(0);
+        // `<< 1 << (63 - bits)` is a shift by `64 - bits` that clears the
+        // word at `bits == 0`.
         BitRow::from_words(std::array::from_fn(|i| {
-            let (lo, hi) = (word(i + skip), word(i + skip + 1));
-            if bits == 0 {
-                lo
-            } else {
-                (lo >> bits) | (hi << (64 - bits))
-            }
+            (word(i + skip) >> bits) | (word(i + skip + 1) << 1 << (63 - bits))
         }))
     }
 
@@ -220,13 +217,10 @@ impl BitRow {
     pub(crate) fn shift_up(&self, cols: usize) -> BitRow {
         let (skip, bits) = (cols / 64, cols % 64);
         let word = |i: Option<usize>| i.and_then(|i| self.words.get(i)).copied().unwrap_or(0);
+        // `>> 1 >> (63 - bits)`: the shift by `64 - bits` of `shift_down`.
         BitRow::from_words(std::array::from_fn(|i| {
-            let lo = word(i.checked_sub(skip));
-            if bits == 0 {
-                lo
-            } else {
-                (lo << bits) | (word(i.checked_sub(skip + 1)) >> (64 - bits))
-            }
+            (word(i.checked_sub(skip)) << bits)
+                | (word(i.checked_sub(skip + 1)) >> 1 >> (63 - bits))
         }))
     }
 

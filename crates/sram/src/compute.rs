@@ -6,14 +6,20 @@
 //! in [`crate::ops`], so the cycle count of every high-level operation is the
 //! length of its micro-op sequence — derived, not asserted.
 //!
-//! Each micro-op is a check followed by a *step*. The public `op_*` method
-//! checks its rows (in the array, two distinct sense rows, a write-back clear
-//! of the zero row), then runs the step: the cycle itself, which cannot
-//! fail, and which charges the cycle through one place that also appends the
-//! cycle's word-line [`Step`](crate::Step) while recording is on. The
-//! composite ops check every operand before their first cycle and then run
-//! steps only, so no cycle repeats a check and a rejected op leaves cells,
-//! latches and counters untouched.
+//! Every operation is a check, then one run of steps. The check rejects
+//! what the cycles could not do (a row past the array, a row sensed
+//! against itself, a write-back into the zero row, and the widths and
+//! overlaps of [`crate::ops`]) before the first cycle, so a rejected
+//! operation leaves cells, latches and counters untouched and no cycle
+//! repeats a check. The run ([`Run`]) is a short-lived view of the array
+//! that keeps the carry and tag latches and the counters it charges in
+//! locals, as the hardware keeps them in the column peripherals across the
+//! cycles of an add or a multiply. Each step is one cycle, defined once on
+//! the run: it cannot fail, and it charges its cycle and appends its
+//! word-line [`Step`](crate::Step) while recording is on. When the
+//! operation ends, the run commits the latches, adds its counters to the
+//! array's and returns them as the operation's [`CycleStats`] delta. A
+//! public single-cycle `op_*` method is a run of one step.
 //!
 //! Operands enter and leave the array through the zero-cost loader,
 //! [`ComputeArray::poke_lanes`] and [`ComputeArray::peek_lanes`]: one row
@@ -27,7 +33,9 @@
 use crate::ops::LogicOp;
 use crate::sram::{check_row, check_sense};
 use crate::transpose::{gather_lanes, scatter_lanes};
-use crate::{BitRow, CycleStats, Operand, Result, Schedule, SramArray, SramError, StepKind, COLS};
+use crate::{
+    BitRow, CycleStats, Operand, Result, Schedule, SramArray, SramError, Step, StepKind, COLS,
+};
 
 /// Write-back predication mode for a compute cycle.
 ///
@@ -70,9 +78,7 @@ pub struct ComputeArray {
     tag: BitRow,
     zero_row: Option<usize>,
     stats: CycleStats,
-    /// Counters at `start_recording` plus the steps issued since. Boxed so
-    /// the recording-off check in every micro-op is a single pointer test
-    /// that leaves the hot latch and counter fields alone.
+    /// Counters at `start_recording` plus the steps issued since.
     recording: Option<Box<(CycleStats, Schedule)>>,
 }
 
@@ -196,24 +202,16 @@ impl ComputeArray {
     /// Clears every carry latch. Latch presets are driven by the control FSM
     /// and do not occupy an array cycle.
     pub fn preset_carry(&mut self, value: bool) {
-        self.carry = if value {
-            BitRow::ones()
-        } else {
-            BitRow::zero()
-        };
+        self.carry = splat(value);
     }
 
     /// Sets every tag latch to `value` (control-FSM preset, zero cycles).
     pub fn preset_tag(&mut self, value: bool) {
-        self.tag = if value {
-            BitRow::ones()
-        } else {
-            BitRow::zero()
-        };
+        self.tag = splat(value);
     }
 
     // ------------------------------------------------------------------
-    // Single-cycle compute micro-ops: check, then step
+    // Single-cycle compute micro-ops: check, then a run of one step
     // ------------------------------------------------------------------
 
     /// Compute cycle: copies row `src` to row `dst` (optionally tag-gated).
@@ -228,7 +226,7 @@ impl ComputeArray {
     pub fn op_copy(&mut self, src: usize, dst: usize, pred: Predicate) -> Result<()> {
         check_row(src)?;
         self.check_write(dst)?;
-        self.step_copy(src, dst, pred);
+        self.run(|run| run.copy(src, dst, pred));
         Ok(())
     }
 
@@ -244,7 +242,7 @@ impl ComputeArray {
         let zero = self.require_zero_row()?;
         check_sense(src, zero)?;
         self.check_write(dst)?;
-        self.step_not(src, zero, dst, pred);
+        self.run(|run| run.not(src, zero, dst, pred));
         Ok(())
     }
 
@@ -254,9 +252,7 @@ impl ComputeArray {
     ///
     /// Propagates sensing and write-back errors.
     pub fn op_and(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        self.check_logic(a, b, dst)?;
-        self.step_logic(LogicOp::And, a, b, dst, pred);
-        Ok(())
+        self.op_logic(LogicOp::And, a, b, dst, pred)
     }
 
     /// Compute cycle: `dst <- a NOR b` (bit-line-complement output).
@@ -265,9 +261,7 @@ impl ComputeArray {
     ///
     /// Propagates sensing and write-back errors.
     pub fn op_nor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        self.check_logic(a, b, dst)?;
-        self.step_logic(LogicOp::Nor, a, b, dst, pred);
-        Ok(())
+        self.op_logic(LogicOp::Nor, a, b, dst, pred)
     }
 
     /// Compute cycle: `dst <- a OR b` (complement of the NOR output).
@@ -276,9 +270,7 @@ impl ComputeArray {
     ///
     /// Propagates sensing and write-back errors.
     pub fn op_or(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
-        self.check_logic(a, b, dst)?;
-        self.step_logic(LogicOp::Or, a, b, dst, pred);
-        Ok(())
+        self.op_logic(LogicOp::Or, a, b, dst, pred)
     }
 
     /// Compute cycle: `dst <- a XOR b` (peripheral NOR of the two sense-amp
@@ -288,8 +280,20 @@ impl ComputeArray {
     ///
     /// Propagates sensing and write-back errors.
     pub fn op_xor(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
+        self.op_logic(LogicOp::Xor, a, b, dst, pred)
+    }
+
+    /// The checks and the cycle of a two-row logic micro-op.
+    fn op_logic(
+        &mut self,
+        op: LogicOp,
+        a: usize,
+        b: usize,
+        dst: usize,
+        pred: Predicate,
+    ) -> Result<()> {
         self.check_logic(a, b, dst)?;
-        self.step_logic(LogicOp::Xor, a, b, dst, pred);
+        self.run(|run| run.logic(op, a, b, dst, pred));
         Ok(())
     }
 
@@ -306,7 +310,7 @@ impl ComputeArray {
     /// Propagates sensing and write-back errors.
     pub fn op_full_add(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) -> Result<()> {
         self.check_logic(a, b, dst)?;
-        self.step_full_add(a, b, dst, pred);
+        self.run(|run| run.full_add(a, b, dst, pred));
         Ok(())
     }
 
@@ -328,7 +332,7 @@ impl ComputeArray {
     ) -> Result<()> {
         check_row(a)?;
         self.check_write(dst)?;
-        self.step_full_add_const(a, kbit, dst, pred);
+        self.run(|run| run.full_add_const(a, kbit, dst, pred));
         Ok(())
     }
 
@@ -339,7 +343,7 @@ impl ComputeArray {
     /// Propagates row-range errors.
     pub fn op_load_tag(&mut self, src: usize) -> Result<()> {
         check_row(src)?;
-        self.step_load_tag(src);
+        self.run(|run| run.load_tag(src));
         Ok(())
     }
 
@@ -358,7 +362,9 @@ impl ComputeArray {
     /// Propagates row-range errors.
     pub fn op_detect_zero(&mut self, src: usize) -> Result<bool> {
         check_row(src)?;
-        Ok(self.step_detect_zero(src))
+        let mut zero = false;
+        self.run(|run| zero = run.detect_zero(src));
+        Ok(zero)
     }
 
     /// Compute cycle: loads the tag latches with the complement of row
@@ -370,7 +376,7 @@ impl ComputeArray {
     pub fn op_load_tag_not(&mut self, src: usize) -> Result<()> {
         let zero = self.require_zero_row()?;
         check_sense(src, zero)?;
-        self.step_load_tag_not(src, zero);
+        self.run(|run| run.load_tag_not(src, zero));
         Ok(())
     }
 
@@ -389,7 +395,7 @@ impl ComputeArray {
             check_row(src)?;
             None
         };
-        self.step_and_tag(src, zero);
+        self.run(|run| run.and_tag(src, zero));
         Ok(())
     }
 
@@ -400,7 +406,7 @@ impl ComputeArray {
     /// Propagates write-back errors.
     pub fn op_write_carry(&mut self, dst: usize, pred: Predicate) -> Result<()> {
         self.check_write(dst)?;
-        self.step_write_carry(dst, pred);
+        self.run(|run| run.write_carry(dst, pred));
         Ok(())
     }
 
@@ -411,7 +417,7 @@ impl ComputeArray {
     /// Propagates write-back errors.
     pub fn op_write_tag(&mut self, dst: usize, pred: Predicate) -> Result<()> {
         self.check_write(dst)?;
-        self.step_write(dst, self.tag, pred, "op_write_tag");
+        self.run(|run| run.write_tag(dst, pred));
         Ok(())
     }
 
@@ -423,7 +429,7 @@ impl ComputeArray {
     /// Propagates write-back errors.
     pub fn op_write_const(&mut self, dst: usize, bit: bool, pred: Predicate) -> Result<()> {
         self.check_write(dst)?;
-        self.step_write_const(dst, bit, pred);
+        self.run(|run| run.write_const(dst, bit, pred));
         Ok(())
     }
 
@@ -439,7 +445,9 @@ impl ComputeArray {
     /// Propagates row-range errors.
     pub fn access_read_row(&mut self, row: usize) -> Result<BitRow> {
         check_row(row)?;
-        Ok(self.step_access_read(row))
+        let mut value = BitRow::zero();
+        self.run(|run| value = run.read_row(StepKind::Access, row, "access_read_row"));
+        Ok(value)
     }
 
     /// Access cycle: conventional write of a full row (e.g. streaming data in
@@ -452,8 +460,11 @@ impl ComputeArray {
         if self.zero_row == Some(row) && !value.is_zero() {
             return Err(SramError::ZeroRowClobbered { row });
         }
-        self.array.write_row(row, value)?;
-        self.tick_access(&[], &[row], "access_write_row");
+        check_row(row)?;
+        self.run(|run| {
+            run.cells.set_row(row, value);
+            run.tick(StepKind::Access, &[], &[row], "access_write_row");
+        });
         Ok(())
     }
 
@@ -588,7 +599,7 @@ impl ComputeArray {
     }
 
     // ------------------------------------------------------------------
-    // Internals
+    // Checks
     // ------------------------------------------------------------------
 
     pub(crate) fn require_zero_row(&self) -> Result<usize> {
@@ -620,39 +631,6 @@ impl ComputeArray {
         self.check_write(dst)
     }
 
-    /// Crate-internal raw access for operations that move data across bit
-    /// lines (lane moves, inter-array transfers); the caller charges each
-    /// cycle through [`ComputeArray::tick_compute`] or
-    /// [`ComputeArray::tick_access`].
-    pub(crate) fn raw_cells_mut(&mut self) -> &mut SramArray {
-        &mut self.array
-    }
-
-    /// Records one scheduled multiplier-bit round (dense or skipped).
-    pub(crate) fn note_mul_round(&mut self) {
-        self.stats.mul_rounds += 1;
-    }
-
-    /// Records one elided multiplier-bit round and the compute cycles the
-    /// dense schedule would have spent on it.
-    pub(crate) fn note_skipped_round(&mut self, saved_cycles: u64) {
-        self.stats.skipped_rounds += 1;
-        self.stats.skipped_cycles += saved_cycles;
-    }
-
-    /// Records one dynamically elided input-bit round and the compute
-    /// cycles the dense schedule would have spent on it.
-    pub(crate) fn note_input_round_skipped(&mut self, saved_cycles: u64) {
-        self.stats.input_rounds_skipped += 1;
-        self.stats.skipped_cycles += saved_cycles;
-    }
-
-    /// Records add-chain cycles elided by static multiplicand truncation
-    /// (no round is skipped; the dense schedule would have executed them).
-    pub(crate) fn note_truncated_cycles(&mut self, saved_cycles: u64) {
-        self.stats.skipped_cycles += saved_cycles;
-    }
-
     pub(crate) fn guard_zero_row(&self, op: &Operand) -> Result<()> {
         if let Some(z) = self.zero_row {
             if op.contains_row(z) {
@@ -661,189 +639,322 @@ impl ComputeArray {
         }
         Ok(())
     }
+
+    // ------------------------------------------------------------------
+    // Runs
+    // ------------------------------------------------------------------
+
+    /// Runs `steps` as one operation, for a caller that checked every row
+    /// the steps touch: the steps see this array's latches, charge a zeroed
+    /// delta and record into the schedule in progress, if any. Afterwards
+    /// the latches are committed and the delta, which is returned, is added
+    /// to the array's counters.
+    #[inline]
+    pub(crate) fn run(&mut self, steps: impl FnOnce(&mut Run<'_>)) -> CycleStats {
+        let mut run = Run {
+            cells: &mut self.array,
+            recording: self.recording.as_deref_mut().map(|(_, schedule)| schedule),
+            zero_row: self.zero_row,
+            carry: self.carry,
+            tag: self.tag,
+            stats: CycleStats::new(),
+        };
+        steps(&mut run);
+        let Run {
+            carry, tag, stats, ..
+        } = run;
+        self.carry = carry;
+        self.tag = tag;
+        self.stats += stats;
+        stats
+    }
 }
 
-// Steps: one cycle each, for callers that checked every row they pass
-// before their first cycle. Each step charges and records its cycle.
-//
-// The steps and the helpers they call are `#[inline(always)]`: on a 2-core
-// x86-64 host, perfbench's `mini_inception_dense` read a median
-// `host_ref_ms_p50` of 5.83 ref ms with it against 7.15 with plain
-// `#[inline]` (10 alternating pairs at 20 s, seeds 721-730, 10 wins).
-// The same attribute on the `SramArray` and `BitRow` primitives under the
-// steps gained nothing (6.04 ref ms over the same runs).
+/// Every column set to `bit`.
+#[inline]
+fn splat(bit: bool) -> BitRow {
+    if bit {
+        BitRow::ones()
+    } else {
+        BitRow::zero()
+    }
+}
+
+/// One operation's cycles on a [`ComputeArray`] ([`ComputeArray::run`]):
+/// the array's cells and recorder, borrowed, and its carry and tag latches
+/// and the counters charged so far, held here until the operation ends.
+///
+/// Each step method is one cycle. It trusts that the caller checked every
+/// row it passes, charges its cycle, and appends its [`Step`](crate::Step)
+/// with the label of the micro-op that issues it while recording is on.
+pub(crate) struct Run<'a> {
+    cells: &'a mut SramArray,
+    recording: Option<&'a mut Schedule>,
+    zero_row: Option<usize>,
+    carry: BitRow,
+    tag: BitRow,
+    stats: CycleStats,
+}
+
+// The steps and the helpers they call, here and in `crate::ops`, are
+// `#[inline(always)]`, so each operation compiles to one loop nest that
+// keeps its run's latches and counters in registers. Against steps that
+// latched and charged through the array on every cycle, perfbench's
+// `mini_inception_dense` read a median `host_ref_ms_p50` of 2.58 ref ms
+// against 3.20 (10 alternating 20 s pairs on a 2-core x86-64 host, seeds
+// 6101-6110, lower in 10 of 10), with the accumulating full add below.
 #[allow(clippy::inline_always)]
-impl ComputeArray {
+impl Run<'_> {
+    /// The cells, for the control FSM's knowledge of which operand rows
+    /// are zero on every lane (it reads no cycle).
+    pub(crate) fn cells(&self) -> &SramArray {
+        self.cells
+    }
+
+    /// Presets every carry latch (control FSM, no cycle).
+    #[inline(always)]
+    pub(crate) fn preset_carry(&mut self, value: bool) {
+        self.carry = splat(value);
+    }
+
+    /// Presets every tag latch (control FSM, no cycle).
+    #[inline(always)]
+    pub(crate) fn preset_tag(&mut self, value: bool) {
+        self.tag = splat(value);
+    }
+
+    /// Counts one scheduled multiplier-bit round (dense or skipped).
+    #[inline(always)]
+    pub(crate) fn note_mul_round(&mut self) {
+        self.stats.mul_rounds += 1;
+    }
+
+    /// Counts one elided multiplier-bit round and the compute cycles the
+    /// dense schedule would have spent on it.
+    #[inline(always)]
+    pub(crate) fn note_skipped_round(&mut self, saved_cycles: u64) {
+        self.stats.skipped_rounds += 1;
+        self.stats.skipped_cycles += saved_cycles;
+    }
+
+    /// Counts one dynamically elided input-bit round and the compute
+    /// cycles the dense schedule would have spent on it.
+    #[inline(always)]
+    pub(crate) fn note_input_round_skipped(&mut self, saved_cycles: u64) {
+        self.stats.input_rounds_skipped += 1;
+        self.stats.skipped_cycles += saved_cycles;
+    }
+
+    /// Counts add-chain cycles elided by static multiplicand truncation
+    /// (no round is skipped; the dense schedule would have executed them).
+    #[inline(always)]
+    pub(crate) fn note_truncated_cycles(&mut self, saved_cycles: u64) {
+        self.stats.skipped_cycles += saved_cycles;
+    }
+
     /// The [`ComputeArray::op_copy`] cycle.
     #[inline(always)]
-    pub(crate) fn step_copy(&mut self, src: usize, dst: usize, pred: Predicate) {
-        let value = self.array.row(src);
-        self.write_back(dst, value, pred);
-        self.tick_compute(&[src], &[dst], "op_copy");
+    pub(crate) fn copy(&mut self, src: usize, dst: usize, pred: Predicate) {
+        let value = self.cells.row(src);
+        self.compute(&[src], dst, value, pred, "op_copy");
     }
 
     /// The [`ComputeArray::op_not`] cycle; `zero` is the zero row.
     #[inline(always)]
-    pub(crate) fn step_not(&mut self, src: usize, zero: usize, dst: usize, pred: Predicate) {
-        let out = self.array.sense_rows(src, zero).nor;
-        self.write_back(dst, out, pred);
-        self.tick_compute(&[src, zero], &[dst], "op_not");
+    pub(crate) fn not(&mut self, src: usize, zero: usize, dst: usize, pred: Predicate) {
+        let out = self.cells.sense_rows(src, zero).nor;
+        self.compute(&[src, zero], dst, out, pred, "op_not");
     }
 
     /// The cycle of [`ComputeArray::op_and`], `op_or`, `op_xor` or `op_nor`.
     #[inline(always)]
-    pub(crate) fn step_logic(
-        &mut self,
-        op: LogicOp,
-        a: usize,
-        b: usize,
-        dst: usize,
-        pred: Predicate,
-    ) {
-        let sensed = self.array.sense_rows(a, b);
+    pub(crate) fn logic(&mut self, op: LogicOp, a: usize, b: usize, dst: usize, pred: Predicate) {
+        let sensed = self.cells.sense_rows(a, b);
         let (out, label) = match op {
             LogicOp::And => (sensed.and, "op_and"),
             LogicOp::Or => (sensed.nor.not(), "op_or"),
             LogicOp::Xor => (sensed.xor, "op_xor"),
             LogicOp::Nor => (sensed.nor, "op_nor"),
         };
-        self.write_back(dst, out, pred);
-        self.tick_compute(&[a, b], &[dst], label);
+        self.compute(&[a, b], dst, out, pred, label);
     }
 
     /// The [`ComputeArray::op_full_add`] cycle.
     #[inline(always)]
-    pub(crate) fn step_full_add(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) {
-        let sensed = self.array.sense_rows(a, b);
-        let sum = sensed.xor.xor(&self.carry);
-        let carry_out = sensed.and.or(&sensed.xor.and(&self.carry));
-        self.write_back(dst, sum, pred);
-        self.latch_carry(carry_out, pred);
-        self.tick_compute(&[a, b], &[dst], "op_full_add");
+    pub(crate) fn full_add(&mut self, a: usize, b: usize, dst: usize, pred: Predicate) {
+        debug_assert_ne!(a, b, "two-row sense of word line {a} against itself");
+        let (ra, rb) = (self.cells.row(a), self.cells.row(b));
+        self.add(ra, rb, dst == b, &[a, b], dst, pred, "op_full_add");
     }
 
     /// The [`ComputeArray::op_full_add_const`] cycle.
     #[inline(always)]
-    pub(crate) fn step_full_add_const(
-        &mut self,
-        a: usize,
-        kbit: bool,
-        dst: usize,
-        pred: Predicate,
-    ) {
-        let ra = self.array.row(a);
-        let rb = if kbit { BitRow::ones() } else { BitRow::zero() };
-        let xor = ra.xor(&rb);
-        let and = ra.and(&rb);
-        let sum = xor.xor(&self.carry);
-        let carry_out = and.or(&xor.and(&self.carry));
-        self.write_back(dst, sum, pred);
-        self.latch_carry(carry_out, pred);
-        self.tick_compute(&[a], &[dst], "op_full_add_const");
+    pub(crate) fn full_add_const(&mut self, a: usize, kbit: bool, dst: usize, pred: Predicate) {
+        let ra = self.cells.row(a);
+        self.add(
+            splat(kbit),
+            ra,
+            dst == a,
+            &[a],
+            dst,
+            pred,
+            "op_full_add_const",
+        );
+    }
+
+    /// The [`ComputeArray::op_write_const`] cycle.
+    #[inline(always)]
+    pub(crate) fn write_const(&mut self, dst: usize, bit: bool, pred: Predicate) {
+        self.compute(&[], dst, splat(bit), pred, "op_write_const");
+    }
+
+    /// The [`ComputeArray::op_write_carry`] cycle.
+    #[inline(always)]
+    pub(crate) fn write_carry(&mut self, dst: usize, pred: Predicate) {
+        self.compute(&[], dst, self.carry, pred, "op_write_carry");
+    }
+
+    /// The [`ComputeArray::op_write_tag`] cycle.
+    #[inline(always)]
+    pub(crate) fn write_tag(&mut self, dst: usize, pred: Predicate) {
+        self.compute(&[], dst, self.tag, pred, "op_write_tag");
     }
 
     /// The [`ComputeArray::op_load_tag`] cycle.
     #[inline(always)]
-    pub(crate) fn step_load_tag(&mut self, src: usize) {
-        self.tag = self.array.row(src);
-        self.tick_compute(&[src], &[], "op_load_tag");
+    pub(crate) fn load_tag(&mut self, src: usize) {
+        self.tag = self.cells.row(src);
+        self.tick(StepKind::Compute, &[src], &[], "op_load_tag");
     }
 
     /// The [`ComputeArray::op_detect_zero`] cycle.
     #[inline(always)]
-    pub(crate) fn step_detect_zero(&mut self, src: usize) -> bool {
-        self.tag = self.array.row(src);
-        self.tick_compute(&[src], &[], "op_detect_zero");
+    pub(crate) fn detect_zero(&mut self, src: usize) -> bool {
+        self.tag = self.cells.row(src);
+        self.tick(StepKind::Compute, &[src], &[], "op_detect_zero");
         self.stats.detect_cycles += 1;
         self.tag.is_zero()
     }
 
     /// The [`ComputeArray::op_load_tag_not`] cycle; `zero` is the zero row.
     #[inline(always)]
-    pub(crate) fn step_load_tag_not(&mut self, src: usize, zero: usize) {
-        self.tag = self.array.sense_rows(src, zero).nor;
-        self.tick_compute(&[src, zero], &[], "op_load_tag_not");
+    pub(crate) fn load_tag_not(&mut self, src: usize, zero: usize) {
+        self.tag = self.cells.sense_rows(src, zero).nor;
+        self.tick(StepKind::Compute, &[src, zero], &[], "op_load_tag_not");
     }
 
     /// The [`ComputeArray::op_and_tag`] cycle: the complement form senses
     /// `src` against the zero row `Some(zero)`.
     #[inline(always)]
-    pub(crate) fn step_and_tag(&mut self, src: usize, complement_against: Option<usize>) {
+    pub(crate) fn and_tag(&mut self, src: usize, complement_against: Option<usize>) {
         if let Some(zero) = complement_against {
-            self.tag = self.tag.and(&self.array.sense_rows(src, zero).nor);
-            self.tick_compute(&[src, zero], &[], "op_and_tag");
+            self.tag = self.tag.and(&self.cells.sense_rows(src, zero).nor);
+            self.tick(StepKind::Compute, &[src, zero], &[], "op_and_tag");
         } else {
-            self.tag = self.tag.and(&self.array.row(src));
-            self.tick_compute(&[src], &[], "op_and_tag");
+            self.tag = self.tag.and(&self.cells.row(src));
+            self.tick(StepKind::Compute, &[src], &[], "op_and_tag");
         }
     }
 
-    /// The [`ComputeArray::op_write_carry`] cycle.
+    /// A cycle of `kind` that reads `row` out: a lane move's read (a
+    /// compute cycle through the column mux), [`ComputeArray::access_read_row`]
+    /// or an inter-array transfer's read-out (access cycles).
     #[inline(always)]
-    pub(crate) fn step_write_carry(&mut self, dst: usize, pred: Predicate) {
-        self.step_write(dst, self.carry, pred, "op_write_carry");
+    pub(crate) fn read_row(&mut self, kind: StepKind, row: usize, label: &'static str) -> BitRow {
+        self.tick(kind, &[row], &[], label);
+        self.cells.row(row)
     }
 
-    /// The [`ComputeArray::op_write_const`] cycle.
+    /// A cycle of `kind` that senses `reads` and writes `value` into `dst`
+    /// on the lanes of `mask`: a lane move's read-modify-write (a compute
+    /// cycle that senses `dst`) or an inter-array transfer's write-in (an
+    /// access cycle).
     #[inline(always)]
-    pub(crate) fn step_write_const(&mut self, dst: usize, bit: bool, pred: Predicate) {
-        let value = if bit { BitRow::ones() } else { BitRow::zero() };
-        self.step_write(dst, value, pred, "op_write_const");
+    pub(crate) fn write_lanes(
+        &mut self,
+        kind: StepKind,
+        reads: &[usize],
+        dst: usize,
+        value: BitRow,
+        mask: &BitRow,
+        label: &'static str,
+    ) {
+        let merged = value.select(&self.cells.row(dst), mask);
+        self.cells.set_row(dst, merged);
+        self.tick(kind, reads, &[dst], label);
     }
 
-    /// A cycle that senses nothing and writes `value` to `dst`.
+    /// A full-adder cycle over the operand rows `x` and `y` with the carry
+    /// latch as carry-in: writes the sum to `dst` and latches the
+    /// carry-out, both gated per column under [`Predicate::Tag`].
+    /// `y_is_dst` says that `dst` is `y`'s row, the accumulating form.
+    ///
+    /// With `t = x ^ c`, the sum is `y ^ t` and the carry-out
+    /// `c ^ (t & (y ^ c))`, the majority of the three bits. So on the
+    /// columns the cycle writes, `flip` (`t`, under the tag) is where the
+    /// sum differs from `y` and, with `y ^ c`, where the carry changes,
+    /// and an accumulating write is `y ^ flip` without reading the row
+    /// back for the merge.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
-    fn step_write(&mut self, dst: usize, value: BitRow, pred: Predicate, label: &'static str) {
-        self.write_back(dst, value, pred);
-        self.tick_compute(&[], &[dst], label);
+    fn add(
+        &mut self,
+        x: BitRow,
+        y: BitRow,
+        y_is_dst: bool,
+        reads: &[usize],
+        dst: usize,
+        pred: Predicate,
+        label: &'static str,
+    ) {
+        let t = x.xor(&self.carry);
+        let flip = match pred {
+            Predicate::Always => t,
+            Predicate::Tag => t.and(&self.tag),
+        };
+        if y_is_dst {
+            self.compute(reads, dst, y.xor(&flip), Predicate::Always, label);
+        } else {
+            self.compute(reads, dst, y.xor(&t), pred, label);
+        }
+        self.carry = self.carry.xor(&flip.and(&y.xor(&self.carry)));
     }
 
-    /// The [`ComputeArray::access_read_row`] cycle.
+    /// A compute cycle that senses `reads` and commits `value` to `dst`.
+    /// Only a tag-gated write reads the row it merges into.
     #[inline(always)]
-    pub(crate) fn step_access_read(&mut self, row: usize) -> BitRow {
-        self.tick_access(&[row], &[], "access_read_row");
-        self.array.row(row)
-    }
-
-    /// Commits a cycle's result to `dst`. Only a tag-gated write reads the
-    /// row it merges into.
-    #[inline(always)]
-    fn write_back(&mut self, dst: usize, value: BitRow, pred: Predicate) {
+    fn compute(
+        &mut self,
+        reads: &[usize],
+        dst: usize,
+        value: BitRow,
+        pred: Predicate,
+        label: &'static str,
+    ) {
         debug_assert_ne!(self.zero_row, Some(dst), "write-back into the zero row");
         let merged = match pred {
             Predicate::Always => value,
-            Predicate::Tag => value.select(&self.array.row(dst), &self.tag),
+            Predicate::Tag => value.select(&self.cells.row(dst), &self.tag),
         };
-        self.array.set_row(dst, merged);
+        self.cells.set_row(dst, merged);
+        self.tick(StepKind::Compute, reads, &[dst], label);
     }
 
-    /// Latches a cycle's carry-out, per column under [`Predicate::Tag`].
+    /// Charges one cycle of `kind` that senses `reads` and drives
+    /// `writes`, and records it while recording is on.
     #[inline(always)]
-    fn latch_carry(&mut self, carry_out: BitRow, pred: Predicate) {
-        self.carry = match pred {
-            Predicate::Always => carry_out,
-            Predicate::Tag => carry_out.select(&self.carry, &self.tag),
-        };
-    }
-
-    /// Charges one compute cycle that senses `reads` and drives `writes`.
-    #[inline(always)]
-    pub(crate) fn tick_compute(&mut self, reads: &[usize], writes: &[usize], label: &'static str) {
-        self.stats.compute_cycles += 1;
-        self.record(StepKind::Compute, reads, writes, label);
-    }
-
-    /// Charges one access cycle that reads `reads` and writes `writes`.
-    #[inline(always)]
-    pub(crate) fn tick_access(&mut self, reads: &[usize], writes: &[usize], label: &'static str) {
-        self.stats.access_cycles += 1;
-        self.record(StepKind::Access, reads, writes, label);
-    }
-
-    #[inline(always)]
-    fn record(&mut self, kind: StepKind, reads: &[usize], writes: &[usize], label: &'static str) {
-        if let Some(recording) = &mut self.recording {
-            recording.1.push(kind, reads, writes, label);
+    fn tick(&mut self, kind: StepKind, reads: &[usize], writes: &[usize], label: &'static str) {
+        match kind {
+            StepKind::Compute => self.stats.compute_cycles += 1,
+            StepKind::Access => self.stats.access_cycles += 1,
+        }
+        if let Some(schedule) = &mut self.recording {
+            schedule.push(Step {
+                kind,
+                reads: reads.into(),
+                writes: writes.into(),
+                label,
+            });
         }
     }
 }

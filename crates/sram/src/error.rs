@@ -219,7 +219,10 @@ mod tests {
         );
         // MissingZeroRow: complement without a configured zero row.
         let mut bare = ComputeArray::new();
-        assert_eq!(bare.not_region(v, d), Err(SramError::MissingZeroRow));
+        assert_eq!(
+            bare.op_not(0, 8, Predicate::Always),
+            Err(SramError::MissingZeroRow)
+        );
         // DestinationTooNarrow: 8+8-bit sum into 7 bits.
         let narrow = Operand::new(30, 7).unwrap();
         assert_eq!(

@@ -1,5 +1,6 @@
 //! Bit-serial addition and subtraction (paper Section III-B, Figure 4).
 
+use crate::compute::Run;
 use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
 
 impl ComputeArray {
@@ -41,15 +42,15 @@ impl ComputeArray {
             });
         }
         self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        self.preset_carry(false);
-        for i in 0..n {
-            self.step_full_add(a.row(i), b.row(i), dst.row(i), Predicate::Always);
-        }
-        if dst.bits() == n + 1 {
-            self.step_write_carry(dst.row(n), Predicate::Always);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            run.preset_carry(false);
+            for i in 0..n {
+                run.full_add(a.row(i), b.row(i), dst.row(i), Predicate::Always);
+            }
+            if dst.bits() == n + 1 {
+                run.write_carry(dst.row(n), Predicate::Always);
+            }
+        }))
     }
 
     /// In-place accumulate `acc <- acc + addend` with zero extension of the
@@ -65,9 +66,7 @@ impl ComputeArray {
     /// overlap, or the accumulator covers the zero row.
     pub fn add_assign(&mut self, acc: Operand, addend: Operand) -> Result<CycleStats> {
         self.check_add_assign(acc, addend)?;
-        let before = self.stats();
-        self.add_assign_steps(acc, addend);
-        Ok(self.stats() - before)
+        Ok(self.run(|run| run.add_assign(acc, addend)))
     }
 
     /// The checks of [`ComputeArray::add_assign`].
@@ -86,19 +85,6 @@ impl ComputeArray {
         self.guard_zero_row(&acc)
     }
 
-    /// The cycles of [`ComputeArray::add_assign`], for callers that ran
-    /// [`ComputeArray::check_add_assign`].
-    pub(crate) fn add_assign_steps(&mut self, acc: Operand, addend: Operand) {
-        self.preset_carry(false);
-        let carry_from = acc.base() + addend.bits();
-        for (x, r) in addend.rows().zip(acc.base()..carry_from) {
-            self.step_full_add(x, r, r, Predicate::Always);
-        }
-        for r in carry_from..acc.rows().end {
-            self.step_full_add_const(r, false, r, Predicate::Always);
-        }
-    }
-
     /// In-place broadcast-constant addition `op <- op + k` modulo
     /// 2^`op.bits()` (`bits` compute cycles).
     ///
@@ -110,13 +96,13 @@ impl ComputeArray {
     /// Fails if the operand covers the zero row.
     pub fn add_scalar(&mut self, op: Operand, k: u64) -> Result<CycleStats> {
         self.guard_zero_row(&op)?;
-        let before = self.stats();
-        self.preset_carry(false);
-        for i in 0..op.bits() {
-            let bit = i < 64 && (k >> i) & 1 == 1;
-            self.step_full_add_const(op.row(i), bit, op.row(i), Predicate::Always);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            run.preset_carry(false);
+            for i in 0..op.bits() {
+                let bit = i < 64 && (k >> i) & 1 == 1;
+                run.full_add_const(op.row(i), bit, op.row(i), Predicate::Always);
+            }
+        }))
     }
 
     /// In-place signed broadcast-constant addition `op <- op + k` modulo
@@ -197,15 +183,32 @@ impl ComputeArray {
         let zero = self.zero_for_complement(&b)?;
         self.guard_zero_row(&scratch.slice(0, n)?)?;
         self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..n {
-            self.step_not(b.row(i), zero, scratch.row(i), Predicate::Always);
+        Ok(self.run(|run| {
+            for i in 0..n {
+                run.not(b.row(i), zero, scratch.row(i), Predicate::Always);
+            }
+            run.preset_carry(true);
+            for i in 0..n {
+                run.full_add(a.row(i), scratch.row(i), dst.row(i), Predicate::Always);
+            }
+        }))
+    }
+}
+
+#[allow(clippy::inline_always)] // see `Run`
+impl Run<'_> {
+    /// The cycles of [`ComputeArray::add_assign`], for callers that ran
+    /// [`ComputeArray::check_add_assign`].
+    #[inline(always)]
+    pub(crate) fn add_assign(&mut self, acc: Operand, addend: Operand) {
+        self.preset_carry(false);
+        let carry_from = acc.base() + addend.bits();
+        for (x, r) in addend.rows().zip(acc.base()..carry_from) {
+            self.full_add(x, r, r, Predicate::Always);
         }
-        self.preset_carry(true);
-        for i in 0..n {
-            self.step_full_add(a.row(i), scratch.row(i), dst.row(i), Predicate::Always);
+        for r in carry_from..acc.rows().end {
+            self.full_add_const(r, false, r, Predicate::Always);
         }
-        Ok(self.stats() - before)
     }
 }
 

@@ -1,6 +1,7 @@
 //! Comparisons, max/min, `ReLU`, and saturation — the predication-based
 //! supporting functions of Section IV-D.
 
+use crate::compute::Run;
 use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
 
 impl ComputeArray {
@@ -11,12 +12,16 @@ impl ComputeArray {
     /// After the call, lane `l`'s carry is `1` iff `a[l] >= b[l]` unsigned.
     /// Takes `2n` compute cycles (`n` complement + `n` adds).
     ///
+    /// Its steps serve [`ComputeArray::max_assign`] and the min/max tree
+    /// reductions; the operation itself is only called by tests.
+    ///
     /// # Errors
     ///
     /// Requires the zero row, clear of `b`, of the `n` scratch rows and of
     /// `dump_row`; `scratch` must hold `n` bits disjoint from the inputs,
     /// and `dump_row` must lie in the array, outside every named region.
-    pub fn compare_ge(
+    #[cfg(test)]
+    pub(crate) fn compare_ge(
         &mut self,
         a: Operand,
         b: Operand,
@@ -24,9 +29,7 @@ impl ComputeArray {
         dump_row: usize,
     ) -> Result<CycleStats> {
         let zero = self.check_compare_ge(a, b, scratch, dump_row)?;
-        let before = self.stats();
-        self.compare_ge_steps(a, b, scratch, dump_row, zero);
-        Ok(self.stats() - before)
+        Ok(self.run(|run| run.compare_ge(a, b, scratch, dump_row, zero)))
     }
 
     /// The checks of [`ComputeArray::compare_ge`]; returns the zero row.
@@ -65,25 +68,6 @@ impl ComputeArray {
         Ok(zero)
     }
 
-    /// The cycles of [`ComputeArray::compare_ge`], for callers that ran
-    /// its checks; `zero` is the zero row.
-    fn compare_ge_steps(
-        &mut self,
-        a: Operand,
-        b: Operand,
-        scratch: Operand,
-        dump_row: usize,
-        zero: usize,
-    ) {
-        for (x, s) in b.rows().zip(scratch.rows()) {
-            self.step_not(x, zero, s, Predicate::Always);
-        }
-        self.preset_carry(true);
-        for (x, s) in a.rows().zip(scratch.rows()) {
-            self.step_full_add(x, s, dump_row, Predicate::Always);
-        }
-    }
-
     /// Unsigned lane-wise running maximum: `acc <- max(acc, x)`.
     ///
     /// This is the paper's max dataflow: subtract the candidate from the
@@ -92,8 +76,11 @@ impl ComputeArray {
     ///
     /// # Errors
     ///
-    /// Same constraints as [`ComputeArray::compare_ge`], and `acc` must be
-    /// clear of the zero row.
+    /// `x` and `acc` must have equal widths. The comparison needs the zero
+    /// row, clear of `x`, of the `n` scratch rows and of `dump_row`;
+    /// `scratch` must hold `n` bits disjoint from `acc` and `x`, and
+    /// `dump_row` must lie in the array, outside every named region; `acc`
+    /// must be clear of the zero row.
     pub fn max_assign(
         &mut self,
         acc: Operand,
@@ -102,32 +89,11 @@ impl ComputeArray {
         dump_row: usize,
     ) -> Result<CycleStats> {
         let zero = self.check_extremum(acc, x, scratch, dump_row)?;
-        let before = self.stats();
-        self.extremum_steps(true, acc, x, scratch, dump_row, zero);
-        Ok(self.stats() - before)
+        Ok(self.run(|run| run.extremum(true, acc, x, scratch, dump_row, zero)))
     }
 
-    /// Unsigned lane-wise running minimum: `acc <- min(acc, x)`
-    /// (`3n + 2` compute cycles).
-    ///
-    /// # Errors
-    ///
-    /// Same constraints as [`ComputeArray::max_assign`].
-    pub fn min_assign(
-        &mut self,
-        acc: Operand,
-        x: Operand,
-        scratch: Operand,
-        dump_row: usize,
-    ) -> Result<CycleStats> {
-        let zero = self.check_extremum(acc, x, scratch, dump_row)?;
-        let before = self.stats();
-        self.extremum_steps(false, acc, x, scratch, dump_row, zero);
-        Ok(self.stats() - before)
-    }
-
-    /// The checks of [`ComputeArray::max_assign`] and
-    /// [`ComputeArray::min_assign`]; returns the zero row.
+    /// The checks of [`ComputeArray::max_assign`] and the min/max tree
+    /// reductions; returns the zero row.
     pub(crate) fn check_extremum(
         &self,
         acc: Operand,
@@ -140,29 +106,6 @@ impl ComputeArray {
         Ok(zero)
     }
 
-    /// The cycles of `max_assign` (`max`) or `min_assign`, for callers that
-    /// ran [`ComputeArray::check_extremum`]; `zero` is the zero row.
-    pub(crate) fn extremum_steps(
-        &mut self,
-        max: bool,
-        acc: Operand,
-        x: Operand,
-        scratch: Operand,
-        dump_row: usize,
-        zero: usize,
-    ) {
-        self.compare_ge_steps(acc, x, scratch, dump_row, zero);
-        // carry = (acc >= x): max replaces where acc < x, min where
-        // acc >= x (ties copy harmlessly).
-        self.step_write_carry(dump_row, Predicate::Always);
-        if max {
-            self.step_load_tag_not(dump_row, zero);
-        } else {
-            self.step_load_tag(dump_row);
-        }
-        self.copy_steps(x, acc, Predicate::Tag);
-    }
-
     /// `ReLU` on a two's-complement operand: lanes with a set sign bit are
     /// overwritten with zero, using the MSB as the write-enable mask exactly
     /// as described in Section IV-D. `n + 1` compute cycles.
@@ -172,12 +115,12 @@ impl ComputeArray {
     /// Fails if `x` covers the zero row.
     pub fn relu(&mut self, x: Operand) -> Result<CycleStats> {
         self.guard_zero_row(&x)?;
-        let before = self.stats();
-        self.step_load_tag(x.msb_row());
-        for i in 0..x.bits() {
-            self.step_write_const(x.row(i), false, Predicate::Tag);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            run.load_tag(x.msb_row());
+            for i in 0..x.bits() {
+                run.write_const(x.row(i), false, Predicate::Tag);
+            }
+        }))
     }
 
     /// Saturating clamp against a broadcast constant: lanes whose unsigned
@@ -210,20 +153,69 @@ impl ComputeArray {
         };
         self.check_write(dump_row)?;
         self.guard_zero_row(&op)?;
-        let before = self.stats();
         let notk = !threshold;
+        Ok(self.run(|run| {
+            run.preset_carry(true);
+            for i in 0..op.bits() {
+                let bit = i < 64 && (notk >> i) & 1 == 1;
+                run.full_add_const(op.row(i), bit, dump_row, Predicate::Always);
+            }
+            run.write_carry(dump_row, Predicate::Always);
+            run.load_tag(dump_row);
+            for i in 0..op.bits() {
+                let bit = i < 64 && (k >> i) & 1 == 1;
+                run.write_const(op.row(i), bit, Predicate::Tag);
+            }
+        }))
+    }
+}
+
+#[allow(clippy::inline_always)] // see `Run`
+impl Run<'_> {
+    /// The cycles of a trial subtraction `a - b` that leaves the no-borrow
+    /// flag in the carry latch, for callers that ran
+    /// `ComputeArray::check_compare_ge`; `zero` is the zero row.
+    #[inline(always)]
+    fn compare_ge(
+        &mut self,
+        a: Operand,
+        b: Operand,
+        scratch: Operand,
+        dump_row: usize,
+        zero: usize,
+    ) {
+        for (x, s) in b.rows().zip(scratch.rows()) {
+            self.not(x, zero, s, Predicate::Always);
+        }
         self.preset_carry(true);
-        for i in 0..op.bits() {
-            let bit = i < 64 && (notk >> i) & 1 == 1;
-            self.step_full_add_const(op.row(i), bit, dump_row, Predicate::Always);
+        for (x, s) in a.rows().zip(scratch.rows()) {
+            self.full_add(x, s, dump_row, Predicate::Always);
         }
-        self.step_write_carry(dump_row, Predicate::Always);
-        self.step_load_tag(dump_row);
-        for i in 0..op.bits() {
-            let bit = i < 64 && (k >> i) & 1 == 1;
-            self.step_write_const(op.row(i), bit, Predicate::Tag);
+    }
+
+    /// The cycles of `acc <- max(acc, x)` (`max`) or `acc <- min(acc, x)`,
+    /// for callers that ran [`ComputeArray::check_extremum`]; `zero` is the
+    /// zero row.
+    #[inline(always)]
+    pub(crate) fn extremum(
+        &mut self,
+        max: bool,
+        acc: Operand,
+        x: Operand,
+        scratch: Operand,
+        dump_row: usize,
+        zero: usize,
+    ) {
+        self.compare_ge(acc, x, scratch, dump_row, zero);
+        // carry = (acc >= x): max replaces where acc < x, min where
+        // acc >= x (ties copy harmlessly).
+        self.write_carry(dump_row, Predicate::Always);
+        if max {
+            self.load_tag_not(dump_row, zero);
+        } else {
+            self.load_tag(dump_row);
         }
-        Ok(self.stats() - before)
+        self.copy_operand(x, acc, Predicate::Tag);
     }
 }
 
@@ -260,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn max_min_running() {
+    fn max_assign_running() {
         let mut a = arr();
         let acc = Operand::new(0, 8).unwrap();
         let x = Operand::new(8, 8).unwrap();
@@ -274,14 +266,6 @@ mod tests {
         assert_eq!(d.compute_cycles, 3 * 8 + 2);
         for (lane, (p, q)) in cases.iter().enumerate() {
             assert_eq!(a.peek_lane(lane, acc), *p.max(q));
-        }
-        for (lane, (p, q)) in cases.iter().enumerate() {
-            a.poke_lane(lane, acc, *p);
-            a.poke_lane(lane, x, *q);
-        }
-        a.min_assign(acc, x, s, DUMP).unwrap();
-        for (lane, (p, q)) in cases.iter().enumerate() {
-            assert_eq!(a.peek_lane(lane, acc), *p.min(q));
         }
     }
 

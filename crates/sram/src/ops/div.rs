@@ -79,38 +79,37 @@ impl ComputeArray {
         let zero = self.zero_for_complement(&den)?;
         self.guard_zero_row(&notden.slice(0, w)?)?;
         let rem_w = self.guard_div_registers(quot, rem, trial, w)?;
-        let before = self.stats();
+        Ok(self.run(|run| {
+            // notden <- ~den, zero-extended to w bits (so its top bit is 1).
+            for i in 0..den.bits() {
+                run.not(den.row(i), zero, notden.row(i), Predicate::Always);
+            }
+            run.write_const(notden.row(w - 1), true, Predicate::Always);
+            run.zero(rem_w);
 
-        // notden <- ~den, zero-extended to w bits (so its top bit is 1).
-        for i in 0..den.bits() {
-            self.step_not(den.row(i), zero, notden.row(i), Predicate::Always);
-        }
-        self.step_write_const(notden.row(w - 1), true, Predicate::Always);
-        self.zero_steps(rem_w);
-
-        for i in (0..n).rev() {
-            // rem <- (rem << 1) | num[i]
-            for k in (1..w).rev() {
-                self.step_copy(rem.row(k - 1), rem.row(k), Predicate::Always);
+            for i in (0..n).rev() {
+                // rem <- (rem << 1) | num[i]
+                for k in (1..w).rev() {
+                    run.copy(rem.row(k - 1), rem.row(k), Predicate::Always);
+                }
+                run.copy(num.row(i), rem.row(0), Predicate::Always);
+                // trial <- rem - den  (rem + ~den + 1); carry = no borrow.
+                run.preset_carry(true);
+                for k in 0..w {
+                    run.full_add(rem.row(k), notden.row(k), trial.row(k), Predicate::Always);
+                }
+                // quot[i] <- carry; commit trial where it did not borrow.
+                run.write_carry(quot.row(i), Predicate::Always);
+                run.load_tag(quot.row(i));
+                for k in 0..w {
+                    run.copy(trial.row(k), rem.row(k), Predicate::Tag);
+                }
             }
-            self.step_copy(num.row(i), rem.row(0), Predicate::Always);
-            // trial <- rem - den  (rem + ~den + 1); carry = no borrow.
-            self.preset_carry(true);
-            for k in 0..w {
-                self.step_full_add(rem.row(k), notden.row(k), trial.row(k), Predicate::Always);
+            // Zero any excess quotient bits.
+            for i in n..quot.bits() {
+                run.write_const(quot.row(i), false, Predicate::Always);
             }
-            // quot[i] <- carry; commit trial where it did not borrow.
-            self.step_write_carry(quot.row(i), Predicate::Always);
-            self.step_load_tag(quot.row(i));
-            for k in 0..w {
-                self.step_copy(trial.row(k), rem.row(k), Predicate::Tag);
-            }
-        }
-        // Zero any excess quotient bits.
-        for i in n..quot.bits() {
-            self.step_write_const(quot.row(i), false, Predicate::Always);
-        }
-        Ok(self.stats() - before)
+        }))
     }
 
     /// Unsigned restoring division by a broadcast constant `k` (the average
@@ -162,28 +161,28 @@ impl ComputeArray {
         }
         let rem_w = self.guard_div_registers(quot, rem, trial, w)?;
         let notk = !k; // two's complement add of ~k + 1 subtracts k
-        let before = self.stats();
-        self.zero_steps(rem_w);
-        for i in (0..n).rev() {
-            for r in (1..w).rev() {
-                self.step_copy(rem.row(r - 1), rem.row(r), Predicate::Always);
+        Ok(self.run(|run| {
+            run.zero(rem_w);
+            for i in (0..n).rev() {
+                for r in (1..w).rev() {
+                    run.copy(rem.row(r - 1), rem.row(r), Predicate::Always);
+                }
+                run.copy(num.row(i), rem.row(0), Predicate::Always);
+                run.preset_carry(true);
+                for r in 0..w {
+                    let bit = r < 64 && (notk >> r) & 1 == 1;
+                    run.full_add_const(rem.row(r), bit, trial.row(r), Predicate::Always);
+                }
+                run.write_carry(quot.row(i), Predicate::Always);
+                run.load_tag(quot.row(i));
+                for r in 0..w {
+                    run.copy(trial.row(r), rem.row(r), Predicate::Tag);
+                }
             }
-            self.step_copy(num.row(i), rem.row(0), Predicate::Always);
-            self.preset_carry(true);
-            for r in 0..w {
-                let bit = r < 64 && (notk >> r) & 1 == 1;
-                self.step_full_add_const(rem.row(r), bit, trial.row(r), Predicate::Always);
+            for i in n..quot.bits() {
+                run.write_const(quot.row(i), false, Predicate::Always);
             }
-            self.step_write_carry(quot.row(i), Predicate::Always);
-            self.step_load_tag(quot.row(i));
-            for r in 0..w {
-                self.step_copy(trial.row(r), rem.row(r), Predicate::Tag);
-            }
-        }
-        for i in n..quot.bits() {
-            self.step_write_const(quot.row(i), false, Predicate::Always);
-        }
-        Ok(self.stats() - before)
+        }))
     }
 
     /// Rejects a division whose `w`-bit remainder or trial register, or

@@ -1,5 +1,6 @@
-//! Region-wide copies, constants, complements, logic ops and equality search.
+//! Region-wide copies, constants and equality search.
 
+use crate::compute::Run;
 use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
 
 impl ComputeArray {
@@ -11,17 +12,7 @@ impl ComputeArray {
     /// Fails if the operand overlaps the dedicated zero row.
     pub fn zero(&mut self, op: Operand) -> Result<CycleStats> {
         self.guard_zero_row(&op)?;
-        let before = self.stats();
-        self.zero_steps(op);
-        Ok(self.stats() - before)
-    }
-
-    /// The cycles of [`ComputeArray::zero`], for callers that checked `op`
-    /// against the zero row.
-    pub(crate) fn zero_steps(&mut self, op: Operand) {
-        for r in op.rows() {
-            self.step_write_const(r, false, Predicate::Always);
-        }
+        Ok(self.run(|run| run.zero(op)))
     }
 
     /// Writes the broadcast constant `k` into the operand on every lane
@@ -39,12 +30,12 @@ impl ComputeArray {
             });
         }
         self.guard_zero_row(&op)?;
-        let before = self.stats();
-        for i in 0..op.bits() {
-            let bit = i < 64 && (k >> i) & 1 == 1;
-            self.step_write_const(op.row(i), bit, Predicate::Always);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            for i in 0..op.bits() {
+                let bit = i < 64 && (k >> i) & 1 == 1;
+                run.write_const(op.row(i), bit, Predicate::Always);
+            }
+        }))
     }
 
     /// Copies operand `src` to `dst` on every lane, optionally tag-gated
@@ -57,9 +48,7 @@ impl ComputeArray {
     /// distinct `dst` that covers the zero row.
     pub fn copy(&mut self, src: Operand, dst: Operand, pred: Predicate) -> Result<CycleStats> {
         self.check_copy(src, dst)?;
-        let before = self.stats();
-        self.copy_steps(src, dst, pred);
-        Ok(self.stats() - before)
+        Ok(self.run(|run| run.copy_operand(src, dst, pred)))
     }
 
     /// The checks of [`ComputeArray::copy`].
@@ -79,16 +68,6 @@ impl ComputeArray {
             return Ok(()); // no cycle runs
         }
         self.guard_zero_row(&dst)
-    }
-
-    /// The cycles of [`ComputeArray::copy`], for callers that ran
-    /// [`ComputeArray::check_copy`].
-    pub(crate) fn copy_steps(&mut self, src: Operand, dst: Operand, pred: Predicate) {
-        if src != dst {
-            for (s, d) in src.rows().zip(dst.rows()) {
-                self.step_copy(s, d, pred);
-            }
-        }
     }
 
     /// Copies `src` into the wider `dst`, zero-extending the upper bits
@@ -111,80 +90,14 @@ impl ComputeArray {
             });
         }
         self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..src.bits() {
-            self.step_copy(src.row(i), dst.row(i), Predicate::Always);
-        }
-        for i in src.bits()..dst.bits() {
-            self.step_write_const(dst.row(i), false, Predicate::Always);
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Column-wise complement of an operand (`bits` compute cycles). In-place
-    /// operation (`src == dst`) is allowed.
-    ///
-    /// # Errors
-    ///
-    /// Requires the dedicated zero row, clear of both regions; fails on
-    /// width mismatch or partial overlap.
-    pub fn not_region(&mut self, src: Operand, dst: Operand) -> Result<CycleStats> {
-        if src.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: src.bits(),
-                available: dst.bits(),
-            });
-        }
-        if src.overlaps(&dst) && src != dst {
-            return Err(SramError::OverlappingOperands {
-                what: "complement source and destination partially overlap",
-            });
-        }
-        let zero = self.zero_for_complement(&src)?;
-        self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..src.bits() {
-            self.step_not(src.row(i), zero, dst.row(i), Predicate::Always);
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// Column-wise binary logic over two equal-width operands into `dst`
-    /// (`bits` compute cycles). `op` selects AND/OR/XOR/NOR.
-    ///
-    /// # Errors
-    ///
-    /// Fails on width mismatch, when `dst` partially overlaps an input, or
-    /// when `dst` covers the zero row.
-    pub fn logic_region(
-        &mut self,
-        op: LogicOp,
-        a: Operand,
-        b: Operand,
-        dst: Operand,
-    ) -> Result<CycleStats> {
-        if a.bits() != b.bits() || a.bits() != dst.bits() {
-            return Err(SramError::DestinationTooNarrow {
-                needed: a.bits().max(b.bits()),
-                available: dst.bits(),
-            });
-        }
-        if a.overlaps(&b) {
-            return Err(SramError::OverlappingOperands {
-                what: "logic inputs overlap (two-row activation needs distinct rows)",
-            });
-        }
-        if (dst.overlaps(&a) && dst != a) || (dst.overlaps(&b) && dst != b) {
-            return Err(SramError::OverlappingOperands {
-                what: "logic destination partially overlaps an input",
-            });
-        }
-        self.guard_zero_row(&dst)?;
-        let before = self.stats();
-        for i in 0..a.bits() {
-            self.step_logic(op, a.row(i), b.row(i), dst.row(i), Predicate::Always);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            for i in 0..src.bits() {
+                run.copy(src.row(i), dst.row(i), Predicate::Always);
+            }
+            for i in src.bits()..dst.bits() {
+                run.write_const(dst.row(i), false, Predicate::Always);
+            }
+        }))
     }
 
     /// Bit-serial equality search against a broadcast constant: after the
@@ -213,19 +126,43 @@ impl ComputeArray {
             }
             Some(zero)
         };
-        let before = self.stats();
-        self.preset_tag(true);
-        for i in 0..op.bits() {
-            let complement_against = if want_one(i) { None } else { zero };
-            self.step_and_tag(op.row(i), complement_against);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            run.preset_tag(true);
+            for i in 0..op.bits() {
+                let complement_against = if want_one(i) { None } else { zero };
+                run.and_tag(op.row(i), complement_against);
+            }
+        }))
     }
 }
 
-/// Binary logic operation selector for [`ComputeArray::logic_region`].
+#[allow(clippy::inline_always)] // see `Run`
+impl Run<'_> {
+    /// The cycles of [`ComputeArray::zero`], for callers that checked `op`
+    /// against the zero row.
+    #[inline(always)]
+    pub(crate) fn zero(&mut self, op: Operand) {
+        for r in op.rows() {
+            self.write_const(r, false, Predicate::Always);
+        }
+    }
+
+    /// The cycles of [`ComputeArray::copy`], for callers that ran
+    /// [`ComputeArray::check_copy`].
+    #[inline(always)]
+    pub(crate) fn copy_operand(&mut self, src: Operand, dst: Operand, pred: Predicate) {
+        if src != dst {
+            for (s, d) in src.rows().zip(dst.rows()) {
+                self.copy(s, d, pred);
+            }
+        }
+    }
+}
+
+/// The output a two-row logic micro-op ([`ComputeArray::op_and`],
+/// `op_or`, `op_xor`, `op_nor`) writes back.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LogicOp {
+pub(crate) enum LogicOp {
     /// Column-wise AND (direct bit-line sense).
     And,
     /// Column-wise OR (complement of the NOR sense).
@@ -275,37 +212,6 @@ mod tests {
         // Partial overlap is rejected.
         let overlap = Operand::new(4, 8).unwrap();
         assert!(a.copy(src, overlap, Predicate::Always).is_err());
-    }
-
-    #[test]
-    fn not_region_is_complement() {
-        let mut a = arr();
-        let src = Operand::new(0, 8).unwrap();
-        let dst = Operand::new(8, 8).unwrap();
-        a.poke_lane(0, src, 0b1100_1010);
-        a.not_region(src, dst).unwrap();
-        assert_eq!(a.peek_lane(0, dst), 0b0011_0101);
-        // In-place complement round-trips.
-        a.not_region(dst, dst).unwrap();
-        assert_eq!(a.peek_lane(0, dst), 0b1100_1010);
-    }
-
-    #[test]
-    fn logic_region_semantics() {
-        let mut a = arr();
-        let x = Operand::new(0, 8).unwrap();
-        let y = Operand::new(8, 8).unwrap();
-        let out = Operand::new(16, 8).unwrap();
-        a.poke_lane(11, x, 0b1010_1100);
-        a.poke_lane(11, y, 0b0110_1010);
-        a.logic_region(LogicOp::And, x, y, out).unwrap();
-        assert_eq!(a.peek_lane(11, out), 0b0010_1000);
-        a.logic_region(LogicOp::Or, x, y, out).unwrap();
-        assert_eq!(a.peek_lane(11, out), 0b1110_1110);
-        a.logic_region(LogicOp::Xor, x, y, out).unwrap();
-        assert_eq!(a.peek_lane(11, out), 0b1100_0110);
-        a.logic_region(LogicOp::Nor, x, y, out).unwrap();
-        assert_eq!(a.peek_lane(11, out), 0b0001_0001);
     }
 
     #[test]

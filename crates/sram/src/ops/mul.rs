@@ -1,6 +1,7 @@
 //! Bit-serial multiplication via predicated shifted adds (Section III-C,
 //! Figure 6).
 
+use crate::compute::Run;
 use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, SramError};
 
 impl ComputeArray {
@@ -28,13 +29,13 @@ impl ComputeArray {
     pub fn mul(&mut self, a: Operand, b: Operand, prod: Operand) -> Result<CycleStats> {
         self.validate_mul(a, b, prod)?;
         let (n, m) = (a.bits(), b.bits());
-        let before = self.stats();
-        self.zero_steps(prod);
-        for j in 0..m {
-            self.note_mul_round();
-            self.mul_round(a, b, prod, j, n);
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            run.zero(prod);
+            for j in 0..m {
+                run.note_mul_round();
+                run.mul_round(a, b, prod, j, n);
+            }
+        }))
     }
 
     /// Vector multiplication with **all-lanes-zero round elision**: a
@@ -65,19 +66,19 @@ impl ComputeArray {
     ) -> Result<CycleStats> {
         self.validate_mul(a, b, prod)?;
         let (n, m) = (a.bits(), b.bits());
-        let before = self.stats();
-        self.zero_steps(prod);
-        for j in 0..m {
-            self.note_mul_round();
-            if self.cells().row(b.row(j)).is_zero() {
-                // Dense cost of the elided round: tag load + n predicated
-                // adds + carry write.
-                self.note_skipped_round(n as u64 + 2);
-                continue;
+        Ok(self.run(|run| {
+            run.zero(prod);
+            for j in 0..m {
+                run.note_mul_round();
+                if run.cells().row(b.row(j)).is_zero() {
+                    // Dense cost of the elided round: tag load + n
+                    // predicated adds + carry write.
+                    run.note_skipped_round(n as u64 + 2);
+                    continue;
+                }
+                run.mul_round(a, b, prod, j, n);
             }
-            self.mul_round(a, b, prod, j, n);
-        }
-        Ok(self.stats() - before)
+        }))
     }
 
     /// Vector multiplication composing **both** sparsity mechanisms.
@@ -135,32 +136,18 @@ impl ComputeArray {
             .rev()
             .find(|&i| !self.cells().row(a.row(i)).is_zero())
             .map_or(0, |i| i + 1);
-        let before = self.stats();
-        self.zero_steps(prod);
-        for j in 0..m {
-            self.note_mul_round();
-            if self.step_detect_zero(b.row(j)) {
-                self.note_input_round_skipped(n as u64 + 2);
-                continue;
+        Ok(self.run(|run| {
+            run.zero(prod);
+            for j in 0..m {
+                run.note_mul_round();
+                if run.detect_zero(b.row(j)) {
+                    run.note_input_round_skipped(n as u64 + 2);
+                    continue;
+                }
+                run.note_truncated_cycles((n - live) as u64);
+                run.mul_round(a, b, prod, j, live);
             }
-            self.note_truncated_cycles((n - live) as u64);
-            self.mul_round(a, b, prod, j, live);
-        }
-        Ok(self.stats() - before)
-    }
-
-    /// One multiplier-bit round of the Figure 6 algorithm: load the tag
-    /// from multiplier bit `j`, conditionally add the low `n` multiplicand
-    /// bits into the partial product at offset `j`, commit the round's
-    /// carry-out at `prod[j + n]`.
-    fn mul_round(&mut self, a: Operand, b: Operand, prod: Operand, j: usize, n: usize) {
-        self.step_load_tag(b.row(j));
-        self.preset_carry(false);
-        let window = prod.base() + j;
-        for (x, p) in a.rows().take(n).zip(window..) {
-            self.step_full_add(x, p, p, Predicate::Tag);
-        }
-        self.step_write_carry(window + n, Predicate::Tag);
+        }))
     }
 
     /// Shared operand validation of the vector-multiply family: every
@@ -213,17 +200,35 @@ impl ComputeArray {
             });
         }
         self.guard_zero_row(&prod)?;
-        let before = self.stats();
-        self.zero_steps(prod);
-        for j in 0..klen {
-            if (k >> j) & 1 == 1 {
-                // At least `n + 1` bits wide, disjoint from `a`, inside
-                // `prod`: the checks of `add_assign` hold.
-                let window = prod.slice(j, prod.bits() - j).expect("validated width");
-                self.add_assign_steps(window, a);
+        Ok(self.run(|run| {
+            run.zero(prod);
+            for j in 0..klen {
+                if (k >> j) & 1 == 1 {
+                    // At least `n + 1` bits wide, disjoint from `a`, inside
+                    // `prod`: the checks of `add_assign` hold.
+                    let window = prod.slice(j, prod.bits() - j).expect("validated width");
+                    run.add_assign(window, a);
+                }
             }
+        }))
+    }
+}
+
+#[allow(clippy::inline_always)] // see `Run`
+impl Run<'_> {
+    /// One multiplier-bit round of the Figure 6 algorithm: load the tag
+    /// from multiplier bit `j`, conditionally add the low `n` multiplicand
+    /// bits into the partial product at offset `j`, commit the round's
+    /// carry-out at `prod[j + n]`.
+    #[inline(always)]
+    fn mul_round(&mut self, a: Operand, b: Operand, prod: Operand, j: usize, n: usize) {
+        self.load_tag(b.row(j));
+        self.preset_carry(false);
+        let window = prod.base() + j;
+        for (x, p) in a.rows().take(n).zip(window..) {
+            self.full_add(x, p, p, Predicate::Tag);
         }
-        Ok(self.stats() - before)
+        self.write_carry(window + n, Predicate::Tag);
     }
 }
 

@@ -6,7 +6,8 @@
 //! lower half, and a region-wide addition halves the live lane count. After
 //! `log2(lanes)` steps lane 0 holds the sum.
 
-use crate::{BitRow, ComputeArray, CycleStats, Operand, Result, SramError, COLS};
+use crate::compute::Run;
+use crate::{BitRow, ComputeArray, CycleStats, Operand, Result, SramError, StepKind, COLS};
 
 /// Compute cycles charged per row for a lane move.
 ///
@@ -36,9 +37,8 @@ impl ComputeArray {
     ) -> Result<CycleStats> {
         let end = lanes + lane_shift;
         self.check_move(src, dst, lanes > 0 && end <= COLS, end)?;
-        let before = self.stats();
-        self.move_rows(src, dst, lane_shift, &BitRow::lane_range(0, lanes));
-        Ok(self.stats() - before)
+        let mask = BitRow::lane_range(0, lanes);
+        Ok(self.run(|run| run.move_rows(src, dst, lane_shift, &mask)))
     }
 
     /// Tree-sum reduction of `lanes` values held in `value` (one per lane)
@@ -68,8 +68,8 @@ impl ComputeArray {
             return Ok(CycleStats::new());
         }
         self.check_add_assign(value, scratch)?;
-        Ok(self.reduce_steps(value, scratch, lanes, |arr| {
-            arr.add_assign_steps(value, scratch);
+        Ok(self.run(|run| {
+            run.reduce(value, scratch, lanes, |run| run.add_assign(value, scratch));
         }))
     }
 
@@ -128,10 +128,8 @@ impl ComputeArray {
         groups: usize,
     ) -> Result<CycleStats> {
         self.check_move_grouped(src, dst, lane_shift, lanes_per_group, group_stride, groups)?;
-        let before = self.stats();
         let mask = group_mask(groups, group_stride, lanes_per_group);
-        self.move_rows(src, dst, lane_shift, &mask);
-        Ok(self.stats() - before)
+        Ok(self.run(|run| run.move_rows(src, dst, lane_shift, &mask)))
     }
 
     /// The checks of [`ComputeArray::move_lanes_grouped`].
@@ -173,21 +171,6 @@ impl ComputeArray {
         self.guard_zero_row(&dst)
     }
 
-    /// The row loop shared by both lane moves: per row of `src`, one read
-    /// cycle on the source row, then one read-modify-write cycle that
-    /// merges the source, moved `lane_shift` lanes down, into the
-    /// destination row on the lanes of `mask`
-    /// ([`LANE_MOVE_CYCLES_PER_ROW`] = 2).
-    fn move_rows(&mut self, src: Operand, dst: Operand, lane_shift: usize, mask: &BitRow) {
-        for (src_row, dst_row) in src.rows().zip(dst.rows()) {
-            let cells = self.raw_cells_mut();
-            let moved = cells.row(src_row).shift_down(lane_shift);
-            cells.set_row(dst_row, moved.select(&cells.row(dst_row), mask));
-            self.tick_compute(&[src_row], &[], "move_lanes/read");
-            self.tick_compute(&[dst_row], &[dst_row], "move_lanes/write");
-        }
-    }
-
     /// Grouped tree-sum reduction: `groups` independent lane groups of
     /// `group_lanes` lanes each (stride `group_lanes`) reduce
     /// simultaneously; group `g`'s sum lands on lane `g * group_lanes`.
@@ -214,15 +197,15 @@ impl ComputeArray {
             self.check_move_grouped(value, scratch, first, first, group_lanes, groups)?;
             self.check_add_assign(value, scratch)?;
         }
-        let before = self.stats();
-        let mut stride = group_lanes / 2;
-        while stride >= 1 {
-            let mask = group_mask(groups, group_lanes, stride);
-            self.move_rows(value, scratch, stride, &mask);
-            self.add_assign_steps(value, scratch);
-            stride /= 2;
-        }
-        Ok(self.stats() - before)
+        Ok(self.run(|run| {
+            let mut stride = group_lanes / 2;
+            while stride >= 1 {
+                let mask = group_mask(groups, group_lanes, stride);
+                run.move_rows(value, scratch, stride, &mask);
+                run.add_assign(value, scratch);
+                stride /= 2;
+            }
+        }))
     }
 
     /// `reduce_max` (`max`) or `reduce_min`.
@@ -239,8 +222,10 @@ impl ComputeArray {
             return Ok(CycleStats::new());
         }
         let zero = self.check_extremum(value, scratch, cmp_scratch, dump_row)?;
-        Ok(self.reduce_steps(value, scratch, lanes, |arr| {
-            arr.extremum_steps(max, value, scratch, cmp_scratch, dump_row, zero);
+        Ok(self.run(|run| {
+            run.reduce(value, scratch, lanes, |run| {
+                run.extremum(max, value, scratch, cmp_scratch, dump_row, zero);
+            });
         }))
     }
 
@@ -274,25 +259,49 @@ impl ComputeArray {
         }
         Ok(())
     }
+}
+
+#[allow(clippy::inline_always)] // see `Run`
+impl Run<'_> {
+    /// The row loop shared by both lane moves: per row of `src`, one read
+    /// cycle on the source row, then one read-modify-write cycle that
+    /// merges the source, moved `lane_shift` lanes down, into the
+    /// destination row on the lanes of `mask`
+    /// ([`LANE_MOVE_CYCLES_PER_ROW`] = 2).
+    #[inline(always)]
+    fn move_rows(&mut self, src: Operand, dst: Operand, lane_shift: usize, mask: &BitRow) {
+        for (src_row, dst_row) in src.rows().zip(dst.rows()) {
+            let moved = self
+                .read_row(StepKind::Compute, src_row, "move_lanes/read")
+                .shift_down(lane_shift);
+            self.write_lanes(
+                StepKind::Compute,
+                &[dst_row],
+                dst_row,
+                moved,
+                mask,
+                "move_lanes/write",
+            );
+        }
+    }
 
     /// The levels of a checked tree reduction: per level, move the upper
     /// half's values under the lower half, then `combine` on every lane
     /// (SIMD; lanes `>= stride` compute garbage that is never read again).
-    fn reduce_steps(
+    #[inline(always)]
+    fn reduce(
         &mut self,
         value: Operand,
         scratch: Operand,
         lanes: usize,
-        mut combine: impl FnMut(&mut ComputeArray),
-    ) -> CycleStats {
-        let before = self.stats();
+        mut combine: impl FnMut(&mut Self),
+    ) {
         let mut stride = lanes / 2;
         while stride >= 1 {
             self.move_rows(value, scratch, stride, &BitRow::lane_range(0, stride));
             combine(self);
             stride /= 2;
         }
-        self.stats() - before
     }
 }
 

@@ -6,7 +6,7 @@
 //! general case rides the intra-slice bus and is charged by the geometry
 //! model on top of the per-array access cycles counted here.
 
-use crate::{BitRow, ComputeArray, CycleStats, Operand, Result, SramError, COLS};
+use crate::{BitRow, ComputeArray, CycleStats, Operand, Result, SramError, StepKind, COLS};
 
 /// Copies `lanes` lanes' worth of `src_op` in `src` into `dst_op` of `dst`,
 /// lane `l` to lane `l` (optionally shifted by `dst_lane_offset`).
@@ -53,18 +53,26 @@ pub fn copy_lanes_between(
         });
     }
     dst.guard_zero_row(&dst_op)?;
-    let before = src.stats() + dst.stats();
     let mask = BitRow::lane_range(dst_lane_offset, dst_lane_offset + lanes);
-    for i in 0..src_op.bits() {
-        let moved = src
-            .step_access_read(src_op.row(i))
-            .shift_up(dst_lane_offset);
-        let dst_row = dst_op.row(i);
-        let cells = dst.raw_cells_mut();
-        cells.set_row(dst_row, moved.select(&cells.row(dst_row), &mask));
-        dst.tick_access(&[], &[dst_row], "transfer/write");
-    }
-    Ok((src.stats() + dst.stats()) - before)
+    let mut written = CycleStats::new();
+    let read = src.run(|out| {
+        written = dst.run(|into| {
+            for (src_row, dst_row) in src_op.rows().zip(dst_op.rows()) {
+                let moved = out
+                    .read_row(StepKind::Access, src_row, "access_read_row")
+                    .shift_up(dst_lane_offset);
+                into.write_lanes(
+                    StepKind::Access,
+                    &[],
+                    dst_row,
+                    moved,
+                    &mask,
+                    "transfer/write",
+                );
+            }
+        });
+    });
+    Ok(read + written)
 }
 
 #[cfg(test)]

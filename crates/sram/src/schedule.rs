@@ -168,26 +168,18 @@ impl Schedule {
     /// path stays a single branch.
     #[cold]
     #[inline(never)]
-    pub(crate) fn push(
-        &mut self,
-        kind: StepKind,
-        reads: &[usize],
-        writes: &[usize],
-        label: &'static str,
-    ) {
-        self.steps.push(Step {
-            kind,
-            reads: reads.into(),
-            writes: writes.into(),
-            label,
-        });
+    pub(crate) fn push(&mut self, step: Step) {
+        self.steps.push(step);
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::ops::{copy_lanes_between, LogicOp};
-    use crate::{ComputeArray, CycleStats, Operand, Predicate, Result, Schedule, Step, WordLines};
+    use crate::ops::copy_lanes_between;
+    use crate::{
+        BitRow, ComputeArray, CycleStats, Operand, Predicate, Result, Schedule, Step, StepKind,
+        WordLines, ROWS,
+    };
 
     const DUMP: usize = 250;
 
@@ -213,6 +205,58 @@ mod tests {
         fn(&mut ComputeArray, Operand, Operand, Operand) -> Result<CycleStats>,
     );
 
+    /// Every op family, each member called over `x = op(0, 8)`,
+    /// `y = op(8, 8)` and `z = op(16, 8)` on an array whose zero row is 255.
+    const OP_FAMILIES: &[Case] = &[
+        ("add", |a, x, y, _| a.add(x, y, op(16, 9))),
+        ("add/wrap", |a, x, y, z| a.add(x, y, z)),
+        ("add_assign", |a, x, _, _| a.add_assign(op(40, 24), x)),
+        ("add_scalar", |a, _, _, z| a.add_scalar(z, 77)),
+        ("add_scalar_signed", |a, _, _, z| a.add_scalar_signed(z, -5)),
+        ("sub", |a, x, y, z| a.sub(x, y, z, op(24, 8))),
+        ("zero", |a, _, _, z| a.zero(z)),
+        ("broadcast_scalar", |a, _, _, z| a.broadcast_scalar(z, 170)),
+        ("copy", |a, x, _, z| a.copy(x, z, Predicate::Always)),
+        ("copy/tag", |a, x, _, z| a.copy(x, z, Predicate::Tag)),
+        ("copy/self", |a, x, _, _| a.copy(x, x, Predicate::Always)),
+        ("copy_zext", |a, x, _, _| a.copy_zext(x, op(24, 16))),
+        ("search_eq_scalar", |a, x, _, _| a.search_eq_scalar(x, 42)),
+        ("mul", |a, x, y, _| a.mul(x, y, op(16, 16))),
+        ("mul_skip_zero_rows", |a, x, y, _| {
+            a.mul_skip_zero_rows(x, y, op(16, 16))
+        }),
+        ("mul_skip_both", |a, x, y, _| {
+            a.mul_skip_both(x, y, op(16, 16))
+        }),
+        ("mul_scalar", |a, x, _, _| a.mul_scalar(x, 181, op(32, 24))),
+        ("compare_ge", |a, x, y, z| a.compare_ge(x, y, z, DUMP)),
+        ("max_assign", |a, x, y, z| a.max_assign(x, y, z, DUMP)),
+        ("relu", |a, x, _, _| a.relu(x)),
+        ("clamp_max_scalar", |a, x, _, _| {
+            a.clamp_max_scalar(x, 100, DUMP)
+        }),
+        ("move_lanes", |a, x, _, z| a.move_lanes(x, z, 8, 8)),
+        ("move_lanes/far", |a, x, _, z| a.move_lanes(x, z, 100, 100)),
+        ("move_lanes_grouped", |a, x, _, z| {
+            a.move_lanes_grouped(x, z, 4, 4, 8, 4)
+        }),
+        ("reduce_sum", |a, x, _, z| a.reduce_sum(x, z, 16)),
+        ("reduce_sum/256", |a, _, _, _| {
+            a.reduce_sum(op(64, 32), op(96, 32), 256)
+        }),
+        ("reduce_sum_grouped", |a, x, _, z| {
+            a.reduce_sum_grouped(x, z, 8, 16)
+        }),
+        ("reduce_max", |a, x, y, z| a.reduce_max(x, y, z, DUMP, 8)),
+        ("reduce_min", |a, x, y, z| a.reduce_min(x, y, z, DUMP, 8)),
+        ("div", |a, x, y, z| {
+            a.div(x, y, z, op(24, 9), op(33, 9), op(42, 9))
+        }),
+        ("div_scalar", |a, x, _, z| {
+            a.div_scalar(x, 3, z, op(24, 9), op(33, 9))
+        }),
+    ];
+
     /// Asserts the schedule's step counts equal the cycles the op charged.
     fn assert_coherent(name: &str, s: &Schedule, charged: CycleStats) {
         assert_eq!(
@@ -227,58 +271,7 @@ mod tests {
     /// op charged, so no micro-op path can charge without recording.
     #[test]
     fn recorded_steps_match_charged_cycles_for_every_op_family() {
-        let (w24, w32, v32) = (op(40, 24), op(64, 32), op(96, 32));
-        let cases: &[Case] = &[
-            ("add", |a, x, y, _| a.add(x, y, op(16, 9))),
-            ("add/wrap", |a, x, y, z| a.add(x, y, z)),
-            ("add_assign", |a, x, _, _| a.add_assign(op(40, 24), x)),
-            ("add_scalar", |a, _, _, z| a.add_scalar(z, 77)),
-            ("add_scalar_signed", |a, _, _, z| a.add_scalar_signed(z, -5)),
-            ("sub", |a, x, y, z| a.sub(x, y, z, op(24, 8))),
-            ("zero", |a, _, _, z| a.zero(z)),
-            ("broadcast_scalar", |a, _, _, z| a.broadcast_scalar(z, 170)),
-            ("copy", |a, x, _, z| a.copy(x, z, Predicate::Always)),
-            ("copy/self", |a, x, _, _| a.copy(x, x, Predicate::Always)),
-            ("copy_zext", |a, x, _, _| a.copy_zext(x, op(24, 16))),
-            ("not_region", |a, x, _, z| a.not_region(x, z)),
-            ("and", |a, x, y, z| a.logic_region(LogicOp::And, x, y, z)),
-            ("or", |a, x, y, z| a.logic_region(LogicOp::Or, x, y, z)),
-            ("xor", |a, x, y, z| a.logic_region(LogicOp::Xor, x, y, z)),
-            ("nor", |a, x, y, z| a.logic_region(LogicOp::Nor, x, y, z)),
-            ("search_eq_scalar", |a, x, _, _| a.search_eq_scalar(x, 42)),
-            ("mul", |a, x, y, _| a.mul(x, y, op(16, 16))),
-            ("mul_skip_zero_rows", |a, x, y, _| {
-                a.mul_skip_zero_rows(x, y, op(16, 16))
-            }),
-            ("mul_skip_both", |a, x, y, _| {
-                a.mul_skip_both(x, y, op(16, 16))
-            }),
-            ("mul_scalar", |a, x, _, _| a.mul_scalar(x, 181, op(32, 24))),
-            ("compare_ge", |a, x, y, z| a.compare_ge(x, y, z, DUMP)),
-            ("max_assign", |a, x, y, z| a.max_assign(x, y, z, DUMP)),
-            ("min_assign", |a, x, y, z| a.min_assign(x, y, z, DUMP)),
-            ("relu", |a, x, _, _| a.relu(x)),
-            ("clamp_max_scalar", |a, x, _, _| {
-                a.clamp_max_scalar(x, 100, DUMP)
-            }),
-            ("move_lanes", |a, x, _, z| a.move_lanes(x, z, 8, 8)),
-            ("move_lanes_grouped", |a, x, _, z| {
-                a.move_lanes_grouped(x, z, 4, 4, 8, 4)
-            }),
-            ("reduce_sum", |a, x, _, z| a.reduce_sum(x, z, 16)),
-            ("reduce_sum_grouped", |a, x, _, z| {
-                a.reduce_sum_grouped(x, z, 8, 16)
-            }),
-            ("reduce_max", |a, x, y, z| a.reduce_max(x, y, z, DUMP, 8)),
-            ("reduce_min", |a, x, y, z| a.reduce_min(x, y, z, DUMP, 8)),
-            ("div", |a, x, y, z| {
-                a.div(x, y, z, op(24, 9), op(33, 9), op(42, 9))
-            }),
-            ("div_scalar", |a, x, _, z| {
-                a.div_scalar(x, 3, z, op(24, 9), op(33, 9))
-            }),
-        ];
-        for (name, run) in cases {
+        for (name, run) in OP_FAMILIES {
             let mut a = seeded();
             a.start_recording();
             let charged = run(&mut a, op(0, 8), op(8, 8), op(16, 8)).unwrap();
@@ -289,8 +282,173 @@ mod tests {
         // Wide-operand forms of the accumulate and reduce paths.
         let mut a = seeded();
         a.start_recording();
-        let charged = a.add_assign(w24, op(0, 16)).unwrap() + a.reduce_sum(w32, v32, 64).unwrap();
+        let charged = a.add_assign(op(40, 24), op(0, 16)).unwrap()
+            + a.reduce_sum(op(64, 32), op(96, 32), 64).unwrap();
         assert_coherent("wide", &a.take_recording().unwrap(), charged);
+    }
+
+    /// FNV-1a, 64-bit: the fingerprint of everything an op leaves behind.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, w: u64) {
+            for byte in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+
+        fn row(&mut self, row: &BitRow) {
+            row.words().iter().for_each(|&w| self.word(w));
+        }
+
+        fn stats(&mut self, s: CycleStats) {
+            for w in [
+                s.compute_cycles,
+                s.access_cycles,
+                s.mul_rounds,
+                s.skipped_rounds,
+                s.skipped_cycles,
+                s.detect_cycles,
+                s.input_rounds_skipped,
+            ] {
+                self.word(w);
+            }
+        }
+
+        /// Cells, both latches and the counters of `a`.
+        fn array(&mut self, a: &ComputeArray) {
+            (0..ROWS).for_each(|r| self.row(&a.cells().row(r)));
+            self.row(a.carry());
+            self.row(a.tag());
+            self.stats(a.stats());
+        }
+
+        /// Every step's kind, rows and label, then the counters charged.
+        fn schedule(&mut self, s: &Schedule) {
+            self.word(s.steps.len() as u64);
+            for step in &s.steps {
+                self.word(u64::from(step.kind == StepKind::Access));
+                for set in [step.reads, step.writes] {
+                    self.word(set.len() as u64);
+                    set.iter().for_each(|&r| self.word(u64::from(r)));
+                }
+                step.label.bytes().for_each(|b| self.word(u64::from(b)));
+            }
+            self.stats(s.stats);
+        }
+    }
+
+    /// An array with zero row 255 whose other rows and whose carry and tag
+    /// latches hold bits drawn from `seed`. Unless `seed` is a multiple of
+    /// 3, rows 5..8 and 12..16 are cleared, so `x`'s top bits and `y`'s top
+    /// nibble are zero on every lane and the sparse multiplies take their
+    /// skip and truncation paths.
+    fn random_array(seed: u64) -> ComputeArray {
+        let mut state = seed;
+        let mut next = || {
+            // SplitMix64.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let mut a = ComputeArray::with_zero_row(255).unwrap();
+        for row in 0..255 {
+            let sparse =
+                !seed.is_multiple_of(3) && ((5..8).contains(&row) || (12..16).contains(&row));
+            let words: [u64; 4] = std::array::from_fn(|_| next());
+            let value = if sparse {
+                BitRow::zero()
+            } else {
+                BitRow::from_words(words)
+            };
+            a.access_write_row(row, value).unwrap();
+        }
+        a.preset_carry(false);
+        a.op_full_add(250, 251, 249, Predicate::Always).unwrap();
+        a.op_load_tag(253).unwrap();
+        a.reset_stats();
+        a
+    }
+
+    /// Characterization: every op family, every single-cycle micro-op and
+    /// `copy_lanes_between`, run with recording on over three seeded random
+    /// arrays, leave exactly the cells, latches, counters and recorded steps
+    /// they left when these fingerprints were taken. A change to how the
+    /// micro-ops execute must keep all three.
+    #[test]
+    fn every_op_keeps_its_characterized_fingerprint() {
+        /// The single-cycle micro-ops, in both predicate forms where they
+        /// take one (the full adds also writing over their operand row),
+        /// issued one after another on one array.
+        fn micro_ops(a: &mut ComputeArray) -> Result<()> {
+            for pred in [Predicate::Always, Predicate::Tag] {
+                a.op_copy(20, 30, pred)?;
+                a.op_not(21, 31, pred)?;
+                a.op_and(22, 23, 32, pred)?;
+                a.op_nor(24, 25, 33, pred)?;
+                a.op_or(26, 27, 34, pred)?;
+                a.op_xor(28, 29, 35, pred)?;
+                a.op_full_add(36, 37, 38, pred)?;
+                a.op_full_add(38, 39, 38, pred)?;
+                a.op_full_add(38, 39, 39, pred)?;
+                a.op_full_add_const(40, true, 41, pred)?;
+                a.op_full_add_const(41, false, 42, pred)?;
+                a.op_full_add_const(41, true, 41, pred)?;
+                a.op_write_carry(43, pred)?;
+                a.op_write_tag(44, pred)?;
+                a.op_write_const(45, true, pred)?;
+                a.op_write_const(46, false, pred)?;
+            }
+            a.op_load_tag(47)?;
+            a.op_load_tag_not(48)?;
+            a.op_and_tag(49, false)?;
+            a.op_and_tag(50, true)?;
+            let zero = a.op_detect_zero(5)?;
+            a.op_load_tag(usize::from(!zero))?;
+            let row = a.access_read_row(51)?;
+            a.access_write_row(52, row)?;
+            Ok(())
+        }
+
+        let expected: [(u64, u64); 3] = [
+            (1, 0x20ea_be22_3c7b_a6f8),
+            (2, 0x3d2d_f90e_69a9_28b3),
+            (3, 0x0b3a_7429_d787_5ab0),
+        ];
+        let mut got = Vec::new();
+        for (seed, _) in expected {
+            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            for (name, run) in OP_FAMILIES {
+                let mut a = random_array(seed);
+                a.start_recording();
+                let charged = run(&mut a, op(0, 8), op(8, 8), op(16, 8)).unwrap();
+                h.stats(charged);
+                h.schedule(&a.take_recording().unwrap());
+                h.array(&a);
+                h.word(name.len() as u64);
+            }
+            let mut a = random_array(seed);
+            a.start_recording();
+            micro_ops(&mut a).unwrap();
+            h.schedule(&a.take_recording().unwrap());
+            h.array(&a);
+            for (offset, lanes) in [(0, 256), (37, 64), (64, 100)] {
+                let (mut src, mut dst) = (random_array(seed), random_array(seed + 100));
+                src.start_recording();
+                dst.start_recording();
+                let charged =
+                    copy_lanes_between(&mut src, op(0, 32), &mut dst, op(96, 32), offset, lanes)
+                        .unwrap();
+                h.stats(charged);
+                for arr in [&mut src, &mut dst] {
+                    h.schedule(&arr.take_recording().unwrap());
+                    h.array(arr);
+                }
+            }
+            got.push((seed, h.0));
+        }
+        assert_eq!(got, expected, "fingerprints (seed, FNV-64) moved");
     }
 
     /// Inter-array transfers record their reads on the source array and

@@ -291,6 +291,14 @@ pub(crate) fn scatter_lanes(rows: &mut [BitRow], first: usize, values: &[u64]) {
 /// The caller keeps `first + out.len() <= COLS`.
 pub(crate) fn gather_lanes(rows: &[BitRow], first: usize, out: &mut [u64]) {
     let rows = &rows[..rows.len().min(64)];
+    if let [value] = out {
+        // One lane: read its bit straight from each row.
+        let (word, offset) = (first / 64, first % 64);
+        *value = rows.iter().enumerate().fold(0, |value, (b, row)| {
+            value | ((row.words()[word] >> offset) & 1) << b
+        });
+        return;
+    }
     for (word, offset, run) in word_runs(first, first + out.len()) {
         let lanes = &mut out[run];
         lanes.fill(0);

@@ -149,13 +149,13 @@ proptest! {
         for lane in 0..COLS {
             prop_assert_eq!(arr.peek_lane(lane, vacc), acc[lane].max(x[lane]));
         }
+        // The min tree reduces every lane's `acc` to lane 0.
+        let vcmp = Operand::new(24, 8).unwrap();
         for lane in 0..COLS {
             arr.poke_lane(lane, vacc, acc[lane]);
         }
-        arr.min_assign(vacc, vx, vs, 250).unwrap();
-        for lane in 0..COLS {
-            prop_assert_eq!(arr.peek_lane(lane, vacc), acc[lane].min(x[lane]));
-        }
+        arr.reduce_min(vacc, vx, vcmp, 250, COLS).unwrap();
+        prop_assert_eq!(arr.peek_lane(0, vacc), *acc.iter().min().unwrap());
     }
 
     #[test]

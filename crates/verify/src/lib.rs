@@ -84,7 +84,7 @@ use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::{
     run_model_configured, FunctionalError, FunctionalResult, PoolEvents,
 };
-use neural_cache::mapping::{conv_lane_geometry, plan_model, plan_model_with, BitBudget};
+use neural_cache::mapping::{conv_lane_geometry, plan_model_with, BitBudget, LayerPlan};
 use neural_cache::{ExecutionEngine, SparsityMode, SystemConfig, UnitPlan};
 
 use crate::diag::{Diagnostic, ErrorCode};
@@ -118,6 +118,19 @@ const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 /// Panics if a layer cannot be mapped at all (the mapper's own invariant).
 #[must_use]
 pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
+    let plans = plan_model_with(model, &config.geometry, config.sparsity);
+    check_planned(config, model, &plans, &range::model_ranges(model))
+}
+
+/// [`check_model`] on the plan (`plan_model_with` under `config.sparsity`)
+/// and the value ranges its caller built, so [`check_executed_model`]
+/// builds each once for its static and executed legs.
+fn check_planned(
+    config: &SystemConfig,
+    model: &Model,
+    plans: &[LayerPlan],
+    ranges: &range::ModelRanges,
+) -> VerifyReport {
     let mut report = VerifyReport::new(model.name.clone());
 
     // Each sweep below also records how much it covered, so a sweep that
@@ -165,10 +178,9 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report.record("lane-geometry", geometry_diags);
     report.stat("reduce_spans", reduce_spans);
 
-    let plans = plan_model_with(model, &config.geometry, config.sparsity);
     let mut budget_diags = Vec::new();
     let mut row_budgets = 0u64;
-    for plan in &plans {
+    for plan in plans {
         for unit in &plan.units {
             if let UnitPlan::Conv(c) = unit {
                 budget_diags.extend(check::check_row_budget(&c.name, c));
@@ -179,7 +191,7 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     report.record("row-budget", budget_diags);
     report.stat("row_budgets", row_budgets);
 
-    let cost = BatchCostModel::from_plans(config, &plans);
+    let cost = BatchCostModel::from_plans(config, plans);
     let (dump_diags, dump_batches) = check_dump_overlap(&cost);
     report.record("dump-overlap", dump_diags);
     report.stat("dump_overlap_batches", dump_batches);
@@ -187,7 +199,6 @@ pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
     // Value-range certification (V021-V023, V025-V027): interval x
     // known-bits pass over the schedule, checked for soundness against the
     // fixed Figure 10 widths every plan executes.
-    let ranges = range::model_ranges(model);
     let mut range_diags = Vec::new();
     let mut acc_bits_max = 0u32;
     let mut exact = 0u64;
@@ -320,6 +331,9 @@ pub fn check_dump_overlap(cost: &BatchCostModel) -> (Vec<Diagnostic>, u64) {
 /// must match the sequential dense run's (V020), and every executed
 /// accumulator min/max must lie inside its certified interval (V021).
 ///
+/// Plans the model and certifies its value ranges once, for the static
+/// and the executed legs alike.
+///
 /// # Errors
 ///
 /// Propagates the executor's failure (e.g. a shape-only model).
@@ -328,7 +342,9 @@ pub fn check_executed_model(
     model: &Model,
     input: &QTensor,
 ) -> Result<VerifyReport, FunctionalError> {
-    let mut report = check_model(config, model);
+    let plans = plan_model_with(model, &config.geometry, config.sparsity);
+    let ranges = range::model_ranges(model);
+    let mut report = check_planned(config, model, &plans, &ranges);
     let mut diags = Vec::new();
 
     // The six executed runs, labelled once and shared by every leg below:
@@ -347,7 +363,7 @@ pub fn check_executed_model(
     let (seq, threaded) = runs.split_at(ALL_MODES.len());
     let [dense, skipping, both] = [0, 1, 2].map(|i| &seq[i].1);
 
-    let predicted_rounds = predicted_mul_rounds(config, model);
+    let predicted_rounds = predicted_mul_rounds(&plans);
     let mut expect = |cond: bool, op: &str, msg: String| {
         if !cond {
             diags.push(Diagnostic::new(ErrorCode::CycleMismatchExecuted, op, msg));
@@ -449,7 +465,6 @@ pub fn check_executed_model(
     // V021 executed leg: every per-sublayer accumulator min/max measured
     // by any of the six runs must lie inside the statically certified
     // interval — the empirical soundness gate of the range analysis.
-    let ranges = range::model_ranges(model);
     let range_diags = runs
         .iter()
         .flat_map(|(label, r)| range::reconcile_executed_ranges(label, &ranges, &r.sublayers))
@@ -458,15 +473,16 @@ pub fn check_executed_model(
     Ok(report)
 }
 
-/// The multiplier-round count the static plan schedules for one full
+/// The multiplier-round count a model's plan schedules for one full
 /// inference: every convolution output position runs `ceil(m / groups)`
 /// MAC passes of `arrays_per_filter x eff_window` taps, each tap one
 /// 8-round bit-serial multiply — mirroring the executor's sharding
-/// exactly.
+/// exactly. Sparsity elides rounds but schedules every one, so the count
+/// is the same under every mode's plan.
 #[must_use]
-pub fn predicted_mul_rounds(config: &SystemConfig, model: &Model) -> u64 {
+pub fn predicted_mul_rounds(plans: &[LayerPlan]) -> u64 {
     let mut rounds = 0u64;
-    for plan in plan_model(model, &config.geometry) {
+    for plan in plans {
         for unit in &plan.units {
             if let UnitPlan::Conv(c) = unit {
                 let positions = (c.out_shape.h * c.out_shape.w) as u64;
@@ -491,6 +507,7 @@ pub use nc_sram::CycleStats as ExecutedCycles;
 mod tests {
     use super::*;
     use nc_dnn::workload::{random_input, tiny_cnn};
+    use neural_cache::mapping::plan_model;
 
     fn stat(report: &VerifyReport, name: &str) -> Option<u64> {
         report
@@ -574,10 +591,11 @@ mod tests {
                 .cycles
                 .mul_rounds
         };
+        let predicted = |model: &Model| predicted_mul_rounds(&plan_model(model, &config.geometry));
         let tiny = tiny_cnn(1);
-        let predicted = predicted_mul_rounds(&config, &tiny);
-        assert!(predicted > 0);
-        assert_eq!(predicted, executed_rounds(&tiny));
+        let predicted_tiny = predicted(&tiny);
+        assert!(predicted_tiny > 0);
+        assert_eq!(predicted_tiny, executed_rounds(&tiny));
         // One single-conv model per lane layout `tiny_cnn` lacks:
         // (name, window side, C, M, padding, input side, MAC rounds).
         for (name, k, c, m, padding, side, rounds) in [
@@ -588,8 +606,39 @@ mod tests {
         ] {
             let conv = random_conv(name, (k, k), c, m, 1, padding, true, 11);
             let model = single_conv_model(conv, Shape::new(side, side, c));
-            assert_eq!(predicted_mul_rounds(&config, &model), rounds, "{name}");
+            assert_eq!(predicted(&model), rounds, "{name}");
             assert_eq!(executed_rounds(&model), rounds, "{name}: executed");
+        }
+    }
+
+    /// `check_executed_model` predicts the rounds from the plan it made
+    /// under `config.sparsity`: on every shipped workload, each mode's
+    /// plan schedules the dense plan's rounds.
+    #[test]
+    fn every_mode_plan_predicts_the_dense_rounds() {
+        use nc_dnn::workload::{
+            pruned_conv_model, pruned_inception, relu_sparse_conv_model, relu_sparse_mini,
+        };
+        let geometry = SystemConfig::xeon_e5_2697_v3().geometry;
+        for model in [
+            nc_dnn::inception::inception_v3(),
+            pruned_inception(3),
+            relu_sparse_mini(7),
+            tiny_cnn(42),
+            pruned_conv_model(5),
+            relu_sparse_conv_model(7),
+        ] {
+            let dense = predicted_mul_rounds(&plan_model(&model, &geometry));
+            assert!(dense > 0, "{}", model.name);
+            for mode in ALL_MODES {
+                let plans = plan_model_with(&model, &geometry, mode);
+                assert_eq!(
+                    predicted_mul_rounds(&plans),
+                    dense,
+                    "{} {mode:?}",
+                    model.name
+                );
+            }
         }
     }
 }
