@@ -23,8 +23,8 @@
 //! ```
 //!
 //! Exit codes: `0` all workloads clean, `1` at least one hazard-category
-//! diagnostic (plan/schedule/width defects, including V021–V023 and
-//! V025–V027), `2` reconciliation-category diagnostics only
+//! diagnostic (a malformed model, V028, or plan/schedule/width defects,
+//! including V021–V023 and V025–V027), `2` reconciliation-category only
 //! (V009/V010/V020 — the static and executed views drifted but no plan
 //! hazard was proven), `3` the artifact could not be written.
 

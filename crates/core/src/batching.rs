@@ -88,6 +88,11 @@ impl BatchCostModel {
     /// cost batches of any size: one socket's Section IV-E split into
     /// one-time filter loading and per-image streaming + compute, timed
     /// layer by layer in layer order.
+    ///
+    /// # Panics
+    ///
+    /// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+    /// does not validate ([`plan_model_with`] plans it first).
     #[must_use]
     pub fn new(config: &SystemConfig, model: &nc_dnn::Model) -> Self {
         Self::from_plans(
@@ -255,6 +260,11 @@ pub fn time_batch(config: &SystemConfig, model: &nc_dnn::Model, batch: usize) ->
 /// planned **once** through [`BatchCostModel`]; each sweep point reuses the
 /// same plan (identical to pointwise [`time_batch`], just not O(points *
 /// layers^2)).
+///
+/// # Panics
+///
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate ([`BatchCostModel::new`] plans it first).
 #[must_use]
 pub fn throughput_sweep(
     config: &SystemConfig,

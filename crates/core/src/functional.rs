@@ -57,7 +57,8 @@ use std::fmt;
 use nc_dnn::quant::CodeRequant;
 use nc_dnn::reference::{self, Backend, SublayerRecord};
 use nc_dnn::{
-    pad_before, AccTensor, ActQuant, Conv2d, Model, Pool2d, PoolKind, QTensor, Requantizer, Shape,
+    pad_before, AccTensor, ActQuant, Conv2d, Model, ModelError, Pool2d, PoolKind, QTensor,
+    Requantizer, Shape,
 };
 use nc_sram::{
     pack_lanes, ArrayPool, ArrayTimings, BitRow, ComputeArray, CycleStats, Operand, SramError, COLS,
@@ -103,6 +104,8 @@ pub struct PoolEvents {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum FunctionalError {
+    /// The model does not validate ([`Model::validate`]); nothing ran.
+    Model(ModelError),
     /// A convolution sub-layer has no weights (shape-only model).
     MissingWeights {
         /// Offending sub-layer.
@@ -131,6 +134,7 @@ pub enum FunctionalError {
 impl fmt::Display for FunctionalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FunctionalError::Model(e) => write!(f, "malformed model: {e}"),
             FunctionalError::MissingWeights { name } => {
                 write!(
                     f,
@@ -153,6 +157,7 @@ impl fmt::Display for FunctionalError {
 impl Error for FunctionalError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
+            FunctionalError::Model(e) => Some(e),
             FunctionalError::Sram(e) => Some(e),
             _ => None,
         }
@@ -172,8 +177,8 @@ type Result<T> = std::result::Result<T, FunctionalError>;
 ///
 /// # Errors
 ///
-/// Fails if the input shape is not the model's or any convolution
-/// sub-layer lacks weights.
+/// Fails if the model does not validate, the input shape is not the
+/// model's or any convolution sub-layer lacks weights.
 pub fn run_model(model: &Model, input: &QTensor) -> Result<FunctionalResult> {
     run_model_with(model, input, ExecutionEngine::Sequential)
 }
@@ -184,8 +189,8 @@ pub fn run_model(model: &Model, input: &QTensor) -> Result<FunctionalResult> {
 ///
 /// # Errors
 ///
-/// Fails if the input shape is not the model's or any convolution
-/// sub-layer lacks weights.
+/// Fails if the model does not validate, the input shape is not the
+/// model's or any convolution sub-layer lacks weights.
 pub fn run_model_with(
     model: &Model,
     input: &QTensor,
@@ -209,8 +214,8 @@ pub fn run_model_with(
 ///
 /// # Errors
 ///
-/// Fails if the input shape is not the model's or any convolution
-/// sub-layer lacks weights.
+/// Fails if the model does not validate, the input shape is not the
+/// model's or any convolution sub-layer lacks weights.
 pub fn run_model_configured(
     model: &Model,
     input: &QTensor,
@@ -247,10 +252,11 @@ pub fn run_model_configured(
 ///
 /// # Errors
 ///
-/// Fails with [`FunctionalError::InputShape`] if the input shape is not the
-/// model's, with [`FunctionalError::MissingWeights`] if a convolution
-/// sub-layer lacks weights, and with a typed error if an operand cannot be
-/// staged.
+/// Fails with [`FunctionalError::Model`] before running anything if the
+/// model does not validate, with [`FunctionalError::InputShape`] if the
+/// input shape is not the model's, with
+/// [`FunctionalError::MissingWeights`] if a convolution sub-layer lacks
+/// weights, and with a typed error if an operand cannot be staged.
 pub fn run_model_traced(
     model: &Model,
     input: &QTensor,
@@ -258,6 +264,7 @@ pub fn run_model_traced(
     mode: SparsityMode,
     tel: &Telemetry,
 ) -> Result<FunctionalResult> {
+    model.validate().map_err(FunctionalError::Model)?;
     if input.shape() != model.input_shape {
         return Err(FunctionalError::InputShape {
             expected: model.input_shape,

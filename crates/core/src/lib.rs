@@ -147,8 +147,9 @@ impl NeuralCache {
     ///
     /// # Errors
     ///
-    /// Returns an error if a sub-layer lacks weights or an internal SRAM
-    /// operation is rejected.
+    /// Returns [`functional::FunctionalError::Model`] if the model does not
+    /// validate, and an error if a sub-layer lacks weights or an internal
+    /// SRAM operation is rejected.
     pub fn run_functional(
         &self,
         model: &nc_dnn::Model,

@@ -9,7 +9,8 @@
 //! example (`Conv2D_2b`: ~32K parallel convolutions, 43 serial rounds, 99.7%
 //! utilization) is reproduced by tests.
 
-use nc_dnn::{pad_before, Conv2d, ConvSpec, Layer, Model, PoolKind, QTensor, Shape};
+use nc_dnn::graph::SubOp;
+use nc_dnn::{pad_before, Conv2d, ConvSpec, Model, Pool2d, PoolKind, QTensor, Shape};
 use nc_geometry::CacheGeometry;
 use nc_sram::{COLS, ROWS};
 
@@ -363,26 +364,6 @@ pub enum UnitPlan {
     Pool(PoolMapping),
 }
 
-impl UnitPlan {
-    /// Unit name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        match self {
-            UnitPlan::Conv(c) => &c.name,
-            UnitPlan::Pool(p) => &p.name,
-        }
-    }
-
-    /// Output tensor shape.
-    #[must_use]
-    pub fn out_shape(&self) -> Shape {
-        match self {
-            UnitPlan::Conv(c) => c.out_shape,
-            UnitPlan::Pool(p) => p.out_shape,
-        }
-    }
-}
-
 /// Schedule of one top-level layer: its sub-layer units, executed serially
 /// (branches within a layer are serial, Section IV).
 #[derive(Debug, Clone, PartialEq)]
@@ -401,122 +382,55 @@ pub struct LayerPlan {
 ///
 /// # Panics
 ///
-/// Panics if any sub-layer cannot be mapped (row budget violation), which
-/// cannot happen for 8-bit layers within the supported shapes.
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate, and if a sub-layer's row budget overflows the array
+/// (which cannot happen for 8-bit layers within the supported shapes).
 #[must_use]
 pub fn plan_model(model: &Model, geometry: &CacheGeometry) -> Vec<LayerPlan> {
     plan_model_with(model, geometry, SparsityMode::Dense)
 }
 
-/// Plans a whole model under an explicit [`SparsityMode`]: under
+/// Plans a whole model under an explicit [`SparsityMode`], one
+/// [`LayerPlan`] per layer of its validated graph: under
 /// [`SparsityMode::SkipZeroRows`], every weighted convolution mapping
 /// carries the skip fraction measured on its actual lane packing.
 ///
 /// # Panics
 ///
-/// Panics if any sub-layer cannot be mapped (row budget violation).
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate, and if a sub-layer's row budget overflows the array.
 #[must_use]
 pub fn plan_model_with(
     model: &Model,
     geometry: &CacheGeometry,
     mode: SparsityMode,
 ) -> Vec<LayerPlan> {
-    model
-        .layers
+    let graph = model.validate().unwrap_or_else(|e| panic!("{e}"));
+    graph
+        .layers()
         .iter()
-        .zip(model.layer_inputs())
-        .map(|(layer, input)| plan_layer_with(layer, input, geometry, mode))
-        .collect()
-}
-
-/// Plans one top-level layer (densely).
-#[must_use]
-pub fn plan_layer(layer: &Layer, input: Shape, geometry: &CacheGeometry) -> LayerPlan {
-    plan_layer_with(layer, input, geometry, SparsityMode::Dense)
-}
-
-/// Plans one top-level layer under an explicit [`SparsityMode`].
-#[must_use]
-pub fn plan_layer_with(
-    layer: &Layer,
-    input: Shape,
-    geometry: &CacheGeometry,
-    mode: SparsityMode,
-) -> LayerPlan {
-    let mut units = Vec::new();
-    let mut filter_bytes = 0;
-    match layer {
-        Layer::Conv(conv) => {
-            filter_bytes += conv.spec.weight_len();
-            units.push(UnitPlan::Conv(plan_conv_unit(
-                conv,
-                input,
-                conv.spec.out_shape(input),
-                geometry,
-                mode,
-            )));
-        }
-        Layer::Pool(pool) => {
-            units.push(UnitPlan::Pool(plan_pool_unit(
-                &pool.name,
-                pool.kind,
-                pool.k,
-                pool.stride,
-                input,
-                pool.out_shape(input),
-                geometry,
-            )));
-        }
-        Layer::Mixed(block) => {
-            for branch in &block.branches {
-                let mut cur = input;
-                for op in &branch.ops {
-                    match op {
-                        nc_dnn::BranchOp::Conv(conv) => {
-                            filter_bytes += conv.spec.weight_len();
-                            let out = conv.spec.out_shape(cur);
-                            units.push(UnitPlan::Conv(plan_conv_unit(
-                                conv, cur, out, geometry, mode,
-                            )));
-                            cur = out;
-                        }
-                        nc_dnn::BranchOp::Pool(pool) => {
-                            let out = pool.out_shape(cur);
-                            units.push(UnitPlan::Pool(plan_pool_unit(
-                                &pool.name,
-                                pool.kind,
-                                pool.k,
-                                pool.stride,
-                                cur,
-                                out,
-                                geometry,
-                            )));
-                            cur = out;
-                        }
-                        nc_dnn::BranchOp::Split(convs) => {
-                            for conv in convs {
-                                filter_bytes += conv.spec.weight_len();
-                                units.push(UnitPlan::Conv(plan_conv_unit(
-                                    conv,
-                                    cur,
-                                    conv.spec.out_shape(cur),
-                                    geometry,
-                                    mode,
-                                )));
-                            }
-                        }
+        .map(|layer| {
+            let units = graph
+                .sublayers_of(layer)
+                .iter()
+                .map(|sub| match sub.op {
+                    SubOp::Conv(conv) => {
+                        UnitPlan::Conv(plan_conv_unit(conv, sub.input, sub.output, geometry, mode))
                     }
-                }
+                    SubOp::Pool(pool) => {
+                        UnitPlan::Pool(plan_pool_unit(pool, sub.input, sub.output, geometry))
+                    }
+                })
+                .collect();
+            let filter_bytes = layer.layer.conv_sublayers().map(|c| c.spec.weight_len());
+            LayerPlan {
+                name: layer.layer.name().to_owned(),
+                units,
+                filter_bytes: filter_bytes.sum(),
+                output_bytes: layer.output.bytes(),
             }
-        }
-    }
-    let out_shape = layer.out_shape(input);
-    LayerPlan {
-        name: layer.name().to_owned(),
-        units,
-        filter_bytes,
-        output_bytes: out_shape.bytes(),
-    }
+        })
+        .collect()
 }
 
 fn plan_conv_unit(
@@ -609,10 +523,7 @@ fn plan_conv_unit(
 }
 
 fn plan_pool_unit(
-    name: &str,
-    kind: PoolKind,
-    k: usize,
-    stride: usize,
+    pool: &Pool2d,
     in_shape: Shape,
     out_shape: Shape,
     geometry: &CacheGeometry,
@@ -620,16 +531,16 @@ fn plan_pool_unit(
     let total_outputs = out_shape.len();
     let parallel_outputs = geometry.compute_lanes();
     PoolMapping {
-        name: name.to_owned(),
-        kind,
+        name: pool.name.clone(),
+        kind: pool.kind,
         in_shape,
         out_shape,
-        window: k * k,
-        stride,
+        window: pool.k * pool.k,
+        stride: pool.stride,
         rounds: total_outputs.div_ceil(parallel_outputs).max(1),
         parallel_outputs,
         total_outputs,
-        fresh_input_fraction: fresh_fraction(k, stride),
+        fresh_input_fraction: fresh_fraction(pool.k, pool.stride),
     }
 }
 

@@ -26,9 +26,10 @@
 
 use std::convert::Infallible;
 
+use nc_dnn::graph::Sublayer;
 use nc_dnn::quant::CodeRequant;
 use nc_dnn::reference::{self, Backend, Golden};
-use nc_dnn::{AccTensor, ActQuant, Conv2d, Layer, Model, Pool2d, QTensor, Requantizer};
+use nc_dnn::{AccTensor, ActQuant, Conv2d, Model, Pool2d, QTensor, Requantizer};
 
 use crate::cost::DATA_BITS;
 use crate::mapping::{gather_window, LaneMap, LayerPlan, UnitPlan};
@@ -184,47 +185,28 @@ impl SparsityReport {
     }
 }
 
-/// Analyzes the weight sparsity of every convolution sub-layer. Shapes
-/// propagate through the graph exactly as in the mapper, so every
-/// sub-layer's output-window count (the executed-round weighting) is
-/// known.
+/// Analyzes the weight sparsity of every convolution sub-layer of the
+/// model's validated graph, in execution order; each sub-layer's output
+/// shape gives its output-window count (the executed-round weighting).
 ///
 /// # Panics
 ///
-/// Panics if the model is shape-only (no weights to analyze).
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate, and if it is shape-only (no weights to analyze).
 #[must_use]
 pub fn analyze(model: &Model) -> SparsityReport {
+    let graph = model.validate().unwrap_or_else(|e| panic!("{e}"));
     assert!(model.has_weights(), "sparsity analysis needs weights");
-    let mut sublayers = Vec::new();
-    for (layer, input) in model.layers.iter().zip(model.layer_inputs()) {
-        match layer {
-            Layer::Conv(conv) => {
-                sublayers.push(analyze_conv(conv, conv.spec.out_shape(input)));
-            }
-            Layer::Pool(_) => {}
-            Layer::Mixed(block) => {
-                for branch in &block.branches {
-                    let mut cur = input;
-                    for op in &branch.ops {
-                        match op {
-                            nc_dnn::BranchOp::Conv(conv) => {
-                                let out = conv.spec.out_shape(cur);
-                                sublayers.push(analyze_conv(conv, out));
-                                cur = out;
-                            }
-                            nc_dnn::BranchOp::Pool(pool) => cur = pool.out_shape(cur),
-                            nc_dnn::BranchOp::Split(convs) => {
-                                for conv in convs {
-                                    sublayers.push(analyze_conv(conv, conv.spec.out_shape(cur)));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    let stats = |sub: &Sublayer<'_>| {
+        sub.op.conv().map(|conv| SparsityStats {
+            positions: sub.output.h * sub.output.w,
+            // SIMD: the real lane packing, exactly as executed.
+            profile: conv_skip_profile(conv),
+        })
+    };
+    SparsityReport {
+        sublayers: graph.sublayers().iter().filter_map(stats).collect(),
     }
-    SparsityReport { sublayers }
 }
 
 /// Rounds-weighted mean of the **live multiplicand width** the control FSM
@@ -437,14 +419,6 @@ fn profile_conv(conv: &Conv2d, input: &QTensor) -> ActivationStats {
         name: spec.name.clone(),
         skippable_rounds: skippable * m_blocks,
         total_rounds: total * m_blocks,
-    }
-}
-
-fn analyze_conv(conv: &Conv2d, out_shape: nc_dnn::Shape) -> SparsityStats {
-    SparsityStats {
-        positions: out_shape.h * out_shape.w,
-        // SIMD: the real lane packing, exactly as executed.
-        profile: conv_skip_profile(conv),
     }
 }
 

@@ -253,6 +253,11 @@ impl fmt::Display for InferenceReport {
 /// Under the dynamic sparsity modes this prices the detect overhead but no
 /// skips (activation densities are per-input and unknown here); use
 /// [`time_inference_with_profile`] to price a measured input.
+///
+/// # Panics
+///
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate ([`plan_model_with`] plans it first).
 #[must_use]
 pub fn time_inference(config: &SystemConfig, model: &Model) -> InferenceReport {
     let plans = plan_model_with(model, &config.geometry, config.sparsity);

@@ -1,13 +1,117 @@
 //! Property-based tests of the core: mapping invariants over random layer
-//! geometries, and bit-exact functional equivalence over random small
-//! convolutions.
+//! geometries, bit-exact functional equivalence over random small
+//! convolutions, and typed errors for malformed models.
 
-use nc_dnn::workload::{random_conv, random_input, single_conv_model};
-use nc_dnn::{Padding, Shape};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use nc_dnn::workload::{mini_inception, random_conv, random_input, single_conv_model};
+use nc_dnn::{BranchOp, Conv2d, Layer, MixedBlock, Model, Padding, Pool2d, Shape};
 use nc_geometry::CacheGeometry;
-use neural_cache::functional;
-use neural_cache::mapping::{plan_layer, UnitPlan};
+use nc_verify::diag::ErrorCode;
+use nc_verify::{check_executed_model, check_model};
+use neural_cache::functional::{self, FunctionalError};
+use neural_cache::mapping::{plan_model, UnitPlan};
+use neural_cache::{sparsity, throughput_sweep, time_inference, BatchCostModel, SystemConfig};
 use proptest::prelude::*;
+
+/// The faults [`inject`] knows, one per [`nc_dnn::graph::Fault`].
+const FAULTS: usize = 12;
+
+fn pick<T>(mut items: Vec<T>, at: usize) -> T {
+    let n = items.len();
+    items.swap_remove(at % n)
+}
+
+fn blocks(model: &mut Model) -> Vec<&mut MixedBlock> {
+    model
+        .layers
+        .iter_mut()
+        .filter_map(|l| match l {
+            Layer::Mixed(block) => Some(block),
+            Layer::Conv(_) | Layer::Pool(_) => None,
+        })
+        .collect()
+}
+
+fn convs(model: &mut Model) -> Vec<&mut Conv2d> {
+    model
+        .layers
+        .iter_mut()
+        .flat_map(Layer::conv_sublayers_mut)
+        .collect()
+}
+
+fn pools(model: &mut Model) -> Vec<&mut Pool2d> {
+    let mut pools = Vec::new();
+    for layer in &mut model.layers {
+        match layer {
+            Layer::Pool(pool) => pools.push(pool),
+            Layer::Mixed(block) => {
+                for op in block.branches.iter_mut().flat_map(|b| &mut b.ops) {
+                    if let BranchOp::Pool(pool) = op {
+                        pools.push(pool);
+                    }
+                }
+            }
+            Layer::Conv(_) => {}
+        }
+    }
+    pools
+}
+
+/// The ops of the branch that ends in a split (`mini_c`'s second).
+fn split_branch(model: &mut Model) -> &mut Vec<BranchOp> {
+    let branches = blocks(model).into_iter().flat_map(|b| &mut b.branches);
+    let mut ends_in_split = branches.filter(|b| matches!(b.ops.last(), Some(BranchOp::Split(_))));
+    &mut ends_in_split
+        .next()
+        .expect("mini_inception has a split")
+        .ops
+}
+
+/// Applies fault `fault` (below [`FAULTS`]) at the `at`-th candidate site.
+fn inject(model: &mut Model, fault: usize, at: usize) {
+    match fault {
+        0 => {
+            let block = pick(blocks(model), at);
+            let n = block.branches.len();
+            block.branches[at % n].ops.clear();
+        }
+        1 => pick(blocks(model), at).branches.clear(),
+        2 => *split_branch(model).last_mut().unwrap() = BranchOp::Split(Vec::new()),
+        3 => {
+            let ops = split_branch(model);
+            let n = ops.len();
+            ops.swap(n - 2, n - 1);
+        }
+        4 => pick(convs(model), at).spec.c += 1,
+        5 => _ = pick(convs(model), at).weights.as_mut().unwrap().pop(),
+        6 => pick(convs(model), at).bias.push(0),
+        7 => {
+            // Wider than any of mini_inception's 8x8 or smaller inputs.
+            let pool = pick(pools(model), at);
+            pool.padding = Padding::Valid;
+            pool.k = 9;
+        }
+        8 if at.is_multiple_of(2) => pick(convs(model), at / 2).spec.stride = 0,
+        8 => pick(pools(model), at / 2).stride = 0,
+        9 => match at % 3 {
+            0 => model.input_shape.h = 0,
+            1 => model.input_shape.w = 0,
+            _ => model.input_shape.c = 0,
+        },
+        10 => pick(convs(model), at).spec.m = 0,
+        _ => {
+            // A stride-2 conv in one of the first block's three conv-first
+            // branches halves that branch's 8x8 output.
+            let block = pick(blocks(model), 0);
+            let Some(BranchOp::Conv(conv)) = block.branches[at % 3].ops.first_mut() else {
+                unreachable!("mini_a's first three branches start with a conv")
+            };
+            conv.spec.stride = 2;
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -31,10 +135,9 @@ proptest! {
             padding: Padding::Same,
             relu: true,
         };
-        let input = Shape::new(h, h, c);
-        let layer = nc_dnn::Layer::Conv(nc_dnn::Conv2d::shape_only(spec.clone()));
-        let plan = plan_layer(&layer, input, &geometry);
-        let UnitPlan::Conv(u) = &plan.units[0] else { panic!("expected conv") };
+        let model = single_conv_model(nc_dnn::Conv2d::shape_only(spec), Shape::new(h, h, c));
+        let plans = plan_model(&model, &geometry);
+        let UnitPlan::Conv(u) = &plans[0].units[0] else { panic!("expected conv") };
 
         prop_assert!(u.rows.fits(), "row budget: {}", u.rows.total());
         prop_assert!(u.lanes.lanes_per_filter.is_power_of_two());
@@ -73,5 +176,49 @@ proptest! {
         let golden = nc_dnn::reference::run_model(&model, &input);
         let ours = functional::run_model(&model, &input).expect("functional run");
         prop_assert_eq!(golden.output.data(), ours.output.data());
+    }
+
+    /// One random fault in `mini_inception` reaches every entry point as
+    /// the validator's own error: the executor returns it, the verifier
+    /// reports it as one V028 and runs nothing else, and the entry points
+    /// that cannot return an error panic at entry with its text. Nothing
+    /// panics inside a walk.
+    #[test]
+    fn malformed_models_get_typed_errors(
+        fault in 0usize..FAULTS,
+        at in 0usize..64,
+        seed in 0u64..1000,
+    ) {
+        let mut model = mini_inception(seed);
+        let input = random_input(model.input_shape, model.input_quant, seed);
+        inject(&mut model, fault, at);
+        let err = model.validate().expect_err("every fault is caught");
+
+        let run = functional::run_model(&model, &input);
+        prop_assert_eq!(run.err(), Some(FunctionalError::Model(err.clone())));
+
+        let config = SystemConfig::default();
+        let report = check_model(&config, &model);
+        prop_assert_eq!(report.diagnostics.len(), 1, "{}", report);
+        let diag = &report.diagnostics[0];
+        prop_assert_eq!(diag.code, ErrorCode::MalformedModel);
+        prop_assert_eq!(&diag.op, &err.at);
+        prop_assert_eq!(&diag.message, &err.to_string());
+        let executed = check_executed_model(&config, &model, &input).expect("nothing runs");
+        prop_assert_eq!(executed, report);
+
+        let entry_points: [(&str, &dyn Fn()); 7] = [
+            ("plan_model", &|| _ = plan_model(&model, &config.geometry)),
+            ("time_inference", &|| _ = time_inference(&config, &model)),
+            ("throughput_sweep", &|| _ = throughput_sweep(&config, &model, &[1])),
+            ("BatchCostModel::new", &|| _ = BatchCostModel::new(&config, &model)),
+            ("sparsity::analyze", &|| _ = sparsity::analyze(&model)),
+            ("reference::run_model", &|| _ = nc_dnn::reference::run_model(&model, &input)),
+            ("table1", &|| _ = nc_dnn::summary::table1(&model)),
+        ];
+        for (name, call) in entry_points {
+            let panic = catch_unwind(AssertUnwindSafe(call)).expect_err(name);
+            prop_assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()), "{}", name);
+        }
     }
 }

@@ -100,12 +100,8 @@ impl Conv2d {
         }
     }
 
-    /// Layer with dense weights.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != spec.weight_len()` or a non-empty bias
-    /// has the wrong length.
+    /// Layer with dense weights (`M * R * S * C` of them) and an empty or
+    /// `M`-long bias; [`Model::validate`] checks both lengths.
     #[must_use]
     pub fn with_weights(
         spec: ConvSpec,
@@ -113,17 +109,6 @@ impl Conv2d {
         w_quant: WeightQuant,
         bias: Vec<i64>,
     ) -> Self {
-        assert_eq!(
-            weights.len(),
-            spec.weight_len(),
-            "{}: weight length",
-            spec.name
-        );
-        assert!(
-            bias.is_empty() || bias.len() == spec.m,
-            "{}: bias length must be M",
-            spec.name
-        );
         Conv2d {
             spec,
             weights: Some(weights),
@@ -264,39 +249,6 @@ pub enum BranchOp {
     Split(Vec<Conv2d>),
 }
 
-impl BranchOp {
-    /// Output shape of this step.
-    ///
-    /// # Panics
-    ///
-    /// Panics if split convolutions disagree on spatial output dims.
-    #[must_use]
-    pub fn out_shape(&self, input: Shape) -> Shape {
-        match self {
-            BranchOp::Conv(c) => c.spec.out_shape(input),
-            BranchOp::Pool(p) => p.out_shape(input),
-            BranchOp::Split(convs) => {
-                let shapes: Vec<Shape> = convs.iter().map(|c| c.spec.out_shape(input)).collect();
-                let (h, w) = (shapes[0].h, shapes[0].w);
-                for s in &shapes {
-                    assert_eq!((s.h, s.w), (h, w), "split spatial dims differ");
-                }
-                Shape::new(h, w, shapes.iter().map(|s| s.c).sum())
-            }
-        }
-    }
-
-    /// Step name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        match self {
-            BranchOp::Conv(c) => &c.spec.name,
-            BranchOp::Pool(p) => &p.name,
-            BranchOp::Split(_) => "split",
-        }
-    }
-}
-
 /// One branch of an Inception mixed block: a chain of steps applied to the
 /// block input; branch outputs are concatenated along channels.
 #[derive(Debug, Clone, PartialEq)]
@@ -306,27 +258,11 @@ pub struct Branch {
 }
 
 impl Branch {
-    /// Builds a branch from steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty branch or a `Split` that is not the last op.
+    /// Builds a branch from steps: at least one, and a `Split` only last
+    /// ([`Model::validate`] checks both).
     #[must_use]
     pub fn new(ops: Vec<BranchOp>) -> Self {
-        assert!(!ops.is_empty(), "branch must contain at least one op");
-        for op in &ops[..ops.len() - 1] {
-            assert!(
-                !matches!(op, BranchOp::Split(_)),
-                "split is only valid as the final branch op"
-            );
-        }
         Branch { ops }
-    }
-
-    /// Output shape of the whole branch.
-    #[must_use]
-    pub fn out_shape(&self, input: Shape) -> Shape {
-        self.ops.iter().fold(input, |s, op| op.out_shape(s))
     }
 }
 
@@ -337,28 +273,6 @@ pub struct MixedBlock {
     pub name: String,
     /// Parallel branches (computed serially by Neural Cache, Section IV).
     pub branches: Vec<Branch>,
-}
-
-impl MixedBlock {
-    /// Output shape: common spatial dims, concatenated channels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if branches disagree on spatial output dimensions.
-    #[must_use]
-    pub fn out_shape(&self, input: Shape) -> Shape {
-        let shapes: Vec<Shape> = self.branches.iter().map(|b| b.out_shape(input)).collect();
-        let (h, w) = (shapes[0].h, shapes[0].w);
-        for s in &shapes {
-            assert_eq!(
-                (s.h, s.w),
-                (h, w),
-                "{}: branch spatial dims differ",
-                self.name
-            );
-        }
-        Shape::new(h, w, shapes.iter().map(|s| s.c).sum())
-    }
 }
 
 /// A top-level network layer, matching the granularity of the paper's
@@ -384,55 +298,6 @@ impl Layer {
             Layer::Mixed(m) => &m.name,
         }
     }
-
-    /// Output shape for a given input shape.
-    #[must_use]
-    pub fn out_shape(&self, input: Shape) -> Shape {
-        match self {
-            Layer::Conv(c) => c.spec.out_shape(input),
-            Layer::Pool(p) => p.out_shape(input),
-            Layer::Mixed(m) => m.out_shape(input),
-        }
-    }
-
-    /// Iterates over every convolution sub-layer within this layer.
-    pub fn conv_sublayers(&self) -> impl Iterator<Item = &Conv2d> {
-        let convs: Vec<&Conv2d> = match self {
-            Layer::Conv(c) => vec![c],
-            Layer::Pool(_) => Vec::new(),
-            Layer::Mixed(m) => m
-                .branches
-                .iter()
-                .flat_map(|b| &b.ops)
-                .flat_map(|op| match op {
-                    BranchOp::Conv(c) => vec![c],
-                    BranchOp::Pool(_) => Vec::new(),
-                    BranchOp::Split(cs) => cs.iter().collect(),
-                })
-                .collect(),
-        };
-        convs.into_iter()
-    }
-
-    /// Mutable counterpart of [`Layer::conv_sublayers`] (used by workload
-    /// transforms such as weight pruning).
-    pub fn conv_sublayers_mut(&mut self) -> impl Iterator<Item = &mut Conv2d> {
-        let convs: Vec<&mut Conv2d> = match self {
-            Layer::Conv(c) => vec![c],
-            Layer::Pool(_) => Vec::new(),
-            Layer::Mixed(m) => m
-                .branches
-                .iter_mut()
-                .flat_map(|b| &mut b.ops)
-                .flat_map(|op| match op {
-                    BranchOp::Conv(c) => vec![c],
-                    BranchOp::Pool(_) => Vec::new(),
-                    BranchOp::Split(cs) => cs.iter_mut().collect(),
-                })
-                .collect(),
-        };
-        convs.into_iter()
-    }
 }
 
 /// A whole network: input description plus the layer chain.
@@ -449,26 +314,6 @@ pub struct Model {
 }
 
 impl Model {
-    /// Input shape of each layer, in order (element `i` feeds layer `i`).
-    #[must_use]
-    pub fn layer_inputs(&self) -> Vec<Shape> {
-        let mut shapes = Vec::with_capacity(self.layers.len());
-        let mut cur = self.input_shape;
-        for layer in &self.layers {
-            shapes.push(cur);
-            cur = layer.out_shape(cur);
-        }
-        shapes
-    }
-
-    /// Final output shape.
-    #[must_use]
-    pub fn output_shape(&self) -> Shape {
-        self.layers
-            .iter()
-            .fold(self.input_shape, |s, l| l.out_shape(s))
-    }
-
     /// Total filter bytes across all convolution sub-layers (8-bit codes).
     #[must_use]
     pub fn total_filter_bytes(&self) -> usize {
@@ -486,13 +331,6 @@ impl Model {
         self.layers.iter().flat_map(Layer::conv_sublayers).count()
     }
 
-    /// Checks that all shapes chain correctly (runs the whole shape
-    /// propagation, panicking on mismatch) and returns the output shape.
-    #[must_use]
-    pub fn validate(&self) -> Shape {
-        self.output_shape()
-    }
-
     /// Whether every convolution sub-layer carries weights (required for
     /// functional execution).
     #[must_use]
@@ -506,6 +344,7 @@ impl Model {
 
 impl fmt::Display for Model {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let output = self.validate().map(|graph| graph.output().to_string());
         write!(
             f,
             "{}: {} layers ({} conv sub-layers), input {}, output {}",
@@ -513,7 +352,7 @@ impl fmt::Display for Model {
             self.layers.len(),
             self.conv_sublayer_count(),
             self.input_shape,
-            self.output_shape()
+            output.unwrap_or_else(|e| format!("malformed ({e})"))
         )
     }
 }
@@ -580,12 +419,29 @@ mod tests {
             ))),
             BranchOp::Conv(Conv2d::shape_only(spec("b2b", 5, 48, 64, 1, Padding::Same))),
         ]);
-        let block = MixedBlock {
-            name: "Mixed_test".into(),
-            branches: vec![b1, b2],
+        let model = Model {
+            name: "block".into(),
+            input_shape: Shape::new(35, 35, 192),
+            input_quant: ActQuant::default(),
+            layers: vec![Layer::Mixed(MixedBlock {
+                name: "Mixed_test".into(),
+                branches: vec![b1, b2],
+            })],
         };
-        let out = block.out_shape(Shape::new(35, 35, 192));
-        assert_eq!(out, Shape::new(35, 35, 128));
+        let graph = model.validate().unwrap();
+        let [layer] = graph.layers() else {
+            panic!("one layer")
+        };
+        assert_eq!(layer.output, Shape::new(35, 35, 128));
+        assert_eq!(layer.branches, 2);
+        // b1 and b2a read the block input; b2b reads b2a; b1 and b2b end
+        // their branches.
+        let subs = graph.sublayers_of(layer);
+        let reads: Vec<_> = subs.iter().map(|s| s.reads).collect();
+        assert_eq!(reads, [None, None, Some(1)]);
+        let ends: Vec<_> = subs.iter().map(|s| s.ends_branch).collect();
+        assert_eq!(ends, [true, false, true]);
+        assert_eq!(subs[2].input, Shape::new(35, 35, 48));
     }
 
     #[test]
@@ -606,15 +462,18 @@ mod tests {
                 Layer::Conv(Conv2d::shape_only(spec("c2", 3, 8, 16, 1, Padding::Valid))),
             ],
         };
-        assert_eq!(model.validate(), Shape::new(2, 2, 16));
+        let graph = model.validate().unwrap();
+        assert_eq!(graph.output(), Shape::new(2, 2, 16));
+        let inputs: Vec<Shape> = graph.layers().iter().map(|l| l.input).collect();
         assert_eq!(
-            model.layer_inputs(),
-            vec![
+            inputs,
+            [
                 Shape::new(8, 8, 4),
                 Shape::new(8, 8, 8),
                 Shape::new(4, 4, 8),
             ]
         );
+        assert_eq!(graph.sublayers().len(), 3);
         assert_eq!(model.conv_sublayer_count(), 2);
         assert!(!model.has_weights());
         assert_eq!(model.total_filter_bytes(), 3 * 3 * 4 * 8 + 3 * 3 * 8 * 16);

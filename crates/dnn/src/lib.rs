@@ -12,6 +12,9 @@
 //!   multiplier/shift requantization pipeline of Section IV-D;
 //! - [`layer`]: convolution / pooling / fully-connected / Inception mixed
 //!   blocks, assembled into a [`Model`];
+//! - [`graph`]: the one shape walk, [`Model::validate`], which returns the
+//!   [`ModelGraph`] of sub-layers every shape-only view iterates, or a
+//!   [`ModelError`] naming the offending layer or sub-layer;
 //! - [`reference`](mod@crate::reference): the layer walk and requantization
 //!   policy every executor shares, and a plain-Rust integer executor on it
 //!   (the golden model — our substitute for the instrumented TensorFlow
@@ -50,6 +53,7 @@
     clippy::too_many_lines
 )]
 
+pub mod graph;
 pub mod inception;
 pub mod layer;
 pub mod quant;
@@ -59,6 +63,7 @@ pub mod summary;
 mod tensor;
 pub mod workload;
 
+pub use graph::{ModelError, ModelGraph};
 pub use layer::{Branch, BranchOp, Conv2d, ConvSpec, Layer, MixedBlock, Model, Pool2d, PoolKind};
 pub use quant::{ActQuant, Requantizer, WeightQuant};
 pub use shape::{conv_out_dim, pad_before, pad_total, Padding, Shape};

@@ -189,10 +189,12 @@ impl Backend for Golden {
 ///
 /// # Panics
 ///
-/// Panics if the input shape mismatches the model or any convolution
-/// sub-layer lacks weights.
+/// Panics at entry, with the [`crate::ModelError`] text, if the model does
+/// not validate; and if the input shape mismatches the model or any
+/// convolution sub-layer lacks weights.
 #[must_use]
 pub fn run_model(model: &Model, input: &QTensor) -> InferenceResult {
+    let graph = model.validate().unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(
         input.shape(),
         model.input_shape,
@@ -200,8 +202,8 @@ pub fn run_model(model: &Model, input: &QTensor) -> InferenceResult {
     );
     let mut cur = input.clone();
     let mut layers = Vec::with_capacity(model.layers.len());
-    for layer in &model.layers {
-        let record = run_layer(layer, &cur);
+    for layer in graph.layers() {
+        let record = run_layer(layer.layer, &cur);
         cur = record.output.clone();
         layers.push(record);
     }

@@ -14,7 +14,8 @@
 
 use std::fmt::Write;
 
-use crate::{Branch, BranchOp, Layer, Model, Shape};
+use crate::graph::{GraphLayer, SubOp, Sublayer};
+use crate::{Layer, Model};
 
 /// One row of Table I.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,152 +49,60 @@ pub struct LayerSummary {
 
 const MB: f64 = 1024.0 * 1024.0;
 
-/// Computes the Table I rows of a model.
+/// Computes the Table I rows of a model from its validated graph: each
+/// row folds one top-level layer's sub-layers.
+///
+/// # Panics
+///
+/// Panics at entry, with the [`crate::ModelError`] text, if the model does
+/// not validate.
 #[must_use]
 pub fn table1(model: &Model) -> Vec<LayerSummary> {
-    model
-        .layers
+    let graph = model.validate().unwrap_or_else(|e| panic!("{e}"));
+    graph
+        .layers()
         .iter()
-        .zip(model.layer_inputs())
-        .map(|(layer, input)| summarize_layer(layer, input))
+        .map(|layer| summarize_layer(layer, graph.sublayers_of(layer)))
         .collect()
 }
 
-fn summarize_layer(layer: &Layer, input: Shape) -> LayerSummary {
-    let out = layer.out_shape(input);
-    match layer {
-        Layer::Conv(conv) => {
-            let spec = &conv.spec;
-            let conv_out = spec.out_shape(input);
-            LayerSummary {
-                name: spec.name.clone(),
-                h: input.h,
-                window_min: spec.window(),
-                window_max: spec.window(),
-                e: out.h,
-                c_min: spec.c,
-                c_max: spec.c,
-                m_min: spec.m,
-                m_max: spec.m,
-                convolutions: conv_out.h * conv_out.w * spec.m,
-                filter_mb: spec.weight_len() as f64 / MB,
-                input_mb: input.bytes() as f64 / MB,
-            }
-        }
-        Layer::Pool(pool) => LayerSummary {
-            name: pool.name.clone(),
-            h: input.h,
-            window_min: pool.k * pool.k,
-            window_max: pool.k * pool.k,
-            e: out.h,
-            c_min: 0,
-            c_max: 0,
-            m_min: input.c,
-            m_max: input.c,
-            convolutions: 0,
-            filter_mb: 0.0,
-            input_mb: input.bytes() as f64 / MB,
-        },
-        Layer::Mixed(block) => {
-            let mut window = RangeAcc::new();
-            let mut c = RangeAcc::new();
-            let mut m = RangeAcc::new();
-            let mut convolutions = 0usize;
-            let mut filter_bytes = 0usize;
-            for branch in &block.branches {
-                walk_branch(
-                    branch,
-                    input,
-                    &mut window,
-                    &mut c,
-                    &mut m,
-                    &mut convolutions,
-                    &mut filter_bytes,
-                );
-            }
-            LayerSummary {
-                name: block.name.clone(),
-                h: input.h,
-                window_min: window.min,
-                window_max: window.max,
-                e: out.h,
-                c_min: c.min,
-                c_max: c.max,
-                m_min: m.min,
-                m_max: m.max,
-                convolutions,
-                filter_mb: filter_bytes as f64 / MB,
-                // Each branch streams the block input (paper convention).
-                input_mb: (block.branches.len() * input.bytes()) as f64 / MB,
-            }
-        }
+fn summarize_layer(layer: &GraphLayer<'_>, subs: &[Sublayer<'_>]) -> LayerSummary {
+    let (input, pool) = (layer.input, matches!(layer.layer, Layer::Pool(_)));
+    // Pool steps inside a block contribute their channel count to the C and
+    // M ranges but no window; a standalone pool prints its window and C = 0
+    // (both Table I conventions).
+    let (window_min, window_max) = span(subs.iter().filter_map(|s| match s.op {
+        SubOp::Conv(conv) => Some(conv.spec.window()),
+        SubOp::Pool(p) => pool.then_some(p.k * p.k),
+    }));
+    let (c_min, c_max) = span(subs.iter().map(|s| if pool { 0 } else { s.input.c }));
+    let (m_min, m_max) = span(subs.iter().map(|s| s.output.c));
+    let convs = subs
+        .iter()
+        .filter_map(|s| s.op.conv().map(|conv| (conv, s)));
+    let (convolutions, filter_bytes) = convs.fold((0, 0), |(n, bytes), (conv, s)| {
+        (n + s.output.len(), bytes + conv.spec.weight_len())
+    });
+    LayerSummary {
+        name: layer.layer.name().to_owned(),
+        h: input.h,
+        window_min,
+        window_max,
+        e: layer.output.h,
+        c_min,
+        c_max,
+        m_min,
+        m_max,
+        convolutions,
+        filter_mb: filter_bytes as f64 / MB,
+        // Each branch streams the layer input (paper convention).
+        input_mb: (layer.branches * input.bytes()) as f64 / MB,
     }
 }
 
-fn walk_branch(
-    branch: &Branch,
-    block_input: Shape,
-    window: &mut RangeAcc,
-    c: &mut RangeAcc,
-    m: &mut RangeAcc,
-    convolutions: &mut usize,
-    filter_bytes: &mut usize,
-) {
-    let mut cur = block_input;
-    for op in &branch.ops {
-        match op {
-            BranchOp::Conv(conv) => {
-                let spec = &conv.spec;
-                let out = spec.out_shape(cur);
-                window.add(spec.window());
-                c.add(spec.c);
-                m.add(spec.m);
-                *convolutions += out.h * out.w * spec.m;
-                *filter_bytes += spec.weight_len();
-                cur = out;
-            }
-            BranchOp::Pool(pool) => {
-                // Pool steps contribute their channel count to the C and M
-                // ranges (Table I convention for mixed blocks).
-                c.add(cur.c);
-                m.add(cur.c);
-                cur = pool.out_shape(cur);
-            }
-            BranchOp::Split(convs) => {
-                let mut total_c = 0;
-                for conv in convs {
-                    let spec = &conv.spec;
-                    let out = spec.out_shape(cur);
-                    window.add(spec.window());
-                    c.add(spec.c);
-                    m.add(spec.m);
-                    *convolutions += out.h * out.w * spec.m;
-                    *filter_bytes += spec.weight_len();
-                    total_c += out.c;
-                }
-                cur = Shape::new(op.out_shape(cur).h, op.out_shape(cur).w, total_c);
-            }
-        }
-    }
-}
-
-struct RangeAcc {
-    min: usize,
-    max: usize,
-}
-
-impl RangeAcc {
-    fn new() -> Self {
-        RangeAcc {
-            min: usize::MAX,
-            max: 0,
-        }
-    }
-
-    fn add(&mut self, v: usize) {
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
+/// `(min, max)` of `values`; `(usize::MAX, 0)` when there are none.
+fn span(values: impl Iterator<Item = usize>) -> (usize, usize) {
+    values.fold((usize::MAX, 0), |(lo, hi), v| (lo.min(v), hi.max(v)))
 }
 
 /// Renders the rows as an aligned text table (`run_all`'s Table I

@@ -300,7 +300,7 @@ pub fn tiny_cnn(seed: u64) -> Model {
             )),
         ],
     };
-    debug_assert_eq!(model.validate(), Shape::new(1, 1, 10));
+    debug_assert!(model.validate().is_ok());
     model
 }
 
@@ -411,7 +411,7 @@ pub fn mini_inception(seed: u64) -> Model {
             )),
         ],
     };
-    debug_assert_eq!(model.validate(), Shape::new(1, 1, 5));
+    debug_assert!(model.validate().is_ok());
     model
 }
 
@@ -511,7 +511,7 @@ mod tests {
         let dense = mini_inception(11);
         let pruned = pruned_inception(11);
         assert_eq!(pruned.layers.len(), dense.layers.len());
-        assert_eq!(pruned.validate(), Shape::new(1, 1, 5));
+        assert_eq!(pruned.validate().unwrap().output(), Shape::new(1, 1, 5));
         let mut convs = 0;
         for layer in &pruned.layers {
             for conv in layer.conv_sublayers() {

@@ -66,6 +66,8 @@ pub enum ErrorCode {
     /// V027: a reduction-tree operand is narrower than the proven worst
     /// case of the running sums it carries.
     ReduceWidthDeficit,
+    /// V028: the model does not validate (`nc_dnn::Model::validate`).
+    MalformedModel,
 }
 
 /// Coarse diagnostic class used by `plan_lint` to pick its exit code:
@@ -83,7 +85,7 @@ impl ErrorCode {
     /// Every stable code, in `Vxxx` order. This array is the single source
     /// of truth for the diagnostic table: tests derive the README table
     /// check and uniqueness from it.
-    pub const ALL: [ErrorCode; 19] = [
+    pub const ALL: [ErrorCode; 20] = [
         ErrorCode::OperandOverlap,
         ErrorCode::RowOutOfBounds,
         ErrorCode::ReadPortOverflow,
@@ -103,6 +105,7 @@ impl ErrorCode {
         ErrorCode::DegenerateRange,
         ErrorCode::UnsoundTruncation,
         ErrorCode::ReduceWidthDeficit,
+        ErrorCode::MalformedModel,
     ];
 
     /// The stable `Vxxx` identifier.
@@ -128,6 +131,7 @@ impl ErrorCode {
             ErrorCode::DegenerateRange => "V025",
             ErrorCode::UnsoundTruncation => "V026",
             ErrorCode::ReduceWidthDeficit => "V027",
+            ErrorCode::MalformedModel => "V028",
         }
     }
 
@@ -155,6 +159,7 @@ impl ErrorCode {
             ErrorCode::DegenerateRange => "Degenerate range",
             ErrorCode::UnsoundTruncation => "Unsound live-bit truncation",
             ErrorCode::ReduceWidthDeficit => "Reduce-tree width deficit",
+            ErrorCode::MalformedModel => "Malformed model",
         }
     }
 
@@ -269,7 +274,7 @@ mod tests {
         // Retired codes leave gaps; every shipped code keeps its number.
         let expected: Vec<String> = (1..=12)
             .chain(20..=23)
-            .chain(25..=27)
+            .chain(25..=28)
             .map(|n| format!("V{n:03}"))
             .collect();
         assert_eq!(ids, expected);

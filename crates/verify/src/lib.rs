@@ -52,8 +52,9 @@
 //! Entry points: [`check_model`] (static + analytical legs, works on
 //! shape-only models) and [`check_executed_model`] (adds the executed legs
 //! by running the functional executor under all three sparsity modes on
-//! both engines). The `plan_lint` bench bin sweeps every shipped workload ×
-//! sparsity mode × engine and fails CI on any diagnostic.
+//! both engines), each of which reports a malformed model as one V028. The
+//! `plan_lint` bench bin sweeps every shipped workload × sparsity mode ×
+//! engine and fails CI on any diagnostic.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -84,7 +85,7 @@ use neural_cache::cost::DATA_BITS;
 use neural_cache::functional::{
     run_model_configured, FunctionalError, FunctionalResult, PoolEvents,
 };
-use neural_cache::mapping::{conv_lane_geometry, plan_model_with, BitBudget, LayerPlan};
+use neural_cache::mapping::{plan_model_with, BitBudget, LayerPlan};
 use neural_cache::{ExecutionEngine, SparsityMode, SystemConfig, UnitPlan};
 
 use crate::diag::{Diagnostic, ErrorCode};
@@ -111,13 +112,21 @@ const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 /// and the dump-overlap cost model both read that one plan.
 ///
 /// Works on shape-only models (no weights needed — the only arrays that
-/// run are scratch arrays recording the executor's op sequences).
+/// run are scratch arrays recording the executor's op sequences). A model
+/// that does not validate gets one V028 naming the offending layer or
+/// sub-layer, and no other sweep runs.
 ///
 /// # Panics
 ///
 /// Panics if a layer cannot be mapped at all (the mapper's own invariant).
 #[must_use]
 pub fn check_model(config: &SystemConfig, model: &Model) -> VerifyReport {
+    if let Err(e) = model.validate() {
+        let mut report = VerifyReport::new(model.name.clone());
+        let diag = Diagnostic::new(ErrorCode::MalformedModel, &e.at, e.to_string());
+        report.record("model", vec![diag]);
+        return report;
+    }
     let plans = plan_model_with(model, &config.geometry, config.sparsity);
     check_planned(config, model, &plans, &range::model_ranges(model))
 }
@@ -152,20 +161,22 @@ fn check_planned(
     report.record("mac-tap-hazards", hazards);
     report.stat("mac_tap_modes", mac_tap_modes);
 
-    // Per-layer lane geometry; the reduce schedule depends only on the
-    // group span, so each distinct span is recorded and checked once. A
-    // span the array rejects is already flagged V007/V008 here.
+    // Each planned conv's lane geometry and row budget; the reduce
+    // schedule depends only on the group span, so each distinct span is
+    // recorded and checked once. A span the array rejects is already
+    // flagged V007/V008 here.
     let mut geometry_diags = Vec::new();
+    let mut budget_diags = Vec::new();
     let mut spans = BTreeSet::new();
-    for layer in &model.layers {
-        for conv in layer.conv_sublayers() {
-            let geom = conv_lane_geometry(&conv.spec);
-            geometry_diags.extend(check::check_lane_geometry(
-                &conv.spec.name,
-                &geom,
-                conv.spec.m,
-            ));
-            spans.insert(geom.group_span);
+    let mut row_budgets = 0u64;
+    for plan in plans {
+        for unit in &plan.units {
+            if let UnitPlan::Conv(c) = unit {
+                geometry_diags.extend(check::check_lane_geometry(&c.name, &c.lanes, c.out_shape.c));
+                spans.insert(c.lanes.group_span);
+                budget_diags.extend(check::check_row_budget(&c.name, c));
+                row_budgets += 1;
+            }
         }
     }
     let mut reduce_spans = 0u64;
@@ -177,17 +188,6 @@ fn check_planned(
     }
     report.record("lane-geometry", geometry_diags);
     report.stat("reduce_spans", reduce_spans);
-
-    let mut budget_diags = Vec::new();
-    let mut row_budgets = 0u64;
-    for plan in plans {
-        for unit in &plan.units {
-            if let UnitPlan::Conv(c) = unit {
-                budget_diags.extend(check::check_row_budget(&c.name, c));
-                row_budgets += 1;
-            }
-        }
-    }
     report.record("row-budget", budget_diags);
     report.stat("row_budgets", row_budgets);
 
@@ -332,7 +332,8 @@ pub fn check_dump_overlap(cost: &BatchCostModel) -> (Vec<Diagnostic>, u64) {
 /// accumulator min/max must lie inside its certified interval (V021).
 ///
 /// Plans the model and certifies its value ranges once, for the static
-/// and the executed legs alike.
+/// and the executed legs alike. A model that does not validate gets
+/// [`check_model`]'s one V028, and nothing runs.
 ///
 /// # Errors
 ///
@@ -342,6 +343,9 @@ pub fn check_executed_model(
     model: &Model,
     input: &QTensor,
 ) -> Result<VerifyReport, FunctionalError> {
+    if model.validate().is_err() {
+        return Ok(check_model(config, model));
+    }
     let plans = plan_model_with(model, &config.geometry, config.sparsity);
     let ranges = range::model_ranges(model);
     let mut report = check_planned(config, model, &plans, &ranges);

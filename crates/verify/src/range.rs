@@ -31,8 +31,9 @@
 //! codes against an operand [`BitBudget`]; `check_model` passes it the
 //! shipped Figure 10 widths.
 
+use nc_dnn::graph::SubOp;
 use nc_dnn::reference::SublayerRecord;
-use nc_dnn::{Branch, BranchOp, Conv2d, Layer, Model};
+use nc_dnn::{Conv2d, Layer, Model};
 use neural_cache::cost::DATA_BITS;
 use neural_cache::mapping::{bits_for_unsigned, conv_lane_geometry, BitBudget};
 
@@ -161,8 +162,8 @@ pub struct ConvRanges {
 }
 
 /// Proven ranges of every convolution sub-layer of a model, in
-/// [`Layer::conv_sublayers`] traversal order — positionally aligned with
-/// the executed [`SublayerRecord`] streams of both execution engines.
+/// [`nc_dnn::ModelGraph::sublayers`] order — positionally aligned with the
+/// executed [`SublayerRecord`] streams of both execution engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelRanges {
     /// Model name.
@@ -188,18 +189,13 @@ struct ActState {
 }
 
 impl ActState {
-    /// The full-range state of a tensor whose zero point is unknown.
-    fn unknown() -> Self {
+    /// The state of a requantized tensor: its codes span `[0, 255]`, and
+    /// its zero point is provably 0 when its real values are non-negative
+    /// (a fused `ReLU` pins `acc_min >= 0`), unknown otherwise.
+    fn requantized(non_negative: bool) -> Self {
+        let lo = if non_negative { 0 } else { -255 };
         ActState {
-            centered: Interval::new(-255, 255),
-        }
-    }
-
-    /// The state of a requantized tensor with a provably-zero zero point
-    /// (fused `ReLU` pins `acc_min >= 0`, so the derived zero point is 0).
-    fn non_negative() -> Self {
-        ActState {
-            centered: Interval::new(0, 255),
+            centered: Interval::new(lo, 255),
         }
     }
 
@@ -214,96 +210,56 @@ fn sat(v: i128) -> i64 {
     v.clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
 }
 
-/// Runs the value-range abstract interpretation over a whole model.
+/// Runs the value-range abstract interpretation over a whole model, one
+/// forward sweep over its validated graph: each sub-layer's input state is
+/// the output state of the sub-layer it reads, or of its layer's input.
 ///
 /// Works on shape-only models: sub-layers without weights fall back to the
 /// full `[0, 255]` weight code space (marked by
 /// [`ConvRanges::exact_weights`] = `false`).
+///
+/// # Panics
+///
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate.
 #[must_use]
 pub fn model_ranges(model: &Model) -> ModelRanges {
-    let mut convs = Vec::with_capacity(model.conv_sublayer_count());
+    let graph = model.validate().unwrap_or_else(|e| panic!("{e}"));
+    let subs = graph.sublayers();
+    let (lo, hi) = model.input_quant.centered_bounds();
     let mut state = ActState {
-        centered: {
-            let (lo, hi) = model.input_quant.centered_bounds();
-            Interval::new(lo, hi)
-        },
+        centered: Interval::new(lo, hi),
     };
-    for layer in &model.layers {
-        state = flow_layer(layer, state, &mut convs);
+    let mut convs = Vec::with_capacity(subs.len());
+    // The output state of every sub-layer, indexed like `subs`.
+    let mut states: Vec<ActState> = Vec::with_capacity(subs.len());
+    for layer in graph.layers() {
+        for sub in graph.sublayers_of(layer) {
+            let input = sub.reads.map_or(state, |i| states[i]);
+            states.push(match sub.op {
+                SubOp::Conv(conv) => {
+                    convs.push(conv_ranges(conv, input.centered));
+                    ActState::requantized(conv.spec.relu)
+                }
+                // Pooling preserves codes and quantization parameters.
+                SubOp::Pool(_) => input,
+            });
+        }
+        state = if let Layer::Mixed(_) = layer.layer {
+            // shared_out_quant derives the block zero point from the
+            // block-wide real minimum: non-negative on every branch pins
+            // it to 0.
+            let mut ends = layer.sublayers.clone().filter(|&i| subs[i].ends_branch);
+            ActState::requantized(ends.all(|i| states[i].is_non_negative()))
+        } else {
+            // A plain conv or pool layer is its one sub-layer.
+            states[layer.sublayers.start]
+        };
     }
     ModelRanges {
         model: model.name.clone(),
         convs,
     }
-}
-
-/// Transfer function of one top-level layer; pushes a [`ConvRanges`] per
-/// conv sub-layer in [`Layer::conv_sublayers`] order.
-fn flow_layer(layer: &Layer, input: ActState, out: &mut Vec<ConvRanges>) -> ActState {
-    match layer {
-        Layer::Conv(conv) => {
-            let r = conv_ranges(conv, input.centered);
-            let relu = conv.spec.relu;
-            out.push(r);
-            if relu {
-                ActState::non_negative()
-            } else {
-                ActState::unknown()
-            }
-        }
-        // Pooling preserves codes and quantization parameters.
-        Layer::Pool(_) => input,
-        Layer::Mixed(block) => {
-            let mut all_non_negative = true;
-            for branch in &block.branches {
-                all_non_negative &= flow_branch(branch, input, out);
-            }
-            // shared_out_quant derives the block zero point from the
-            // block-wide real minimum: non-negative on every branch pins
-            // it to 0.
-            if all_non_negative {
-                ActState::non_negative()
-            } else {
-                ActState::unknown()
-            }
-        }
-    }
-}
-
-/// Transfer function of one mixed-block branch. Returns whether the
-/// branch's final real values are provably non-negative.
-fn flow_branch(branch: &Branch, input: ActState, out: &mut Vec<ConvRanges>) -> bool {
-    let mut cur = input;
-    let last = branch.ops.len() - 1;
-    for (i, op) in branch.ops.iter().enumerate() {
-        match op {
-            BranchOp::Conv(conv) => {
-                out.push(conv_ranges(conv, cur.centered));
-                cur = if conv.spec.relu {
-                    ActState::non_negative()
-                } else {
-                    ActState::unknown()
-                };
-                if i == last {
-                    return conv.spec.relu;
-                }
-            }
-            BranchOp::Pool(_) => {
-                if i == last {
-                    return cur.is_non_negative();
-                }
-            }
-            BranchOp::Split(convs) => {
-                let mut non_negative = true;
-                for conv in convs {
-                    out.push(conv_ranges(conv, cur.centered));
-                    non_negative &= conv.spec.relu;
-                }
-                return non_negative;
-            }
-        }
-    }
-    unreachable!("branch has at least one op");
 }
 
 /// Abstract transfer function of one convolution sub-layer: seeds the
@@ -524,7 +480,7 @@ pub fn check_widths(label: &str, r: &ConvRanges, budget: &BitBudget) -> Vec<Diag
 /// The executed leg of the certification: every per-sublayer `acc_min` /
 /// `acc_max` an execution engine measured must lie inside the certified
 /// static interval (V021 on escape). Records reconcile positionally — both
-/// engines emit them in [`Layer::conv_sublayers`] traversal order.
+/// engines emit them in the execution order [`model_ranges`] certifies in.
 #[must_use]
 pub fn reconcile_executed_ranges(
     label: &str,
