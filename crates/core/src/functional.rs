@@ -53,6 +53,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::ops::Range;
 
 use nc_dnn::quant::CodeRequant;
 use nc_dnn::reference::{self, Backend, SublayerRecord};
@@ -548,50 +549,128 @@ impl Backend for Exec {
     // ------------------------------------------------------------------
 
     fn pool(&mut self, pool: &Pool2d, input: &QTensor) -> Result<QTensor> {
-        let in_shape = input.shape();
-        let out_shape = pool.out_shape(in_shape);
-        let pad_y = pad_before(in_shape.h, pool.k, pool.stride, pool.padding) as isize;
-        let pad_x = pad_before(in_shape.w, pool.k, pool.stride, pool.padding) as isize;
-
-        // Collect each output's valid window elements (one output per lane).
-        let total = out_shape.len();
-        let mut windows: Vec<Vec<u8>> = Vec::with_capacity(total);
-        for ey in 0..out_shape.h {
-            for ex in 0..out_shape.w {
-                for c in 0..out_shape.c {
-                    let oy = (ey * pool.stride) as isize - pad_y;
-                    let ox = (ex * pool.stride) as isize - pad_x;
-                    let mut w = Vec::with_capacity(pool.k * pool.k);
-                    for r in 0..pool.k {
-                        for s in 0..pool.k {
-                            let (y, x) = (oy + r as isize, ox + s as isize);
-                            if y >= 0
-                                && x >= 0
-                                && (y as usize) < in_shape.h
-                                && (x as usize) < in_shape.w
-                            {
-                                w.push(input.get(y as usize, x as usize, c));
-                            }
-                        }
-                    }
-                    windows.push(w);
-                }
-            }
-        }
-
+        let windows = PoolWindows::new(pool, input);
         // All lanes (across every array run) advance through the same
         // number of rounds, in lockstep with the widest window.
-        let max_window = windows.iter().map(Vec::len).max().unwrap_or(0);
-        let chunks: Vec<&[Vec<u8>]> = windows.chunks(COLS).collect();
+        let max_window = windows.widest();
+        let total = windows.out.len();
         let name = match pool.kind {
             PoolKind::Max => "pool-max",
             PoolKind::Avg => "pool-avg",
         };
-        let out = self.dispatch(name, chunks.len(), |shared_pool, i| match pool.kind {
-            PoolKind::Max => pool_max_chunk(shared_pool, chunks[i], max_window),
-            PoolKind::Avg => pool_avg_chunk(shared_pool, chunks[i], max_window),
+        let out = self.dispatch(name, total.div_ceil(COLS), |shared_pool, i| {
+            // One output per lane, 256 outputs per array run.
+            let outputs = i * COLS..total.min((i + 1) * COLS);
+            match pool.kind {
+                PoolKind::Max => pool_max_chunk(shared_pool, &windows, outputs, max_window),
+                PoolKind::Avg => pool_avg_chunk(shared_pool, &windows, outputs, max_window),
+            }
         })?;
-        Ok(QTensor::from_vec(out_shape, input.params(), out.concat()))
+        Ok(QTensor::from_vec(windows.out, input.params(), out.concat()))
+    }
+}
+
+/// A pooling layer's windows on its input, one per output: output
+/// `(ey, ex, c)` reads channel `c` of the `k x k` window at `(ey, ex)`
+/// clipped to the input, row by row, as the golden model does.
+struct PoolWindows<'a> {
+    input: &'a QTensor,
+    out: Shape,
+    k: usize,
+    stride: usize,
+    /// Padding rows above and columns left of the input.
+    pad: (usize, usize),
+}
+
+impl<'a> PoolWindows<'a> {
+    fn new(pool: &Pool2d, input: &'a QTensor) -> Self {
+        let in_shape = input.shape();
+        let pad = |size| pad_before(size, pool.k, pool.stride, pool.padding);
+        PoolWindows {
+            input,
+            out: pool.out_shape(in_shape),
+            k: pool.k,
+            stride: pool.stride,
+            pad: (pad(in_shape.h), pad(in_shape.w)),
+        }
+    }
+
+    /// The clipped window of output position `pos` (`ey * out.w + ex`):
+    /// its first input row and column, and its row and column counts.
+    fn window(&self, pos: usize) -> (usize, usize, usize, usize) {
+        let clip = |at: usize, pad: usize, size: usize| {
+            let first = at.saturating_sub(pad);
+            let end = (at + self.k).saturating_sub(pad).min(size);
+            (first, end.saturating_sub(first))
+        };
+        let in_shape = self.input.shape();
+        let (y0, rows) = clip(pos / self.out.w * self.stride, self.pad.0, in_shape.h);
+        let (x0, cols) = clip(pos % self.out.w * self.stride, self.pad.1, in_shape.w);
+        (y0, x0, rows, cols)
+    }
+
+    /// The most elements any window holds.
+    fn widest(&self) -> usize {
+        let len = |pos| {
+            let (_, _, rows, cols) = self.window(pos);
+            rows * cols
+        };
+        (0..self.out.h * self.out.w).map(len).max().unwrap_or(0)
+    }
+
+    /// `outputs` as runs of consecutive channels at one output position,
+    /// `(position, first channel, channels)`, in lane order.
+    fn runs(&self, outputs: Range<usize>) -> impl Iterator<Item = (usize, usize, usize)> {
+        let channels = self.out.c;
+        let mut o = outputs.start;
+        std::iter::from_fn(move || {
+            (o < outputs.end).then(|| {
+                let (pos, c0) = (o / channels, o % channels);
+                let n = (channels - c0).min(outputs.end - o);
+                o += n;
+                (pos, c0, n)
+            })
+        })
+    }
+
+    /// Stages element `i` of each output's window into `lanes`, one output
+    /// per lane from lane 0, read straight from the input. A window with
+    /// no element `i` stages its first element when `repeat_first` (a
+    /// no-op for max), else 0 (a no-op for a sum).
+    fn stage(&self, outputs: Range<usize>, i: usize, repeat_first: bool, lanes: &mut [u64]) {
+        let (data, in_shape) = (self.input.data(), self.input.shape());
+        let mut lanes = lanes.iter_mut();
+        for (pos, c0, n) in self.runs(outputs) {
+            let (y0, x0, rows, cols) = self.window(pos);
+            let element = if i < rows * cols {
+                Some(i)
+            } else {
+                repeat_first.then_some(0)
+            };
+            let run = lanes.by_ref().take(n);
+            match element {
+                Some(e) => {
+                    let first = ((y0 + e / cols) * in_shape.w + x0 + e % cols) * in_shape.c + c0;
+                    for (lane, &byte) in run.zip(&data[first..first + n]) {
+                        *lane = u64::from(byte);
+                    }
+                }
+                None => run.for_each(|lane| *lane = 0),
+            }
+        }
+    }
+
+    /// Stages each output's window length into `lanes`, one output per
+    /// lane from lane 0.
+    fn stage_lengths(&self, outputs: Range<usize>, lanes: &mut [u64]) {
+        let mut lanes = lanes.iter_mut();
+        for (pos, _, n) in self.runs(outputs) {
+            let (_, _, rows, cols) = self.window(pos);
+            lanes
+                .by_ref()
+                .take(n)
+                .for_each(|lane| *lane = (rows * cols) as u64);
+        }
     }
 }
 
@@ -818,53 +897,53 @@ fn code_requant_chunk(
     Ok((peek_bytes(&arr, code, chunk.len())?, cycles))
 }
 
-/// Max pooling over one 256-lane chunk: a running max over the window.
+/// Max pooling over one 256-lane chunk of outputs: a running max over the
+/// window, each step's lane bytes staged straight from the input.
 fn pool_max_chunk(
     pool: &ArrayPool,
-    chunk: &[Vec<u8>],
+    windows: &PoolWindows,
+    outputs: Range<usize>,
     max_window: usize,
 ) -> Result<(Vec<u8>, CycleStats)> {
     let l = layout::PoolMaxLayout::new();
 
     let mut cycles = CycleStats::new();
     let mut arr = pool.acquire();
-    poke_bytes(&mut arr, l.acc, chunk.iter().map(|w| w[0]))?;
+    let mut lanes = vec![0; outputs.len()];
+    windows.stage(outputs.clone(), 0, true, &mut lanes);
+    arr.poke_lanes(0, l.acc, &lanes)?;
     for i in 1..max_window {
         // Short windows (image edges) repeat their first element, which is
         // a no-op for max.
-        poke_bytes(
-            &mut arr,
-            l.x,
-            chunk.iter().map(|w| w.get(i).copied().unwrap_or(w[0])),
-        )?;
+        windows.stage(outputs.clone(), i, true, &mut lanes);
+        arr.poke_lanes(0, l.x, &lanes)?;
         cycles += l.step(&mut arr)?;
     }
-    Ok((peek_bytes(&arr, l.acc, chunk.len())?, cycles))
+    Ok((peek_bytes(&arr, l.acc, lanes.len())?, cycles))
 }
 
-/// Average pooling over one 256-lane chunk: bit-serial window sum, then
-/// lane-wise division by the per-lane valid-element count.
+/// Average pooling over one 256-lane chunk of outputs: bit-serial window
+/// sum, then lane-wise division by the per-lane valid-element count.
 fn pool_avg_chunk(
     pool: &ArrayPool,
-    chunk: &[Vec<u8>],
+    windows: &PoolWindows,
+    outputs: Range<usize>,
     max_window: usize,
 ) -> Result<(Vec<u8>, CycleStats)> {
     let l = layout::PoolAvgLayout::new();
 
     let mut arr = pool.acquire();
     let mut cycles = l.clear(&mut arr)?;
+    let mut lanes = vec![0; outputs.len()];
     for i in 0..max_window {
-        poke_bytes(
-            &mut arr,
-            l.x,
-            chunk.iter().map(|w| w.get(i).copied().unwrap_or(0)),
-        )?;
+        windows.stage(outputs.clone(), i, false, &mut lanes);
+        arr.poke_lanes(0, l.x, &lanes)?;
         cycles += l.accumulate(&mut arr)?;
     }
-    let counts: Vec<u64> = chunk.iter().map(|w| w.len() as u64).collect();
-    arr.poke_lanes(0, l.den, &counts)?;
+    windows.stage_lengths(outputs, &mut lanes);
+    arr.poke_lanes(0, l.den, &lanes)?;
     cycles += l.divide(&mut arr)?;
-    Ok((peek_bytes(&arr, l.quot.slice(0, 8)?, chunk.len())?, cycles))
+    Ok((peek_bytes(&arr, l.quot.slice(0, 8)?, lanes.len())?, cycles))
 }
 
 /// Stages one byte per lane, from lane 0 on, into `op`.
@@ -1409,6 +1488,59 @@ mod tests {
                 .map(|arg| tel.sum_u64_arg_named("functional.op", span, arg));
             assert!(executed[0] > 0, "{span}");
             assert_eq!(executed, expected, "{span}");
+        }
+    }
+
+    /// A pool-only model at each way a window can be clipped (`Same` at
+    /// stride 1 and 2, an even `Same` window, `Valid`), with 37 channels so
+    /// a position's channels straddle two array runs: the output is the
+    /// golden model's, and every array run steps through the widest window
+    /// in lockstep.
+    #[test]
+    fn pooling_matches_the_golden_model_at_every_window_clip() {
+        let shape = Shape::new(9, 7, 37);
+        let (max, avg) = (layout::PoolMaxLayout::new(), layout::PoolAvgLayout::new());
+        for kind in [PoolKind::Max, PoolKind::Avg] {
+            for (k, stride, padding, widest) in [
+                (3, 1, Padding::Same, 9),
+                (3, 2, Padding::Same, 9),
+                (2, 2, Padding::Same, 4),
+                (3, 2, Padding::Valid, 9),
+            ] {
+                let pool = Pool2d {
+                    name: "pool".into(),
+                    kind,
+                    k,
+                    stride,
+                    padding,
+                };
+                let runs = pool.out_shape(shape).len().div_ceil(COLS) as u64;
+                let model = Model {
+                    name: "pool".into(),
+                    input_shape: shape,
+                    input_quant: ActQuant::from_range(-1.0, 1.0),
+                    layers: vec![Layer::Pool(pool)],
+                };
+                let input = random_input(shape, model.input_quant, 3);
+                let run = run_model(&model, &input).expect("pool run");
+                let golden = reference::run_model(&model, &input);
+                let label = format!("{kind:?} {k}x{k}/{stride} {padding:?}");
+                assert_eq!(run.output.data(), golden.output.data(), "{label}");
+                let per_run = match kind {
+                    PoolKind::Max => cost(max.step(&mut scratch())).map(|c| (widest - 1) * c),
+                    PoolKind::Avg => {
+                        let [clear, add, divide] = [
+                            cost(avg.clear(&mut scratch())),
+                            cost(avg.accumulate(&mut scratch())),
+                            cost(avg.divide(&mut scratch())),
+                        ];
+                        [0, 1].map(|i| clear[i] + widest * add[i] + divide[i])
+                    }
+                };
+                let cycles = [run.cycles.compute_cycles, run.cycles.access_cycles];
+                assert_eq!(cycles, per_run.map(|c| runs * c), "{label}");
+                assert_eq!(run.pool.acquires, runs, "{label}");
+            }
         }
     }
 

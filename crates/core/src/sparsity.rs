@@ -334,15 +334,18 @@ impl ActivationProfile {
 ///
 /// # Panics
 ///
-/// Panics if the model is shape-only or the input shape mismatches.
+/// Panics at entry, with the [`nc_dnn::ModelError`] text, if the model
+/// does not validate; and if the model is shape-only or the input shape
+/// mismatches.
 #[must_use]
 pub fn activation_profile(model: &Model, input: &QTensor) -> ActivationProfile {
+    let graph = model.validate().unwrap_or_else(|e| panic!("{e}"));
     assert!(model.has_weights(), "activation profiling needs weights");
     assert_eq!(input.shape(), model.input_shape, "input shape mismatch");
     let mut profiler = Profiler(Vec::new());
     let mut cur = input.clone();
-    for layer in &model.layers {
-        let Ok(record) = reference::run_layer_on(&mut profiler, layer, &cur);
+    for layer in graph.layers() {
+        let Ok(record) = reference::run_layer_on(&mut profiler, layer.layer, &cur);
         cur = record.output;
     }
     ActivationProfile {

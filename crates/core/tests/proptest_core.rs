@@ -207,12 +207,13 @@ proptest! {
         let executed = check_executed_model(&config, &model, &input).expect("nothing runs");
         prop_assert_eq!(executed, report);
 
-        let entry_points: [(&str, &dyn Fn()); 7] = [
+        let entry_points: [(&str, &dyn Fn()); 8] = [
             ("plan_model", &|| _ = plan_model(&model, &config.geometry)),
             ("time_inference", &|| _ = time_inference(&config, &model)),
             ("throughput_sweep", &|| _ = throughput_sweep(&config, &model, &[1])),
             ("BatchCostModel::new", &|| _ = BatchCostModel::new(&config, &model)),
             ("sparsity::analyze", &|| _ = sparsity::analyze(&model)),
+            ("activation_profile", &|| _ = sparsity::activation_profile(&model, &input)),
             ("reference::run_model", &|| _ = nc_dnn::reference::run_model(&model, &input)),
             ("table1", &|| _ = nc_dnn::summary::table1(&model)),
         ];

@@ -93,17 +93,36 @@ impl Model {
     ///
     /// Returns the first fault in execution order.
     pub fn validate(&self) -> Result<ModelGraph<'_>, ModelError> {
-        let input = self.input_shape;
+        ModelGraph::build(self.input_shape, &self.layers)
+    }
+}
+
+impl Layer {
+    /// [`Model::validate`] for this one layer on an input of shape
+    /// `input`: a one-layer graph, or the first fault in execution order,
+    /// found by the same checks.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first fault in execution order.
+    pub(crate) fn validate(&self, input: Shape) -> Result<ModelGraph<'_>, ModelError> {
+        ModelGraph::build(input, slice::from_ref(self))
+    }
+}
+
+impl<'m> ModelGraph<'m> {
+    /// The one shape walk of `layers` on an `input`-shaped tensor.
+    fn build(input: Shape, layers: &'m [Layer]) -> Result<Self, ModelError> {
         if input.h == 0 || input.w == 0 || input.c == 0 {
             return Err(Fault::EmptyInput(input).at("input"));
         }
         let mut graph = ModelGraph {
             input,
-            layers: Vec::with_capacity(self.layers.len()),
+            layers: Vec::with_capacity(layers.len()),
             sublayers: Vec::new(),
         };
         let mut cur = input;
-        for layer in &self.layers {
+        for layer in layers {
             let start = graph.sublayers.len();
             let (output, branches) = match layer {
                 Layer::Conv(conv) => (graph.push(SubOp::Conv(conv), None, cur, true)?, 1),
@@ -121,9 +140,7 @@ impl Model {
         }
         Ok(graph)
     }
-}
 
-impl<'m> ModelGraph<'m> {
     /// The top-level layers, in execution order.
     #[must_use]
     pub fn layers(&self) -> &[GraphLayer<'m>] {

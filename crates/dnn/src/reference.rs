@@ -203,7 +203,7 @@ pub fn run_model(model: &Model, input: &QTensor) -> InferenceResult {
     let mut cur = input.clone();
     let mut layers = Vec::with_capacity(model.layers.len());
     for layer in graph.layers() {
-        let record = run_layer(layer.layer, &cur);
+        let Ok(record) = run_layer_on(&mut Golden, layer.layer, &cur);
         cur = record.output.clone();
         layers.push(record);
     }
@@ -217,9 +217,14 @@ pub fn run_model(model: &Model, input: &QTensor) -> InferenceResult {
 ///
 /// # Panics
 ///
-/// Panics if a convolution sub-layer lacks weights.
+/// Panics at entry, with the [`crate::ModelError`] text, if the layer does
+/// not validate on `input`'s shape (the checks [`Model::validate`] runs on
+/// each layer); and if a convolution sub-layer lacks weights.
 #[must_use]
 pub fn run_layer(layer: &Layer, input: &QTensor) -> LayerRecord {
+    if let Err(e) = layer.validate(input.shape()) {
+        panic!("{e}");
+    }
     let Ok(record) = run_layer_on(&mut Golden, layer, input);
     record
 }
@@ -729,6 +734,25 @@ mod tests {
         for sub in &rec.sublayers {
             assert_eq!(sub.out_quant, rec.output.params());
         }
+    }
+
+    /// A block with an empty branch is rejected at entry with the
+    /// `ModelError` text, in release builds too: the walk never reaches
+    /// the branch, whose `ops.len() - 1` would wrap there and concatenate
+    /// 10 of the block's 14 channels.
+    #[test]
+    fn run_layer_rejects_an_empty_branch_at_entry() {
+        let mut model = crate::workload::mini_inception(1);
+        let input = crate::workload::random_input(model.input_shape, model.input_quant, 1);
+        let Layer::Mixed(block) = &mut model.layers[0] else {
+            unreachable!("mini_a is a mixed block")
+        };
+        block.branches[1].ops.clear();
+        let err = model.validate().expect_err("an empty branch");
+        assert_eq!(err.to_string(), "mini_a: branch 1 has no ops");
+        let panic = std::panic::catch_unwind(|| run_layer(&model.layers[0], &input))
+            .expect_err("run_layer validates its layer");
+        assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! analytical cost model equal the recorded MAC-tap cycles at every
 //! skip/live anchor point. The derived cost model's base costs are
 //! themselves measured from the layout methods recorded here, so they need
-//! no check of their own.
+//! no check of their own. The results that depend on no model are proved
+//! once per process, into one proof table that every model's check reads.
 //!
 //! Every check returns structured [`Diagnostic`]s; an empty vector means
 //! the artifact is provably hazard-free under the modeled port semantics.
@@ -309,14 +310,10 @@ pub fn reduce_schedule(group_span: usize) -> nc_sram::Result<Schedule> {
 /// equal the recorded MAC-tap schedules at every integer skip/live anchor
 /// point (V009 on any disagreement). Returns the diagnostics and the
 /// number of anchor schedules compared. The sweep depends on no model, so
-/// it runs once per process, like the [`DerivedCostModel`] costs it checks.
+/// the proof table runs it once per process, like the [`DerivedCostModel`]
+/// costs it checks.
 #[must_use]
 pub fn check_cost_model() -> (Vec<Diagnostic>, u64) {
-    static SWEEP: OnceLock<(Vec<Diagnostic>, u64)> = OnceLock::new();
-    SWEEP.get_or_init(sweep_cost_model).clone()
-}
-
-fn sweep_cost_model() -> (Vec<Diagnostic>, u64) {
     let cost = &DerivedCostModel;
     let mut out = Vec::new();
     let mut anchors = 0u64;
@@ -359,6 +356,90 @@ fn sweep_cost_model() -> (Vec<Diagnostic>, u64) {
         }
     }
     (out, anchors)
+}
+
+// ---------------------------------------------------------------------
+// The model-independent proofs, once per process.
+// ---------------------------------------------------------------------
+
+/// Multiplier rounds elided on lane 0 of the MAC-tap schedule checked in
+/// each mode: every other round, so the executed and the elided round
+/// sequences both run.
+const MAC_TAP_ZERO_ROUNDS: [bool; DATA_BITS] = [false, true, false, true, false, true, false, true];
+
+/// Live filter bits of that schedule under [`SparsityMode::SkipBoth`].
+const MAC_TAP_LIVE_BITS: usize = 5;
+
+/// Lane-group spans the reduce tree accepts: the powers of two up to the
+/// array's [`COLS`] bit lines.
+const REDUCE_SPANS: usize = COLS.trailing_zeros() as usize + 1;
+
+/// Every proof [`crate::check_model`] reports that depends on no model: the
+/// executor's operand layouts ([`check_layouts`]), the cost-model anchor
+/// sweep ([`check_cost_model`]), the hazards of each [`crate::ALL_MODES`]
+/// MAC-tap schedule, and the hazards of the reduce schedule of every
+/// power-of-two span 1..=256. [`proof_table`] holds the one instance of a
+/// process, so each model's check reads these instead of recording the
+/// schedules again.
+#[derive(Debug)]
+pub(crate) struct ProofTable {
+    /// The operand-layout lints.
+    pub layouts: Vec<Diagnostic>,
+    /// The cost-model sweep's diagnostics.
+    pub cost_model: Vec<Diagnostic>,
+    /// Anchor schedules the cost-model sweep compared.
+    pub cost_model_anchors: u64,
+    /// Hazards of the MAC-tap schedules, labelled `mac_tap/<mode>`.
+    pub mac_taps: Vec<Diagnostic>,
+    /// MAC-tap schedules checked, one per mode.
+    pub mac_tap_modes: u64,
+    /// Hazards of the reduce schedule of span `1 << k` at index `k`, each
+    /// proved on first use.
+    reduce: [OnceLock<Vec<Diagnostic>>; REDUCE_SPANS],
+}
+
+impl ProofTable {
+    fn prove() -> Self {
+        let (cost_model, cost_model_anchors) = check_cost_model();
+        let mac_taps = crate::ALL_MODES
+            .iter()
+            .flat_map(|&mode| {
+                let s = mac_tap_schedule(mode, &MAC_TAP_ZERO_ROUNDS, MAC_TAP_LIVE_BITS);
+                check_schedule(&format!("mac_tap/{mode:?}"), &s)
+            })
+            .collect();
+        ProofTable {
+            layouts: check_layouts(),
+            cost_model,
+            cost_model_anchors,
+            mac_taps,
+            mac_tap_modes: crate::ALL_MODES.len() as u64,
+            reduce: [const { OnceLock::new() }; REDUCE_SPANS],
+        }
+    }
+
+    /// The hazards of [`reduce_schedule`]`(group_span)`, labelled
+    /// `reduce/span<group_span>`; `None` for a span the array rejects (not
+    /// a power of two, or wider than the array), which
+    /// [`check_lane_geometry`] reports as V008 or V007.
+    #[must_use]
+    pub(crate) fn reduce_hazards(&self, group_span: usize) -> Option<&[Diagnostic]> {
+        if !group_span.is_power_of_two() {
+            return None;
+        }
+        let proof = self.reduce.get(group_span.trailing_zeros() as usize)?;
+        Some(proof.get_or_init(|| {
+            let s = reduce_schedule(group_span).expect("the array reduces every power-of-two span");
+            check_schedule(&format!("reduce/span{group_span}"), &s)
+        }))
+    }
+}
+
+/// The process's [`ProofTable`], proved on first use.
+#[must_use]
+pub(crate) fn proof_table() -> &'static ProofTable {
+    static TABLE: OnceLock<ProofTable> = OnceLock::new();
+    TABLE.get_or_init(ProofTable::prove)
 }
 
 #[cfg(test)]
@@ -453,6 +534,55 @@ mod tests {
         // 9 skip anchors (0..=8 rounds elided), each under SkipZeroRows
         // and under SkipBoth at 0..=8 live bits.
         assert_eq!(check_cost_model(), (Vec::new(), 90));
+    }
+
+    /// The proof table holds what fresh recordings prove: the layout
+    /// lints, the cost-model sweep, each mode's MAC-tap hazards and, at
+    /// every power-of-two span up to the array width, the hazards of a
+    /// fresh reduce schedule.
+    #[test]
+    fn the_proof_table_equals_fresh_proofs() {
+        let table = proof_table();
+        assert_eq!(table.layouts, check_layouts());
+        let sweep = (table.cost_model.clone(), table.cost_model_anchors);
+        assert_eq!(sweep, check_cost_model());
+        let mut mac_taps = Vec::new();
+        for mode in crate::ALL_MODES {
+            let s = mac_tap_schedule(mode, &MAC_TAP_ZERO_ROUNDS, MAC_TAP_LIVE_BITS);
+            mac_taps.extend(check_schedule(&format!("mac_tap/{mode:?}"), &s));
+        }
+        assert_eq!((&table.mac_taps, table.mac_tap_modes), (&mac_taps, 3));
+        for span in (0..=8).map(|k| 1usize << k) {
+            let s = reduce_schedule(span).unwrap();
+            let fresh = check_schedule(&format!("reduce/span{span}"), &s);
+            assert_eq!(table.reduce_hazards(span), Some(&fresh[..]), "span {span}");
+        }
+    }
+
+    /// A span the array rejects has no table entry, and the geometry check
+    /// still reports it: span 3 as V008, span 512 as V007.
+    #[test]
+    fn rejected_spans_have_no_entry_and_fail_the_geometry_check() {
+        for span in [0, 3, 512] {
+            assert!(reduce_schedule(span).is_err(), "span {span}");
+            assert_eq!(proof_table().reduce_hazards(span), None, "span {span}");
+        }
+        let codes = |group_span: usize| {
+            let geom = LaneGeometry {
+                packing: 1,
+                split: 1,
+                eff_window: 9,
+                eff_channels: group_span,
+                lanes_per_filter: group_span,
+                group_span,
+                arrays_per_filter: 1,
+                filters_per_array: 1,
+            };
+            let diags = check_lane_geometry("span", &geom, 1);
+            diags.into_iter().map(|d| d.code).collect::<Vec<_>>()
+        };
+        assert_eq!(codes(3), [ErrorCode::NonPowerOfTwoLanes]);
+        assert_eq!(codes(512), [ErrorCode::LanePackingAlias]);
     }
 
     #[test]

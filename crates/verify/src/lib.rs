@@ -19,9 +19,15 @@
 //!    [`nc_sram::Schedule`] is the per-cycle row read/write sets of the
 //!    micro-ops that really ran. The data-dependent facts (elided rounds,
 //!    live weight bits) enter as lane-0 operand data, because those are
-//!    exactly what the control FSM knows. The later passes' schedules
-//!    depend on per-layer scalars, so [`check`]'s unit tests record them at
-//!    the scalars' corner values instead of [`check_model`].
+//!    exactly what the control FSM knows. None of these schedules depends
+//!    on the model, so each is recorded and checked once per process, into
+//!    one proof table in [`check`] that also holds the layout lints and the
+//!    cost-model anchor sweep; each reduce span's entry is proved the first
+//!    time a plan uses that span. A [`check_model`] call reads the table
+//!    and does only the model's own work: validate, plan, lane geometry and
+//!    row budgets, dump overlap and value ranges. The later passes'
+//!    schedules depend on per-layer scalars, so [`check`]'s unit tests
+//!    record them at the scalars' corner values instead of [`check_model`].
 //! 2. [`check`]: a **hazard checker** over those schedules — port
 //!    overflows, out-of-bounds rows, zero-row clobbering, operand overlap,
 //!    lane packing aliasing, row-budget overflow — plus reserved-way dump
@@ -109,7 +115,10 @@ const MODE_LABELS: [&str; 3] = ["dense", "skip_rows", "skip_both"];
 /// dump-overlap window invariants.
 ///
 /// Plans the model once per call, under `config.sparsity`: the row budgets
-/// and the dump-overlap cost model both read that one plan.
+/// and the dump-overlap cost model both read that one plan. The layouts,
+/// MAC-tap schedules, anchor points and reduce schedules depend on no
+/// model, so their results come from the process's proof table in
+/// [`check`], proved on first use.
 ///
 /// Works on shape-only models (no weights needed — the only arrays that
 /// run are scratch arrays recording the executor's op sequences). A model
@@ -143,28 +152,19 @@ fn check_planned(
     let mut report = VerifyReport::new(model.name.clone());
 
     // Each sweep below also records how much it covered, so a sweep that
-    // shrinks changes the artifact.
-    report.record("layouts", check::check_layouts());
-    let (cost_diags, anchors) = check::check_cost_model();
-    report.record("cost-model", cost_diags);
-    report.stat("cost_model_anchors", anchors);
-
-    // Per-mode MAC-tap schedules must be hazard-free.
-    let mut hazards = Vec::new();
-    let mut mac_tap_modes = 0u64;
-    let flags = [false, true, false, true, false, true, false, true];
-    for mode in ALL_MODES {
-        let s = check::mac_tap_schedule(mode, &flags, 5);
-        hazards.extend(check::check_schedule(&format!("mac_tap/{mode:?}"), &s));
-        mac_tap_modes += 1;
-    }
-    report.record("mac-tap-hazards", hazards);
-    report.stat("mac_tap_modes", mac_tap_modes);
+    // shrinks changes the artifact. The proofs that depend on no model come
+    // from the process's proof table.
+    let proofs = check::proof_table();
+    report.record("layouts", proofs.layouts.clone());
+    report.record("cost-model", proofs.cost_model.clone());
+    report.stat("cost_model_anchors", proofs.cost_model_anchors);
+    report.record("mac-tap-hazards", proofs.mac_taps.clone());
+    report.stat("mac_tap_modes", proofs.mac_tap_modes);
 
     // Each planned conv's lane geometry and row budget; the reduce
-    // schedule depends only on the group span, so each distinct span is
-    // recorded and checked once. A span the array rejects is already
-    // flagged V007/V008 here.
+    // schedule depends only on the group span, so each distinct span's
+    // hazards come from the proof table once. A span the array rejects has
+    // no entry and is already flagged V007/V008 here.
     let mut geometry_diags = Vec::new();
     let mut budget_diags = Vec::new();
     let mut spans = BTreeSet::new();
@@ -181,8 +181,8 @@ fn check_planned(
     }
     let mut reduce_spans = 0u64;
     for span in spans {
-        if let Ok(s) = check::reduce_schedule(span) {
-            geometry_diags.extend(check::check_schedule(&format!("reduce/span{span}"), &s));
+        if let Some(hazards) = proofs.reduce_hazards(span) {
+            geometry_diags.extend_from_slice(hazards);
             reduce_spans += 1;
         }
     }
@@ -535,6 +535,20 @@ mod tests {
         assert_eq!(stat(&report, "reduce_spans"), Some(6));
         assert_eq!(stat(&report, "row_budgets"), Some(expected));
         assert_eq!(expected, 95);
+    }
+
+    /// Every check reads the process's proof table: checking a model again
+    /// reports what the first check did, and a model checked after another
+    /// reports its own reduce spans.
+    #[test]
+    fn checks_read_the_proof_table_transparently() {
+        let config = SystemConfig::default();
+        let inception = nc_dnn::inception::inception_v3();
+        let first = check_model(&config, &inception);
+        assert_eq!(check_model(&config, &inception), first);
+        let tiny = check_model(&config, &tiny_cnn(42));
+        assert_eq!(stat(&first, "reduce_spans"), Some(6));
+        assert_eq!(stat(&tiny, "reduce_spans"), Some(4));
     }
 
     #[test]
