@@ -17,11 +17,16 @@
 //! 1. **MAC + reduce** — filters and inputs enter tap by tap as whole-row
 //!    bit planes ([`ComputeArray::load_rows`]) built from one per-layer
 //!    lane map ([`LaneMap`]): each m-block's filter planes are packed once
-//!    per layer (filters are stationary), the input planes once per output
-//!    window. Bit-serial multiply accumulates the per-lane partial sum
-//!    (`S1`) and the zero-point-correction running sum (`S2`); the grouped
-//!    in-array reduction tree (and, for filters spanning two arrays, an
-//!    inter-array transfer + add) collapses channels.
+//!    per layer (filters are stationary), the input planes once per host
+//!    array. When one m-block holds all `M` filters, a host array runs
+//!    `K` = ⌊256 / (`M` × group span)⌋ output windows side by side
+//!    ([`LaneGeometry::windows_per_array`](crate::mapping::LaneGeometry::windows_per_array)):
+//!    the filter and `C0` planes repeat for each window, and each window's
+//!    input bytes sit on lanes of their own. Bit-serial multiply
+//!    accumulates the per-lane partial sum (`S1`) and the
+//!    zero-point-correction running sum (`S2`); the grouped in-array
+//!    reduction tree (and, for filters spanning two arrays, an inter-array
+//!    transfer + add) collapses channels.
 //! 2. **Accumulator assembly** — in place on the pass-1 array, once per
 //!    array run and lane-parallel: `ACC = S1 - zp_w*S2 + C0(m)` via scalar
 //!    multiply and region subtract/add over 40-bit two's-complement
@@ -41,15 +46,25 @@
 //!
 //! The hardware runs thousands of arrays in lockstep; the simulator mirrors
 //! that shape. Each pass is expressed as independent **array-shard jobs**
-//! (one job per output window in pass 1+2, one per 256-lane array run in
-//! pass 3 and the pooling/ranging helpers), dispatched through an
-//! [`ExecutionEngine`] — [`Sequential`](ExecutionEngine::Sequential) or
+//! (one job per host array of `K` output windows in pass 1+2, one per
+//! 256-lane array run in pass 3 and the pooling/ranging helpers),
+//! dispatched through an [`ExecutionEngine`] —
+//! [`Sequential`](ExecutionEngine::Sequential) or
 //! [`Threaded`](ExecutionEngine::Threaded). Jobs draw recycled arrays from
 //! a shared [`ArrayPool`] and report their own [`CycleStats`]; shard results
 //! are folded in job order, so both backends produce bit-identical outputs
 //! *and* identical cycle counts. The only synchronization point is the
 //! explicit inter-array reduce barrier before dynamic ranging
 //! (Section IV-D), which needs every shard's accumulators.
+//!
+//! A pass-1+2 job runs each shared step once per host array and charges it
+//! once per window it stands for, so [`CycleStats`] count one array run per
+//! output window in every mode. A MAC tap runs once per distinct
+//! control-flow key among the array's windows: one key under
+//! [`SparsityMode::Dense`] and [`SparsityMode::SkipZeroRows`], whose round
+//! decisions come from the stationary filters, and the tap's input OR mask
+//! under [`SparsityMode::SkipBoth`], with the other windows' input lanes
+//! zeroed for that execution.
 
 use std::error::Error;
 use std::fmt;
@@ -470,27 +485,35 @@ impl Backend for Exec {
     /// convolution sub-layer entirely with bit-serial array operations,
     /// and their range with the in-cache min/max trees.
     ///
-    /// Every output window is an independent shard job (it owns its arrays
-    /// for the MAC/reduce and assembly passes); the shards meet only at the
-    /// ranging barrier below.
+    /// Every host array's run of output windows is an independent shard
+    /// job (it owns its arrays for the MAC/reduce and assembly passes);
+    /// the shards meet only at the ranging barrier below.
     fn accumulate(&mut self, conv: &Conv2d, input: &QTensor) -> Result<(AccTensor, (i64, i64))> {
         let spec = &conv.spec;
         let out_shape = spec.out_shape(input.shape());
         let layer = ConvLayer::new(conv, input.params().zero_point, self.mode)?;
 
-        // Passes 1+2, sharded per output window.
-        let layer = &layer;
-        let per_window = self.dispatch("mac-reduce", out_shape.h * out_shape.w, |pool, pos| {
-            let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-            let mut window = vec![0u8; spec.macs_per_output()];
-            gather_window(input, spec, ey, ex, &mut window);
-            layer.run_window(pool, &window)
+        // Passes 1+2, sharded per host array of `windows_per_array` output
+        // windows.
+        let (layer, per_filter) = (&layer, spec.macs_per_output());
+        let positions = out_shape.h * out_shape.w;
+        let jobs = positions.div_ceil(layer.windows_per_array);
+        let per_job = self.dispatch("mac-reduce", jobs, |pool, job| {
+            let first = job * layer.windows_per_array;
+            let n = layer.windows_per_array.min(positions - first);
+            let mut windows = vec![0u8; n * per_filter];
+            for (pos, window) in (first..).zip(windows.chunks_mut(per_filter)) {
+                gather_window(input, spec, pos / out_shape.w, pos % out_shape.w, window);
+            }
+            layer.run_windows(pool, &windows)
         })?;
 
+        // Each job returns its windows' accumulators window by window, so
+        // their concatenation is in output-position order.
         let mut acc = AccTensor::zeros(out_shape);
-        for (pos, vals) in per_window.into_iter().enumerate() {
+        for (pos, vals) in per_job.concat().chunks(spec.m).enumerate() {
             let (ey, ex) = (pos / out_shape.w, pos % out_shape.w);
-            for (m, v) in vals.into_iter().enumerate() {
+            for (m, &v) in vals.iter().enumerate() {
                 acc.set(ey, ex, m, v);
             }
         }
@@ -681,33 +704,48 @@ impl<'a> PoolWindows<'a> {
 
 /// One convolution sub-layer's passes 1 and 2: its lane map, its
 /// stationary operands and its pass-2 scalars, prepared once per layer.
+///
+/// A host array runs `K` = `windows_per_array` output windows side by side
+/// ([`LaneGeometry::windows_per_array`](crate::mapping::LaneGeometry::windows_per_array);
+/// 1 unless one m-block holds every filter and a filter fits one array).
+/// Lane group `g * K + w`, from lane `(g * K + w) * group_span`, runs
+/// filter `g` of the m-block against window `w`: each filter's `K` copies
+/// sit side by side, so a tap's input plane is the windows' own lanes
+/// packed once and repeated for every filter, and each window's lanes are
+/// its own.
 struct ConvLayer {
     map: LaneMap,
     /// The m-blocks: filters that share one array run.
     blocks: Vec<FilterBlock>,
-    /// Filter groups co-resident in one array.
+    /// Filter groups of one window co-resident in one array.
     groups_per_array: usize,
+    /// Output windows one host array runs side by side.
+    windows_per_array: usize,
+    /// Bytes of one gathered input window.
+    per_filter: usize,
     zp_w: u64,
     relu: bool,
     mode: SparsityMode,
 }
 
-/// One m-block's stationary operands, packed once per layer.
+/// One m-block's stationary operands, packed once per layer and repeated
+/// for every window of a host array.
 struct FilterBlock {
-    /// Filters of the block, one lane group each.
+    /// Filters of the block, one lane group per window each.
     groups: usize,
     /// Filter byte planes: [`DATA_BITS`] rows per (array, tap), in the
     /// lane map's order.
     filters: Vec<BitRow>,
-    /// The rows of [`AssembleLayout::c0_op`]: group `g`'s per-channel
-    /// constant `C0` on lane `g * group_span`.
+    /// The rows of [`AssembleLayout::c0_op`]: filter `g`'s constant `C0`
+    /// on the first lane of each of its groups.
     c0: Vec<BitRow>,
 }
 
 impl ConvLayer {
     /// Places the layer's bytes with one lane map (Section IV-A
     /// packing/splitting, the same map the sparsity analyses walk) and
-    /// packs each m-block's filter planes and `C0` plane.
+    /// packs each m-block's filter planes and `C0` plane once, repeating
+    /// each filter's lanes for every window of a host array.
     fn new(conv: &Conv2d, zp_a: i32, mode: SparsityMode) -> Result<Self> {
         let spec = &conv.spec;
         let Some(weights) = conv.weights.as_deref() else {
@@ -718,30 +756,43 @@ impl ConvLayer {
         let map = LaneMap::new(spec);
         let geom = *map.geometry();
         let groups_per_array = geom.groups_per_array(spec.m);
+        let windows_per_array = geom.windows_per_array(spec.m);
         let per_filter = spec.macs_per_output();
         let zp_a = i64::from(zp_a);
         let zp_w = u64::from(conv.w_quant.zero_point as u32);
         let c0_op = AssembleLayout::new().c0_op;
+        let span = geom.group_span;
+        // Group `g`'s lanes, repeated for each window of a host array.
+        let spread = |rows: Vec<BitRow>, groups: usize| -> Vec<BitRow> {
+            rows.iter()
+                .map(|row| {
+                    (0..groups).fold(BitRow::zero(), |out, g| {
+                        let at = g * windows_per_array * span;
+                        out.or(&row.tiled(g * span, span, windows_per_array, at))
+                    })
+                })
+                .collect()
+        };
         let blocks = (0..spec.m)
             .step_by(groups_per_array)
             .map(|first| {
                 let groups = groups_per_array.min(spec.m - first);
                 let filters =
                     byte_planes(&map, groups, |g, k| weights[(first + g) * per_filter + k])?;
-                let mut c0_lanes = vec![0u64; groups * geom.group_span];
+                let mut c0_lanes = vec![0u64; groups * span];
                 for g in 0..groups {
                     let m = first + g;
                     let c0 = -zp_a * conv.filter_code_sum(m)
                         + per_filter as i64 * (zp_w as i64) * zp_a
                         + conv.bias_of(m);
-                    c0_lanes[g * geom.group_span] = accumulator_code(c0_op, c0)?;
+                    c0_lanes[g * span] = accumulator_code(c0_op, c0)?;
                 }
                 let mut c0 = vec![BitRow::zero(); c0_op.bits()];
                 pack_lanes(&c0_lanes, &mut c0)?;
                 Ok(FilterBlock {
                     groups,
-                    filters,
-                    c0,
+                    filters: spread(filters, groups),
+                    c0: spread(c0, groups),
                 })
             })
             .collect::<Result<_>>()?;
@@ -749,29 +800,67 @@ impl ConvLayer {
             map,
             blocks,
             groups_per_array,
+            windows_per_array,
+            per_filter,
             zp_w,
             relu: spec.relu,
             mode,
         })
     }
 
-    /// One output window's shard job: packs the window's input planes
-    /// (every filter group of an array sees the same input lanes), then
-    /// runs every m-block against them. Returns the accumulators in
-    /// filter order and the cycles charged.
-    fn run_window(&self, pool: &ArrayPool, window: &[u8]) -> Result<(Vec<i64>, CycleStats)> {
-        let inputs = byte_planes(&self.map, self.groups_per_array, |_, k| window[k])?;
+    /// One host array's shard job over the gathered `windows` (at most
+    /// [`ConvLayer::windows_per_array`] of them, back to back): stages
+    /// their input planes, then runs every m-block against them. Returns
+    /// the accumulators window by window, each in filter order, and the
+    /// cycles charged.
+    fn run_windows(&self, pool: &ArrayPool, windows: &[u8]) -> Result<(Vec<i64>, CycleStats)> {
+        let n = windows.len() / self.per_filter;
+        let m: usize = self.blocks.iter().map(|b| b.groups).sum();
+        // Each window's bytes of a tap go on its own `group_span` lanes
+        // once; the packed run repeats for every filter group.
+        let inputs: Vec<BitRow> =
+            byte_planes(&self.map, n, |w, k| windows[w * self.per_filter + k])?
+                .iter()
+                .map(|row| self.replicate(row))
+                .collect();
         let mut cycles = CycleStats::new();
-        let mut vals = Vec::new();
+        let mut accs = vec![0; n * m];
+        let mut first = 0;
         for block in &self.blocks {
-            vals.extend(self.run_block(pool, block, &inputs, &mut cycles)?);
+            let vals = self.run_block(pool, block, windows, &inputs, &mut cycles)?;
+            for (acc, vals) in accs.chunks_mut(m).zip(vals.chunks(block.groups)) {
+                acc[first..first + block.groups].copy_from_slice(vals);
+            }
+            first += block.groups;
         }
-        Ok((vals, cycles))
+        Ok((accs, cycles))
     }
 
-    /// Runs one m-block's MAC taps, reduce and cross-array fold (pass 1),
-    /// then assembles every group's accumulator at once in place (pass 2),
-    /// and returns group `g`'s accumulator, read from its first lane.
+    /// `row`'s run of [`ConvLayer::windows_per_array`] windows' lanes,
+    /// repeated for every filter group of a host array.
+    fn replicate(&self, row: &BitRow) -> BitRow {
+        let run = self.windows_per_array * self.map.geometry().group_span;
+        row.tiled(0, run, self.groups_per_array, 0)
+    }
+
+    /// Each of `n` windows' lanes, in the layout of the host array's input
+    /// planes.
+    fn window_lanes(&self, n: usize) -> Vec<BitRow> {
+        let span = self.map.geometry().group_span;
+        let first = self.replicate(&BitRow::ones().tiled(0, span, 1, 0));
+        (0..n).map(|w| first.tiled(0, COLS, 1, w * span)).collect()
+    }
+
+    /// Runs one m-block's MAC taps, reduce and cross-array fold (pass 1)
+    /// for the host array's windows, then assembles every group's
+    /// accumulator at once in place (pass 2), and returns them window by
+    /// window, read from every group's first lane by one strided peek.
+    ///
+    /// Clear, reduce, fold and assembly run once per host array, and each
+    /// tap once per distinct control-flow key among the windows
+    /// ([`ConvLayer::tap_key`]); the other windows' input lanes are zeroed
+    /// for that execution. Every execution is charged once per window it
+    /// stands for, so the cycles equal those of one array run per window.
     /// Under [`SparsityMode::SkipZeroRows`] the weight operand is the
     /// multiplier and all-lanes-zero weight-bit rounds are elided
     /// (bit-identical products).
@@ -779,44 +868,104 @@ impl ConvLayer {
         &self,
         pool: &ArrayPool,
         block: &FilterBlock,
+        windows: &[u8],
         inputs: &[BitRow],
         cycles: &mut CycleStats,
     ) -> Result<Vec<i64>> {
         let geom = self.map.geometry();
+        let n = windows.len() / self.per_filter;
+        let runs = n as u64;
         let l = MacReduceLayout::new();
         let per_array = geom.eff_window * DATA_BITS;
+        let mut keys = Vec::with_capacity(n);
+        let mut shared = Vec::new();
+        let mut window_lanes = None;
         let mut arrays = Vec::with_capacity(geom.arrays_per_filter);
-        for (filters, inputs) in block
+        for (a, (filters, inputs)) in block
             .filters
             .chunks(per_array)
             .zip(inputs.chunks(per_array))
+            .enumerate()
         {
             let mut arr = pool.acquire();
-            *cycles += l.clear_sums(&mut arr)?;
-            for (w, x) in filters.chunks(DATA_BITS).zip(inputs.chunks(DATA_BITS)) {
+            *cycles += l.clear_sums(&mut arr)? * runs;
+            for (t, (w, x)) in filters
+                .chunks(DATA_BITS)
+                .zip(inputs.chunks(DATA_BITS))
+                .enumerate()
+            {
                 // Tap t's filter and input bytes enter as whole rows
                 // (loader path; transfer time is the movement model's).
                 arr.load_rows(l.filter_byte, w)?;
-                arr.load_rows(l.input_byte, x)?;
-                // S1 += w * x ; S2 += x — all lanes in parallel.
-                *cycles += l.mac_tap(&mut arr, self.mode)?;
+                keys.clear();
+                keys.extend(
+                    windows
+                        .chunks(self.per_filter)
+                        .map(|win| self.tap_key(win, a, t)),
+                );
+                // The tap's distinct keys in first-appearance order, each
+                // with the windows that share its execution.
+                shared.clear();
+                for &key in &keys {
+                    match shared.iter_mut().find(|(k, _)| *k == key) {
+                        Some((_, count)) => *count += 1,
+                        None => shared.push((key, 1)),
+                    }
+                }
+                for &(key, count) in &shared {
+                    if count == n {
+                        arr.load_rows(l.input_byte, x)?;
+                    } else {
+                        let lanes = window_lanes.get_or_insert_with(|| self.window_lanes(n));
+                        let live = keys
+                            .iter()
+                            .zip(lanes.iter())
+                            .filter(|&(&k, _)| k == key)
+                            .fold(BitRow::zero(), |live, (_, lanes)| live.or(lanes));
+                        let x: [BitRow; DATA_BITS] = std::array::from_fn(|j| x[j].and(&live));
+                        arr.load_rows(l.input_byte, &x)?;
+                    }
+                    // S1 += w * x ; S2 += x — all lanes in parallel.
+                    *cycles += l.mac_tap(&mut arr, self.mode)? * count as u64;
+                }
             }
-            *cycles += l.reduce(&mut arr, geom.group_span, block.groups)?;
+            *cycles += l.reduce(
+                &mut arr,
+                geom.group_span,
+                block.groups * self.windows_per_array,
+            )? * runs;
             arrays.push(arr);
         }
         let (first, partners) = arrays.split_at_mut(1);
         let arr: &mut ComputeArray = &mut first[0];
         for partner in partners {
-            *cycles += l.fold(arr, partner)?;
+            *cycles += l.fold(arr, partner)? * runs;
         }
 
         let asm = AssembleLayout::new();
         arr.load_rows(asm.c0_op, &block.c0)?;
-        *cycles += asm.assemble(arr, self.zp_w, self.relu)?;
-        let span = geom.group_span;
-        (0..block.groups)
-            .map(|g| Ok(asm.t.signed_value(peek_one(arr, g * span, asm.t)?)))
-            .collect()
+        *cycles += asm.assemble(arr, self.zp_w, self.relu)? * runs;
+        // Group `g * K + w` holds its sum on its first lane.
+        let mut t = vec![0; (block.groups - 1) * self.windows_per_array + n];
+        arr.peek_lanes_strided(0, geom.group_span, asm.t, &mut t)?;
+        Ok((0..n)
+            .flat_map(|w| (0..block.groups).map(move |g| g * self.windows_per_array + w))
+            .map(|group| asm.t.signed_value(t[group]))
+            .collect())
+    }
+
+    /// The control-flow key of one window's MAC tap `(a, t)`: the windows
+    /// sharing a key can share the tap's execution. Under
+    /// [`SparsityMode::Dense`] and [`SparsityMode::SkipZeroRows`] every
+    /// round decision comes from the stationary filters, so all windows
+    /// share one key; under [`SparsityMode::SkipBoth`] the input bit-slices
+    /// decide which rounds run, so the key is the tap's input OR mask
+    /// ([`LaneMap::or_mask`], as `activation_profile` measures it).
+    fn tap_key(&self, window: &[u8], a: usize, t: usize) -> u8 {
+        match self.mode {
+            SparsityMode::Dense | SparsityMode::SkipZeroRows => 0,
+            SparsityMode::SkipBoth => self.map.or_mask(window, a, t),
+        }
     }
 }
 
@@ -1365,11 +1514,43 @@ mod tests {
         );
     }
 
+    /// One output window's mac-reduce charge of `conv`, compute and access
+    /// cycles, each term measured by running its layout method on a scratch
+    /// array: per m-block, every array's clear, taps and reduce, the
+    /// cross-array folds, and one assembly (pass 2 runs once per array run,
+    /// not once per output).
+    fn window_cost(conv: &Conv2d) -> [u64; 2] {
+        let spec = &conv.spec;
+        let geom = crate::mapping::conv_lane_geometry(spec);
+        let (l, asm) = (MacReduceLayout::new(), AssembleLayout::new());
+        let zero = cost(l.clear_sums(&mut scratch()));
+        let tap = cost(l.mac_tap(&mut scratch(), SparsityMode::Dense));
+        let fold = cost(l.fold(&mut scratch(), &mut scratch()));
+        let zp_w = u64::from(conv.w_quant.zero_point as u32);
+        let assemble = cost(asm.assemble(&mut scratch(), zp_w, spec.relu));
+        let arrays = geom.arrays_per_filter as u64;
+        let mut total = [0u64; 2];
+        let mut first = 0;
+        while first < spec.m {
+            let groups = geom.groups_per_array(spec.m).min(spec.m - first);
+            let reduce = cost(l.reduce(&mut scratch(), geom.group_span, groups));
+            for i in 0..2 {
+                let array = zero[i] + geom.eff_window as u64 * tap[i] + reduce[i];
+                total[i] += arrays * array + (arrays - 1) * fold[i] + assemble[i];
+            }
+            first += groups;
+        }
+        total
+    }
+
+    /// The executed `mac-reduce` compute and access cycles of a traced run.
+    fn mac_reduce_cycles(tel: &Telemetry) -> [u64; 2] {
+        ["compute_cycles", "access_cycles"]
+            .map(|arg| tel.sum_u64_arg_named("functional.op", "mac-reduce", arg))
+    }
+
     #[test]
     fn mac_reduce_cycles_are_the_layout_methods_once_per_array_run() {
-        use crate::mapping::conv_lane_geometry;
-        // Each term is measured by running its layout method on a scratch
-        // array. Pass 2 runs once per array run, not once per output.
         let cases = [
             // Many groups per array, like Conv2d_1a_3x3.
             (
@@ -1404,33 +1585,111 @@ mod tests {
                 &tel,
             )
             .expect("traced run");
-            let executed = ["compute_cycles", "access_cycles"]
-                .map(|arg| tel.sum_u64_arg_named("functional.op", "mac-reduce", arg));
+            let windows = conv.spec.out_shape(in_shape).len() / conv.spec.m;
+            let expected = window_cost(&conv).map(|c| windows as u64 * c);
+            assert_eq!(mac_reduce_cycles(&tel), expected, "{}", conv.spec.name);
+        }
+    }
 
+    /// Convs whose filters leave room for K > 1 windows per host array,
+    /// over window counts that are no multiple of K, on a ReLU-sparse input
+    /// whose windows differ in input OR mask within a host array: every
+    /// packed window is charged as its own array run in every mode and on
+    /// both engines, while the MAC pass checks out one array per host
+    /// array.
+    #[test]
+    fn packed_windows_are_charged_as_their_own_array_runs() {
+        use crate::mapping::conv_lane_geometry;
+        use crate::sparsity::activation_profile;
+        use nc_dnn::workload::{relu_act_quant, relu_sparse_input};
+        // K = 2 over 9 windows, K = 85 over 100, K = 16 over 49.
+        let cases = [
+            (
+                random_conv("k2", (3, 3), 3, 32, 2, Padding::Valid, true, 61),
+                Shape::new(7, 7, 3),
+            ),
+            (
+                random_conv("k85", (1, 1), 8, 3, 1, Padding::Same, true, 62),
+                Shape::new(10, 10, 8),
+            ),
+            (
+                random_conv("k16", (3, 3), 4, 4, 1, Padding::Same, false, 63),
+                Shape::new(7, 7, 4),
+            ),
+        ];
+        for (conv, in_shape) in cases {
             let spec = &conv.spec;
+            let name = &spec.name;
             let geom = conv_lane_geometry(spec);
-            let (l, asm) = (MacReduceLayout::new(), AssembleLayout::new());
-            let zero = cost(l.clear_sums(&mut scratch()));
-            let tap = cost(l.mac_tap(&mut scratch(), SparsityMode::Dense));
-            let fold = cost(l.fold(&mut scratch(), &mut scratch()));
-            let zp_w = u64::from(conv.w_quant.zero_point as u32);
-            let assemble = cost(asm.assemble(&mut scratch(), zp_w, spec.relu));
-            let windows = spec.out_shape(in_shape).len() / spec.m;
-            let mut expected = [0u64; 2];
-            let mut first = 0;
-            while first < spec.m {
-                let groups = geom.groups_per_array(spec.m).min(spec.m - first);
-                let reduce = cost(l.reduce(&mut scratch(), geom.group_span, groups));
-                for i in 0..2 {
-                    let array = zero[i] + geom.eff_window as u64 * tap[i] + reduce[i];
-                    let run = geom.arrays_per_filter as u64 * array
-                        + (geom.arrays_per_filter as u64 - 1) * fold[i]
-                        + assemble[i];
-                    expected[i] += windows as u64 * run;
+            let k = geom.windows_per_array(spec.m);
+            let out = spec.out_shape(in_shape);
+            let windows = out.h * out.w;
+            assert!(
+                k > 1 && windows % k != 0,
+                "{name}: K = {k}, {windows} windows"
+            );
+            let mut model = single_conv_model(conv.clone(), in_shape);
+            model.input_quant = relu_act_quant();
+            let input = relu_sparse_input(in_shape, 0.5, 3, 64);
+
+            // Some host array holds windows whose OR masks differ at a tap,
+            // so SkipBoth must execute that tap once per mask.
+            let map = LaneMap::new(spec);
+            let masks: Vec<Vec<u8>> = (0..windows)
+                .map(|pos| {
+                    let mut window = vec![0; spec.macs_per_output()];
+                    gather_window(&input, spec, pos / out.w, pos % out.w, &mut window);
+                    (0..geom.eff_window)
+                        .map(|t| map.or_mask(&window, 0, t))
+                        .collect()
+                })
+                .collect();
+            assert!(
+                masks
+                    .chunks(k)
+                    .any(|host| host.iter().any(|m| *m != host[0])),
+                "{name}: the windows of every host array share their masks"
+            );
+
+            let golden = reference::run_model(&model, &input);
+            let profile = activation_profile(&model, &input);
+            let mut pool = None;
+            for engine in [
+                ExecutionEngine::Sequential,
+                ExecutionEngine::from_threads(2),
+            ] {
+                for mode in [
+                    SparsityMode::Dense,
+                    SparsityMode::SkipZeroRows,
+                    SparsityMode::SkipBoth,
+                ] {
+                    let case = format!("{name} {engine:?}/{mode:?}");
+                    let tel = Telemetry::enabled(Level::Detail);
+                    let run = run_model_traced(&model, &input, engine, mode, &tel)
+                        .expect("functional run");
+                    assert_eq!(run.output.data(), golden.output.data(), "{case}");
+                    assert_eq!(run.sublayers, golden.layers[0].sublayers, "{case}");
+                    match mode {
+                        SparsityMode::Dense => {
+                            let expected = window_cost(&conv).map(|c| windows as u64 * c);
+                            assert_eq!(mac_reduce_cycles(&tel), expected, "{case}");
+                        }
+                        SparsityMode::SkipBoth => assert_eq!(
+                            run.cycles.input_rounds_skipped,
+                            profile.skippable_rounds(),
+                            "{case}"
+                        ),
+                        SparsityMode::SkipZeroRows => {}
+                    }
+                    assert_eq!(*pool.get_or_insert(run.pool), run.pool, "{case}");
                 }
-                first += groups;
             }
-            assert_eq!(executed, expected, "{}", spec.name);
+            // Ranging checks out two arrays (min and max) per 256
+            // accumulators and requantization one; the MAC pass one per
+            // host array.
+            let chunks = (windows * spec.m).div_ceil(COLS) as u64;
+            let mac = windows.div_ceil(k) as u64;
+            assert_eq!(pool.map(|p| p.acquires), Some(mac + 3 * chunks), "{name}");
         }
     }
 

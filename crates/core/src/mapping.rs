@@ -56,9 +56,12 @@ pub struct LaneGeometry {
 }
 
 impl LaneGeometry {
-    /// Filter groups co-resident in one array during a MAC pass, given the
-    /// sub-layer's `m` output channels (the executor packs at most this
-    /// many filters side by side; filters spanning arrays run alone).
+    /// Filter groups of one output window co-resident in one array during a
+    /// MAC pass, given the sub-layer's `m` output channels: the executor
+    /// packs at most this many filters side by side (an m-block), and
+    /// filters spanning arrays run alone. When one m-block holds all `m`,
+    /// the lanes left over carry further windows
+    /// ([`LaneGeometry::windows_per_array`]).
     #[must_use]
     pub fn groups_per_array(&self, m: usize) -> usize {
         if self.arrays_per_filter == 1 {
@@ -66,6 +69,17 @@ impl LaneGeometry {
         } else {
             1
         }
+    }
+
+    /// Output windows one array runs side by side, given the sub-layer's
+    /// `m` output channels. When one m-block holds all `m` filters and a
+    /// filter fits one array, the array's `filters_per_array` filter
+    /// instances cover ⌊`filters_per_array` / `m`⌋ windows, each against
+    /// its own input lanes (Section IV-B: the rest of an array holds
+    /// instances for other output pixels); otherwise one.
+    #[must_use]
+    pub fn windows_per_array(&self, m: usize) -> usize {
+        (self.filters_per_array / m.max(1)).max(1)
     }
 }
 
@@ -741,6 +755,9 @@ mod tests {
         assert_eq!((g.arrays_per_filter, g.filters_per_array), (1, 8));
         assert_eq!(g.groups_per_array(64), 8);
         assert_eq!(g.groups_per_array(3), 3, "few filters limit the groups");
+        assert_eq!(g.windows_per_array(64), 1, "eight m-blocks run alone");
+        assert_eq!(g.windows_per_array(8), 1, "one m-block fills the array");
+        assert_eq!(g.windows_per_array(3), 2, "three filters leave room");
 
         // A 2048-channel 1x1 packs 16 channels per lane into one array.
         let g = conv_lane_geometry(&nc_dnn::ConvSpec {
@@ -755,6 +772,8 @@ mod tests {
         });
         assert_eq!((g.packing, g.eff_window, g.lanes_per_filter), (16, 16, 128));
         assert_eq!(g.groups_per_array(192), 2);
+        assert_eq!(g.windows_per_array(192), 1);
+        assert_eq!(g.windows_per_array(1), 2);
 
         // 300 channels of a 3x3 span two arrays.
         let g = conv_lane_geometry(&nc_dnn::ConvSpec {
@@ -771,6 +790,7 @@ mod tests {
         assert_eq!(g.arrays_per_filter, 2);
         assert_eq!(g.group_span, 256);
         assert_eq!(g.groups_per_array(2), 1, "spanning filters run alone");
+        assert_eq!(g.windows_per_array(1), 1, "and hold one window");
     }
 
     #[test]

@@ -145,6 +145,31 @@ impl BitRow {
         out
     }
 
+    /// The row holding `copies` copies of columns `from..from + width` of
+    /// `self` side by side from column `at`: column `at + i * width + c` of
+    /// the result is column `from + c` of `self`, for `i < copies` and
+    /// `c < width`. Every other column is clear, and columns past the last
+    /// one are dropped. The copies double with one row shift each, so a
+    /// plane replicated across lane groups never moves single lanes.
+    ///
+    /// ```
+    /// use nc_sram::BitRow;
+    /// let pair = BitRow::from_fn(|col| col == 1 || col == 2);
+    /// let tiled = pair.tiled(1, 2, 3, 10);
+    /// assert_eq!(tiled, BitRow::from_fn(|col| (10..16).contains(&col)));
+    /// ```
+    #[must_use]
+    pub fn tiled(&self, from: usize, width: usize, copies: usize, at: usize) -> BitRow {
+        let end = width.saturating_mul(copies).min(COLS);
+        let mut row = self.shift_down(from).and(&BitRow::lane_range(0, width));
+        let mut filled = width;
+        while filled < end {
+            row = row.or(&row.shift_up(filled));
+            filled *= 2;
+        }
+        row.and(&BitRow::lane_range(0, end)).shift_up(at)
+    }
+
     /// Number of set bits across all 256 columns.
     #[must_use]
     pub fn count_ones(&self) -> u32 {
@@ -375,6 +400,39 @@ mod tests {
                     mask.get(c),
                     (start..end).contains(&c),
                     "{start}..{end} col {c}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tiled_matches_per_column_copies() {
+        let row = BitRow::from_fn(|c| (c * 5 + c / 3) % 4 == 1);
+        for (from, width, copies, at) in [
+            (0, 1, 256, 0),
+            (0, 4, 3, 0),
+            (8, 12, 21, 0),
+            (3, 5, 7, 2),
+            (60, 70, 2, 64),
+            (0, 128, 2, 0),
+            (0, 256, 1, 0),
+            (10, 16, 20, 100),
+            (0, 0, 5, 0),
+            (0, 7, 0, 9),
+        ] {
+            let tiled = row.tiled(from, width, copies, at);
+            for c in 0..COLS {
+                let copy = c
+                    .checked_sub(at)
+                    .filter(|&rel| width > 0 && rel < width * copies);
+                let want = copy.is_some_and(|rel| {
+                    let src = from + rel % width;
+                    src < COLS && row.get(src)
+                });
+                assert_eq!(
+                    tiled.get(c),
+                    want,
+                    "{from} {width}x{copies} at {at}, col {c}"
                 );
             }
         }

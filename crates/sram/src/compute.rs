@@ -510,8 +510,32 @@ impl ComputeArray {
     /// Returns [`SramError::ColOutOfRange`], leaving `out` untouched, when
     /// the run ends past the last lane.
     pub fn peek_lanes(&self, first_lane: usize, op: Operand, out: &mut [u64]) -> Result<()> {
-        check_lanes(first_lane, out.len())?;
-        gather_lanes(self.array.rows(op.rows()), first_lane, out);
+        self.peek_lanes_strided(first_lane, 1, op, out)
+    }
+
+    /// Reads `out.len()` lanes of the transposed operand `op`, one every
+    /// `stride` lanes from `first_lane`, into `out` (truncated to the low
+    /// 64 bits), without charging cycles: [`ComputeArray::peek_lanes`] over
+    /// lanes spaced apart, such as the first lane of every group a grouped
+    /// reduction leaves its sums on, reading no lane in between.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SramError::ColOutOfRange`], leaving `out` untouched, when
+    /// the last lane read is past the last lane.
+    pub fn peek_lanes_strided(
+        &self,
+        first_lane: usize,
+        stride: usize,
+        op: Operand,
+        out: &mut [u64],
+    ) -> Result<()> {
+        let lanes = out
+            .len()
+            .checked_sub(1)
+            .map_or(0, |last| last.saturating_mul(stride).saturating_add(1));
+        check_lanes(first_lane, lanes)?;
+        gather_lanes(self.array.rows(op.rows()), first_lane, stride, out);
         Ok(())
     }
 
@@ -1032,6 +1056,26 @@ mod tests {
             Err(SramError::ColOutOfRange { col: 260 })
         );
         assert_eq!(out, [7; 10], "a rejected peek leaves its buffer alone");
+    }
+
+    #[test]
+    fn strided_peeks_read_every_stride_th_lane() {
+        let a = filled();
+        let op = Operand::new(0, 64).unwrap();
+        let mut all = [0u64; COLS];
+        a.peek_lanes(0, op, &mut all).unwrap();
+        for (first, stride, len) in [(0, 1, 256), (3, 1, 9), (0, 4, 64), (5, 128, 2), (7, 0, 3)] {
+            let mut out = vec![0; len];
+            a.peek_lanes_strided(first, stride, op, &mut out).unwrap();
+            let want: Vec<u64> = (0..len).map(|i| all[first + i * stride]).collect();
+            assert_eq!(out, want, "{first} by {stride} x{len}");
+        }
+        let mut out = [7u64; 3];
+        assert_eq!(
+            a.peek_lanes_strided(0, 128, op, &mut out),
+            Err(SramError::ColOutOfRange { col: 257 })
+        );
+        assert_eq!(out, [7; 3], "a rejected peek leaves its buffer alone");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Cycle accounting and the paper's per-cycle timing/energy constants.
 
 use std::fmt;
-use std::ops::{Add, AddAssign, Sub};
+use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// Cycle counters for one compute array (or an aggregate of arrays).
 ///
@@ -149,6 +149,22 @@ impl Sub for CycleStats {
             skipped_cycles: self.skipped_cycles - rhs.skipped_cycles,
             detect_cycles: self.detect_cycles - rhs.detect_cycles,
             input_rounds_skipped: self.input_rounds_skipped - rhs.input_rounds_skipped,
+        }
+    }
+}
+
+impl Mul<u64> for CycleStats {
+    type Output = CycleStats;
+    /// The counters of `n` runs that each count `self`.
+    fn mul(self, n: u64) -> CycleStats {
+        CycleStats {
+            compute_cycles: self.compute_cycles * n,
+            access_cycles: self.access_cycles * n,
+            mul_rounds: self.mul_rounds * n,
+            skipped_rounds: self.skipped_rounds * n,
+            skipped_cycles: self.skipped_cycles * n,
+            detect_cycles: self.detect_cycles * n,
+            input_rounds_skipped: self.input_rounds_skipped * n,
         }
     }
 }
@@ -353,6 +369,23 @@ mod tests {
         assert_eq!(t.compute_cycles, 15);
         assert_eq!(t.access_cycles, 2);
         assert_eq!(t.total_cycles(), 17);
+    }
+
+    #[test]
+    fn scaling_equals_repeated_addition() {
+        let run = CycleStats {
+            compute_cycles: 136,
+            access_cycles: 3,
+            mul_rounds: 8,
+            skipped_rounds: 2,
+            skipped_cycles: 21,
+            detect_cycles: 8,
+            input_rounds_skipped: 1,
+        };
+        for n in [0, 1, 5] {
+            let added = (0..n).fold(CycleStats::new(), |sum, _| sum + run);
+            assert_eq!(run * n, added, "{n} runs");
+        }
     }
 
     #[test]

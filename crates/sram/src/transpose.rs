@@ -156,7 +156,7 @@ impl TransposeUnit {
         }
         self.stats.access_cycles += 1;
         let mut element = [0];
-        gather_lanes(&self.slices, i, &mut element);
+        gather_lanes(&self.slices, i, 1, &mut element);
         Ok(element[0])
     }
 
@@ -285,18 +285,23 @@ pub(crate) fn scatter_lanes(rows: &mut [BitRow], first: usize, values: &[u64]) {
     }
 }
 
-/// The inverse of [`scatter_lanes`]: `out[i]` becomes the value whose bit
-/// `b < 64` is column `first + i` of `rows[b]`.
+/// The inverse of [`scatter_lanes`], over every `stride`-th lane: `out[i]`
+/// becomes the value whose bit `b < 64` is column `first + i * stride` of
+/// `rows[b]`.
 ///
-/// The caller keeps `first + out.len() <= COLS`.
-pub(crate) fn gather_lanes(rows: &[BitRow], first: usize, out: &mut [u64]) {
+/// The caller keeps every column read below `COLS`.
+pub(crate) fn gather_lanes(rows: &[BitRow], first: usize, stride: usize, out: &mut [u64]) {
     let rows = &rows[..rows.len().min(64)];
-    if let [value] = out {
-        // One lane: read its bit straight from each row.
-        let (word, offset) = (first / 64, first % 64);
-        *value = rows.iter().enumerate().fold(0, |value, (b, row)| {
-            value | ((row.words()[word] >> offset) & 1) << b
-        });
+    if stride != 1 || out.len() == 1 {
+        // One lane, or lanes spaced apart: read each lane's bit straight
+        // from each row, touching no lane in between.
+        out.fill(0);
+        for (b, row) in rows.iter().enumerate() {
+            for (i, value) in out.iter_mut().enumerate() {
+                let col = first + i * stride;
+                *value |= ((row.words()[col / 64] >> (col % 64)) & 1) << b;
+            }
+        }
         return;
     }
     for (word, offset, run) in word_runs(first, first + out.len()) {

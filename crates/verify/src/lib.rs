@@ -480,9 +480,10 @@ pub fn check_executed_model(
 /// The multiplier-round count a model's plan schedules for one full
 /// inference: every convolution output position runs `ceil(m / groups)`
 /// MAC passes of `arrays_per_filter x eff_window` taps, each tap one
-/// 8-round bit-serial multiply — mirroring the executor's sharding
-/// exactly. Sparsity elides rounds but schedules every one, so the count
-/// is the same under every mode's plan.
+/// 8-round bit-serial multiply — mirroring the executor's charge exactly
+/// (a host array running several windows charges each as its own array
+/// run). Sparsity elides rounds but schedules every one, so the count is
+/// the same under every mode's plan.
 #[must_use]
 pub fn predicted_mul_rounds(plans: &[LayerPlan]) -> u64 {
     let mut rounds = 0u64;
